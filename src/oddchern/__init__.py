@@ -23,7 +23,6 @@ from .fields import (
 )
 from .forms import (
     GradedMatrixForm,
-    SuperMatrix,
     nilpotent_exp,
     normalize_2pi,
     power_odd,

@@ -9,7 +9,6 @@ canonicalized into Koszul signs at wedge time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -251,53 +250,6 @@ def nilpotent_exp(w: GradedMatrixForm, scale=1.0) -> GradedMatrixForm:
         term = sw if term is None else term.wedge(sw)
         out = out + term.scale(1.0 / factorial(m))
     return out
-
-
-@dataclass
-class SuperMatrix:
-    """Z2-graded block matrix on E+ (+) E-, both of rank N.
-
-    Even matrices are block diagonal (pm = mp = 0); odd ones are block
-    off-diagonal (pp = mm = 0).
-    """
-
-    pp: np.ndarray
-    pm: np.ndarray
-    mp: np.ndarray
-    mm: np.ndarray
-    odd: bool = False
-
-    def __post_init__(self):
-        n = self.pp.shape[-1]
-        for blk in (self.pm, self.mp, self.mm):
-            if blk.shape[-1] != n or blk.shape[-2] != n:
-                raise ValueError("this model uses equal ranks r+ = r- = N")
-        if self.odd:
-            if np.abs(self.pp).max() > 0 or np.abs(self.mm).max() > 0:
-                raise ValueError("odd supermatrix must have pp = mm = 0")
-        else:
-            if np.abs(self.pm).max() > 0 or np.abs(self.mp).max() > 0:
-                raise ValueError("even supermatrix must have pm = mp = 0")
-
-    @property
-    def rank(self) -> int:
-        return self.pp.shape[-1]
-
-    def full(self) -> np.ndarray:
-        """Assemble the underlying 2N x 2N matrix (batched)."""
-        top = np.concatenate([self.pp, self.pm], axis=-1)
-        bot = np.concatenate([self.mp, self.mm], axis=-1)
-        return np.concatenate([top, bot], axis=-2)
-
-    @classmethod
-    def even(cls, pp, mm):
-        z = np.zeros_like(pp)
-        return cls(pp=pp, pm=z, mp=z, mm=mm, odd=False)
-
-    @classmethod
-    def odd_block(cls, pm, mp):
-        z = np.zeros_like(pm)
-        return cls(pp=z, pm=pm, mp=mp, mm=z, odd=True)
 
 
 def supertrace_matrix(mat: np.ndarray, rank: int) -> np.ndarray:

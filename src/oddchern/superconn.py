@@ -7,6 +7,16 @@ map v and its derivative: the deformed square is t^2 Id + t dV with
 V = [[0, v*], [v, 0]], and the boundary transgression form is
 (2 pi i)^{-1/2} phi(Tr_s(V exp(-t dV))) e^{-t^2} integrated in t.
 
+Only the top-degree piece of that form reaches the boundary integral, and
+its t-dependence factors out: it is (-t)^d/d! phi(Tr_s(V dV^d)) with d the
+chart dimension.  So each model integrates the T-independent form
+phi(Tr_s(V dV^d)) once and keeps the value; every gamma(T) is then a scalar
+Gauss-Legendre factor times it.  V and dV are block off-diagonal: with
+a = sum dv_i dx_i and b = sum dv_i* dx_i, V dV^d is block diagonal with
+blocks v* (a b a ...) and v (b a b ...), so the supertrace is
+Tr(v* X) - Tr(v Y) with the alternating wedges X = a b a ... and
+Y = b a b ... (d factors each), computed on N x N blocks.
+
 Orientation convention: the boundary of a tubular neighborhood is oriented
 opposite to our factor-ordered product orientation.  Boundary integrals of
 the transgression form therefore carry BOUNDARY_ORIENTATION_SIGN; with that
@@ -33,7 +43,14 @@ from .defaults import (
     UNITARY_TOL,
 )
 from .fields import FormField, integrate_top
-from .forms import SQRT_2PI_I, GradedMatrixForm, nilpotent_exp, normalize_2pi, power_odd
+from .forms import (
+    SQRT_2PI_I,
+    GradedMatrixForm,
+    nilpotent_exp,
+    normalize_2pi,
+    power_odd,
+    shuffle_sign,
+)
 from .maps import NumericMatrixMap, SmoothMatrixMap
 from .results import DegreeResult
 
@@ -61,11 +78,11 @@ def unitarize(v: SmoothMatrixMap, domain, floor=MIN_SINGULAR_VALUE) -> NumericMa
     return NumericMatrixMap(eval_fn, v.size)
 
 
-def _probe_unitary(v, domain, tol=UNITARY_TOL, n_sample=256):
+def _unitarity_defect(v, domain, n_sample) -> float:
+    """max ||v* v - Id|| over about n_sample evenly strided grid nodes."""
     pts = domain.nodes()[:: max(1, domain.n_nodes // n_sample)]
     a = v.evaluate(domain, pts)
-    err = np.abs(np.conj(np.swapaxes(a, -1, -2)) @ a - np.eye(v.size)).max()
-    return err < tol
+    return float(np.abs(np.conj(np.swapaxes(a, -1, -2)) @ a - np.eye(v.size)).max())
 
 
 class SuperBundleModel:
@@ -76,13 +93,14 @@ class SuperBundleModel:
             raise ValueError("boundary models have odd dimension 2n - 1")
         self.domain = domain
         self.rank = v.size
-        if not unitarized and _probe_unitary(v, domain):
+        if not unitarized and _unitarity_defect(v, domain, 256) < UNITARY_TOL:
             # Already unitary: keep the original map (and its exact
             # derivatives) instead of wrapping it in a polar decomposition.
             unitarized = True
         self.v = v if unitarized else unitarize(v, domain)
         self.unitarized = True
-        self._deg_star_cache = None
+        self._deg_star = None  # (keyword arguments, result)
+        self._gamma_top = None
         self.check_unitary()
 
     @property
@@ -90,41 +108,48 @@ class SuperBundleModel:
         return (self.domain.dim + 1) // 2
 
     def check_unitary(self, tol=UNITARY_TOL):
-        pts = self.domain.nodes()[:: max(1, self.domain.n_nodes // 512)]
-        a = self.v.evaluate(self.domain, pts)
-        err = np.abs(np.conj(np.swapaxes(a, -1, -2)) @ a - np.eye(self.rank)).max()
+        err = _unitarity_defect(self.v, self.domain, 512)
         if err > tol:
             raise ValueError(f"model is not unitarized: ||v* v - Id|| = {err:.3e}")
 
     # -- pointwise super data ---------------------------------------------------
 
     def _v_and_dv(self, pts):
-        vals = self.v.evaluate(self.domain, pts)
-        dvs = [self.v.differential(self.domain, pts, i) for i in range(self.domain.dim)]
-        return vals, dvs
+        return self.v.evaluate(self.domain, pts), self.v.differentials(self.domain, pts)
 
     def odd_endomorphism(self, pts) -> GradedMatrixForm:
         """V = v + v* as a degree-0 form with 2N x 2N coefficients."""
-        vals, _ = self._v_and_dv(pts)
+        vals = self.v.evaluate(self.domain, pts)
         form = GradedMatrixForm(self.domain.dim, 2 * self.rank, len(pts))
         form.comps[0] = _odd_block(np.conj(np.swapaxes(vals, -1, -2)), vals)
         return form
 
     def derivative_form(self, pts) -> GradedMatrixForm:
         """dV as a degree-1 form with odd 2N x 2N coefficients."""
-        _, dvs = self._v_and_dv(pts)
         form = GradedMatrixForm(self.domain.dim, 2 * self.rank, len(pts))
-        for i, dv in enumerate(dvs):
+        for i, dv in enumerate(self.v.differentials(self.domain, pts)):
             form.comps[1 << i] = _odd_block(np.conj(np.swapaxes(dv, -1, -2)), dv)
         return form
 
+    def gamma_top(self) -> complex:
+        """Integral of phi(Tr_s(V dV^d)) over the model, computed on first use.
+
+        This is the T-independent factor of every gamma(T) on the model.
+        """
+        if self._gamma_top is None:
+            self._gamma_top = _gamma_top_integral(self)
+        return self._gamma_top
+
     def degree_star(self, **kw) -> DegreeResult:
-        if self._deg_star_cache is None:
-            if self.domain.is_product:
-                self._deg_star_cache = deg_star(self.v, self.domain, **kw)
-            else:
-                self._deg_star_cache = deg(self.v, self.domain, **kw)
-        return self._deg_star_cache
+        """deg* of v (deg on an odd sphere), cached with its keyword arguments.
+
+        A call with arguments that differ from the cached ones recomputes; a
+        bare call returns the cached result, whatever it was computed with.
+        """
+        if self._deg_star is None or (kw and kw != self._deg_star[0]):
+            fn = deg_star if self.domain.is_product else deg
+            self._deg_star = (kw, fn(self.v, self.domain, **kw))
+        return self._deg_star[1]
 
 
 def _odd_block(pm, mp):
@@ -134,6 +159,82 @@ def _odd_block(pm, mp):
     out[:, :n, n:] = pm
     out[:, n:, :n] = mp
     return out
+
+
+# -- N x N block kernel for the top degree of Tr_s(V dV^d) ----------------------
+#
+# Blocks are stored point-axis-last: an (N, N, npts) array whose entry [i, j]
+# is one contiguous array over the points, so every product below is unrolled
+# into elementwise vector operations.  Terms are summed in the mask order of
+# GradedMatrixForm.wedge, the dense 2N x 2N path the tests compare against.
+
+
+def _block_product(a, b):
+    """Pointwise N x N matrix product of two (N, N, npts) block arrays."""
+    n = a.shape[0]
+    out = np.empty_like(a)
+    for i in range(n):
+        for j in range(n):
+            acc = out[i, j]
+            np.multiply(a[i, 0], b[0, j], out=acc)
+            for k in range(1, n):
+                acc += a[i, k] * b[k, j]
+    return out
+
+
+def _trace_of_product(a, b):
+    """Pointwise Tr(a b) of two (N, N, npts) block arrays."""
+    n = a.shape[0]
+    total = None
+    for i in range(n):
+        entry = a[i, 0] * b[0, i]
+        for k in range(1, n):
+            entry += a[i, k] * b[k, i]
+        total = entry if total is None else total + entry
+    return total
+
+
+def _alternating_top(first, second):
+    """Top coefficient of first ^ second ^ first ^ ... with d one-form factors.
+
+    first[i] and second[i] are the (N, N, npts) dx_i coefficients.  The wedge
+    is left-folded, one degree at a time, over the multi-index masks.
+    """
+    d = len(first)
+    level = {1 << i: first[i] for i in range(d)}
+    for m in range(1, d):
+        factor = second if m % 2 else first
+        nxt = {}
+        for ma, acc in sorted(level.items()):
+            for i in range(d):
+                if ma >> i & 1:
+                    continue
+                k = ma | 1 << i
+                term = _block_product(acc, factor[i])
+                negative = shuffle_sign(ma, 1 << i) < 0
+                if k not in nxt:
+                    nxt[k] = -term if negative else term
+                elif negative:
+                    nxt[k] -= term
+                else:
+                    nxt[k] += term
+        level = nxt
+    return level[(1 << d) - 1]
+
+
+def _top_supertrace(vals, dvs) -> np.ndarray:
+    """Tr_s(V dV^d) on the top multi-index, from v and its d differentials.
+
+    vals and each dvs[i] are (npts, N, N).  With a = sum dv_i dx_i and
+    b = sum dv_i* dx_i, V dV^d = diag(v* X, v Y) where X = a ^ b ^ a ... and
+    Y = b ^ a ^ b ..., so the supertrace is Tr(v* X) - Tr(v Y).
+    """
+    v = np.ascontiguousarray(np.moveaxis(vals, 0, -1))
+    a = np.ascontiguousarray(np.stack([np.moveaxis(dv, 0, -1) for dv in dvs]))
+    b = np.conj(np.swapaxes(a, 1, 2))
+    x = _alternating_top(a, b)
+    y = _alternating_top(b, a)
+    return _trace_of_product(np.conj(np.swapaxes(v, 0, 1)), x) - _trace_of_product(v, y)
 
 
 def superconn_chern_form(model: SuperBundleModel, T: float) -> FormField:
@@ -161,15 +262,11 @@ def gamma_integrand(model: SuperBundleModel, t: float) -> FormField:
 
 def _gamma_top_integral(model: SuperBundleModel, chunk=CHUNK) -> complex:
     """integrate_top of phi(Tr_s(V dV^(d))) over the model, t-factor stripped."""
-    d = model.domain.dim
+    norm = SQRT_2PI_I ** (-model.domain.dim)
     total = 0.0 + 0.0j
     for pts, w in model.domain.node_blocks(chunk):
-        vform = model.odd_endomorphism(pts)
-        dv = model.derivative_form(pts)
-        top = normalize_2pi(vform.wedge(dv.wedge_power(d)).supertrace(model.rank))
-        c = top.comps[(1 << d) - 1]
-        if c is not None:
-            total += model.domain.orientation_sign * np.sum(w * c[:, 0, 0])
+        c = norm * _top_supertrace(*model._v_and_dv(pts))
+        total += model.domain.orientation_sign * np.sum(w * c)
     return total
 
 
@@ -177,12 +274,13 @@ def gamma_boundary_integral(model: SuperBundleModel, T: float = T_MAX,
                             t_nodes: int = T_NODES) -> complex:
     """Boundary integral of the transgression form gamma(T).
 
-    Gauss-Legendre in t of the top-degree integral of the integrand; the
-    t-dependence of the top piece factorizes as (-t)^d exp(-t^2)/d!, so the
-    spatial integral is evaluated once.
+    The top piece of the integrand is (-t)^d exp(-t^2)/d! times the
+    T-independent form phi(Tr_s(V dV^d)), whose integral the model computes
+    once and keeps (SuperBundleModel.gamma_top).  Each call only evaluates
+    the Gauss-Legendre integral in t of the scalar factor on [0, T].
     """
     d = model.domain.dim
-    top = _gamma_top_integral(model)
+    top = model.gamma_top()
     xs, ws = np.polynomial.legendre.leggauss(t_nodes)
     t = 0.5 * T * (xs + 1.0)
     w = 0.5 * T * ws

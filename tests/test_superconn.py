@@ -1,18 +1,25 @@
 """Super-connection boundary models: unitarization, gamma, localization."""
 
+from math import factorial
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oddchern import superconn
 from oddchern.chern import deg_star
 from oddchern.collapse import build_collapse_map
 from oddchern.domains import ChartedSphereDomain
+from oddchern.forms import GradedMatrixForm
 from oddchern.maps import (ScaledMatrixMap, circle_winding,
-                           compose_map_with_matrix, su2_identity)
-from oddchern.superconn import (SuperBundleModel, flz_point_case,
-                                gamma_boundary_integral, gamma_closed_form,
-                                gamma_integrand, gamma_report, gaussian_moment,
-                                index_report, localize, superconn_chern_form,
-                                unitarize)
+                           compose_map_with_matrix, stabilize, su2_identity)
+from oddchern.superconn import (SuperBundleModel, _odd_block, _top_supertrace,
+                                flz_point_case, gamma_boundary_integral,
+                                gamma_closed_form, gamma_integrand,
+                                gamma_report, gaussian_moment, index_report,
+                                localize, superconn_chern_form, unitarize)
 
 COARSE = {1: 32, 2: 24, 3: 16}
 
@@ -116,13 +123,28 @@ def test_gamma_limit_saturates_in_T():
     assert round(g8.real) == -1
 
 
-def test_gamma_report_fields():
+def test_gamma_report_fields(monkeypatch):
+    swept = []
+    top_integral = superconn._gamma_top_integral
+
+    def counting(model, *args, **kwargs):
+        swept.append(model)
+        return top_integral(model, *args, **kwargs)
+
+    monkeypatch.setattr(superconn, "_gamma_top_integral", counting)
     model = coarse_model()
     rep = gamma_report(model, T_values=(2.0, 4.0, 8.0), t_nodes=120)
     assert len(rep.boundary_integrals) == 3
     assert rep.two_path_gap < 1e-10
     assert rep.deg_star_value.rounded == -1
     assert len(rep.convergence) == 2
+    # The T-independent top integral is swept once on the model grid and
+    # once on the coarse grid, not once per T.
+    assert len(swept) == 2
+    assert swept[0] is model
+    assert swept[1].domain.n_nodes < model.domain.n_nodes
+    gamma_boundary_integral(model, T=6.0)
+    assert len(swept) == 2
 
 
 def shared_model():
@@ -177,3 +199,89 @@ def test_scaling_invariance_same_grid():
     g_base = gamma_boundary_integral(base, T=8.0)
     g_scaled = gamma_boundary_integral(scaled, T=8.0)
     assert abs(g_base - g_scaled) < 1e-8
+
+
+def test_degree_star_cache_honours_arguments():
+    dom = ChartedSphereDomain([3], nodes_per_angle=COARSE)
+    model = SuperBundleModel(dom, su2_identity())
+    first = model.degree_star(scales=(0.5,))
+    second = model.degree_star(scales=(0.5, 1.0))
+    assert [s for s, _ in first.convergence] == [0.5]
+    assert [s for s, _ in second.convergence] == [0.5, 1.0]
+    # Same arguments, or none, return the cached result.
+    assert model.degree_star(scales=(0.5, 1.0)) is second
+    assert model.degree_star() is second
+
+
+# -- the N x N block kernel against the dense 2N x 2N wedge ----------------------
+
+def dense_top_supertrace(vform, dvform, rank):
+    """Tr_s(V dV^d) on the top multi-index through GradedMatrixForm."""
+    d = dvform.dim
+    st_form = vform.wedge(dvform.wedge_power(d)).supertrace(rank)
+    return st_form.comps[(1 << d) - 1][:, 0, 0]
+
+
+def odd_forms(vals, dvs):
+    """V and dV as 2N x 2N graded forms from their off-diagonal blocks."""
+    d, n, npts = len(dvs), vals.shape[-1], len(vals)
+
+    def star(a):
+        return np.conj(np.swapaxes(a, -1, -2))
+
+    vform = GradedMatrixForm(d, 2 * n, npts)
+    vform.comps[0] = _odd_block(star(vals), vals)
+    dvform = GradedMatrixForm(d, 2 * n, npts)
+    for i, dv in enumerate(dvs):
+        dvform.comps[1 << i] = _odd_block(star(dv), dv)
+    return vform, dvform
+
+
+def assert_close_to_dense(got, ref, vals, dvs):
+    # 2 N^(d+1) d! max|v| max|dv|^d bounds the sum of the absolute values of
+    # the terms of Tr_s(V dV^d), so it sets the scale of the rounding error.
+    n, d = vals.shape[-1], len(dvs)
+    bound = (2 * n ** (d + 1) * factorial(d) * np.abs(vals).max()
+             * max(np.abs(dv).max() for dv in dvs) ** d)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-12 * bound + 1e-300
+
+
+ENTRIES = st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                             allow_infinity=False, allow_subnormal=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.sampled_from([1, 2, 3]), d=st.sampled_from([1, 3, 5]))
+def test_block_kernel_matches_dense_supertrace(data, n, d):
+    shape = (4, n, n)
+    vals = data.draw(hnp.arrays(complex, shape, elements=ENTRIES))
+    dvs = [data.draw(hnp.arrays(complex, shape, elements=ENTRIES)) for _ in range(d)]
+    ref = dense_top_supertrace(*odd_forms(vals, dvs), n)
+    assert_close_to_dense(_top_supertrace(vals, dvs), ref, vals, dvs)
+
+
+def collapse_su2_model():
+    phi = build_collapse_map(2, 1, nodes_per_angle=COARSE)
+    return SuperBundleModel(phi.source, compose_map_with_matrix(phi, su2_identity()),
+                            unitarized=True)
+
+
+def sphere_model(m, v):
+    return SuperBundleModel(ChartedSphereDomain([m], nodes_per_angle=COARSE), v)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sphere_model(1, circle_winding(3)),
+    lambda: sphere_model(3, su2_identity()),
+    lambda: sphere_model(3, stabilize(su2_identity(), 1)),
+    collapse_su2_model,
+], ids=["winding-S1", "su2-S3", "su2-S3-stabilized", "collapse-S2xS1"])
+def test_block_kernel_matches_dense_on_models(build):
+    model = build()
+    pts = model.domain.nodes()[::37]
+    vals, dvs = model._v_and_dv(pts)
+    ref = dense_top_supertrace(model.odd_endomorphism(pts),
+                               model.derivative_form(pts), model.rank)
+    assert np.abs(ref).max() > 0
+    assert_close_to_dense(_top_supertrace(vals, dvs), ref, vals, dvs)
