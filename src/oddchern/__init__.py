@@ -1,6 +1,15 @@
 """Numerical odd Chern characters, degree functionals, and super-connection
 localization on spheres and product spheres."""
 
+import os as _os
+
+# BLAS and OpenMP read their thread caps when numpy first loads, so
+# CHERN_THREADS is applied here, before any submodule imports numpy.  An
+# explicitly set OMP/OPENBLAS/MKL variable wins.
+if "CHERN_THREADS" in _os.environ:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, _os.environ["CHERN_THREADS"])
+
 from .chern import (
     assemble_split_map,
     chern_simons,
@@ -18,7 +27,6 @@ from .fields import (
     constant_field,
     exterior_derivative,
     integrate_top,
-    pullback,
     volume_field,
 )
 from .forms import (

@@ -4,6 +4,15 @@ The odd Chern form of an invertible matrix map g is the finite series
 sum_k (-1)^k k!/(2k+1)! Tr(w^(2k+1)) with w = g^{-1} dg, truncated by
 nilpotency at the chart dimension.  Its normalized top integral over an odd
 sphere (or a product sphere of odd total dimension) quantizes to an integer.
+
+On a chart of odd dimension d only the k = (d-1)/2 term reaches the top
+degree, so the degree functionals integrate that term alone
+(odd_chern_top_integral): per node chunk g and its d differentials are
+evaluated once, w_i = g^{-1} dg_i is formed as N x N point-axis-last blocks,
+and the top coefficient of w ^ ... ^ w (d factors) comes from the unrolled
+block kernel of forms.  The mixed-degree forms odd_chern and maurer_cartan
+stay for the transgression and Chern-Simons identities, which need every
+degree.
 """
 
 from __future__ import annotations
@@ -13,8 +22,14 @@ from math import factorial
 import numpy as np
 
 from .defaults import CHUNK, CONVERGENCE_TOL, RESOLUTION_SCALES
-from .fields import FormField, exterior_derivative, integrate_top
-from .forms import GradedMatrixForm, nilpotent_exp
+from .fields import FormField, exterior_derivative
+from .forms import (
+    GradedMatrixForm,
+    _alternating_top,
+    _block_product,
+    _point_axis_last,
+    nilpotent_exp,
+)
 from .maps import (
     ChartMap,
     DualMatrixMap,
@@ -35,17 +50,21 @@ from .results import DegreeResult
 CURVATURE_EXP_SIGN = +1.0
 
 
+def _checked_inverse(vals):
+    """Batched inverse of g, rejecting numerically singular nodes."""
+    det = np.abs(np.linalg.det(vals))
+    if det.min() < 1e-12:
+        raise ValueError(
+            f"matrix map singular at sample point index {int(np.argmin(det))}"
+        )
+    return np.linalg.inv(vals)
+
+
 def maurer_cartan(g: SmoothMatrixMap, domain) -> FormField:
     """Degree-1 matrix form field with coefficients g^{-1} dg/dx_i."""
 
     def sampler(pts):
-        vals = g.evaluate(domain, pts)
-        det = np.abs(np.linalg.det(vals))
-        if det.min() < 1e-12:
-            raise ValueError(
-                f"matrix map singular at sample point index {int(np.argmin(det))}"
-            )
-        inv = np.linalg.inv(vals)
+        inv = _checked_inverse(g.evaluate(domain, pts))
         form = GradedMatrixForm(domain.dim, g.size, len(pts))
         for i in range(domain.dim):
             form.comps[1 << i] = inv @ g.differential(domain, pts, i)
@@ -56,6 +75,32 @@ def maurer_cartan(g: SmoothMatrixMap, domain) -> FormField:
 
 def odd_chern_coefficient(k: int) -> float:
     return (-1.0) ** k * factorial(k) / factorial(2 * k + 1)
+
+
+def _maurer_cartan_blocks(g: SmoothMatrixMap, domain, pts) -> list:
+    """w_i = g^{-1} dg_i as N x N point-axis-last blocks.
+
+    g and each differential are evaluated once, one differential at a time,
+    and g^{-1} is released on return, before the wedge: the peak memory then
+    stays below that of the dense maurer_cartan / odd_chern path.
+    """
+    inv = _point_axis_last(_checked_inverse(g.evaluate(domain, pts)))
+    return [_block_product(inv, _point_axis_last(g.differential(domain, pts, i)))
+            for i in range(domain.dim)]
+
+
+def _odd_chern_top(g: SmoothMatrixMap, domain, pts) -> np.ndarray:
+    """Top coefficient of odd_chern(g) at pts: c_k Tr(w^d) with d = 2k + 1."""
+    w = _maurer_cartan_blocks(g, domain, pts)
+    return odd_chern_coefficient((domain.dim - 1) // 2) * np.trace(_alternating_top(w, w))
+
+
+def odd_chern_top_integral(g: SmoothMatrixMap, domain, chunk: int = CHUNK) -> complex:
+    """Integral of the top-degree part of odd_chern(g) over the domain's grid."""
+    total = 0.0 + 0.0j
+    for pts, weights in domain.node_blocks(chunk):
+        total += domain.orientation_sign * np.sum(weights * _odd_chern_top(g, domain, pts))
+    return complex(total)
 
 
 def odd_chern(g: SmoothMatrixMap, domain) -> FormField:
@@ -136,13 +181,22 @@ def transgression_pair(family, domain, t: float):
 
 
 def _normalized_degree(g: SmoothMatrixMap, domain, half_dim: int,
-                       scales=None, tol=CONVERGENCE_TOL, chunk=CHUNK) -> DegreeResult:
+                       scales=None, tol=CONVERGENCE_TOL, chunk=CHUNK,
+                       top_integral=None) -> DegreeResult:
+    """Resolution ladder of the normalized odd-Chern top integral.
+
+    top_integral(dom), when given, supplies the top integral on each level's
+    grid, so that a caller holding that integral for some grid can reuse it.
+    """
+    if top_integral is None:
+        def top_integral(dom):
+            return odd_chern_top_integral(g, dom, chunk)
     scales = RESOLUTION_SCALES if scales is None else scales
     norm = (-2.0j * np.pi) ** (-half_dim)
     table, prev, converged = [], None, False
     for s in scales:
         dom = domain.at_scale(s)
-        val = norm * integrate_top(odd_chern(g, dom), dom, chunk=chunk)
+        val = norm * top_integral(dom)
         table.append((s, val))
         if prev is not None and abs(val - prev) < tol:
             converged = True

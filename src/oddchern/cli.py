@@ -9,7 +9,6 @@ converge, 64 the configuration is invalid.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .scenarios import (EXIT_CONFIG_ERROR, EXIT_UNCONVERGED, ScenarioError,
@@ -46,13 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    threads = os.environ.get("CHERN_THREADS")
-    if threads is not None:
-        # numpy reads these caps at import time in most builds; set them
-        # anyway so freshly spawned BLAS pools respect the limit.
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     try:
         cfg = load_scenario(args.config) if args.config else {}
         cfg.setdefault("scenario", args.command)

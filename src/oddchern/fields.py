@@ -1,7 +1,7 @@
 """Form fields on a charted domain: smooth maps from chart points to forms.
 
 A FormField can be sampled at arbitrary chart points (not only quadrature
-nodes), which is what the exterior derivative and pullback need.
+nodes), which is what the exterior derivative needs.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import numpy as np
 
 from .defaults import CHUNK, FD_STEP
 from .domains import ChartedSphereDomain
-from .forms import GradedMatrixForm, bit_indices
+from .forms import GradedMatrixForm
 
 
 class FormField:
@@ -23,26 +23,6 @@ class FormField:
 
     def at(self, pts: np.ndarray) -> GradedMatrixForm:
         return self._sampler(np.asarray(pts, dtype=float))
-
-    def at_nodes(self) -> GradedMatrixForm:
-        return self.at(self.domain.nodes())
-
-    def map_form(self, size, fn) -> "FormField":
-        """New field post-composing the sampler with a form-level operation."""
-        return FormField(self.domain, size, lambda pts: fn(self.at(pts)))
-
-    def __add__(self, other):
-        if self.domain is not other.domain and self.domain.spheres != other.domain.spheres:
-            raise ValueError("fields live on different domains")
-        return FormField(self.domain, max(self.size, other.size),
-                         lambda pts: self.at(pts) + other.at(pts))
-
-    def scale(self, c):
-        return self.map_form(self.size, lambda f: f.scale(c))
-
-    def wedge(self, other) -> "FormField":
-        return FormField(self.domain, max(self.size, other.size),
-                         lambda pts: self.at(pts).wedge(other.at(pts)))
 
 
 def constant_field(domain, mat) -> FormField:
@@ -142,43 +122,3 @@ def integrate_all_degrees(field: FormField, domain, chunk: int = CHUNK):
                 continue
             sums[mask] = sums.get(mask, 0.0) + np.einsum("n,nij->ij", w, c)
     return sums
-
-
-def pullback(chart_map, field: FormField) -> FormField:
-    """Pullback of a form field through a map between charted domains.
-
-    Coefficients are contracted against minors of the chart Jacobian.
-    Components whose degree exceeds the source dimension vanish.
-    """
-    src, dim_t = chart_map.source, chart_map.target.dim
-    dim_s = src.dim
-
-    def sampler(pts):
-        ypts = chart_map.evaluate_chart(pts)
-        jac = chart_map.jacobian_chart(pts)  # (n, dim_t, dim_s)
-        target_form = field.at(ypts)
-        out = GradedMatrixForm(dim_s, field.size, len(pts))
-        for mask_t, c in enumerate(target_form.comps):
-            if c is None:
-                continue
-            rows = bit_indices(mask_t)
-            p = len(rows)
-            if p == 0:
-                out.comps[0] = c if out.comps[0] is None else out.comps[0] + c
-                continue
-            if p > dim_s:
-                continue
-            for mask_s in _masks_of_degree(dim_s, p):
-                colsel = bit_indices(mask_s)
-                minor = jac[np.ix_(np.arange(len(pts)), rows, colsel)]
-                det = np.linalg.det(minor)
-                term = det[:, None, None] * c
-                out.comps[mask_s] = (term if out.comps[mask_s] is None
-                                     else out.comps[mask_s] + term)
-        return out
-
-    return FormField(src, field.size, sampler)
-
-
-def _masks_of_degree(dim, p):
-    return [m for m in range(1 << dim) if bin(m).count("1") == p]

@@ -73,35 +73,7 @@ class GradedMatrixForm:
         ).copy()
         return f
 
-    @classmethod
-    def from_components(cls, dim, comps_by_mask, npts=None, size=None):
-        """Build from a {mask: (npts, N, N) array} mapping."""
-        arrays = {m: np.asarray(a, dtype=complex) for m, a in comps_by_mask.items()}
-        if not arrays and (npts is None or size is None):
-            raise ValueError("need npts and size for an empty component map")
-        probe = next(iter(arrays.values())) if arrays else None
-        npts = probe.shape[0] if probe is not None else npts
-        size = probe.shape[1] if probe is not None else size
-        f = cls(dim, size, npts)
-        for m, a in arrays.items():
-            if m >> dim:
-                raise ValueError("multi-index exceeds chart dimension")
-            if a.shape != (npts, size, size):
-                raise ValueError("component shape mismatch")
-            f.comps[m] = a
-        return f
-
     # -- queries -------------------------------------------------------------
-
-    def component(self, mask: int):
-        """Coefficient array of a multi-index; zeros if absent."""
-        c = self.comps[mask]
-        if c is None:
-            return np.zeros((self.npts, self.size, self.size), dtype=complex)
-        return c
-
-    def degrees(self):
-        return sorted({bin(m).count("1") for m, c in enumerate(self.comps) if c is not None})
 
     def is_homogeneous(self, degree):
         return all(bin(m).count("1") == degree
@@ -257,3 +229,69 @@ def supertrace_matrix(mat: np.ndarray, rank: int) -> np.ndarray:
     return np.einsum("...ii->...", mat[..., :rank, :rank]) - np.einsum(
         "...ii->...", mat[..., rank:, rank:]
     )
+
+
+# -- N x N block kernels for top-degree wedges of one-forms ---------------------
+#
+# Blocks are stored point-axis-last: an (N, N, npts) array whose entry [i, j]
+# is one contiguous array over the points, so every product below is unrolled
+# into elementwise vector operations.  Terms are summed in the mask order of
+# GradedMatrixForm.wedge, the dense path the tests compare against.
+
+
+def _point_axis_last(a):
+    """(npts, N, N) batch -> contiguous (N, N, npts) block array."""
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
+
+
+def _block_product(a, b):
+    """Pointwise N x N matrix product of two (N, N, npts) block arrays."""
+    n = a.shape[0]
+    out = np.empty_like(a)
+    for i in range(n):
+        for j in range(n):
+            acc = out[i, j]
+            np.multiply(a[i, 0], b[0, j], out=acc)
+            for k in range(1, n):
+                acc += a[i, k] * b[k, j]
+    return out
+
+
+def _trace_of_product(a, b):
+    """Pointwise Tr(a b) of two (N, N, npts) block arrays."""
+    n = a.shape[0]
+    total = None
+    for i in range(n):
+        entry = a[i, 0] * b[0, i]
+        for k in range(1, n):
+            entry += a[i, k] * b[k, i]
+        total = entry if total is None else total + entry
+    return total
+
+
+def _alternating_top(first, second):
+    """Top coefficient of first ^ second ^ first ^ ... with d one-form factors.
+
+    first[i] and second[i] are the (N, N, npts) dx_i coefficients.  The wedge
+    is left-folded, one degree at a time, over the multi-index masks.
+    """
+    d = len(first)
+    level = {1 << i: first[i] for i in range(d)}
+    for m in range(1, d):
+        factor = second if m % 2 else first
+        nxt = {}
+        for ma, acc in sorted(level.items()):
+            for i in range(d):
+                if ma >> i & 1:
+                    continue
+                k = ma | 1 << i
+                term = _block_product(acc, factor[i])
+                negative = shuffle_sign(ma, 1 << i) < 0
+                if k not in nxt:
+                    nxt[k] = np.negative(term, out=term) if negative else term
+                elif negative:
+                    nxt[k] -= term
+                else:
+                    nxt[k] += term
+        level = nxt
+    return level[(1 << d) - 1]

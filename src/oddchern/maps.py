@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import dual
-from .defaults import FD_STEP, MIN_SINGULAR_VALUE
+from .defaults import FD_STEP
 
 
 def pack_matrix(rows, npts):
@@ -43,20 +43,6 @@ class SmoothMatrixMap:
         return [self.differential(domain, pts, i) for i in range(domain.dim)]
 
     # -- contract checks ------------------------------------------------------
-
-    def min_singular_value(self, domain, pts=None) -> float:
-        pts = domain.nodes() if pts is None else pts
-        return float(np.linalg.svd(self.evaluate(domain, pts), compute_uv=False).min())
-
-    def check_invertible(self, domain, floor=MIN_SINGULAR_VALUE):
-        g = self.evaluate(domain, domain.nodes())
-        sv = np.linalg.svd(g, compute_uv=False).min(axis=-1)
-        if sv.min() <= floor:
-            node = int(np.argmin(sv))
-            raise ValueError(
-                f"matrix map is numerically singular at node {node}: "
-                f"smallest singular value {sv.min():.3e}"
-            )
 
     def check_derivative(self, domain, rng, n_samples=8, rel_tol=1e-6):
         """Consistency of differential against divided differences."""

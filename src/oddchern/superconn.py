@@ -31,25 +31,24 @@ from math import factorial
 
 import numpy as np
 
-from .chern import deg, deg_star, maurer_cartan
+from .chern import _normalized_degree, deg, odd_chern_top_integral
 from .defaults import (
     CHUNK,
-    CONVERGENCE_TOL,
     DEGREE_RESIDUAL_TOL,
     MIN_SINGULAR_VALUE,
     T_MAX,
     T_NODES,
-    TWO_PATH_TOL,
     UNITARY_TOL,
 )
-from .fields import FormField, integrate_top
+from .fields import FormField
 from .forms import (
     SQRT_2PI_I,
     GradedMatrixForm,
+    _alternating_top,
+    _point_axis_last,
+    _trace_of_product,
     nilpotent_exp,
     normalize_2pi,
-    power_odd,
-    shuffle_sign,
 )
 from .maps import NumericMatrixMap, SmoothMatrixMap
 from .results import DegreeResult
@@ -101,6 +100,7 @@ class SuperBundleModel:
         self.unitarized = True
         self._deg_star = None  # (keyword arguments, result)
         self._gamma_top = None
+        self._chern_top = None
         self.check_unitary()
 
     @property
@@ -140,15 +140,35 @@ class SuperBundleModel:
             self._gamma_top = _gamma_top_integral(self)
         return self._gamma_top
 
+    def chern_top(self) -> complex:
+        """Top integral of the odd Chern form of v over the model, computed on first use.
+
+        This is the un-normalized deg*(v) on the model's own grid, shared by
+        the deg* ladder and the closed-form gamma limit.
+        """
+        if self._chern_top is None:
+            self._chern_top = odd_chern_top_integral(self.v, self.domain)
+        return self._chern_top
+
+    def _chern_top_on(self, dom) -> complex:
+        """Odd Chern top integral on one ladder grid, reusing the model's own."""
+        own = self.domain
+        if (dom.spheres, dom.nodes_per_angle, dom.scale) == (
+                own.spheres, own.nodes_per_angle, own.scale):
+            return self.chern_top()
+        return odd_chern_top_integral(self.v, dom)
+
     def degree_star(self, **kw) -> DegreeResult:
         """deg* of v (deg on an odd sphere), cached with its keyword arguments.
 
         A call with arguments that differ from the cached ones recomputes; a
         bare call returns the cached result, whatever it was computed with.
+        The ladder level on the model's own grid reuses chern_top().
         """
         if self._deg_star is None or (kw and kw != self._deg_star[0]):
-            fn = deg_star if self.domain.is_product else deg
-            self._deg_star = (kw, fn(self.v, self.domain, **kw))
+            result = _normalized_degree(self.v, self.domain, self.n,
+                                        top_integral=self._chern_top_on, **kw)
+            self._deg_star = (kw, result)
         return self._deg_star[1]
 
 
@@ -161,67 +181,6 @@ def _odd_block(pm, mp):
     return out
 
 
-# -- N x N block kernel for the top degree of Tr_s(V dV^d) ----------------------
-#
-# Blocks are stored point-axis-last: an (N, N, npts) array whose entry [i, j]
-# is one contiguous array over the points, so every product below is unrolled
-# into elementwise vector operations.  Terms are summed in the mask order of
-# GradedMatrixForm.wedge, the dense 2N x 2N path the tests compare against.
-
-
-def _block_product(a, b):
-    """Pointwise N x N matrix product of two (N, N, npts) block arrays."""
-    n = a.shape[0]
-    out = np.empty_like(a)
-    for i in range(n):
-        for j in range(n):
-            acc = out[i, j]
-            np.multiply(a[i, 0], b[0, j], out=acc)
-            for k in range(1, n):
-                acc += a[i, k] * b[k, j]
-    return out
-
-
-def _trace_of_product(a, b):
-    """Pointwise Tr(a b) of two (N, N, npts) block arrays."""
-    n = a.shape[0]
-    total = None
-    for i in range(n):
-        entry = a[i, 0] * b[0, i]
-        for k in range(1, n):
-            entry += a[i, k] * b[k, i]
-        total = entry if total is None else total + entry
-    return total
-
-
-def _alternating_top(first, second):
-    """Top coefficient of first ^ second ^ first ^ ... with d one-form factors.
-
-    first[i] and second[i] are the (N, N, npts) dx_i coefficients.  The wedge
-    is left-folded, one degree at a time, over the multi-index masks.
-    """
-    d = len(first)
-    level = {1 << i: first[i] for i in range(d)}
-    for m in range(1, d):
-        factor = second if m % 2 else first
-        nxt = {}
-        for ma, acc in sorted(level.items()):
-            for i in range(d):
-                if ma >> i & 1:
-                    continue
-                k = ma | 1 << i
-                term = _block_product(acc, factor[i])
-                negative = shuffle_sign(ma, 1 << i) < 0
-                if k not in nxt:
-                    nxt[k] = -term if negative else term
-                elif negative:
-                    nxt[k] -= term
-                else:
-                    nxt[k] += term
-        level = nxt
-    return level[(1 << d) - 1]
-
-
 def _top_supertrace(vals, dvs) -> np.ndarray:
     """Tr_s(V dV^d) on the top multi-index, from v and its d differentials.
 
@@ -229,7 +188,7 @@ def _top_supertrace(vals, dvs) -> np.ndarray:
     b = sum dv_i* dx_i, V dV^d = diag(v* X, v Y) where X = a ^ b ^ a ... and
     Y = b ^ a ^ b ..., so the supertrace is Tr(v* X) - Tr(v Y).
     """
-    v = np.ascontiguousarray(np.moveaxis(vals, 0, -1))
+    v = _point_axis_last(vals)
     a = np.ascontiguousarray(np.stack([np.moveaxis(dv, 0, -1) for dv in dvs]))
     b = np.conj(np.swapaxes(a, 1, 2))
     x = _alternating_top(a, b)
@@ -293,16 +252,16 @@ def gamma_closed_form(model: SuperBundleModel) -> complex:
 
     The Gaussian moment is used analytically; the remaining factor is the
     normalized top integral of Tr(( v^{-1} dv )^(2n-1)) over the model, which
-    equals (-1)^n deg*(v) under the pinned boundary orientation.
+    equals (-1)^n deg*(v) under the pinned boundary orientation.  That
+    integral is the model's chern_top(): it is swept at most once per model,
+    and reused here if the deg* ladder has already swept the model's grid.
+    No ladder runs, whether or not deg* has been computed.
     """
     n = model.n
-    omega = maurer_cartan(model.v, model.domain)
-    top = integrate_top(
-        omega.map_form(1, lambda w: power_odd(w, 2 * n - 1).trace()),
-        model.domain,
-    )
-    coeff = (2.0j * np.pi) ** (-n) * ((-1.0) ** n * factorial(n - 1) / factorial(2 * n - 1))
-    return complex(BOUNDARY_ORIENTATION_SIGN * coeff * top)
+    # chern_top() carries the odd Chern coefficient (-1)^(n-1) (n-1)!/(2n-1)!,
+    # and the limit needs (-1)^n (n-1)!/(2n-1)! times the same trace.
+    coeff = -(2.0j * np.pi) ** (-n)
+    return complex(BOUNDARY_ORIENTATION_SIGN * coeff * model.chern_top())
 
 
 @dataclass

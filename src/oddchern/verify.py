@@ -16,7 +16,7 @@ import numpy as np
 from .chern import assemble_split_map, chern_simons, deg, deg_star, maurer_cartan, odd_chern, transgression_pair
 from .collapse import (build_collapse_map, collapse_degree,
                        degree_check_nodes, mapping_degree)
-from .defaults import SPLIT_DEGREE_SCALES, SPLIT_DEGREE_TOL, T_MAX
+from .defaults import DEGREE_RESIDUAL_TOL, SPLIT_DEGREE_SCALES, SPLIT_DEGREE_TOL, T_MAX
 from .domains import ChartedSphereDomain
 from .fields import constant_field, exterior_derivative, integrate_all_degrees
 from .maps import (HomotopyFamily, ScaledMatrixMap, circle_winding,
@@ -215,17 +215,24 @@ def _boundary_models():
 
 
 def check_two_path_gamma():
-    """Deformation-limit and closed-form gamma integrals agree with deg*."""
+    """Deformation-limit and closed-form gamma integrals agree with deg*.
+
+    The closed form and deg* share one odd Chern integral, so the sweep is
+    also held to the integer (-1)^n round(deg*), which a wrong sweep misses.
+    """
     details, ok, converged = [], True, True
     for label, model in zip(("phi* su2", "split"), _boundary_models()):
         sweep = gamma_boundary_integral(model, T_MAX)
         closed = gamma_closed_form(model)
         ds = model.degree_star()
-        expected = (-1.0) ** model.n * ds.value
+        sign = (-1.0) ** model.n
+        expected = sign * ds.value
         gap = max(abs(sweep - closed), abs(closed - expected))
+        residual = abs(sweep - sign * ds.rounded)
         details.append(f"{label}: sweep {sweep:.8f}, closed {closed:.8f}, "
-                       f"(-1)^n deg* = {expected:.8f}, gap {gap:.2e}")
-        ok = ok and gap < 1e-7
+                       f"(-1)^n deg* = {expected:.8f}, gap {gap:.2e}, "
+                       f"integer residual {residual:.2e}")
+        ok = ok and gap < 1e-7 and residual < DEGREE_RESIDUAL_TOL
         converged = converged and ds.converged
     return _result("two-path gamma identity", ok, "; ".join(details),
                    converged=converged)

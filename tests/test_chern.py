@@ -1,16 +1,23 @@
 """Odd Chern character: degrees, Chern-Simons consistency, transgression."""
 
+from math import factorial
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oddchern.chern import (assemble_split_map, chern_simons, deg, deg_star,
-                            generator, maurer_cartan, odd_chern,
-                            odd_chern_coefficient, transgression_pair)
+from oddchern.chern import (_odd_chern_top, assemble_split_map, chern_simons,
+                            deg, deg_star, generator, maurer_cartan,
+                            odd_chern, odd_chern_coefficient,
+                            transgression_pair)
 from oddchern.collapse import build_collapse_map
 from oddchern.domains import ChartedSphereDomain
 from oddchern.fields import constant_field, exterior_derivative, integrate_top
-from oddchern.maps import (HomotopyFamily, ProductMatrixMap, circle_winding,
-                           stabilize, su2_identity)
+from oddchern.maps import (DualMatrixMap, HomotopyFamily, ProductMatrixMap,
+                           SmoothMatrixMap, circle_winding,
+                           compose_map_with_matrix, stabilize, su2_identity)
 
 COARSE = {1: 32, 2: 24, 3: 16}
 
@@ -131,7 +138,79 @@ def test_maurer_cartan_rejects_singular_maps():
         x, y = cols[0], cols[1]
         return [[0.0 * x + 0.0j * y]]  # identically singular
 
-    from oddchern.maps import DualMatrixMap
-
     with pytest.raises(ValueError):
         maurer_cartan(DualMatrixMap(fn, 1), dom).at(dom.nodes())
+
+
+def test_deg_names_the_singular_node():
+    dom = ChartedSphereDomain([1], nodes_per_angle=COARSE)
+    node = 5
+    x0, y0 = np.cos(dom.nodes()[node, 0]), np.sin(dom.nodes()[node, 0])
+
+    def fn(cols):
+        x, y = cols[0], cols[1]
+        return [[(x - x0) + 1j * (y - y0)]]  # vanishes at one grid node
+
+    with pytest.raises(ValueError, match=f"singular at sample point index {node}$"):
+        deg(DualMatrixMap(fn, 1), dom, scales=(1.0,))
+
+
+# -- the N x N top-degree kernel against the dense odd_chern sampler -------------
+
+class SampledMap(SmoothMatrixMap):
+    """Fixed values and differentials, returned for any batch of len(vals) points."""
+
+    def __init__(self, vals, dgs):
+        self.vals, self.dgs, self.size = vals, dgs, vals.shape[-1]
+
+    def evaluate(self, domain, pts):
+        return self.vals
+
+    def differential(self, domain, pts, direction):
+        return self.dgs[direction]
+
+
+def assert_top_matches_dense(g, dom, pts):
+    got = _odd_chern_top(g, dom, pts)
+    ref = odd_chern(g, dom).at(pts).comps[(1 << dom.dim) - 1][:, 0, 0]
+    # |w| <= N max|g^-1| max|dg| entrywise, and c_k N^(d+1) d! |w|^d bounds
+    # the sum of the absolute values of the terms of c_k Tr(w^d), so it sets
+    # the scale of the rounding error.
+    vals, dgs = g.evaluate(dom, pts), g.differentials(dom, pts)
+    n, d = vals.shape[-1], dom.dim
+    w_max = n * np.abs(np.linalg.inv(vals)).max() * max(np.abs(dg).max() for dg in dgs)
+    bound = abs(odd_chern_coefficient((d - 1) // 2)) * n ** (d + 1) * factorial(d) * w_max ** d
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-12 * bound + 1e-300
+
+
+ENTRIES = st.complex_numbers(max_magnitude=1.0, allow_nan=False,
+                             allow_infinity=False, allow_subnormal=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.sampled_from([1, 2, 3]), d=st.sampled_from([1, 3, 5]))
+def test_top_kernel_matches_dense_odd_chern(data, n, d):
+    shape = (4, n, n)
+    # Entries of modulus <= 1 plus 4 Id: diagonally dominant, so invertible.
+    vals = data.draw(hnp.arrays(complex, shape, elements=ENTRIES)) + 4.0 * np.eye(n)
+    dgs = [data.draw(hnp.arrays(complex, shape, elements=ENTRIES)) for _ in range(d)]
+    dom = ChartedSphereDomain([d], nodes_per_angle={d: 2})
+    assert_top_matches_dense(SampledMap(vals, dgs), dom, np.zeros((4, d)))
+
+
+def collapse_su2():
+    phi = build_collapse_map(2, 1, nodes_per_angle=COARSE)
+    return compose_map_with_matrix(phi, su2_identity()), phi.source
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (su2_identity(), ChartedSphereDomain([3], nodes_per_angle=COARSE)),
+    lambda: (stabilize(su2_identity(), 1), ChartedSphereDomain([3], nodes_per_angle=COARSE)),
+    collapse_su2,
+], ids=["su2-S3", "su2-S3-stabilized", "collapse-S2xS1"])
+def test_top_kernel_matches_dense_on_maps(build):
+    g, dom = build()
+    pts = dom.nodes()[::37]
+    assert np.abs(_odd_chern_top(g, dom, pts)).max() > 0
+    assert_top_matches_dense(g, dom, pts)

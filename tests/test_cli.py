@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, flags, exit codes, report files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import oddchern
 from oddchern.cli import main
 
 DEG_SCENARIO = """\
@@ -125,3 +130,45 @@ map.h.kind = su2_identity
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["values"]["localized_value"] == [1.0, 0.0]
+
+
+# Imports oddchern, then numpy, and prints the thread count OpenBLAS uses
+# ("None" when no loaded OpenBLAS exposes it).
+OPENBLAS_THREADS_PROBE = """\
+import ctypes
+import oddchern
+import numpy
+count = None
+try:
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+except OSError:
+    libs = []
+for lib in libs:
+    try:
+        handle = ctypes.CDLL(lib)
+    except OSError:
+        continue
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(handle, symbol, None)
+        if fn is not None and count is None:
+            fn.argtypes, fn.restype = [], ctypes.c_int
+            count = fn()
+print(count)
+"""
+
+
+def test_chern_threads_caps_openblas():
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("a one-thread cap is indistinguishable on one CPU")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["CHERN_THREADS"] = "1"
+    src = str(Path(oddchern.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", OPENBLAS_THREADS_PROBE], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    count = out.stdout.strip()
+    if count == "None":
+        pytest.skip("no OpenBLAS thread-count symbol in this numpy build")
+    assert count == "1"

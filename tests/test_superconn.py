@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddchern import superconn
+from oddchern import chern, superconn
 from oddchern.chern import deg_star
 from oddchern.collapse import build_collapse_map
 from oddchern.domains import ChartedSphereDomain
@@ -145,6 +145,46 @@ def test_gamma_report_fields(monkeypatch):
     assert swept[1].domain.n_nodes < model.domain.n_nodes
     gamma_boundary_integral(model, T=6.0)
     assert len(swept) == 2
+
+
+def record_chern_sweeps(monkeypatch):
+    """Record the domain of every odd Chern top integral, wherever it is called."""
+    swept = []
+    top_integral = chern.odd_chern_top_integral
+
+    def counting(g, domain, *args, **kwargs):
+        swept.append(domain)
+        return top_integral(g, domain, *args, **kwargs)
+
+    for module in (chern, superconn):
+        monkeypatch.setattr(module, "odd_chern_top_integral", counting)
+    return swept
+
+
+def test_degree_and_closed_form_sweep_the_model_grid_once(monkeypatch):
+    swept = record_chern_sweeps(monkeypatch)
+    phi = build_collapse_map(2, 1, nodes_per_angle={1: 16, 2: 12})
+    model = SuperBundleModel(phi.source.at_scale(2.0),
+                             compose_map_with_matrix(phi, su2_identity()),
+                             unitarized=True)
+    model.degree_star(scales=(1.0, 2.0))
+    gamma_report(model, T_values=(4.0, 8.0), t_nodes=60)
+    # The ladder's scale-2 level is the model's own grid (another domain
+    # object with the same nodes); the closed form reuses that sweep.
+    assert [dom.scale for dom in swept] == [1.0, 2.0]
+    assert swept[1] is model.domain
+
+
+def test_closed_form_sweeps_once_and_runs_no_ladder(monkeypatch):
+    swept = record_chern_sweeps(monkeypatch)
+    ladders = []
+    monkeypatch.setattr(superconn, "_normalized_degree",
+                        lambda *args, **kwargs: ladders.append(args))
+    model = sphere_model(3, su2_identity())
+    first = gamma_closed_form(model)
+    assert gamma_closed_form(model) == first
+    assert swept == [model.domain]
+    assert ladders == []
 
 
 def shared_model():
