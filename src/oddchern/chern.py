@@ -7,12 +7,13 @@ sphere (or a product sphere of odd total dimension) quantizes to an integer.
 
 On a chart of odd dimension d only the k = (d-1)/2 term reaches the top
 degree, so the degree functionals integrate that term alone
-(odd_chern_top_integral): per node chunk g and its d differentials are
-evaluated once, w_i = g^{-1} dg_i is formed as N x N point-axis-last blocks,
+(odd_chern_top_integral): per node block one jet pass gives g and its d
+differentials, w_i = g^{-1} dg_i is formed as N x N point-axis-last blocks,
 and the top coefficient of w ^ ... ^ w (d factors) comes from the unrolled
-block kernel of forms.  The mixed-degree forms odd_chern and maurer_cartan
-stay for the transgression and Chern-Simons identities, which need every
-degree.
+block kernel of forms.  A boundary model's single sweep (superconn) feeds
+the same kernel from the jet it also uses for the gamma top integral.  The
+mixed-degree forms odd_chern and maurer_cartan stay for the transgression
+and Chern-Simons identities, which need every degree.
 """
 
 from __future__ import annotations
@@ -64,10 +65,11 @@ def maurer_cartan(g: SmoothMatrixMap, domain) -> FormField:
     """Degree-1 matrix form field with coefficients g^{-1} dg/dx_i."""
 
     def sampler(pts):
-        inv = _checked_inverse(g.evaluate(domain, pts))
+        vals, dgs = g.jet(domain, pts)
+        inv = _checked_inverse(vals)
         form = GradedMatrixForm(domain.dim, g.size, len(pts))
-        for i in range(domain.dim):
-            form.comps[1 << i] = inv @ g.differential(domain, pts, i)
+        for i, dg in enumerate(dgs):
+            form.comps[1 << i] = inv @ dg
         return form
 
     return FormField(domain, g.size, sampler)
@@ -77,29 +79,26 @@ def odd_chern_coefficient(k: int) -> float:
     return (-1.0) ** k * factorial(k) / factorial(2 * k + 1)
 
 
-def _maurer_cartan_blocks(g: SmoothMatrixMap, domain, pts) -> list:
-    """w_i = g^{-1} dg_i as N x N point-axis-last blocks.
+def _maurer_cartan_blocks(vals, dgs) -> list:
+    """w_i = g^{-1} dg_i as N x N point-axis-last blocks, from a jet of g."""
+    inv = _point_axis_last(_checked_inverse(vals))
+    return [_block_product(inv, _point_axis_last(dg)) for dg in dgs]
 
-    g and each differential are evaluated once, one differential at a time,
-    and g^{-1} is released on return, before the wedge: the peak memory then
-    stays below that of the dense maurer_cartan / odd_chern path.
+
+def _odd_chern_top(vals, dgs) -> np.ndarray:
+    """Top coefficient of odd_chern(g) from a jet of g: c_k Tr(w^d), d = 2k + 1.
+
+    vals is g at a batch of nodes, (npts, N, N), and dgs its d differentials.
     """
-    inv = _point_axis_last(_checked_inverse(g.evaluate(domain, pts)))
-    return [_block_product(inv, _point_axis_last(g.differential(domain, pts, i)))
-            for i in range(domain.dim)]
-
-
-def _odd_chern_top(g: SmoothMatrixMap, domain, pts) -> np.ndarray:
-    """Top coefficient of odd_chern(g) at pts: c_k Tr(w^d) with d = 2k + 1."""
-    w = _maurer_cartan_blocks(g, domain, pts)
-    return odd_chern_coefficient((domain.dim - 1) // 2) * np.trace(_alternating_top(w, w))
+    w = _maurer_cartan_blocks(vals, dgs)
+    return odd_chern_coefficient((len(dgs) - 1) // 2) * np.trace(_alternating_top(w, w))
 
 
 def odd_chern_top_integral(g: SmoothMatrixMap, domain, chunk: int = CHUNK) -> complex:
     """Integral of the top-degree part of odd_chern(g) over the domain's grid."""
     total = 0.0 + 0.0j
     for pts, weights in domain.node_blocks(chunk):
-        total += domain.orientation_sign * np.sum(weights * _odd_chern_top(g, domain, pts))
+        total += domain.orientation_sign * np.sum(weights * _odd_chern_top(*g.jet(domain, pts)))
     return complex(total)
 
 

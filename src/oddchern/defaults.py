@@ -41,5 +41,18 @@ RESOLUTION_SCALES = (0.5, 1.0, 2.0, 4.0)
 SPLIT_DEGREE_SCALES = (1.0, 2.0)
 SPLIT_DEGREE_TOL = 2e-4
 
-# Node-batch size for chunked evaluation over large grids.
-CHUNK = 400_000
+# Node-batch size for chunked evaluation over large grids.  A block's
+# temporaries (a jet of an N x N map is d + 1 arrays of N*N*CHUNK complex
+# numbers) should stay small enough to be reused from the heap.  At 400,000
+# nodes each one is a fresh mmap'd region, page-faulted on every use, and
+# peak RSS follows glibc's mmap threshold: five passes of collapse-4d then
+# took 345,000-355,000 minor faults, 1.3-1.7 s of system time and 460 MB,
+# against 147,000, 0.25-0.33 s and 49 MB at 8,192.  Scan on a 2-vCPU Xeon
+# VM, one BLAS thread, direct runs of the benchmark workloads' ops, median
+# pass seconds of 15 (3 interleaved rounds of 5) and peak RSS:
+#             sphere-chern     collapse-4d      gamma-limit
+#    4,096    0.46 s  45 MB    0.94 s  42 MB    0.88 s  41 MB
+#    8,192    0.43 s  53 MB    0.89 s  50 MB    0.86 s  46 MB
+#   16,384    0.45 s  70 MB    1.03 s  64 MB    0.95 s  59 MB
+#   32,768    0.47 s 104 MB    1.08 s  92 MB    1.05 s  76 MB
+CHUNK = 8_192

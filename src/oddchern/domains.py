@@ -92,7 +92,6 @@ class ChartedSphereDomain:
                 self.axes.append(_gauss_axis(n, 0.0, hi))
         self.shape = tuple(len(a[0]) for a in self.axes)
         self.n_nodes = int(np.prod(self.shape))
-        self._nodes_cache = None
         self._weights_cache = None
         self.orientation_sign = 1
         self.ambient_det_sign = self._calibrate_det_sign()
@@ -155,21 +154,27 @@ class ChartedSphereDomain:
         cols = [pts[:, i] for i in range(self.dim)]
         return np.asarray(self.sqrtg_cols(cols), dtype=float) * np.ones(len(pts))
 
-    def embed_dual_cols(self, pts: np.ndarray, direction: int):
-        """Ambient columns with the derivative along one chart coordinate seeded."""
-        cols = []
-        for i in range(self.dim):
-            c = pts[:, i]
-            cols.append(dual.Dual.seed(c) if i == direction else dual.Dual.const(c))
-        return self.embed_cols(cols)
+    def embed_dual_cols(self, pts: np.ndarray):
+        """Ambient columns with every chart coordinate seeded at once.
+
+        Each dual column's eps has shape (dim, npts): row i is the derivative
+        along chart coordinate i.
+        """
+        return self.embed_cols(dual.seed_all(pts.T))
 
     # -- quadrature ---------------------------------------------------------------
 
+    def nodes_at(self, flat) -> np.ndarray:
+        """Grid nodes at flat (C-order) indices, without building the grid."""
+        idx = np.unravel_index(flat, self.shape)
+        return np.stack([a[0][i] for a, i in zip(self.axes, idx)], axis=1)
+
     def nodes(self) -> np.ndarray:
-        if self._nodes_cache is None:
-            grids = np.meshgrid(*[a[0] for a in self.axes], indexing="ij")
-            self._nodes_cache = np.stack([g.reshape(-1) for g in grids], axis=1)
-        return self._nodes_cache
+        return self.nodes_at(np.arange(self.n_nodes))
+
+    def sample_nodes(self, n_sample: int) -> np.ndarray:
+        """About n_sample evenly strided grid nodes: nodes()[::n_nodes // n_sample]."""
+        return self.nodes_at(np.arange(0, self.n_nodes, max(1, self.n_nodes // n_sample)))
 
     def weights(self) -> np.ndarray:
         if self._weights_cache is None:
@@ -183,16 +188,13 @@ class ChartedSphereDomain:
 
     def node_blocks(self, chunk: int):
         """Yield (points, weights) batches without materializing the full grid."""
-        node_axes = [a[0] for a in self.axes]
-        weight_axes = [a[1] for a in self.axes]
         for lo in range(0, self.n_nodes, chunk):
-            hi = min(lo + chunk, self.n_nodes)
-            idx = np.unravel_index(np.arange(lo, hi), self.shape)
-            pts = np.stack([node_axes[i][idx[i]] for i in range(self.dim)], axis=1)
-            w = np.ones(hi - lo)
-            for i in range(self.dim):
-                w = w * weight_axes[i][idx[i]]
-            yield pts, w
+            flat = np.arange(lo, min(lo + chunk, self.n_nodes))
+            idx = np.unravel_index(flat, self.shape)
+            w = np.ones(len(flat))
+            for (_, wi), i in zip(self.axes, idx):
+                w = w * wi[i]
+            yield self.nodes_at(flat), w
 
     def volume(self) -> float:
         return float(np.prod([sphere_volume(m) for m in self.spheres]))
@@ -209,13 +211,10 @@ class ChartedSphereDomain:
         for m in self.spheres:
             probe = np.full((1, m), 0.9)  # generic interior angle point
             cols = [probe[:, i] for i in range(m)]
-            rows = [np.stack([np.asarray(c, float) for c in embed_sphere(cols, m)], axis=1)[0]]
-            for i in range(m):
-                dcols = [dual.Dual.seed(cols[j]) if j == i else dual.Dual.const(cols[j])
-                         for j in range(m)]
-                amb = embed_sphere(dcols, m)
-                rows.append(np.array([a.eps[0] for a in amb]))
-            det = np.linalg.det(np.stack(rows))
+            amb = embed_sphere(dual.seed_all(cols), m)
+            # Rows: the point y, then d y / d theta_i for each chart direction.
+            det = np.linalg.det(np.array([[a.val[0] for a in amb]]
+                                         + [[a.eps[i, 0] for a in amb] for i in range(m)]))
             sq = float(dual.value(_sphere_sqrtg(cols, m))[0]) if m > 1 else 1.0
             sign *= 1 if det * sq > 0 else -1
         return sign

@@ -1,11 +1,15 @@
 """Minimal forward-mode differentiation for array-valued chart maps.
 
-A Dual carries a value array and the directional derivative of that value
-with respect to one real seed parameter.  All the built-in geometry (sphere
+A Dual carries a value array and its derivatives with respect to real seed
+parameters.  The derivative array eps may carry a leading direction axis:
+with val of shape (npts,) and eps of shape (dim, npts), row i of eps is the
+derivative along seed i, and numpy broadcasting carries every operation
+below through all directions at once (vector forward mode, one pass for the
+value and the whole Jacobian).  All the built-in geometry (sphere
 embeddings, stereographic projections, collapse profiles, generator maps) is
-written against the dispatching helpers below, so seeding a chart coordinate
-yields exact derivatives through arbitrary compositions, including across
-arctan2 branch cuts where finite differences would break.
+written against the dispatching helpers below, so seeding the chart
+coordinates yields exact derivatives through arbitrary compositions,
+including across arctan2 branch cuts where finite differences would break.
 """
 
 from __future__ import annotations
@@ -56,20 +60,37 @@ class Dual:
 
     __rmul__ = __mul__
 
+    # Values are divided exactly as plain arrays are, so that a dual pass
+    # and a plain pass of the same code give bit-identical values.
     def __truediv__(self, o):
         if isinstance(o, Dual):
-            inv = 1.0 / o.val
-            return Dual(self.val * inv, (self.eps - self.val * inv * o.eps) * inv)
+            val = self.val / o.val
+            return Dual(val, (self.eps - val * o.eps) * (1.0 / o.val))
         return Dual(self.val / o, self.eps / o)
 
     def __rtruediv__(self, o):
-        inv = 1.0 / self.val
-        return Dual(o * inv, -o * inv * inv * self.eps)
+        val = o / self.val
+        return Dual(val, -val * (1.0 / self.val) * self.eps)
 
     def __pow__(self, p):
         if not np.isscalar(p):
             raise TypeError("only scalar exponents are supported")
         return Dual(self.val ** p, p * self.val ** (p - 1) * self.eps)
+
+
+def seed_all(cols):
+    """Duals for the given columns, column i seeded along direction i.
+
+    Every eps gets the leading direction axis: shape (len(cols),) + column
+    shape, one in row i of column i and zero elsewhere.
+    """
+    out = []
+    for i, c in enumerate(cols):
+        c = np.asarray(c, dtype=float)
+        eps = np.zeros((len(cols),) + c.shape)
+        eps[i] = 1.0
+        out.append(Dual(c, eps))
+    return out
 
 
 def value(x):

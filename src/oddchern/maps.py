@@ -2,7 +2,9 @@
 
 Maps are written as functions of the domain's *ambient* coordinates, so the
 same map works on any quadrature resolution of the domain and derivatives in
-chart directions follow by seeding dual numbers through the embedding.
+chart directions follow by seeding dual numbers through the embedding.  A
+map's jet (its values and all d chart differentials) comes from one pass
+with every chart direction seeded at once.
 """
 
 from __future__ import annotations
@@ -13,19 +15,24 @@ from . import dual
 from .defaults import FD_STEP
 
 
-def pack_matrix(rows, npts):
-    """Nested-list matrix of Dual/array entries -> (values, derivatives)."""
+def pack_matrix(rows, npts, ndirs=0):
+    """Nested-list matrix of Dual/array entries -> (values, derivatives).
+
+    values has shape (npts, n, n) and derivatives (ndirs, npts, n, n), one
+    row per seeded direction.  Both are views of point-axis-last buffers,
+    so the N x N block kernels take them without a copy.
+    """
     n = len(rows)
-    vals = np.zeros((npts, n, n), dtype=complex)
-    eps = np.zeros((npts, n, n), dtype=complex)
+    vals = np.zeros((n, n, npts), dtype=complex)
+    eps = np.zeros((ndirs, n, n, npts), dtype=complex)
     for i, row in enumerate(rows):
         for j, e in enumerate(row):
             if isinstance(e, dual.Dual):
-                vals[:, i, j] = e.val
+                vals[i, j] = e.val
                 eps[:, i, j] = e.eps
             else:
-                vals[:, i, j] = e
-    return vals, eps
+                vals[i, j] = e
+    return np.moveaxis(vals, -1, 0), np.moveaxis(eps, -1, 1)
 
 
 class SmoothMatrixMap:
@@ -39,8 +46,18 @@ class SmoothMatrixMap:
     def differential(self, domain, pts, direction: int) -> np.ndarray:
         raise NotImplementedError
 
+    def jet(self, domain, pts):
+        """(values, differentials): g at pts, (npts, N, N), and its chart
+        derivatives stacked as (dim, npts, N, N), row i along direction i.
+
+        This default evaluates each direction on its own; maps with a
+        one-pass derivative override it.
+        """
+        return self.evaluate(domain, pts), np.stack(
+            [self.differential(domain, pts, i) for i in range(domain.dim)])
+
     def differentials(self, domain, pts):
-        return [self.differential(domain, pts, i) for i in range(domain.dim)]
+        return self.jet(domain, pts)[1]
 
     # -- contract checks ------------------------------------------------------
 
@@ -50,13 +67,12 @@ class SmoothMatrixMap:
             rng.uniform(0.3, hi - 0.3, n_samples)
             for hi in [a[0].max() + a[0].min() for a in domain.axes]
         ])
-        for i in range(domain.dim):
+        for i, an in enumerate(self.differentials(domain, pts)):
             h = 1e-5
             qp, qm = pts.copy(), pts.copy()
             qp[:, i] += h
             qm[:, i] -= h
             fd = (self.evaluate(domain, qp) - self.evaluate(domain, qm)) / (2 * h)
-            an = self.differential(domain, pts, i)
             err = np.abs(fd - an).max() / (1.0 + np.abs(an).max())
             if err > rel_tol:
                 raise ValueError(f"derivative contract failed in direction {i}: {err:.3e}")
@@ -76,10 +92,11 @@ class DualMatrixMap(SmoothMatrixMap):
         return vals
 
     def differential(self, domain, pts, direction):
-        amb = domain.embed_dual_cols(np.asarray(pts, float), direction)
-        rows = self.fn_entries(amb)
-        _, eps = pack_matrix(rows, len(pts))
-        return eps
+        return self.jet(domain, pts)[1][direction]
+
+    def jet(self, domain, pts):
+        rows = self.fn_entries(domain.embed_dual_cols(np.asarray(pts, float)))
+        return pack_matrix(rows, len(pts), domain.dim)
 
 
 class NumericMatrixMap(SmoothMatrixMap):
@@ -118,8 +135,12 @@ class ProductMatrixMap(SmoothMatrixMap):
         return self.a.evaluate(domain, pts) @ self.b.evaluate(domain, pts)
 
     def differential(self, domain, pts, direction):
-        return (self.a.differential(domain, pts, direction) @ self.b.evaluate(domain, pts)
-                + self.a.evaluate(domain, pts) @ self.b.differential(domain, pts, direction))
+        return self.jet(domain, pts)[1][direction]
+
+    def jet(self, domain, pts):
+        va, da = self.a.jet(domain, pts)
+        vb, db = self.b.jet(domain, pts)
+        return va @ vb, da @ vb + va @ db
 
 
 class ScaledMatrixMap(SmoothMatrixMap):
@@ -131,7 +152,11 @@ class ScaledMatrixMap(SmoothMatrixMap):
         return self.c * self.inner.evaluate(domain, pts)
 
     def differential(self, domain, pts, direction):
-        return self.c * self.inner.differential(domain, pts, direction)
+        return self.jet(domain, pts)[1][direction]
+
+    def jet(self, domain, pts):
+        vals, ds = self.inner.jet(domain, pts)
+        return self.c * vals, self.c * ds
 
 
 def constant_map(mat) -> DualMatrixMap:
@@ -225,8 +250,8 @@ class HomotopyFamily:
         amb = domain.embed_cols(cols)
         td = dual.Dual.seed(np.full(len(pts), float(t)))
         rows = self.fn_entries(td, amb)
-        _, eps = pack_matrix(rows, len(pts))
-        return eps
+        _, eps = pack_matrix(rows, len(pts), 1)
+        return eps[0]
 
 
 class ChartMap:
@@ -250,33 +275,27 @@ class ChartMap:
         n = len(pts)
         return np.stack([np.asarray(dual.value(a), float) * np.ones(n) for a in ang], axis=1)
 
+    def _derivative_rows(self, col, n):
+        """(dim_s, n) chart derivatives of one output column of a jet pass."""
+        eps = col.eps if isinstance(col, dual.Dual) else 0.0
+        return np.broadcast_to(np.asarray(eps, float), (self.source.dim, n))
+
     def ambient_jacobian_columns(self, pts):
         """Ambient values plus d(ambient)/d(chart_i) for every source direction."""
         pts = np.asarray(pts, float)
         n = len(pts)
-        cols_out = []
-        vals = None
-        for i in range(self.source.dim):
-            amb = self.ambient_fn(self.source.embed_dual_cols(pts, i))
-            if vals is None:
-                vals = np.stack(
-                    [np.asarray(dual.value(c), float) * np.ones(n) for c in amb], axis=1)
-            cols_out.append(np.stack(
-                [np.asarray(c.eps if isinstance(c, dual.Dual) else np.zeros(n), float)
-                 * np.ones(n) for c in amb], axis=1))
-        return vals, cols_out
+        amb = self.ambient_fn(self.source.embed_dual_cols(pts))
+        vals = np.stack([np.asarray(dual.value(c), float) * np.ones(n) for c in amb], axis=1)
+        jac = np.stack([self._derivative_rows(c, n) for c in amb], axis=2)
+        return vals, list(jac)
 
     def jacobian_chart(self, pts) -> np.ndarray:
         """d(target chart)/d(source chart), shape (n, dim_t, dim_s)."""
         pts = np.asarray(pts, float)
         n = len(pts)
-        jac = np.zeros((n, self.target.dim, self.source.dim))
-        for i in range(self.source.dim):
-            amb = self.ambient_fn(self.source.embed_dual_cols(pts, i))
-            ang = self.target.angles_from_ambient_cols(amb)
-            for k, a in enumerate(ang):
-                jac[:, k, i] = (a.eps if isinstance(a, dual.Dual) else 0.0) * np.ones(n)
-        return jac
+        ang = self.target.angles_from_ambient_cols(
+            self.ambient_fn(self.source.embed_dual_cols(pts)))
+        return np.stack([self._derivative_rows(a, n).T for a in ang], axis=1)
 
     def compose(self, inner: "ChartMap") -> "ChartMap":
         """self after inner: x -> self(inner(x))."""

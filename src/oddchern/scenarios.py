@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -75,15 +76,18 @@ def load_scenario(path: str) -> dict:
         return parse_scenario(fh.read())
 
 
-def _get_int(cfg, key, default=None):
+def _get_int(cfg, key, default=None, minimum=None):
     if key not in cfg:
         if default is None:
             raise ScenarioError(f"missing required key {key!r}")
         return default
     try:
-        return int(cfg[key])
+        value = int(cfg[key])
     except ValueError:
         raise ScenarioError(f"{key}: expected integer, got {cfg[key]!r}") from None
+    if minimum is not None and value < minimum:
+        raise ScenarioError(f"{key}: expected an integer >= {minimum}, got {value}")
+    return value
 
 
 def _get_float(cfg, key, default):
@@ -200,7 +204,9 @@ def _scale_nodes(base: dict | None, scale: float):
 
 
 def _run_deg(cfg, resolution_scale):
-    m_dim = _get_int(cfg, "geometry.sphere", 1)
+    m_dim = _get_int(cfg, "geometry.sphere", 1, minimum=1)
+    if m_dim % 2 == 0:
+        raise ScenarioError(f"geometry.sphere: deg needs an odd sphere, got {m_dim}")
     dom = ChartedSphereDomain.sphere(
         m_dim, nodes_per_angle=_scale_nodes(None, resolution_scale))
     g = _build_generator(cfg, "map")
@@ -216,9 +222,15 @@ def _run_deg(cfg, resolution_scale):
 
 
 def _boundary_geometry(cfg, resolution_scale):
-    p = _get_int(cfg, "geometry.p", 2)
-    q = _get_int(cfg, "geometry.q", 1)
+    p = _get_int(cfg, "geometry.p", 2, minimum=1)
+    q = _get_int(cfg, "geometry.q", 1, minimum=1)
+    if (p + q) % 2 == 0:
+        raise ScenarioError(f"geometry.p, geometry.q: boundary models need p + q odd, "
+                            f"got {p} + {q}")
     radius = _get_float(cfg, "geometry.collapse_radius", COLLAPSE_RADIUS)
+    if not (math.isfinite(radius) and radius > 0):
+        raise ScenarioError(f"geometry.collapse_radius: expected a positive number, "
+                            f"got {radius!r}")
     nodes = _scale_nodes(None, resolution_scale)
     return p, q, radius, nodes
 
@@ -304,7 +316,7 @@ def _run_localize(cfg, resolution_scale):
 
 
 def _run_flz_point(cfg, resolution_scale):
-    n = _get_int(cfg, "geometry.n", 1)
+    n = _get_int(cfg, "geometry.n", 1, minimum=1)
     dom = ChartedSphereDomain.sphere(
         2 * n - 1, nodes_per_angle=_scale_nodes(None, resolution_scale))
     v = _build_generator(cfg, "map")

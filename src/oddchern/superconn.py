@@ -11,11 +11,13 @@ Only the top-degree piece of that form reaches the boundary integral, and
 its t-dependence factors out: it is (-t)^d/d! phi(Tr_s(V dV^d)) with d the
 chart dimension.  So each model integrates the T-independent form
 phi(Tr_s(V dV^d)) once and keeps the value; every gamma(T) is then a scalar
-Gauss-Legendre factor times it.  V and dV are block off-diagonal: with
-a = sum dv_i dx_i and b = sum dv_i* dx_i, V dV^d is block diagonal with
-blocks v* (a b a ...) and v (b a b ...), so the supertrace is
-Tr(v* X) - Tr(v Y) with the alternating wedges X = a b a ... and
-Y = b a b ... (d factors each), computed on N x N blocks.
+Gauss-Legendre factor times it.  The same sweep of the model grid, from the
+same jet of v per node block, also integrates the top odd Chern form of v,
+which deg* and the closed-form limit need.  V and dV are block
+off-diagonal: with a = sum dv_i dx_i and b = sum dv_i* dx_i, V dV^d is
+block diagonal with blocks v* (a b a ...) and v (b a b ...), so the
+supertrace is Tr(v* X) - Tr(v Y) with the alternating wedges
+X = a b a ... and Y = b a b ... (d factors each), computed on N x N blocks.
 
 Orientation convention: the boundary of a tubular neighborhood is oriented
 opposite to our factor-ordered product orientation.  Boundary integrals of
@@ -31,7 +33,7 @@ from math import factorial
 
 import numpy as np
 
-from .chern import _normalized_degree, deg, odd_chern_top_integral
+from .chern import _normalized_degree, _odd_chern_top, deg, odd_chern_top_integral
 from .defaults import (
     CHUNK,
     DEGREE_RESIDUAL_TOL,
@@ -79,7 +81,7 @@ def unitarize(v: SmoothMatrixMap, domain, floor=MIN_SINGULAR_VALUE) -> NumericMa
 
 def _unitarity_defect(v, domain, n_sample) -> float:
     """max ||v* v - Id|| over about n_sample evenly strided grid nodes."""
-    pts = domain.nodes()[:: max(1, domain.n_nodes // n_sample)]
+    pts = domain.sample_nodes(n_sample)
     a = v.evaluate(domain, pts)
     return float(np.abs(np.conj(np.swapaxes(a, -1, -2)) @ a - np.eye(v.size)).max())
 
@@ -99,8 +101,7 @@ class SuperBundleModel:
         self.v = v if unitarized else unitarize(v, domain)
         self.unitarized = True
         self._deg_star = None  # (keyword arguments, result)
-        self._gamma_top = None
-        self._chern_top = None
+        self._top_integrals = None  # (gamma top, odd Chern top)
         self.check_unitary()
 
     @property
@@ -115,7 +116,7 @@ class SuperBundleModel:
     # -- pointwise super data ---------------------------------------------------
 
     def _v_and_dv(self, pts):
-        return self.v.evaluate(self.domain, pts), self.v.differentials(self.domain, pts)
+        return self.v.jet(self.domain, pts)
 
     def odd_endomorphism(self, pts) -> GradedMatrixForm:
         """V = v + v* as a degree-0 form with 2N x 2N coefficients."""
@@ -127,28 +128,29 @@ class SuperBundleModel:
     def derivative_form(self, pts) -> GradedMatrixForm:
         """dV as a degree-1 form with odd 2N x 2N coefficients."""
         form = GradedMatrixForm(self.domain.dim, 2 * self.rank, len(pts))
-        for i, dv in enumerate(self.v.differentials(self.domain, pts)):
+        for i, dv in enumerate(self._v_and_dv(pts)[1]):
             form.comps[1 << i] = _odd_block(np.conj(np.swapaxes(dv, -1, -2)), dv)
         return form
 
+    def _tops(self):
+        if self._top_integrals is None:
+            self._top_integrals = _gamma_top_integral(self)
+        return self._top_integrals
+
     def gamma_top(self) -> complex:
-        """Integral of phi(Tr_s(V dV^d)) over the model, computed on first use.
+        """Integral of phi(Tr_s(V dV^d)) over the model, from the model's one sweep.
 
         This is the T-independent factor of every gamma(T) on the model.
         """
-        if self._gamma_top is None:
-            self._gamma_top = _gamma_top_integral(self)
-        return self._gamma_top
+        return self._tops()[0]
 
     def chern_top(self) -> complex:
-        """Top integral of the odd Chern form of v over the model, computed on first use.
+        """Top integral of the odd Chern form of v over the model, from the same sweep.
 
         This is the un-normalized deg*(v) on the model's own grid, shared by
         the deg* ladder and the closed-form gamma limit.
         """
-        if self._chern_top is None:
-            self._chern_top = odd_chern_top_integral(self.v, self.domain)
-        return self._chern_top
+        return self._tops()[1]
 
     def _chern_top_on(self, dom) -> complex:
         """Odd Chern top integral on one ladder grid, reusing the model's own."""
@@ -184,12 +186,12 @@ def _odd_block(pm, mp):
 def _top_supertrace(vals, dvs) -> np.ndarray:
     """Tr_s(V dV^d) on the top multi-index, from v and its d differentials.
 
-    vals and each dvs[i] are (npts, N, N).  With a = sum dv_i dx_i and
+    vals is (npts, N, N) and dvs (d, npts, N, N).  With a = sum dv_i dx_i and
     b = sum dv_i* dx_i, V dV^d = diag(v* X, v Y) where X = a ^ b ^ a ... and
     Y = b ^ a ^ b ..., so the supertrace is Tr(v* X) - Tr(v Y).
     """
     v = _point_axis_last(vals)
-    a = np.ascontiguousarray(np.stack([np.moveaxis(dv, 0, -1) for dv in dvs]))
+    a = np.ascontiguousarray(np.moveaxis(dvs, 1, -1))
     b = np.conj(np.swapaxes(a, 1, 2))
     x = _alternating_top(a, b)
     y = _alternating_top(b, a)
@@ -219,14 +221,22 @@ def gamma_integrand(model: SuperBundleModel, t: float) -> FormField:
     return FormField(model.domain, 1, sampler)
 
 
-def _gamma_top_integral(model: SuperBundleModel, chunk=CHUNK) -> complex:
-    """integrate_top of phi(Tr_s(V dV^(d))) over the model, t-factor stripped."""
-    norm = SQRT_2PI_I ** (-model.domain.dim)
-    total = 0.0 + 0.0j
-    for pts, w in model.domain.node_blocks(chunk):
-        c = norm * _top_supertrace(*model._v_and_dv(pts))
-        total += model.domain.orientation_sign * np.sum(w * c)
-    return total
+def _gamma_top_integral(model: SuperBundleModel, chunk=CHUNK):
+    """The model's one sweep: (gamma top, odd Chern top) over its grid.
+
+    Per node block one jet of v feeds both top integrals: phi(Tr_s(V dV^d))
+    with the t-factor stripped (_top_supertrace), and c_k Tr((v^{-1} dv)^d),
+    the top part of the odd Chern form (_odd_chern_top, which rejects
+    singular nodes).
+    """
+    dom = model.domain
+    norm = SQRT_2PI_I ** (-dom.dim)
+    gamma = chern = 0.0 + 0.0j
+    for pts, w in dom.node_blocks(chunk):
+        vals, dvs = model._v_and_dv(pts)
+        gamma += dom.orientation_sign * np.sum(w * (norm * _top_supertrace(vals, dvs)))
+        chern += dom.orientation_sign * np.sum(w * _odd_chern_top(vals, dvs))
+    return complex(gamma), complex(chern)
 
 
 def gamma_boundary_integral(model: SuperBundleModel, T: float = T_MAX,

@@ -110,8 +110,7 @@ def _random_family(rng, n_ambient, size=2, spread=0.12):
 
 def _transgression_error(family, dom, t=0.3, h=1e-3, n_sample=128):
     """Relative gap between FD d/dt Ch(g_t) and d Ch~(g_t) at sample nodes."""
-    stride = max(1, dom.n_nodes // n_sample)
-    pts = dom.nodes()[::stride]
+    pts = dom.sample_nodes(n_sample)
     ch_plus = odd_chern(family.slice_at(t + h), dom).at(pts)
     ch_minus = odd_chern(family.slice_at(t - h), dom).at(pts)
     _, tilde = transgression_pair(family, dom, t)
@@ -264,7 +263,7 @@ def check_flz_point_case():
 def check_vanishing():
     """The deformed Chern form dies off on a unitarized model by T = 6."""
     model = _boundary_models()[0]
-    pts = model.domain.nodes()[:: max(1, model.domain.n_nodes // 256)]
+    pts = model.domain.sample_nodes(256)
     worst = 0.0
     for T in (6.0, 8.0):
         form = superconn_chern_form(model, T).at(pts)

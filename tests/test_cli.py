@@ -75,6 +75,30 @@ def test_unknown_generator_is_usage_error(tmp_path, capsys):
     assert main(["deg", "--config", cfg]) == 64
 
 
+@pytest.mark.parametrize("command,body,message", [
+    ("deg-star", "geometry.collapse_radius = -1\nmap.h.kind = su2_identity\n",
+     "geometry.collapse_radius: expected a positive number, got -1.0"),
+    ("gamma-limit", "geometry.collapse_radius = nan\nmap.h.kind = su2_identity\n",
+     "geometry.collapse_radius: expected a positive number, got nan"),
+    ("deg", "geometry.sphere = 0\nmap.kind = circle_winding\n",
+     "geometry.sphere: expected an integer >= 1, got 0"),
+    ("deg", "geometry.sphere = 2\nmap.kind = circle_winding\n",
+     "geometry.sphere: deg needs an odd sphere, got 2"),
+    ("localize", "geometry.p = 0\nmap.h.kind = su2_identity\n",
+     "geometry.p: expected an integer >= 1, got 0"),
+    ("index-report", "geometry.q = -1\nmap.h.kind = su2_identity\n",
+     "geometry.q: expected an integer >= 1, got -1"),
+    ("deg-star", "geometry.p = 2\ngeometry.q = 2\nmap.h.kind = su2_identity\n",
+     "geometry.p, geometry.q: boundary models need p + q odd, got 2 + 2"),
+    ("flz-point", "geometry.n = 0\nmap.kind = circle_winding\n",
+     "geometry.n: expected an integer >= 1, got 0"),
+])
+def test_bad_geometry_is_usage_error(tmp_path, capsys, command, body, message):
+    cfg = write(tmp_path, f"scenario = {command}\n" + body)
+    assert main([command, "--config", cfg]) == 64
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_flz_point_subcommand(tmp_path, capsys):
     cfg = write(tmp_path, """\
 scenario = flz-point

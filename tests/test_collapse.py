@@ -6,6 +6,7 @@ import pytest
 from oddchern.collapse import (build_collapse_map, collapse_degree,
                                mapping_degree, signed_preimage_count,
                                smooth_step, volume_pullback_integral)
+from oddchern.defaults import CHUNK
 from oddchern.domains import ChartedSphereDomain
 from oddchern.maps import antipodal_map, circle_power_map, identity_chart_map
 
@@ -108,3 +109,11 @@ def test_orientation_normalized_to_plus_one():
         phi = build_collapse_map(p, q, nodes_per_angle=COARSE)
         val = volume_pullback_integral(phi, scale=1.5, concentrated=True)
         assert round(val.real) == 1
+
+
+def test_volume_pullback_does_not_depend_on_the_block_size():
+    phi = build_collapse_map(2, 1, nodes_per_angle=COARSE)
+    assert phi.source.n_nodes > 2 * CHUNK
+    for concentrated in (False, True):
+        small = volume_pullback_integral(phi, chunk=997, concentrated=concentrated)
+        assert abs(small - volume_pullback_integral(phi, concentrated=concentrated)) < 1e-13

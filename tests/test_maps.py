@@ -1,8 +1,12 @@
 """Matrix maps and chart maps: derivative contracts and generators."""
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oddchern.collapse import build_collapse_map
 from oddchern.domains import ChartedSphereDomain
 from oddchern.maps import (HomotopyFamily, ProductMatrixMap, ScaledMatrixMap,
                            antipodal_map, circle_power_map, circle_winding,
@@ -13,11 +17,17 @@ from oddchern.maps import (HomotopyFamily, ProductMatrixMap, ScaledMatrixMap,
 COARSE = {1: 24, 2: 16, 3: 12}
 
 
-def fd_differential(g, dom, pts, i, h=1e-6):
-    dp, dm = pts.copy(), pts.copy()
-    dp[:, i] += h
-    dm[:, i] -= h
-    return (g.evaluate(dom, dp) - g.evaluate(dom, dm)) / (2 * h)
+def fd4(f, pts, i, h=1e-4):
+    """Fourth-order central difference of f(pts) along chart coordinate i."""
+    def at(c):
+        q = pts.copy()
+        q[:, i] += c * h
+        return f(q)
+    return (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12.0 * h)
+
+
+def fd_differential(g, dom, pts, i):
+    return fd4(lambda q: g.evaluate(dom, q), pts, i)
 
 
 @pytest.mark.parametrize("builder,spheres", [
@@ -142,3 +152,58 @@ def test_compose_map_with_matrix_pullback_values():
     amb = dom.embed(pts)
     z = amb[:, 0] + 1j * amb[:, 1]
     assert np.abs(g.evaluate(dom, pts)[:, 0, 0] - z ** 6).max() < 1e-10
+
+
+# -- one-pass jets ----------------------------------------------------------------
+
+def collapse_pullback():
+    phi = build_collapse_map(2, 1, nodes_per_angle=COARSE)
+    return compose_map_with_matrix(phi, su2_identity()), phi.source
+
+
+JET_CASES = {
+    "su2": lambda: (su2_identity(), ChartedSphereDomain([3])),
+    "su2-size3": lambda: (su2_identity(3), ChartedSphereDomain([3])),
+    "winding": lambda: (circle_winding(-3, size=2), ChartedSphereDomain([1])),
+    "stabilized": lambda: (stabilize(su2_identity(), 1), ChartedSphereDomain([3])),
+    "product": lambda: (ProductMatrixMap(su2_identity(),
+                                         ScaledMatrixMap(0.5, su2_identity())),
+                        ChartedSphereDomain([3])),
+    "collapse-S2xS1": collapse_pullback,
+}
+
+
+def interior_points(data, dom, n=6):
+    """n chart points strictly inside every angle range, away from the poles."""
+    fracs = data.draw(hnp.arrays(float, (n, dom.dim),
+                                 elements=st.floats(0.01, 0.99)))
+    his = np.array([a[0].max() + a[0].min() for a in dom.axes])
+    return fracs * his
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(JET_CASES)))
+def test_jet_matches_evaluate_and_fd(data, name):
+    g, dom = JET_CASES[name]()
+    pts = interior_points(data, dom)
+    vals, ds = g.jet(dom, pts)
+    # The dual pass rounds values exactly as the plain pass does.
+    assert np.array_equal(vals, g.evaluate(dom, pts))
+    assert ds.shape == (dom.dim,) + vals.shape
+    for i, d in enumerate(ds):
+        fd = fd_differential(g, dom, pts, i)
+        assert np.abs(d - fd).max() < 1e-7 * (1.0 + np.abs(d).max())
+        assert np.array_equal(g.differential(dom, pts, i), d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), pq=st.sampled_from([(2, 1), (1, 2), (3, 1)]))
+def test_ambient_jacobian_columns_match_fd(data, pq):
+    phi = build_collapse_map(*pq, nodes_per_angle=COARSE)
+    pts = interior_points(data, phi.source)
+    vals, cols = phi.ambient_jacobian_columns(pts)
+    assert np.array_equal(vals, phi.evaluate_ambient(pts))
+    assert len(cols) == phi.source.dim
+    for i, col in enumerate(cols):
+        fd = fd4(phi.evaluate_ambient, pts, i)
+        assert np.abs(col - fd).max() < 1e-7 * (1.0 + np.abs(col).max())

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddchern import chern, superconn
-from oddchern.chern import deg_star
+from oddchern.chern import deg_star, odd_chern_top_integral
 from oddchern.collapse import build_collapse_map
+from oddchern.defaults import CHUNK
 from oddchern.domains import ChartedSphereDomain
 from oddchern.forms import GradedMatrixForm
 from oddchern.maps import (ScaledMatrixMap, circle_winding,
@@ -123,68 +124,94 @@ def test_gamma_limit_saturates_in_T():
     assert round(g8.real) == -1
 
 
+def record_sweeps(monkeypatch):
+    """Record every model sweep and every other odd Chern top integral.
+
+    Returns (models, domains): the model of each _gamma_top_integral call,
+    which sweeps the model's grid once for both top integrals, and the
+    domain of each odd_chern_top_integral call, wherever it is made.
+    """
+    models, domains = [], []
+    sweep, top_integral = superconn._gamma_top_integral, chern.odd_chern_top_integral
+
+    def counting_sweep(model, *args, **kwargs):
+        models.append(model)
+        return sweep(model, *args, **kwargs)
+
+    def counting_top(g, domain, *args, **kwargs):
+        domains.append(domain)
+        return top_integral(g, domain, *args, **kwargs)
+
+    monkeypatch.setattr(superconn, "_gamma_top_integral", counting_sweep)
+    for module in (chern, superconn):
+        monkeypatch.setattr(module, "odd_chern_top_integral", counting_top)
+    return models, domains
+
+
 def test_gamma_report_fields(monkeypatch):
-    swept = []
-    top_integral = superconn._gamma_top_integral
-
-    def counting(model, *args, **kwargs):
-        swept.append(model)
-        return top_integral(model, *args, **kwargs)
-
-    monkeypatch.setattr(superconn, "_gamma_top_integral", counting)
+    models, domains = record_sweeps(monkeypatch)
     model = coarse_model()
     rep = gamma_report(model, T_values=(2.0, 4.0, 8.0), t_nodes=120)
     assert len(rep.boundary_integrals) == 3
     assert rep.two_path_gap < 1e-10
     assert rep.deg_star_value.rounded == -1
     assert len(rep.convergence) == 2
-    # The T-independent top integral is swept once on the model grid and
-    # once on the coarse grid, not once per T.
-    assert len(swept) == 2
-    assert swept[0] is model
-    assert swept[1].domain.n_nodes < model.domain.n_nodes
+    # One sweep of the model grid serves the deg* level on that grid, the
+    # closed form and every T; the coarse grid gets one sweep of its own.
+    assert len(models) == 2
+    assert models[0] is model
+    assert models[1].domain.scale == 0.5
+    assert models[1].domain.n_nodes < model.domain.n_nodes
+    # The odd Chern form is integrated apart only on the other ladder level.
+    assert [dom.scale for dom in domains] == [2.0]
     gamma_boundary_integral(model, T=6.0)
-    assert len(swept) == 2
-
-
-def record_chern_sweeps(monkeypatch):
-    """Record the domain of every odd Chern top integral, wherever it is called."""
-    swept = []
-    top_integral = chern.odd_chern_top_integral
-
-    def counting(g, domain, *args, **kwargs):
-        swept.append(domain)
-        return top_integral(g, domain, *args, **kwargs)
-
-    for module in (chern, superconn):
-        monkeypatch.setattr(module, "odd_chern_top_integral", counting)
-    return swept
+    gamma_closed_form(model)
+    assert len(models) == 2 and len(domains) == 1
 
 
 def test_degree_and_closed_form_sweep_the_model_grid_once(monkeypatch):
-    swept = record_chern_sweeps(monkeypatch)
+    models, domains = record_sweeps(monkeypatch)
     phi = build_collapse_map(2, 1, nodes_per_angle={1: 16, 2: 12})
     model = SuperBundleModel(phi.source.at_scale(2.0),
                              compose_map_with_matrix(phi, su2_identity()),
                              unitarized=True)
-    model.degree_star(scales=(1.0, 2.0))
-    gamma_report(model, T_values=(4.0, 8.0), t_nodes=60)
-    # The ladder's scale-2 level is the model's own grid (another domain
-    # object with the same nodes); the closed form reuses that sweep.
-    assert [dom.scale for dom in swept] == [1.0, 2.0]
-    assert swept[1] is model.domain
+    ds = model.degree_star(scales=(1.0, 2.0))
+    rep = gamma_report(model, T_values=(4.0, 8.0), t_nodes=60)
+    # The ladder's scale-2 level is the model's own grid: it reads the
+    # model's sweep, which the gamma integrals and the closed form reuse.
+    assert [dom.scale for dom in domains] == [1.0]
+    assert len(models) == 2
+    assert models[0] is model
+    assert models[1].domain.scale == 0.5
+    assert ds.convergence[-1][1] == (-2.0j * np.pi) ** (-model.n) * model.chern_top()
+    assert rep.closed_form_value == gamma_closed_form(model)
+    assert len(models) == 2
 
 
 def test_closed_form_sweeps_once_and_runs_no_ladder(monkeypatch):
-    swept = record_chern_sweeps(monkeypatch)
+    models, domains = record_sweeps(monkeypatch)
     ladders = []
     monkeypatch.setattr(superconn, "_normalized_degree",
                         lambda *args, **kwargs: ladders.append(args))
     model = sphere_model(3, su2_identity())
     first = gamma_closed_form(model)
     assert gamma_closed_form(model) == first
-    assert swept == [model.domain]
+    gamma_boundary_integral(model)
+    assert models == [model]
+    assert domains == []
     assert ladders == []
+
+
+def test_sweeps_do_not_depend_on_the_block_size():
+    model = collapse_su2_model()
+    assert model.domain.n_nodes > 2 * CHUNK
+    for got, want in zip(superconn._gamma_top_integral(model, chunk=997),
+                         superconn._gamma_top_integral(model)):
+        assert abs(got - want) < 1e-13
+    v, dom = model.v, model.domain
+    assert abs(odd_chern_top_integral(v, dom, chunk=997)
+               - odd_chern_top_integral(v, dom)) < 1e-13
+    assert odd_chern_top_integral(v, dom) == model.chern_top()
 
 
 def shared_model():
