@@ -10,7 +10,8 @@ dimension >= 4 a bump form concentrated near the identity cap keeps
 the quadrature well inside the region where phi is a diffeomorphism.
 """
 
-from oddchern.collapse import collapse_degree, degree_check_nodes, mapping_degree
+from oddchern.collapse import collapse_degree, mapping_degree
+from oddchern.defaults import DEGREE_CHECK_NODES_PER_ANGLE
 
 for p, q in ((2, 1), (1, 2), (2, 3)):
     r = collapse_degree(p, q)
@@ -24,6 +25,6 @@ from oddchern.domains import ChartedSphereDomain
 
 print("\nantipodal map degrees:")
 for m in (1, 2, 3):
-    sphere = ChartedSphereDomain.sphere(m, nodes_per_angle=degree_check_nodes())
+    sphere = ChartedSphereDomain.sphere(m, nodes_per_angle=DEGREE_CHECK_NODES_PER_ANGLE)
     r = mapping_degree(antipodal_map(sphere))
     print(f"  S^{m}: {r.rounded:+d}")

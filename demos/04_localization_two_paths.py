@@ -10,23 +10,20 @@ Gaussian moment.  The localized relative Chern number is then
 (-1)^(n+1) deg*(v), an exact integer.
 """
 
-from oddchern.collapse import build_collapse_map
-from oddchern.defaults import SPLIT_DEGREE_SCALES, SPLIT_DEGREE_TOL
+from oddchern.collapse import CollapseMap
 from oddchern.maps import compose_map_with_matrix, su2_identity
 from oddchern.superconn import (
-    SuperBundleModel,
+    boundary_model,
     gamma_boundary_integral,
     gamma_closed_form,
     localize,
 )
 
 # Pull the su2 generator back through the collapse map S^2 x S^1 -> S^3.
-phi = build_collapse_map(2, 1)
-v = compose_map_with_matrix(phi, su2_identity())
-model = SuperBundleModel(phi.source.at_scale(SPLIT_DEGREE_SCALES[-1]), v,
-                         unitarized=True)
+phi = CollapseMap(2, 1)
+model = boundary_model(phi.source, compose_map_with_matrix(phi, su2_identity()))
 
-ds = model.degree_star(scales=SPLIT_DEGREE_SCALES, tol=SPLIT_DEGREE_TOL)
+ds = model.degree_star()
 print(f"deg*(v)               = {ds.value.real:+.12f}  (rounded {ds.rounded:+d})")
 
 print("\ngamma boundary integral as the deformation parameter grows:")

@@ -20,7 +20,7 @@ from .chern import (
     odd_chern,
     transgression_pair,
 )
-from .collapse import CollapseMap, build_collapse_map, mapping_degree, signed_preimage_count
+from .collapse import CollapseMap, mapping_degree, signed_preimage_count
 from .domains import ChartedSphereDomain, sphere_volume
 from .fields import (
     FormField,
@@ -50,13 +50,13 @@ from .superconn import (
     GammaReport,
     LocalizeReport,
     SuperBundleModel,
+    boundary_model,
     flz_point_case,
     gamma_boundary_integral,
     gamma_closed_form,
     gamma_integrand,
     gamma_report,
     gaussian_moment,
-    index_report,
     localize,
     superconn_chern_form,
     unitarize,

@@ -22,7 +22,7 @@ from math import factorial
 
 import numpy as np
 
-from .defaults import CHUNK, CONVERGENCE_TOL, RESOLUTION_SCALES
+from .defaults import CHUNK, DEGREE_LADDER
 from .fields import FormField, exterior_derivative
 from .forms import (
     GradedMatrixForm,
@@ -180,42 +180,32 @@ def transgression_pair(family, domain, t: float):
 
 
 def _normalized_degree(g: SmoothMatrixMap, domain, half_dim: int,
-                       scales=None, tol=CONVERGENCE_TOL, chunk=CHUNK,
-                       top_integral=None) -> DegreeResult:
-    """Resolution ladder of the normalized odd-Chern top integral.
+                       ladder=DEGREE_LADDER, top_integral=None) -> DegreeResult:
+    """Ladder of the normalized odd-Chern top integral over domain.at_scale(s).
 
     top_integral(dom), when given, supplies the top integral on each level's
     grid, so that a caller holding that integral for some grid can reuse it.
     """
     if top_integral is None:
         def top_integral(dom):
-            return odd_chern_top_integral(g, dom, chunk)
-    scales = RESOLUTION_SCALES if scales is None else scales
+            return odd_chern_top_integral(g, dom)
     norm = (-2.0j * np.pi) ** (-half_dim)
-    table, prev, converged = [], None, False
-    for s in scales:
-        dom = domain.at_scale(s)
-        val = norm * top_integral(dom)
-        table.append((s, val))
-        if prev is not None and abs(val - prev) < tol:
-            converged = True
-            break
-        prev = val
-    return DegreeResult.from_value(table[-1][1], table, converged)
+    return DegreeResult.from_ladder(
+        ladder, lambda s: norm * top_integral(domain.at_scale(s)))
 
 
-def deg(g: SmoothMatrixMap, domain, scales=None, tol=CONVERGENCE_TOL) -> DegreeResult:
+def deg(g: SmoothMatrixMap, domain, ladder=DEGREE_LADDER) -> DegreeResult:
     """Normalized odd-Chern integral over an odd sphere S^(2k-1)."""
     if domain.is_product or domain.dim % 2 == 0:
         raise ValueError("deg is defined on odd spheres")
-    return _normalized_degree(g, domain, (domain.dim + 1) // 2, scales, tol)
+    return _normalized_degree(g, domain, (domain.dim + 1) // 2, ladder)
 
 
-def deg_star(g: SmoothMatrixMap, domain, scales=None, tol=CONVERGENCE_TOL) -> DegreeResult:
+def deg_star(g: SmoothMatrixMap, domain, ladder=DEGREE_LADDER) -> DegreeResult:
     """Normalized odd-Chern integral over a product sphere of odd total dimension."""
     if not domain.is_product or domain.dim % 2 == 0:
         raise ValueError("deg_star needs a product domain of odd total dimension")
-    return _normalized_degree(g, domain, (domain.dim + 1) // 2, scales, tol)
+    return _normalized_degree(g, domain, (domain.dim + 1) // 2, ladder)
 
 
 def assemble_split_map(f: DualMatrixMap, h: DualMatrixMap,

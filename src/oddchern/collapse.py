@@ -16,11 +16,10 @@ import numpy as np
 from . import dual
 from .defaults import (
     CHUNK,
+    COLLAPSE_LADDER,
     COLLAPSE_RADIUS,
-    CONVERGENCE_TOL,
     DEGREE_CHECK_NODES_PER_ANGLE,
-    DEGREE_RESIDUAL_TOL,
-    RESOLUTION_SCALES,
+    DEGREE_LADDER,
 )
 from .domains import ChartedSphereDomain
 from .maps import ChartMap
@@ -126,13 +125,6 @@ class CollapseMap(ChartMap):
         return np.sqrt(s1 + s2)
 
 
-def build_collapse_map(p: int, q: int, radius: float = COLLAPSE_RADIUS,
-                       nodes_per_angle=None) -> CollapseMap:
-    """Construct the collapse map and fail hard if the degree is not +-1."""
-    phi = CollapseMap(p, q, radius, nodes_per_angle=nodes_per_angle)
-    return phi
-
-
 def _bump_weight(first_coord, hi=0.85, lo=-0.5):
     """Smooth cap profile in the leading target coordinate, 1 below lo, 0 above hi."""
     return smooth_step((hi - first_coord) / (hi - lo))
@@ -176,48 +168,21 @@ def volume_pullback_integral(chart_map: ChartMap, scale=1.0, chunk=CHUNK,
     return complex(src.orientation_sign * sign * norm * total)
 
 
-def mapping_degree(chart_map: ChartMap, scales=None, tol=CONVERGENCE_TOL,
-                   residual_tol=DEGREE_RESIDUAL_TOL, chunk=CHUNK,
+def mapping_degree(chart_map: ChartMap, ladder=DEGREE_LADDER,
                    concentrated=None) -> DegreeResult:
-    """Topological degree via the normalized-volume pullback integral.
-
-    Escalates resolution until consecutive values agree and the value is
-    integral to within the residual tolerance.
-    """
+    """Topological degree via the normalized-volume pullback integral."""
     if chart_map.source.dim != chart_map.target.dim:
         raise ValueError("mapping degree needs equal source and target dimension")
-    scales = RESOLUTION_SCALES if scales is None else scales
     if concentrated is None:
         concentrated = chart_map.target.dim >= 4
-    table, prev, converged = [], None, False
-    for s in scales:
-        val = volume_pullback_integral(chart_map, scale=s, chunk=chunk,
-                                       concentrated=concentrated)
-        table.append((s, val))
-        if prev is not None and abs(val - prev) < tol \
-                and abs(val - round(val.real)) < residual_tol:
-            converged = True
-            break
-        prev = val
-    return DegreeResult.from_value(table[-1][1], table, converged)
-
-
-def degree_check_nodes():
-    """Reduced per-angle budget for degree checks on large product domains."""
-    return dict(DEGREE_CHECK_NODES_PER_ANGLE)
+    return DegreeResult.from_ladder(ladder, lambda s: volume_pullback_integral(
+        chart_map, scale=s, concentrated=concentrated))
 
 
 def collapse_degree(p: int, q: int, radius: float = COLLAPSE_RADIUS) -> DegreeResult:
-    """Mapping degree of the collapse map at the degree-check budget.
-
-    Five-dimensional sources converge slowly under the standard doubling
-    policy, so this uses a graded scale ladder with a looser step tolerance;
-    integrality of the final value is still judged by DegreeResult.accepted.
-    """
-    phi = build_collapse_map(p, q, radius=radius,
-                             nodes_per_angle=degree_check_nodes())
-    return mapping_degree(phi, scales=(0.5, 1.0, 1.25), tol=2e-3,
-                          concentrated=True)
+    """Mapping degree of the collapse map at the degree-check budget, on COLLAPSE_LADDER."""
+    phi = CollapseMap(p, q, radius, nodes_per_angle=DEGREE_CHECK_NODES_PER_ANGLE)
+    return mapping_degree(phi, COLLAPSE_LADDER, concentrated=True)
 
 
 def signed_preimage_count(chart_map: ChartMap, target_chart_point, rng,

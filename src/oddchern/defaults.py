@@ -1,13 +1,13 @@
-"""One place for every numeric default the library and CLI use.
+"""One place for every numeric default the library and CLI use."""
 
-All values are echoed into reports so a run is reproducible from its output.
-"""
+from dataclasses import dataclass
 
 # Gauss-Legendre nodes per angular coordinate, keyed by sphere dimension.
 NODES_PER_ANGLE = {1: 64, 2: 48, 3: 32, 4: 32, 5: 24}
 
-# Reduced per-angle budget used for mapping-degree checks on 5-dimensional
-# domains, where the default table would produce tens of millions of nodes.
+# Reduced per-angle budget for the collapse-map degrees, the product-splitting
+# check and the robustness check: on 5-dimensional domains the default table
+# would produce tens of millions of nodes.
 DEGREE_CHECK_NODES_PER_ANGLE = {1: 32, 2: 24, 3: 16, 4: 16, 5: 14}
 
 # Collapse-map radius in stereographic units; the identity region |w| <= R
@@ -26,20 +26,46 @@ FD_STEP = 1e-4
 # Tolerances.
 DEGREE_RESIDUAL_TOL = 1e-4      # |value - nearest integer|
 DEGREE_IMAG_TOL = 1e-8          # imaginary contamination, relative
-CONVERGENCE_TOL = 1e-6          # resolution-doubling agreement
 TWO_PATH_TOL = 1e-7             # gamma quadrature vs closed form
 UNITARY_TOL = 1e-12             # ||v* v - Id|| on unitarized models
 MIN_SINGULAR_VALUE = 1e-8       # invertibility floor for matrix maps
 
-# Convergence escalation: resolution scales tried in order.
-RESOLUTION_SCALES = (0.5, 1.0, 2.0, 4.0)
 
-# Scale ladder for degrees of maps pulled back through the collapse map.
-# Their integrands concentrate near the gluing annulus and converge slowly
-# and non-monotonically, so consecutive-step agreement is judged against a
-# looser tolerance while integrality is still held to DEGREE_RESIDUAL_TOL.
-SPLIT_DEGREE_SCALES = (1.0, 2.0)
-SPLIT_DEGREE_TOL = 2e-4
+@dataclass(frozen=True)
+class Ladder:
+    """Resolution scales tried in order, and the agreement that stops them.
+
+    A level converges when it is within tol of the previous level and within
+    DEGREE_RESIDUAL_TOL of an integer (results.DegreeResult.from_ladder).
+    """
+
+    scales: tuple
+    tol: float
+
+
+# Generic degrees (deg on odd spheres, sphere-map degrees): resolution
+# doubling, with consecutive levels held to 1e-6.
+DEGREE_LADDER = Ladder((0.5, 1.0, 2.0, 4.0), 1e-6)
+
+# deg* of maps pulled back through the collapse map: the deg-star scenario and
+# every boundary model (SuperBundleModel.degree_star).  Their integrands
+# concentrate near the gluing annulus and converge slowly and
+# non-monotonically, so consecutive-step agreement is judged against a looser
+# tolerance while integrality is still held to DEGREE_RESIDUAL_TOL.  Boundary models live on the last level's grid
+# (superconn.boundary_model): the gamma integrand carries the collapse map's
+# gluing profile, whose quadrature error only drops below 1e-7 around twice
+# the default per-angle budget, and deg* and gamma then share quadrature.
+SPLIT_LADDER = Ladder((1.0, 2.0), 2e-4)
+
+# Mapping degree of the collapse map itself (collapse.collapse_degree), at the
+# DEGREE_CHECK_NODES_PER_ANGLE budget.  Five-dimensional sources converge too
+# slowly for resolution doubling, so the ladder is graded, with a looser step
+# tolerance; integrality of the final value is still judged by
+# DegreeResult.accepted.
+COLLAPSE_LADDER = Ladder((0.5, 1.0, 1.25), 2e-3)
+
+# Resolution of the coarse grid in gamma_report's convergence table.
+GAMMA_COARSE_SCALE = 0.5
 
 # Node-batch size for chunked evaluation over large grids.  A block's
 # temporaries (a jet of an N x N map is d + 1 arrays of N*N*CHUNK complex

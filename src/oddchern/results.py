@@ -29,6 +29,24 @@ class DegreeResult:
             converged=converged,
         )
 
+    @classmethod
+    def from_ladder(cls, ladder, value_at):
+        """Climb ladder.scales with value_at(scale) until a level converges.
+
+        A level converges when it is within ladder.tol of the previous level
+        and within DEGREE_RESIDUAL_TOL of an integer.  Without such a level the
+        result is the last level's value with converged=False.
+        """
+        table, prev = [], None
+        for s in ladder.scales:
+            val = value_at(s)
+            table.append((s, val))
+            if prev is not None and abs(val - prev) < ladder.tol \
+                    and abs(val - round(val.real)) < DEGREE_RESIDUAL_TOL:
+                return cls.from_value(val, table, True)
+            prev = val
+        return cls.from_value(table[-1][1], table, False)
+
     @property
     def accepted(self) -> bool:
         imag_ok = abs(self.value.imag) < DEGREE_IMAG_TOL * (1.0 + abs(self.value))

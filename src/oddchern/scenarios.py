@@ -26,14 +26,12 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .chern import assemble_split_map, deg, deg_star, generator
-from .collapse import build_collapse_map, collapse_degree
-from .defaults import (COLLAPSE_RADIUS, SPLIT_DEGREE_SCALES,
-                       SPLIT_DEGREE_TOL, T_MAX, T_NODES)
+from .collapse import CollapseMap
+from .defaults import COLLAPSE_RADIUS, SPLIT_LADDER, T_MAX, T_NODES
 from .domains import ChartedSphereDomain
 from .maps import compose_map_with_matrix
 from .results import DegreeResult
-from .superconn import (SuperBundleModel, flz_point_case, gamma_report,
-                        index_report, localize)
+from .superconn import boundary_model, flz_point_case, gamma_report, localize
 
 EXIT_OK = 0
 EXIT_ORACLE_MISMATCH = 2
@@ -90,13 +88,16 @@ def _get_int(cfg, key, default=None, minimum=None):
     return value
 
 
-def _get_float(cfg, key, default):
+def _get_positive_float(cfg, key, default):
     if key not in cfg:
         return default
     try:
-        return float(cfg[key])
+        value = float(cfg[key])
     except ValueError:
         raise ScenarioError(f"{key}: expected float, got {cfg[key]!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise ScenarioError(f"{key}: expected a positive number, got {value!r}")
+    return value
 
 
 def _build_generator(cfg, prefix):
@@ -113,7 +114,7 @@ def _build_generator(cfg, prefix):
 
 def _build_product_map(cfg, p, q, radius, nodes_per_angle=None):
     """Split-form map (pr2* f) . (phi* h) or a plain phi* h pullback."""
-    phi = build_collapse_map(p, q, radius=radius, nodes_per_angle=nodes_per_angle)
+    phi = CollapseMap(p, q, radius, nodes_per_angle=nodes_per_angle)
     h = _build_generator(cfg, "map.h")
     if "map.f.kind" in cfg:
         f = _build_generator(cfg, "map.f")
@@ -227,10 +228,7 @@ def _boundary_geometry(cfg, resolution_scale):
     if (p + q) % 2 == 0:
         raise ScenarioError(f"geometry.p, geometry.q: boundary models need p + q odd, "
                             f"got {p} + {q}")
-    radius = _get_float(cfg, "geometry.collapse_radius", COLLAPSE_RADIUS)
-    if not (math.isfinite(radius) and radius > 0):
-        raise ScenarioError(f"geometry.collapse_radius: expected a positive number, "
-                            f"got {radius!r}")
+    radius = _get_positive_float(cfg, "geometry.collapse_radius", COLLAPSE_RADIUS)
     nodes = _scale_nodes(None, resolution_scale)
     return p, q, radius, nodes
 
@@ -238,7 +236,7 @@ def _boundary_geometry(cfg, resolution_scale):
 def _run_deg_star(cfg, resolution_scale):
     p, q, radius, nodes = _boundary_geometry(cfg, resolution_scale)
     g, dom = _build_product_map(cfg, p, q, radius, nodes)
-    result = deg_star(g, dom, scales=SPLIT_DEGREE_SCALES, tol=SPLIT_DEGREE_TOL)
+    result = deg_star(g, dom, SPLIT_LADDER)
     if not result.converged:
         raise UnconvergedError(f"deg_star did not converge: {result}")
     values = {"deg_star": _degree_entry(result)}
@@ -262,23 +260,20 @@ def _run_deg_star(cfg, resolution_scale):
 def _build_model(cfg, resolution_scale):
     p, q, radius, nodes = _boundary_geometry(cfg, resolution_scale)
     g, dom = _build_product_map(cfg, p, q, radius, nodes)
-    model = SuperBundleModel(dom.at_scale(SPLIT_DEGREE_SCALES[-1]), g,
-                             unitarized=False)
-    model.degree_star(scales=SPLIT_DEGREE_SCALES, tol=SPLIT_DEGREE_TOL)
-    return model, (p, q)
+    return boundary_model(dom, g)
 
 
 def _run_gamma_limit(cfg, resolution_scale):
-    model, _ = _build_model(cfg, resolution_scale)
-    t_nodes = _get_int(cfg, "gamma.t_nodes", T_NODES)
-    T_final = _get_float(cfg, "gamma.T", T_MAX)
+    t_nodes = _get_int(cfg, "gamma.t_nodes", T_NODES, minimum=1)
+    T_final = _get_positive_float(cfg, "gamma.T", T_MAX)
+    model = _build_model(cfg, resolution_scale)
     rep = gamma_report(model, T_values=(T_final / 4, T_final / 2, T_final),
                        t_nodes=t_nodes)
     ds = rep.deg_star_value
     n = model.n
     expected = (-1.0) ** n * ds.rounded
     values = {
-        "gamma_limit": [rep.extrapolated_limit.real, rep.extrapolated_limit.imag],
+        "gamma_limit": [rep.limit.real, rep.limit.imag],
         "gamma_closed_form": [rep.closed_form_value.real,
                               rep.closed_form_value.imag],
         "deg_star": _degree_entry(ds),
@@ -293,15 +288,16 @@ def _run_gamma_limit(cfg, resolution_scale):
         {"name": "two gamma paths agree", "passed": rep.two_path_gap < 1e-7,
          "converged": ds.converged},
         {"name": "gamma limit equals (-1)^n deg*",
-         "passed": abs(rep.extrapolated_limit - expected) < 1e-4,
+         "passed": abs(rep.limit - expected) < 1e-4,
          "converged": ds.converged},
     ]
     return values, convergence, checks
 
 
 def _run_localize(cfg, resolution_scale):
-    model, _ = _build_model(cfg, resolution_scale)
-    rep = localize([model], n=model.n, t_nodes=_get_int(cfg, "gamma.t_nodes", T_NODES))
+    t_nodes = _get_int(cfg, "gamma.t_nodes", T_NODES, minimum=1)
+    model = _build_model(cfg, resolution_scale)
+    rep = localize([model], n=model.n, t_nodes=t_nodes)
     values = {
         "localized_value": [rep.value.real, rep.value.imag],
         "gamma_path": [rep.gamma_path.real, rep.gamma_path.imag],
@@ -331,11 +327,13 @@ def _run_flz_point(cfg, resolution_scale):
 
 
 def _run_index_report(cfg, resolution_scale):
-    model, _ = _build_model(cfg, resolution_scale)
-    value = index_report([model], n=model.n)
+    model = _build_model(cfg, resolution_scale)
+    # (-1)^n sum deg*(v_i): minus the localized value, a real integer.  localize
+    # raises ValueError on an unconverged deg*.
+    index = -localize([model], n=model.n).value.real
     ds = model.degree_star()
     values = {
-        "index": [value.real, value.imag],
+        "index": [index, 0.0],
         "deg_star": _degree_entry(ds),
     }
     checks = [{"name": "index integral quantizes", "passed": ds.accepted,

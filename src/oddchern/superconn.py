@@ -37,7 +37,9 @@ from .chern import _normalized_degree, _odd_chern_top, deg, odd_chern_top_integr
 from .defaults import (
     CHUNK,
     DEGREE_RESIDUAL_TOL,
+    GAMMA_COARSE_SCALE,
     MIN_SINGULAR_VALUE,
+    SPLIT_LADDER,
     T_MAX,
     T_NODES,
     UNITARY_TOL,
@@ -99,8 +101,7 @@ class SuperBundleModel:
             # derivatives) instead of wrapping it in a polar decomposition.
             unitarized = True
         self.v = v if unitarized else unitarize(v, domain)
-        self.unitarized = True
-        self._deg_star = None  # (keyword arguments, result)
+        self._deg_star = None
         self._top_integrals = None  # (gamma top, odd Chern top)
         self.check_unitary()
 
@@ -160,18 +161,24 @@ class SuperBundleModel:
             return self.chern_top()
         return odd_chern_top_integral(self.v, dom)
 
-    def degree_star(self, **kw) -> DegreeResult:
-        """deg* of v (deg on an odd sphere), cached with its keyword arguments.
+    def degree_star(self) -> DegreeResult:
+        """deg* of v (deg on an odd sphere) on SPLIT_LADDER, computed once per model.
 
-        A call with arguments that differ from the cached ones recomputes; a
-        bare call returns the cached result, whatever it was computed with.
         The ladder level on the model's own grid reuses chern_top().
         """
-        if self._deg_star is None or (kw and kw != self._deg_star[0]):
-            result = _normalized_degree(self.v, self.domain, self.n,
-                                        top_integral=self._chern_top_on, **kw)
-            self._deg_star = (kw, result)
-        return self._deg_star[1]
+        if self._deg_star is None:
+            self._deg_star = _normalized_degree(self.v, self.domain, self.n, SPLIT_LADDER,
+                                                top_integral=self._chern_top_on)
+        return self._deg_star
+
+
+def boundary_model(source, v: SmoothMatrixMap) -> SuperBundleModel:
+    """The model of v on source's grid at the last SPLIT_LADDER scale.
+
+    deg* then ends on the model's own grid, whose sweep the gamma integrals
+    and the closed form share.
+    """
+    return SuperBundleModel(source.at_scale(SPLIT_LADDER.scales[-1]), v)
 
 
 def _odd_block(pm, mp):
@@ -280,32 +287,37 @@ class GammaReport:
 
     T_values: list
     boundary_integrals: list
-    extrapolated_limit: complex
+    limit: complex
     closed_form_value: complex
     deg_star_value: DegreeResult
     convergence: list = field(default_factory=list)
 
     @property
     def two_path_gap(self) -> float:
-        return abs(self.extrapolated_limit - self.closed_form_value)
+        return abs(self.limit - self.closed_form_value)
 
 
 def gamma_report(model: SuperBundleModel, T_values=(2.0, 4.0, 6.0, T_MAX),
-                 t_nodes: int = T_NODES, coarse_scale: float = 0.5) -> GammaReport:
-    """Run the deformation sweep plus the closed form and degree cross-check."""
+                 t_nodes: int = T_NODES) -> GammaReport:
+    """Run the deformation sweep plus the closed form and degree cross-check.
+
+    The limit is the boundary integral at the last T.  deg* runs first, so on
+    a boundary_model its ladder's last level makes the model's one sweep.
+    """
+    deg_star_value = model.degree_star()
     integrals = [gamma_boundary_integral(model, T, t_nodes) for T in T_values]
     limit = integrals[-1]
     coarse_model = SuperBundleModel(
-        model.domain.at_scale(coarse_scale), model.v, unitarized=True
+        model.domain.at_scale(GAMMA_COARSE_SCALE), model.v, unitarized=True
     )
     coarse = gamma_boundary_integral(coarse_model, T_values[-1], t_nodes)
     return GammaReport(
         T_values=list(T_values),
         boundary_integrals=integrals,
-        extrapolated_limit=limit,
+        limit=limit,
         closed_form_value=gamma_closed_form(model),
-        deg_star_value=model.degree_star(),
-        convergence=[(coarse_scale, coarse), (1.0, limit)],
+        deg_star_value=deg_star_value,
+        convergence=[(GAMMA_COARSE_SCALE, coarse), (1.0, limit)],
     )
 
 
@@ -314,7 +326,6 @@ class LocalizeReport:
     """Localization of the relative Chern character number over boundary models."""
 
     value: complex
-    degree_path: complex
     gamma_path: complex
     per_model: list
     agreement: float
@@ -344,7 +355,6 @@ def localize(models, n: int, t_nodes: int = T_NODES) -> LocalizeReport:
     gamma_path = -gamma_sum
     return LocalizeReport(
         value=value,
-        degree_path=value,
         gamma_path=gamma_path,
         per_model=per_model,
         agreement=abs(value - gamma_path),
@@ -366,14 +376,3 @@ def flz_point_case(v: SmoothMatrixMap, domain, n: int) -> PointCaseReport:
     if not d.accepted:
         raise ValueError(f"unconverged degree: {d}")
     return PointCaseReport(value=complex((-1.0) ** (n - 1) * d.rounded), degree=d)
-
-
-def index_report(models, n: int) -> complex:
-    """(-1)^n sum deg*(v_i); reporting wrapper, equal to -localize(...).value."""
-    total = 0
-    for m in models:
-        ds = m.degree_star()
-        if not ds.accepted:
-            raise ValueError(f"unconverged degree on a model: {ds}")
-        total += ds.rounded
-    return complex((-1.0) ** n * total)

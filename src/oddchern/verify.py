@@ -14,14 +14,13 @@ from math import factorial
 import numpy as np
 
 from .chern import assemble_split_map, chern_simons, deg, deg_star, maurer_cartan, odd_chern, transgression_pair
-from .collapse import (build_collapse_map, collapse_degree,
-                       degree_check_nodes, mapping_degree)
-from .defaults import DEGREE_RESIDUAL_TOL, SPLIT_DEGREE_SCALES, SPLIT_DEGREE_TOL, T_MAX
+from .collapse import CollapseMap, collapse_degree, mapping_degree
+from .defaults import DEGREE_CHECK_NODES_PER_ANGLE, DEGREE_RESIDUAL_TOL, T_MAX
 from .domains import ChartedSphereDomain
 from .fields import constant_field, exterior_derivative, integrate_all_degrees
 from .maps import (HomotopyFamily, ScaledMatrixMap, circle_winding,
                    compose_map_with_matrix, identity_chart_map, su2_identity)
-from .superconn import (SuperBundleModel, flz_point_case,
+from .superconn import (SuperBundleModel, boundary_model, flz_point_case,
                         gamma_boundary_integral, gamma_closed_form,
                         gaussian_moment, localize, superconn_chern_form,
                         unitarize)
@@ -145,7 +144,7 @@ def check_transgression():
 
 def check_product_splitting():
     """deg*(pr2* f . phi* h) depends only on h and equals deg(h)."""
-    phi = build_collapse_map(2, 1, nodes_per_angle=degree_check_nodes())
+    phi = CollapseMap(2, 1, nodes_per_angle=DEGREE_CHECK_NODES_PER_ANGLE)
     s3 = ChartedSphereDomain.sphere(3)
     details, ok = [], True
     for h_kind, h in (("const", circle_winding(0, size=2)),
@@ -194,23 +193,11 @@ def check_gaussian_moment():
 
 @lru_cache(maxsize=1)
 def _boundary_models():
-    """S^2 x S^1 boundary models (n = 2) with unitary v's.
-
-    Built on the doubled grid: the gamma integrand carries the collapse
-    map's gluing profile, whose quadrature error only drops below 1e-7
-    around twice the default per-angle budget.
-    """
-    phi = build_collapse_map(2, 1)
-    v1 = compose_map_with_matrix(phi, su2_identity())
-    v2 = assemble_split_map(circle_winding(1), su2_identity(), phi)
-    dom = phi.source.at_scale(SPLIT_DEGREE_SCALES[-1])
-    models = [SuperBundleModel(dom, v1, unitarized=True),
-              SuperBundleModel(dom, v2, unitarized=True)]
-    for m in models:
-        # Warm the deg* cache on the same ladder the gamma path uses, ending
-        # on the model's own grid so the two integrals share quadrature.
-        m.degree_star(scales=SPLIT_DEGREE_SCALES, tol=SPLIT_DEGREE_TOL)
-    return models
+    """S^2 x S^1 boundary models (n = 2) with unitary v's."""
+    phi = CollapseMap(2, 1)
+    return [boundary_model(phi.source, compose_map_with_matrix(phi, su2_identity())),
+            boundary_model(phi.source,
+                           assemble_split_map(circle_winding(1), su2_identity(), phi))]
 
 
 def check_two_path_gamma():
@@ -281,13 +268,13 @@ def check_robustness():
     comparison and the 1e-8 bound probes only the map-level perturbations
     (scalar scaling, polar decomposition, FD-vs-dual derivatives).
     """
-    phi = build_collapse_map(2, 1, nodes_per_angle=degree_check_nodes())
+    phi = CollapseMap(2, 1, nodes_per_angle=DEGREE_CHECK_NODES_PER_ANGLE)
     v = compose_map_with_matrix(phi, su2_identity())
     dom = phi.source
     base = SuperBundleModel(dom, v, unitarized=True)
 
     def observables(model):
-        ds = model.degree_star(scales=(0.5, 1.0, 2.0))
+        ds = model.degree_star()
         loc = (-1.0) ** (model.n + 1) * ds.rounded
         return ds.value, gamma_boundary_integral(model, T_MAX), loc
 

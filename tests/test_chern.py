@@ -12,7 +12,8 @@ from oddchern.chern import (_odd_chern_top, assemble_split_map, chern_simons,
                             deg, deg_star, generator, maurer_cartan,
                             odd_chern, odd_chern_coefficient,
                             transgression_pair)
-from oddchern.collapse import build_collapse_map
+from oddchern.collapse import CollapseMap
+from oddchern.defaults import Ladder
 from oddchern.domains import ChartedSphereDomain
 from oddchern.fields import constant_field, exterior_derivative, integrate_top
 from oddchern.maps import (DualMatrixMap, HomotopyFamily, ProductMatrixMap,
@@ -116,7 +117,7 @@ def test_transgression_identity_single_family():
 
 
 def test_split_map_degree_equals_deg_h():
-    phi = build_collapse_map(2, 1, nodes_per_angle=COARSE)
+    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
     g = assemble_split_map(circle_winding(2), su2_identity(), phi)
     r = deg_star(g, phi.source)
     oracle = deg(su2_identity(), ChartedSphereDomain([3], nodes_per_angle=COARSE))
@@ -152,7 +153,7 @@ def test_deg_names_the_singular_node():
         return [[(x - x0) + 1j * (y - y0)]]  # vanishes at one grid node
 
     with pytest.raises(ValueError, match=f"singular at sample point index {node}$"):
-        deg(DualMatrixMap(fn, 1), dom, scales=(1.0,))
+        deg(DualMatrixMap(fn, 1), dom, Ladder((1.0,), 1e-6))
 
 
 # -- the N x N top-degree kernel against the dense odd_chern sampler -------------
@@ -200,7 +201,7 @@ def test_top_kernel_matches_dense_odd_chern(data, n, d):
 
 
 def collapse_su2():
-    phi = build_collapse_map(2, 1, nodes_per_angle=COARSE)
+    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
     return compose_map_with_matrix(phi, su2_identity()), phi.source
 
 

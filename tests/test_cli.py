@@ -92,6 +92,14 @@ def test_unknown_generator_is_usage_error(tmp_path, capsys):
      "geometry.p, geometry.q: boundary models need p + q odd, got 2 + 2"),
     ("flz-point", "geometry.n = 0\nmap.kind = circle_winding\n",
      "geometry.n: expected an integer >= 1, got 0"),
+    ("gamma-limit", "gamma.t_nodes = 0\nmap.h.kind = su2_identity\n",
+     "gamma.t_nodes: expected an integer >= 1, got 0"),
+    ("localize", "gamma.t_nodes = -2\nmap.h.kind = su2_identity\n",
+     "gamma.t_nodes: expected an integer >= 1, got -2"),
+    ("gamma-limit", "gamma.T = nan\nmap.h.kind = su2_identity\n",
+     "gamma.T: expected a positive number, got nan"),
+    ("gamma-limit", "gamma.T = -8\nmap.h.kind = su2_identity\n",
+     "gamma.T: expected a positive number, got -8.0"),
 ])
 def test_bad_geometry_is_usage_error(tmp_path, capsys, command, body, message):
     cfg = write(tmp_path, f"scenario = {command}\n" + body)
@@ -154,6 +162,21 @@ map.h.kind = su2_identity
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["values"]["localized_value"] == [1.0, 0.0]
+
+
+@pytest.mark.slow
+def test_index_report_subcommand(tmp_path, capsys):
+    cfg = write(tmp_path, """\
+scenario = index-report
+geometry.p = 2
+geometry.q = 1
+map.h.kind = su2_identity
+""")
+    code = main(["index-report", "--config", cfg, "--resolution-scale", "0.75"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["values"]["index"] == [-1.0, 0.0]
+    assert payload["values"]["deg_star"]["rounded"] == -1
 
 
 # Imports oddchern, then numpy, and prints the thread count OpenBLAS uses

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oddchern.collapse import (build_collapse_map, collapse_degree,
+from oddchern.collapse import (CollapseMap, collapse_degree,
                                mapping_degree, signed_preimage_count,
                                smooth_step, volume_pullback_integral)
 from oddchern.defaults import CHUNK
@@ -24,7 +24,7 @@ def test_smooth_step_range_and_monotonicity():
 
 
 def test_wedge_region_collapses_to_basepoint():
-    phi = build_collapse_map(2, 1, nodes_per_angle=COARSE)
+    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
     pts = phi.source.nodes()[::37]
     r = phi.local_radius(pts)
     far = r >= 2.0 * phi.radius
@@ -36,14 +36,14 @@ def test_wedge_region_collapses_to_basepoint():
 
 
 def test_identity_region_hits_target_sphere():
-    phi = build_collapse_map(2, 1, nodes_per_angle=COARSE)
+    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
     pts = phi.source.nodes()[::17]
     out = phi.evaluate_ambient(pts)
     assert np.abs(np.linalg.norm(out, axis=1) - 1.0).max() < 1e-10
 
 
 def test_probe_point_lands_in_identity_region():
-    phi = build_collapse_map(2, 1, nodes_per_angle=COARSE)
+    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
     probe = phi.identity_region_probe()
     assert phi.local_radius(probe).max() < phi.radius
 
@@ -70,7 +70,7 @@ def test_circle_power_degree(m):
 
 
 def test_concentrated_and_round_forms_agree():
-    phi = build_collapse_map(2, 1, nodes_per_angle=COARSE)
+    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
     round_form = volume_pullback_integral(phi, scale=2.0)
     cap_form = volume_pullback_integral(phi, scale=2.0, concentrated=True)
     assert abs(round_form - 1.0) < 1e-3
@@ -94,7 +94,7 @@ def test_preimage_oracle_circle_power():
 
 
 def test_preimage_oracle_collapse_map():
-    phi = build_collapse_map(2, 1, nodes_per_angle=COARSE)
+    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
     rng = np.random.default_rng(4)
     target = phi.target.angles_from_ambient_cols(
         [c for c in phi.evaluate_ambient(phi.identity_region_probe()).T])
@@ -106,13 +106,13 @@ def test_preimage_oracle_collapse_map():
 
 def test_orientation_normalized_to_plus_one():
     for p, q in ((2, 1), (1, 2)):
-        phi = build_collapse_map(p, q, nodes_per_angle=COARSE)
+        phi = CollapseMap(p, q, nodes_per_angle=COARSE)
         val = volume_pullback_integral(phi, scale=1.5, concentrated=True)
         assert round(val.real) == 1
 
 
 def test_volume_pullback_does_not_depend_on_the_block_size():
-    phi = build_collapse_map(2, 1, nodes_per_angle=COARSE)
+    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
     assert phi.source.n_nodes > 2 * CHUNK
     for concentrated in (False, True):
         small = volume_pullback_integral(phi, chunk=997, concentrated=concentrated)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddchern.collapse import build_collapse_map
+from oddchern.collapse import CollapseMap
 from oddchern.domains import ChartedSphereDomain
 from oddchern.maps import (HomotopyFamily, ProductMatrixMap, ScaledMatrixMap,
                            antipodal_map, circle_power_map, circle_winding,
@@ -157,7 +157,7 @@ def test_compose_map_with_matrix_pullback_values():
 # -- one-pass jets ----------------------------------------------------------------
 
 def collapse_pullback():
-    phi = build_collapse_map(2, 1, nodes_per_angle=COARSE)
+    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
     return compose_map_with_matrix(phi, su2_identity()), phi.source
 
 
@@ -199,7 +199,7 @@ def test_jet_matches_evaluate_and_fd(data, name):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), pq=st.sampled_from([(2, 1), (1, 2), (3, 1)]))
 def test_ambient_jacobian_columns_match_fd(data, pq):
-    phi = build_collapse_map(*pq, nodes_per_angle=COARSE)
+    phi = CollapseMap(*pq, nodes_per_angle=COARSE)
     pts = interior_points(data, phi.source)
     vals, cols = phi.ambient_jacobian_columns(pts)
     assert np.array_equal(vals, phi.evaluate_ambient(pts))

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from oddchern import chern, superconn
 from oddchern.chern import deg_star, odd_chern_top_integral
-from oddchern.collapse import build_collapse_map
-from oddchern.defaults import CHUNK
+from oddchern.collapse import CollapseMap
+from oddchern.defaults import CHUNK, SPLIT_LADDER, Ladder
 from oddchern.domains import ChartedSphereDomain
 from oddchern.forms import GradedMatrixForm
 from oddchern.maps import (ScaledMatrixMap, circle_winding,
@@ -19,23 +19,21 @@ from oddchern.maps import (ScaledMatrixMap, circle_winding,
 from oddchern.superconn import (SuperBundleModel, _odd_block, _top_supertrace,
                                 flz_point_case, gamma_boundary_integral,
                                 gamma_closed_form, gamma_integrand,
-                                gamma_report, gaussian_moment, index_report,
-                                localize, superconn_chern_form, unitarize)
+                                gamma_report, gaussian_moment, localize,
+                                superconn_chern_form, unitarize)
 
 COARSE = {1: 32, 2: 24, 3: 16}
 
 
 def coarse_model(winding=None):
-    phi = build_collapse_map(2, 1, nodes_per_angle=COARSE)
+    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
     v = compose_map_with_matrix(phi, su2_identity())
     if winding is not None:
         from oddchern.chern import assemble_split_map
 
         v = assemble_split_map(circle_winding(winding), su2_identity(), phi)
     model = SuperBundleModel(phi.source, v, unitarized=True)
-    # Collapse-pullback integrands converge slowly near the gluing annulus;
-    # use the graded ladder with a step tolerance fitted to that behavior.
-    model.degree_star(scales=(1.0, 2.0), tol=2e-4)
+    model.degree_star()
     return model
 
 
@@ -112,7 +110,7 @@ def test_two_paths_agree_on_shared_grid():
     sweep = gamma_boundary_integral(model, T=8.0)
     closed = gamma_closed_form(model)
     assert abs(sweep - closed) < 1e-10
-    ds = deg_star(model.v, model.domain, scales=(1.0,))
+    ds = deg_star(model.v, model.domain, Ladder((1.0,), 1e-6))
     assert abs(closed - (-1.0) ** model.n * ds.value) < 1e-12
 
 
@@ -171,11 +169,11 @@ def test_gamma_report_fields(monkeypatch):
 
 def test_degree_and_closed_form_sweep_the_model_grid_once(monkeypatch):
     models, domains = record_sweeps(monkeypatch)
-    phi = build_collapse_map(2, 1, nodes_per_angle={1: 16, 2: 12})
+    phi = CollapseMap(2, 1, nodes_per_angle={1: 16, 2: 12})
     model = SuperBundleModel(phi.source.at_scale(2.0),
                              compose_map_with_matrix(phi, su2_identity()),
                              unitarized=True)
-    ds = model.degree_star(scales=(1.0, 2.0))
+    ds = model.degree_star()
     rep = gamma_report(model, T_values=(4.0, 8.0), t_nodes=60)
     # The ladder's scale-2 level is the model's own grid: it reads the
     # model's sweep, which the gamma integrals and the closed form reuse.
@@ -227,7 +225,6 @@ def test_localize_sign_chain():
     model = shared_model()
     rep = localize([model], n=2)
     assert rep.value == 1.0
-    assert rep.degree_path == rep.value
     assert abs(rep.gamma_path - rep.value) < 1e-4
     assert len(rep.per_model) == 1
 
@@ -236,13 +233,6 @@ def test_localize_rejects_mixed_dimensions():
     model = coarse_model()
     with pytest.raises(ValueError):
         localize([model], n=3)
-
-
-def test_index_report_is_minus_localize():
-    model = shared_model()
-    loc = localize([model], n=2)
-    idx = index_report([model], n=2)
-    assert idx == -loc.value
 
 
 @pytest.mark.parametrize("m", [-2, 0, 1, 2])
@@ -268,16 +258,20 @@ def test_scaling_invariance_same_grid():
     assert abs(g_base - g_scaled) < 1e-8
 
 
-def test_degree_star_cache_honours_arguments():
-    dom = ChartedSphereDomain([3], nodes_per_angle=COARSE)
-    model = SuperBundleModel(dom, su2_identity())
-    first = model.degree_star(scales=(0.5,))
-    second = model.degree_star(scales=(0.5, 1.0))
-    assert [s for s, _ in first.convergence] == [0.5]
-    assert [s for s, _ in second.convergence] == [0.5, 1.0]
-    # Same arguments, or none, return the cached result.
-    assert model.degree_star(scales=(0.5, 1.0)) is second
-    assert model.degree_star() is second
+def test_degree_star_runs_one_split_ladder_per_model(monkeypatch):
+    calls = []
+    ladder = superconn._normalized_degree
+
+    def counting_ladder(g, domain, half_dim, *args, **kwargs):
+        calls.append(args)
+        return ladder(g, domain, half_dim, *args, **kwargs)
+
+    monkeypatch.setattr(superconn, "_normalized_degree", counting_ladder)
+    models = [sphere_model(3, su2_identity()), sphere_model(1, circle_winding(2))]
+    first = [m.degree_star() for m in models]
+    assert all(m.degree_star() is ds for m, ds in zip(models, first))
+    assert calls == [(SPLIT_LADDER,)] * 2
+    assert [ds.rounded for ds in first] == [-1, -2]
 
 
 # -- the N x N block kernel against the dense 2N x 2N wedge ----------------------
@@ -329,7 +323,7 @@ def test_block_kernel_matches_dense_supertrace(data, n, d):
 
 
 def collapse_su2_model():
-    phi = build_collapse_map(2, 1, nodes_per_angle=COARSE)
+    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
     return SuperBundleModel(phi.source, compose_map_with_matrix(phi, su2_identity()),
                             unitarized=True)
 
