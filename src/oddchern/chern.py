@@ -5,14 +5,14 @@ sum_k (-1)^k k!/(2k+1)! Tr(w^(2k+1)) with w = g^{-1} dg, truncated by
 nilpotency at the chart dimension.  Its normalized top integral over an odd
 sphere (or a product sphere of odd total dimension) quantizes to an integer.
 
-On a chart of odd dimension d only the k = (d-1)/2 term reaches the top
-degree, so the degree functionals integrate that term alone
-(odd_chern_top_integral): per node block one jet pass gives g and its d
-differentials, w_i = g^{-1} dg_i is formed as N x N point-axis-last blocks,
-and the top coefficient of w ^ ... ^ w (d factors) comes from the unrolled
-block kernel of forms.  A boundary model's single sweep (superconn) feeds
-the same kernel from the jet it also uses for the gamma top integral.  The
-mixed-degree forms odd_chern and maurer_cartan stay for the transgression
+Every form here is a forms.GradedMatrixForm on point-axis-last blocks, and
+every product is its wedge.  On a chart of odd dimension d only the
+k = (d-1)/2 term reaches the top degree, so the degree functionals integrate
+that term alone (odd_chern_top_integral): per node block one jet pass gives
+g and its d differentials, _maurer_cartan_form builds w, and power_odd(w, d)
+gives its top coefficient.  A boundary model's single sweep (superconn)
+feeds the same kernel from the jet it also uses for the gamma top integral.
+The mixed-degree forms odd_chern and maurer_cartan serve the transgression
 and Chern-Simons identities, which need every degree.
 """
 
@@ -26,10 +26,10 @@ from .defaults import CHUNK, DEGREE_LADDER
 from .fields import FormField, exterior_derivative
 from .forms import (
     GradedMatrixForm,
-    _alternating_top,
     _block_product,
     _point_axis_last,
     nilpotent_exp,
+    power_odd,
 )
 from .maps import (
     ChartMap,
@@ -65,12 +65,7 @@ def maurer_cartan(g: SmoothMatrixMap, domain) -> FormField:
     """Degree-1 matrix form field with coefficients g^{-1} dg/dx_i."""
 
     def sampler(pts):
-        vals, dgs = g.jet(domain, pts)
-        inv = _checked_inverse(vals)
-        form = GradedMatrixForm(domain.dim, g.size, len(pts))
-        for i, dg in enumerate(dgs):
-            form.comps[1 << i] = inv @ dg
-        return form
+        return _maurer_cartan_form(*g.jet(domain, pts))
 
     return FormField(domain, g.size, sampler)
 
@@ -79,19 +74,21 @@ def odd_chern_coefficient(k: int) -> float:
     return (-1.0) ** k * factorial(k) / factorial(2 * k + 1)
 
 
-def _maurer_cartan_blocks(vals, dgs) -> list:
-    """w_i = g^{-1} dg_i as N x N point-axis-last blocks, from a jet of g."""
+def _maurer_cartan_form(vals, dgs) -> GradedMatrixForm:
+    """w = sum_i g^{-1} dg_i dx_i from a jet of g.
+
+    vals is g at a batch of nodes, (npts, N, N), and dgs its (d, npts, N, N)
+    differentials.
+    """
     inv = _point_axis_last(_checked_inverse(vals))
-    return [_block_product(inv, _point_axis_last(dg)) for dg in dgs]
+    return GradedMatrixForm.one_form([_block_product(inv, _point_axis_last(dg)) for dg in dgs])
 
 
 def _odd_chern_top(vals, dgs) -> np.ndarray:
-    """Top coefficient of odd_chern(g) from a jet of g: c_k Tr(w^d), d = 2k + 1.
-
-    vals is g at a batch of nodes, (npts, N, N), and dgs its d differentials.
-    """
-    w = _maurer_cartan_blocks(vals, dgs)
-    return odd_chern_coefficient((len(dgs) - 1) // 2) * np.trace(_alternating_top(w, w))
+    """Top coefficient of odd_chern(g) from a jet of g: c_k Tr(w^d), d = 2k + 1."""
+    d = len(dgs)
+    top = power_odd(_maurer_cartan_form(vals, dgs), d).trace().comps[-1]
+    return odd_chern_coefficient((d - 1) // 2) * top[0, 0]
 
 
 def odd_chern_top_integral(g: SmoothMatrixMap, domain, chunk: int = CHUNK) -> complex:
@@ -162,7 +159,7 @@ def transgression_pair(family, domain, t: float):
         vals = g_t.evaluate(domain, pts)
         gdot = family.t_derivative(domain, pts, t)
         q = GradedMatrixForm(domain.dim, family.size, len(pts))
-        q.comps[0] = np.linalg.inv(vals) @ gdot
+        q.comps[0] = _block_product(_point_axis_last(np.linalg.inv(vals)), _point_axis_last(gdot))
         out = q.trace()  # k = 0 term
         w2 = None
         power = q

@@ -1,7 +1,9 @@
 """Form fields on a charted domain: smooth maps from chart points to forms.
 
 A FormField can be sampled at arbitrary chart points (not only quadrature
-nodes), which is what the exterior derivative needs.
+nodes), which is what the exterior derivative needs.  Samples are
+GradedMatrixForms, whose (N, N, npts) components the integrals below
+contract against the quadrature weights along the point axis.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ def constant_field(domain, mat) -> FormField:
 
     def sampler(pts):
         f = GradedMatrixForm(domain.dim, mat.shape[0], len(pts))
-        f.comps[0] = np.broadcast_to(mat, (len(pts),) + mat.shape).copy()
+        f.comps[0] = np.broadcast_to(mat[:, :, None], mat.shape + (len(pts),)).copy()
         return f
 
     return FormField(domain, mat.shape[0], sampler)
@@ -43,7 +45,7 @@ def volume_field(domain, normalized=False) -> FormField:
 
     def sampler(pts):
         f = GradedMatrixForm(domain.dim, 1, len(pts))
-        f.comps[top] = (scale * domain.sqrtg(pts)).astype(complex)[:, None, None]
+        f.comps[top] = (scale * domain.sqrtg(pts)).astype(complex)[None, None]
         return f
 
     return FormField(domain, 1, sampler)
@@ -93,8 +95,8 @@ def integrate_form(form: GradedMatrixForm, domain, weights=None):
         return 0.0 + 0.0j
     w = domain.weights() if weights is None else weights
     if form.size == 1:
-        return complex(domain.orientation_sign * np.sum(w * c[:, 0, 0]))
-    return domain.orientation_sign * np.einsum("n,nij->ij", w, c)
+        return complex(domain.orientation_sign * np.sum(w * c[0, 0]))
+    return domain.orientation_sign * np.einsum("ijn,n->ij", c, w)
 
 
 def integrate_top(field_or_form, domain, chunk: int = CHUNK):
@@ -120,5 +122,5 @@ def integrate_all_degrees(field: FormField, domain, chunk: int = CHUNK):
         for mask, c in enumerate(f.comps):
             if c is None:
                 continue
-            sums[mask] = sums.get(mask, 0.0) + np.einsum("n,nij->ij", w, c)
+            sums[mask] = sums.get(mask, 0.0) + np.einsum("ijn,n->ij", c, w)
     return sums

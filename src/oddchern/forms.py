@@ -1,10 +1,12 @@
 """Graded exterior algebra of complex-matrix-valued differential forms.
 
 A form lives on a d-dimensional chart and is stored densely over the 2**d
-subsets of chart coordinates (bitmask index), with the coefficient of each
-multi-index being an (npts, N, N) complex array sampled at a batch of chart
-points.  Only strictly increasing multi-indices are stored; antisymmetry is
-canonicalized into Koszul signs at wedge time.
+subsets of chart coordinates (bitmask index).  Each coefficient is one
+layout, an (N, N, npts) complex block over a batch of chart points: point
+axis last, so every matrix product unrolls into elementwise vector
+operations (_block_product).  Only strictly increasing multi-indices are
+stored; antisymmetry is canonicalized into Koszul signs at wedge time.
+GradedMatrixForm.wedge is the one product, for every degree.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import numpy as np
 
 # Principal branch of sqrt(2*pi*i); odd-degree normalization uses this branch.
 SQRT_2PI_I = np.sqrt(2.0 * np.pi) * np.exp(1j * np.pi / 4.0)
-TWO_PI_I = 2.0j * np.pi
 
 
 def bit_indices(mask: int):
@@ -42,11 +43,49 @@ def shuffle_sign(mask_a: int, mask_b: int) -> int:
     return -1 if sign & 1 else 1
 
 
+def _point_axis_last(a):
+    """(..., npts, N, N) batch -> contiguous (..., N, N, npts) block array."""
+    return np.ascontiguousarray(np.moveaxis(a, -3, -1))
+
+
+def _block_product(a, b):
+    """Pointwise N x N matrix product of two (N, N, npts) block arrays."""
+    n = a.shape[0]
+    out = np.empty_like(a)
+    for i in range(n):
+        for j in range(n):
+            acc = out[i, j]
+            np.multiply(a[i, 0], b[0, j], out=acc)
+            for k in range(1, n):
+                acc += a[i, k] * b[k, j]
+    return out
+
+
+def _trace_of_product(a, b):
+    """Pointwise Tr(a b) of two (N, N, npts) block arrays."""
+    n = a.shape[0]
+    total = None
+    for i in range(n):
+        entry = a[i, 0] * b[0, i]
+        for k in range(1, n):
+            entry += a[i, k] * b[k, i]
+        total = entry if total is None else total + entry
+    return total
+
+
+def _diagonal_sum(a, rows):
+    """Sum of the diagonal rows a[i, i], i in rows, of an (N, N, npts) block."""
+    total = a[rows[0], rows[0]].copy()
+    for i in rows[1:]:
+        total += a[i, i]
+    return total
+
+
 class GradedMatrixForm:
     """Mixed-degree matrix-valued form over a batch of chart points.
 
     comps is a dense list of length 2**dim; entry `mask` is an
-    (npts, N, N) complex array or None when the component vanishes.
+    (N, N, npts) complex array or None when the component vanishes.
     Instances are treated as immutable by all operations.
     """
 
@@ -61,16 +100,21 @@ class GradedMatrixForm:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, dim, size, npts):
-        return cls(dim, size, npts)
-
-    @classmethod
     def identity(cls, dim, size, npts):
         """Degree-0 form with identity matrix coefficient."""
         f = cls(dim, size, npts)
         f.comps[0] = np.broadcast_to(
-            np.eye(size, dtype=complex), (npts, size, size)
+            np.eye(size, dtype=complex)[:, :, None], (size, size, npts)
         ).copy()
+        return f
+
+    @classmethod
+    def one_form(cls, blocks):
+        """Degree-1 form sum_i blocks[i] dx_i from (N, N, npts) blocks."""
+        n, _, npts = blocks[0].shape
+        f = cls(len(blocks), n, npts)
+        for i, b in enumerate(blocks):
+            f.comps[1 << i] = b
         return f
 
     # -- queries -------------------------------------------------------------
@@ -123,50 +167,50 @@ class GradedMatrixForm:
         """Wedge product with matrix multiplication on coefficients.
 
         A scalar-valued factor (N == 1) broadcasts against a matrix-valued one.
+        Terms are summed in mask order, negative Koszul terms subtracted.
         """
         if self.dim != other.dim or self.npts != other.npts:
             raise ValueError("wedge requires the same chart and point batch")
         if self.size != other.size and 1 not in (self.size, other.size):
             raise ValueError("matrix sizes incompatible for wedge")
-        size = max(self.size, other.size)
-        out = GradedMatrixForm(self.dim, size, self.npts)
-        full = 1 << self.dim
+        out = GradedMatrixForm(self.dim, max(self.size, other.size), self.npts)
         for ma, a in enumerate(self.comps):
             if a is None:
                 continue
             for mb, b in enumerate(other.comps):
                 if b is None or (ma & mb):
                     continue
-                k = ma | mb
-                if k >= full:  # cannot happen, masks stay below 2**dim
-                    continue
                 if self.size == other.size:
-                    term = a @ b
+                    term = _block_product(a, b)
                 elif self.size == 1:
-                    term = a[:, 0, 0][:, None, None] * b
+                    term = a[0, 0] * b
                 else:
-                    term = a * b[:, 0, 0][:, None, None]
-                term = shuffle_sign(ma, mb) * term
-                out.comps[k] = term if out.comps[k] is None else out.comps[k] + term
+                    term = a * b[0, 0]
+                negative = shuffle_sign(ma, mb) < 0
+                k = ma | mb
+                if out.comps[k] is None:
+                    out.comps[k] = np.negative(term, out=term) if negative else term
+                elif negative:
+                    out.comps[k] -= term
+                else:
+                    out.comps[k] += term
         return out
 
     def wedge_power(self, m: int):
         """m-fold left-folded wedge of the form with itself (m >= 1)."""
         if m < 1:
             raise ValueError("wedge_power needs m >= 1")
-        acc = self
-        for _ in range(m - 1):
-            acc = acc.wedge(self)
-        return acc
+        return wedge_chain([self] * m)
 
     # -- trace-like maps ------------------------------------------------------
 
     def trace(self):
         """Componentwise matrix trace; result is scalar-valued (N = 1)."""
         out = GradedMatrixForm(self.dim, 1, self.npts)
+        rows = range(self.size)
         for m, a in enumerate(self.comps):
             if a is not None:
-                out.comps[m] = np.einsum("nii->n", a)[:, None, None]
+                out.comps[m] = _diagonal_sum(a, rows)[None, None]
         return out
 
     def supertrace(self, rank: int):
@@ -178,13 +222,19 @@ class GradedMatrixForm:
         if self.size != 2 * rank:
             raise ValueError("supertrace needs 2*rank coefficients")
         out = GradedMatrixForm(self.dim, 1, self.npts)
+        plus, minus = range(rank), range(rank, 2 * rank)
         for m, a in enumerate(self.comps):
-            if a is None:
-                continue
-            tp = np.einsum("nii->n", a[:, :rank, :rank])
-            tm = np.einsum("nii->n", a[:, rank:, rank:])
-            out.comps[m] = (tp - tm)[:, None, None]
+            if a is not None:
+                out.comps[m] = (_diagonal_sum(a, plus) - _diagonal_sum(a, minus))[None, None]
         return out
+
+
+def wedge_chain(factors) -> GradedMatrixForm:
+    """Left-folded wedge f_0 ^ f_1 ^ ... of a nonempty sequence of forms."""
+    acc = factors[0]
+    for f in factors[1:]:
+        acc = acc.wedge(f)
+    return acc
 
 
 def power_odd(w: GradedMatrixForm, m: int) -> GradedMatrixForm:
@@ -197,7 +247,7 @@ def power_odd(w: GradedMatrixForm, m: int) -> GradedMatrixForm:
     if not w.is_homogeneous(1):
         raise ValueError("power_odd needs a homogeneous degree-1 form")
     if m > w.dim:
-        return GradedMatrixForm.zero(w.dim, w.size, w.npts)
+        return GradedMatrixForm(w.dim, w.size, w.npts)
     return w.wedge_power(m)
 
 
@@ -222,76 +272,3 @@ def nilpotent_exp(w: GradedMatrixForm, scale=1.0) -> GradedMatrixForm:
         term = sw if term is None else term.wedge(sw)
         out = out + term.scale(1.0 / factorial(m))
     return out
-
-
-def supertrace_matrix(mat: np.ndarray, rank: int) -> np.ndarray:
-    """Supertrace of batched 2N x 2N matrices."""
-    return np.einsum("...ii->...", mat[..., :rank, :rank]) - np.einsum(
-        "...ii->...", mat[..., rank:, rank:]
-    )
-
-
-# -- N x N block kernels for top-degree wedges of one-forms ---------------------
-#
-# Blocks are stored point-axis-last: an (N, N, npts) array whose entry [i, j]
-# is one contiguous array over the points, so every product below is unrolled
-# into elementwise vector operations.  Terms are summed in the mask order of
-# GradedMatrixForm.wedge, the dense path the tests compare against.
-
-
-def _point_axis_last(a):
-    """(npts, N, N) batch -> contiguous (N, N, npts) block array."""
-    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
-
-
-def _block_product(a, b):
-    """Pointwise N x N matrix product of two (N, N, npts) block arrays."""
-    n = a.shape[0]
-    out = np.empty_like(a)
-    for i in range(n):
-        for j in range(n):
-            acc = out[i, j]
-            np.multiply(a[i, 0], b[0, j], out=acc)
-            for k in range(1, n):
-                acc += a[i, k] * b[k, j]
-    return out
-
-
-def _trace_of_product(a, b):
-    """Pointwise Tr(a b) of two (N, N, npts) block arrays."""
-    n = a.shape[0]
-    total = None
-    for i in range(n):
-        entry = a[i, 0] * b[0, i]
-        for k in range(1, n):
-            entry += a[i, k] * b[k, i]
-        total = entry if total is None else total + entry
-    return total
-
-
-def _alternating_top(first, second):
-    """Top coefficient of first ^ second ^ first ^ ... with d one-form factors.
-
-    first[i] and second[i] are the (N, N, npts) dx_i coefficients.  The wedge
-    is left-folded, one degree at a time, over the multi-index masks.
-    """
-    d = len(first)
-    level = {1 << i: first[i] for i in range(d)}
-    for m in range(1, d):
-        factor = second if m % 2 else first
-        nxt = {}
-        for ma, acc in sorted(level.items()):
-            for i in range(d):
-                if ma >> i & 1:
-                    continue
-                k = ma | 1 << i
-                term = _block_product(acc, factor[i])
-                negative = shuffle_sign(ma, 1 << i) < 0
-                if k not in nxt:
-                    nxt[k] = np.negative(term, out=term) if negative else term
-                elif negative:
-                    nxt[k] -= term
-                else:
-                    nxt[k] += term
-        level = nxt
-    return level[(1 << d) - 1]

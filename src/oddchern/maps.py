@@ -268,13 +268,6 @@ class ChartMap:
         n = len(pts)
         return np.stack([np.asarray(dual.value(c), float) * np.ones(n) for c in out], axis=1)
 
-    def evaluate_chart(self, pts) -> np.ndarray:
-        cols = [c for c in np.asarray(pts, float).T]
-        amb = self.ambient_fn(self.source.embed_cols(cols))
-        ang = self.target.angles_from_ambient_cols(amb)
-        n = len(pts)
-        return np.stack([np.asarray(dual.value(a), float) * np.ones(n) for a in ang], axis=1)
-
     def _derivative_rows(self, col, n):
         """(dim_s, n) chart derivatives of one output column of a jet pass."""
         eps = col.eps if isinstance(col, dual.Dual) else 0.0

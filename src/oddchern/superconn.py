@@ -17,7 +17,9 @@ which deg* and the closed-form limit need.  V and dV are block
 off-diagonal: with a = sum dv_i dx_i and b = sum dv_i* dx_i, V dV^d is
 block diagonal with blocks v* (a b a ...) and v (b a b ...), so the
 supertrace is Tr(v* X) - Tr(v Y) with the alternating wedges
-X = a b a ... and Y = b a b ... (d factors each), computed on N x N blocks.
+X = a b a ... and Y = b a b ... (d factors each).  These are N x N forms,
+folded by the same GradedMatrixForm.wedge as the dense 2N x 2N forms
+odd_endomorphism and derivative_form.
 
 Orientation convention: the boundary of a tubular neighborhood is oriented
 opposite to our factor-ordered product orientation.  Boundary integrals of
@@ -48,11 +50,11 @@ from .fields import FormField
 from .forms import (
     SQRT_2PI_I,
     GradedMatrixForm,
-    _alternating_top,
     _point_axis_last,
     _trace_of_product,
     nilpotent_exp,
     normalize_2pi,
+    wedge_chain,
 )
 from .maps import NumericMatrixMap, SmoothMatrixMap
 from .results import DegreeResult
@@ -121,17 +123,15 @@ class SuperBundleModel:
 
     def odd_endomorphism(self, pts) -> GradedMatrixForm:
         """V = v + v* as a degree-0 form with 2N x 2N coefficients."""
-        vals = self.v.evaluate(self.domain, pts)
+        v = _point_axis_last(self.v.evaluate(self.domain, pts))
         form = GradedMatrixForm(self.domain.dim, 2 * self.rank, len(pts))
-        form.comps[0] = _odd_block(np.conj(np.swapaxes(vals, -1, -2)), vals)
+        form.comps[0] = _odd_block(_adjoint(v), v)
         return form
 
     def derivative_form(self, pts) -> GradedMatrixForm:
         """dV as a degree-1 form with odd 2N x 2N coefficients."""
-        form = GradedMatrixForm(self.domain.dim, 2 * self.rank, len(pts))
-        for i, dv in enumerate(self._v_and_dv(pts)[1]):
-            form.comps[1 << i] = _odd_block(np.conj(np.swapaxes(dv, -1, -2)), dv)
-        return form
+        dvs = _point_axis_last(self._v_and_dv(pts)[1])
+        return GradedMatrixForm.one_form([_odd_block(_adjoint(dv), dv) for dv in dvs])
 
     def _tops(self):
         if self._top_integrals is None:
@@ -181,12 +181,17 @@ def boundary_model(source, v: SmoothMatrixMap) -> SuperBundleModel:
     return SuperBundleModel(source.at_scale(SPLIT_LADDER.scales[-1]), v)
 
 
+def _adjoint(blocks):
+    """Pointwise conjugate transpose of (..., N, N, npts) block arrays."""
+    return np.conj(np.swapaxes(blocks, -3, -2))
+
+
 def _odd_block(pm, mp):
-    n = pm.shape[-1]
-    npts = pm.shape[0]
-    out = np.zeros((npts, 2 * n, 2 * n), dtype=complex)
-    out[:, :n, n:] = pm
-    out[:, n:, :n] = mp
+    """The odd 2N x 2N block [[0, pm], [mp, 0]] of two (N, N, npts) blocks."""
+    n, _, npts = pm.shape
+    out = np.zeros((2 * n, 2 * n, npts), dtype=complex)
+    out[:n, n:] = pm
+    out[n:, :n] = mp
     return out
 
 
@@ -197,12 +202,12 @@ def _top_supertrace(vals, dvs) -> np.ndarray:
     b = sum dv_i* dx_i, V dV^d = diag(v* X, v Y) where X = a ^ b ^ a ... and
     Y = b ^ a ^ b ..., so the supertrace is Tr(v* X) - Tr(v Y).
     """
-    v = _point_axis_last(vals)
-    a = np.ascontiguousarray(np.moveaxis(dvs, 1, -1))
-    b = np.conj(np.swapaxes(a, 1, 2))
-    x = _alternating_top(a, b)
-    y = _alternating_top(b, a)
-    return _trace_of_product(np.conj(np.swapaxes(v, 0, 1)), x) - _trace_of_product(v, y)
+    v, dv = _point_axis_last(vals), _point_axis_last(dvs)
+    a, b = GradedMatrixForm.one_form(dv), GradedMatrixForm.one_form(_adjoint(dv))
+    d = len(dvs)
+    x = wedge_chain(([a, b] * d)[:d]).comps[-1]
+    y = wedge_chain(([b, a] * d)[:d]).comps[-1]
+    return _trace_of_product(_adjoint(v), x) - _trace_of_product(v, y)
 
 
 def superconn_chern_form(model: SuperBundleModel, T: float) -> FormField:
@@ -317,7 +322,7 @@ def gamma_report(model: SuperBundleModel, T_values=(2.0, 4.0, 6.0, T_MAX),
         limit=limit,
         closed_form_value=gamma_closed_form(model),
         deg_star_value=deg_star_value,
-        convergence=[(GAMMA_COARSE_SCALE, coarse), (1.0, limit)],
+        convergence=[(coarse_model.domain.scale, coarse), (model.domain.scale, limit)],
     )
 
 

@@ -173,7 +173,7 @@ class SampledMap(SmoothMatrixMap):
 
 def assert_top_matches_dense(g, dom, pts):
     got = _odd_chern_top(*g.jet(dom, pts))
-    ref = odd_chern(g, dom).at(pts).comps[(1 << dom.dim) - 1][:, 0, 0]
+    ref = odd_chern(g, dom).at(pts).comps[(1 << dom.dim) - 1][0, 0]
     # |w| <= N max|g^-1| max|dg| entrywise, and c_k N^(d+1) d! |w|^d bounds
     # the sum of the absolute values of the terms of c_k Tr(w^d), so it sets
     # the scale of the rounding error.

@@ -100,7 +100,7 @@ def _smooth_one_form(dom):
         form = GradedMatrixForm(dom.dim, 1, len(pts))
         for i in range(dom.dim):
             co = amb[:, i % amb.shape[1]] * amb[:, (i + 1) % amb.shape[1]]
-            form.comps[1 << i] = (co + 0.5)[:, None, None].astype(complex)
+            form.comps[1 << i] = (co + 0.5)[None, None].astype(complex)
         return form
 
     return FormField(dom, 1, sampler)
@@ -120,7 +120,7 @@ def test_d_squared_is_zero():
     def sampler(pts):
         amb = dom.embed(pts)
         form = GradedMatrixForm(dom.dim, 1, len(pts))
-        form.comps[0] = (amb[:, 0] * amb[:, 3] + amb[:, 1])[:, None, None].astype(complex)
+        form.comps[0] = (amb[:, 0] * amb[:, 3] + amb[:, 1])[None, None].astype(complex)
         return form
 
     f = FormField(dom, 1, sampler)

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oddchern.forms import (GradedMatrixForm, SQRT_2PI_I, bit_indices,
                             nilpotent_exp, normalize_2pi, power_odd,
-                            shuffle_sign, supertrace_matrix)
+                            shuffle_sign)
 
 
 def perm_sign_oracle(seq):
@@ -48,14 +50,22 @@ def test_shuffle_sign_graded_antisymmetry():
 def random_form(rng, dim, size, npts, masks):
     form = GradedMatrixForm(dim, size, npts)
     for m in masks:
-        form.comps[m] = rng.standard_normal((npts, size, size)) \
-            + 1j * rng.standard_normal((npts, size, size))
+        form.comps[m] = rng.standard_normal((size, size, npts)) \
+            + 1j * rng.standard_normal((size, size, npts))
     return form
 
 
 def brute_wedge(fa, fb):
-    """Reference wedge: sort concatenated indices, sign from the permutation."""
-    dim, size, npts = fa.dim, fa.size, fa.npts
+    """Reference wedge: sort concatenated indices, sign from the permutation.
+
+    Coefficients multiply by einsum, a scalar factor as that multiple of the
+    identity, so the oracle shares no product code with GradedMatrixForm.
+    """
+    dim, size, npts = fa.dim, max(fa.size, fb.size), fa.npts
+
+    def full(f, c):
+        return c[0, 0] * np.eye(size)[:, :, None] if f.size < size else c
+
     out = GradedMatrixForm(dim, size, npts)
     for ma, A in enumerate(fa.comps):
         if A is None:
@@ -64,7 +74,7 @@ def brute_wedge(fa, fb):
             if B is None or (ma & mb):
                 continue
             seq = list(bit_indices(ma)) + list(bit_indices(mb))
-            term = perm_sign_oracle(seq) * (A @ B)
+            term = perm_sign_oracle(seq) * np.einsum("ikn,kjn->ijn", full(fa, A), full(fb, B))
             if out.comps[ma | mb] is None:
                 out.comps[ma | mb] = term
             else:
@@ -144,16 +154,16 @@ def test_trace_graded_cyclic():
 def test_supertrace_matrix_kills_even_commutators():
     rng = np.random.default_rng(14)
     rank = 2
-    # Even (block-diagonal) endomorphisms: str([a, b]) = 0.
+    # Even (block-diagonal) degree-0 forms: str([a, b]) = 0.
     def even(r):
-        m = np.zeros((2 * rank, 2 * rank), dtype=complex)
-        m[:rank, :rank] = r.standard_normal((rank, rank))
-        m[rank:, rank:] = r.standard_normal((rank, rank))
-        return m
+        f = random_form(r, 1, 2 * rank, 3, (0,))
+        f.comps[0][:rank, rank:] = 0.0
+        f.comps[0][rank:, :rank] = 0.0
+        return f
 
     a, b = even(rng), even(rng)
-    comm = a @ b - b @ a
-    assert abs(supertrace_matrix(comm[None], rank)[0]) < 1e-12
+    comm = a.wedge(b) - b.wedge(a)
+    assert comm.supertrace(rank).max_abs() < 1e-12
 
 
 def test_supertrace_form_is_signed_block_trace():
@@ -163,8 +173,8 @@ def test_supertrace_form_is_signed_block_trace():
     st = w.supertrace(rank)
     grading = np.diag([1.0, 1.0, -1.0, -1.0])
     for m in range(4):
-        expected = np.trace(grading @ w.comps[m], axis1=-2, axis2=-1)
-        assert np.abs(st.comps[m][:, 0, 0] - expected).max() < 1e-12
+        expected = np.einsum("ij,jin->n", grading, w.comps[m])
+        assert np.abs(st.comps[m][0, 0] - expected).max() < 1e-12
 
 
 def test_normalize_2pi_scales_by_half_degree():
@@ -176,3 +186,57 @@ def test_normalize_2pi_scales_by_half_degree():
         expected = w.comps[m] / SQRT_2PI_I ** d
         assert np.abs(out.comps[m] - expected).max() < 1e-12
     assert abs(SQRT_2PI_I ** 2 - 2j * np.pi) < 1e-12
+
+
+def random_masks(dim):
+    return st.sets(st.integers(0, 2 ** dim - 1), min_size=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 5), n=st.sampled_from([1, 2, 3, 4]),
+       sizes=st.sampled_from(["same", "scalar-left", "scalar-right"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_wedge_matches_einsum_oracle(data, dim, n, sizes, seed):
+    rng = np.random.default_rng(seed)
+    size_a = 1 if sizes == "scalar-left" else n
+    size_b = 1 if sizes == "scalar-right" else n
+    fa = random_form(rng, dim, size_a, 3, data.draw(random_masks(dim)))
+    fb = random_form(rng, dim, size_b, 3, data.draw(random_masks(dim)))
+    got = fa.wedge(fb)
+    assert got.size == n
+    # Each coefficient sums at most 2**dim products of n terms of modulus
+    # about 1, which sets the scale of the rounding error.
+    assert_forms_close(got, brute_wedge(fa, fb), tol=1e-13 * 2 ** dim * n)
+
+
+def graded_form(rng, dim, rank, degree, odd):
+    """Homogeneous form of one degree whose coefficients are even or odd.
+
+    Even coefficients are block diagonal in (E+, E-), odd ones off-diagonal.
+    """
+    masks = [m for m in range(2 ** dim) if bin(m).count("1") == degree]
+    form = random_form(rng, dim, 2 * rank, 3, masks)
+    keep = np.kron(np.array([[0, 1], [1, 0]]) if odd else np.eye(2),
+                   np.ones((rank, rank)))
+    for m in masks:
+        form.comps[m] = form.comps[m] * keep[:, :, None]
+    return form
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 4), rank=st.integers(1, 3), odd=st.booleans(),
+       degrees=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(dim=3, rank=2, odd=False, degrees=(1, 2), seed=0)  # commutator of even forms
+@example(dim=3, rank=2, odd=True, degrees=(0, 0), seed=0)  # anticommutator of odd 0-forms
+def test_supertrace_kills_supercommutators(dim, rank, odd, degrees, seed):
+    # Tr_s(a ^ b) = (-1)^(|a||b| + p_a p_b) Tr_s(b ^ a) for form degrees |.|
+    # and matrix parities p, so the supercommutator has zero supertrace.
+    pa, pb = (min(p, dim) for p in degrees)
+    rng = np.random.default_rng(seed)
+    a = graded_form(rng, dim, rank, pa, odd)
+    b = graded_form(rng, dim, rank, pb, odd)
+    sign = (-1.0) ** (pa * pb + int(odd))
+    supercomm = a.wedge(b) - b.wedge(a).scale(sign)
+    scale = a.max_abs() * b.max_abs() * 2 * rank * 2 ** dim
+    assert supercomm.supertrace(rank).max_abs() <= 1e-13 * scale

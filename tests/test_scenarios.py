@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from oddchern.defaults import GAMMA_COARSE_SCALE, SPLIT_LADDER
 from oddchern.scenarios import (RunReport, ScenarioError, emit_report,
                                 parse_scenario, run)
 
@@ -102,3 +103,14 @@ def test_report_echoes_effective_settings():
     report = run(dict(DEG_CFG), resolution_scale=1.0, seed=7)
     assert report.scenario["effective.seed"] == "7"
     assert report.scenario["effective.resolution_scale"] == "1.0"
+
+
+def test_gamma_resolution_rows_name_their_grids():
+    # The limit row is the model's own grid, the same grid as the deg*
+    # ladder's last level; the coarse row is the coarse model's grid.
+    report = run({"scenario": "gamma-limit", "geometry.p": "2", "geometry.q": "1",
+                  "map.h.kind": "su2_identity"}, resolution_scale=0.625)
+    rows = report.convergence["gamma_vs_resolution"]
+    assert rows[-1][0] == report.convergence["deg_star"][-1][0]
+    assert rows[-1][1:3] == report.values["gamma_limit"]
+    assert [row[0] for row in rows] == [GAMMA_COARSE_SCALE, SPLIT_LADDER.scales[-1]]

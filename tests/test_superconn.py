@@ -16,7 +16,7 @@ from oddchern.domains import ChartedSphereDomain
 from oddchern.forms import GradedMatrixForm
 from oddchern.maps import (ScaledMatrixMap, circle_winding,
                            compose_map_with_matrix, stabilize, su2_identity)
-from oddchern.superconn import (SuperBundleModel, _odd_block, _top_supertrace,
+from oddchern.superconn import (SuperBundleModel, _top_supertrace,
                                 flz_point_case, gamma_boundary_integral,
                                 gamma_closed_form, gamma_integrand,
                                 gamma_report, gaussian_moment, localize,
@@ -280,21 +280,25 @@ def dense_top_supertrace(vform, dvform, rank):
     """Tr_s(V dV^d) on the top multi-index through GradedMatrixForm."""
     d = dvform.dim
     st_form = vform.wedge(dvform.wedge_power(d)).supertrace(rank)
-    return st_form.comps[(1 << d) - 1][:, 0, 0]
+    return st_form.comps[(1 << d) - 1][0, 0]
 
 
 def odd_forms(vals, dvs):
     """V and dV as 2N x 2N graded forms from their off-diagonal blocks."""
     d, n, npts = len(dvs), vals.shape[-1], len(vals)
 
-    def star(a):
-        return np.conj(np.swapaxes(a, -1, -2))
+    def odd(a):
+        # [[0, a*], [a, 0]] at each point, point axis last.
+        out = np.zeros((npts, 2 * n, 2 * n), dtype=complex)
+        out[:, :n, n:] = np.conj(np.swapaxes(a, -1, -2))
+        out[:, n:, :n] = a
+        return np.moveaxis(out, 0, -1)
 
     vform = GradedMatrixForm(d, 2 * n, npts)
-    vform.comps[0] = _odd_block(star(vals), vals)
+    vform.comps[0] = odd(vals)
     dvform = GradedMatrixForm(d, 2 * n, npts)
     for i, dv in enumerate(dvs):
-        dvform.comps[1 << i] = _odd_block(star(dv), dv)
+        dvform.comps[1 << i] = odd(dv)
     return vform, dvform
 
 
