@@ -4,10 +4,12 @@ Degree of the collapse map on product spheres
 
 The collapse map phi : S^p x S^q -> S^(p+q) crushes the wedge
 S^p v S^q to a point and is, after orientation normalization, a
-degree-one map.  The mapping degree is computed by pulling back a
-normalized top form on the target and integrating; for targets of
-dimension >= 4 a bump form concentrated near the identity cap keeps
-the quadrature well inside the region where phi is a diffeomorphism.
+degree-one map.  The mapping degree is computed by pulling back the
+normalized round volume form of the target and integrating.  phi is
+constant outside the ball |w| < 2R of stereographic coordinates
+w = (sigma_p, sigma_q), so the integral runs over that ball alone: two
+Gauss panels in |w|, on [0, R] and [R, 2R], times Gauss nodes in the
+angles of S^(p+q-1).
 """
 
 from oddchern.collapse import collapse_degree, mapping_degree

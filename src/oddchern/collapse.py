@@ -14,14 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import dual
-from .defaults import (
-    CHUNK,
-    COLLAPSE_LADDER,
-    COLLAPSE_RADIUS,
-    DEGREE_CHECK_NODES_PER_ANGLE,
-    DEGREE_LADDER,
-)
-from .domains import ChartedSphereDomain
+from .defaults import CHUNK, COLLAPSE_LADDER, COLLAPSE_RADIUS, DEGREE_LADDER
+from .domains import BallChart, ChartedSphereDomain
 from .maps import ChartMap
 from .results import DegreeResult
 
@@ -125,64 +119,40 @@ class CollapseMap(ChartMap):
         return np.sqrt(s1 + s2)
 
 
-def _bump_weight(first_coord, hi=0.85, lo=-0.5):
-    """Smooth cap profile in the leading target coordinate, 1 below lo, 0 above hi."""
-    return smooth_step((hi - first_coord) / (hi - lo))
-
-
-def _bump_normalization(target) -> float:
-    """1 / integral of the cap profile against the round volume of the target."""
-    m = target.dim
-    x, w = np.polynomial.legendre.leggauss(400)
-    theta = 0.5 * np.pi * (x + 1.0)
-    wt = 0.5 * np.pi * w
-    from .domains import sphere_volume
-
-    band = np.sum(wt * _bump_weight(np.cos(theta)) * np.sin(theta) ** (m - 1))
-    return 1.0 / (sphere_volume(m - 1) * band)
-
-
-def volume_pullback_integral(chart_map: ChartMap, scale=1.0, chunk=CHUNK,
-                             concentrated=False) -> complex:
-    """Integral of the pullback of a normalized top form on the target sphere.
+def volume_pullback_integral(chart_map: ChartMap, scale=1.0, chunk=CHUNK) -> complex:
+    """Integral of the pulled-back normalized round volume form of the target sphere.
 
     Evaluated through ambient determinants det[y, dy/dx_1, ...], which stays
     smooth across the target chart's poles (unlike chart-coordinate minors).
-    With concentrated=True the form is a normalized smooth cap supported away
-    from the leading pole instead of the round volume; the integral is the
-    mapping degree either way, but the cap avoids sampling the collapse map's
-    gluing annulus, where quadrature converges slowly in high dimension.
     """
     src = chart_map.source.at_scale(scale)
     sign = chart_map.target.ambient_det_sign
-    norm = _bump_normalization(chart_map.target) if concentrated \
-        else 1.0 / chart_map.target.volume()
+    norm = 1.0 / chart_map.target.volume()
     total = 0.0
     for pts, w in src.node_blocks(chunk):
         vals, jac_cols = chart_map.ambient_jacobian_columns(pts)
         mat = np.stack([vals] + jac_cols, axis=1)  # (n, 1 + dim_s, amb_t)
-        dens = np.linalg.det(mat)
-        if concentrated:
-            dens = dens * _bump_weight(vals[:, 0])
-        total += np.sum(w * dens)
+        total += np.sum(w * np.linalg.det(mat))
     return complex(src.orientation_sign * sign * norm * total)
 
 
-def mapping_degree(chart_map: ChartMap, ladder=DEGREE_LADDER,
-                   concentrated=None) -> DegreeResult:
+def mapping_degree(chart_map: ChartMap, ladder=DEGREE_LADDER) -> DegreeResult:
     """Topological degree via the normalized-volume pullback integral."""
     if chart_map.source.dim != chart_map.target.dim:
         raise ValueError("mapping degree needs equal source and target dimension")
-    if concentrated is None:
-        concentrated = chart_map.target.dim >= 4
-    return DegreeResult.from_ladder(ladder, lambda s: volume_pullback_integral(
-        chart_map, scale=s, concentrated=concentrated))
+    return DegreeResult.from_ladder(
+        ladder, lambda s: volume_pullback_integral(chart_map, scale=s))
 
 
 def collapse_degree(p: int, q: int, radius: float = COLLAPSE_RADIUS) -> DegreeResult:
-    """Mapping degree of the collapse map at the degree-check budget, on COLLAPSE_LADDER."""
-    phi = CollapseMap(p, q, radius, nodes_per_angle=DEGREE_CHECK_NODES_PER_ANGLE)
-    return mapping_degree(phi, COLLAPSE_LADDER, concentrated=True)
+    """Mapping degree of the collapse map, on a ball chart, on COLLAPSE_LADDER.
+
+    The map is constant outside |w| < 2R in stereographic coordinates w, so
+    its pulled-back volume form is integrated over that ball alone.
+    """
+    phi = CollapseMap(p, q, radius)
+    ball = BallChart(p, q, phi.radius)
+    return mapping_degree(ChartMap(ball, phi.target, phi._ambient), COLLAPSE_LADDER)
 
 
 def signed_preimage_count(chart_map: ChartMap, target_chart_point, rng,

@@ -5,10 +5,30 @@ from dataclasses import dataclass
 # Gauss-Legendre nodes per angular coordinate, keyed by sphere dimension.
 NODES_PER_ANGLE = {1: 64, 2: 48, 3: 32, 4: 32, 5: 24}
 
-# Reduced per-angle budget for the collapse-map degrees, the product-splitting
-# check and the robustness check: on 5-dimensional domains the default table
-# would produce tens of millions of nodes.
+# Reduced per-angle budget for the product-splitting check and the
+# robustness check: on 5-dimensional domains the default table would produce
+# tens of millions of nodes.
 DEGREE_CHECK_NODES_PER_ANGLE = {1: 32, 2: 24, 3: 16, 4: 16, 5: 14}
+
+# Ball-chart budget of collapse.collapse_degree (domains.BallChart): Gauss-
+# Legendre nodes per radial panel and nodes per angle of S^(p+q-1), at scale
+# 1.  The collapse map's pulled-back volume form is radial, so its value
+# depends only on p + q and the two errors separate.  The radial one
+# dominates, because the smooth step on [R, 2R] is C-infinity but not
+# analytic, and a radial node costs one grid slice, while an angle node
+# multiplies the grid p + q - 1 times.  Scan of |value - 1| (grid nodes),
+# R = 4:
+#    budget     p+q = 3            4                  5
+#    (12, 6)    1.2e-7 (864)       1.8e-5 (5,184)     1.3e-4 (31,104)
+#    (16, 8)    2.0e-7 (2,048)     6.5e-8 (16,384)    5.4e-7 (131,072)
+#    (24, 8)    1.4e-9 (3,072)     9.3e-10 (24,576)   2.9e-8 (196,608)
+#    (30, 10)   1.5e-10 (6,000)    8.1e-11 (60,000)   5.0e-11 (600,000)
+#    (24, 12)   1.4e-9 (6,912)     8.4e-10 (82,944)   4.5e-10 (995,328)
+#    (36, 12)   6.2e-12 (10,368)   3.2e-12 (124,416)  1.6e-12 (1,492,992)
+# With 48 radial nodes per panel, 8 nodes per angle leave 2.4e-14, 8.7e-11
+# and 2.9e-8; with 16 nodes per angle, 16 and 24 radial nodes leave 6.5e-8
+# and 8.4e-10 in 4-D.
+BALL_NODES = (24, 8)
 
 # Collapse-map radius in stereographic units; the identity region |w| <= R
 # then carries the bulk of the product measure.
@@ -57,12 +77,12 @@ DEGREE_LADDER = Ladder((0.5, 1.0, 2.0, 4.0), 1e-6)
 # the default per-angle budget, and deg* and gamma then share quadrature.
 SPLIT_LADDER = Ladder((1.0, 2.0), 2e-4)
 
-# Mapping degree of the collapse map itself (collapse.collapse_degree), at the
-# DEGREE_CHECK_NODES_PER_ANGLE budget.  Five-dimensional sources converge too
-# slowly for resolution doubling, so the ladder is graded, with a looser step
-# tolerance; integrality of the final value is still judged by
-# DegreeResult.accepted.
-COLLAPSE_LADDER = Ladder((0.5, 1.0, 1.25), 2e-3)
+# Mapping degree of the collapse map itself (collapse.collapse_degree), on the
+# BALL_NODES budget: (24, 8), then (30, 10).  The step is about the first
+# level's error in the scan above, 1.4e-9, 9.3e-10 and 2.9e-8 for p + q = 3,
+# 4 and 5, so the 5-D step passes the tolerance 35-fold; the second level
+# leaves residuals of 1.5e-10, 8.1e-11 and 5.0e-11.
+COLLAPSE_LADDER = Ladder((1.0, 1.25), 1e-6)
 
 # Resolution of the coarse grid in gamma_report's convergence table.
 GAMMA_COARSE_SCALE = 0.5

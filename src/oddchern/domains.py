@@ -14,7 +14,7 @@ from math import gamma, pi
 import numpy as np
 
 from . import dual
-from .defaults import NODES_PER_ANGLE
+from .defaults import BALL_NODES, NODES_PER_ANGLE
 
 
 def sphere_volume(m: int) -> float:
@@ -218,3 +218,73 @@ class ChartedSphereDomain:
             sq = float(dual.value(_sphere_sqrtg(cols, m))[0]) if m > 1 else 1.0
             sign *= 1 if det * sq > 0 else -1
         return sign
+
+
+def _inverse_stereographic(w):
+    """Stereographic coordinates -> unit vector in R^(len(w)+1), dual-safe.
+
+    Inverts sigma(x) = x[1:] / (1 - x[0]), the projection from the basepoint
+    x[0] = 1 that collapse.CollapseMap reads its factors through.
+    """
+    s = sum(wi * wi for wi in w)
+    d = 1.0 / (1.0 + s)
+    return [(s - 1.0) * d] + [2.0 * wi * d for wi in w]
+
+
+class BallChart:
+    """The ball |w| < 2R of stereographic coordinates on S^p x S^q.
+
+    w = (sigma_p(x), sigma_q(y)) in R^(p+q); the chart coordinates are
+    (r, theta_1..theta_{p+q-1}) with w = r u and u in S^(p+q-1) in
+    hyperspherical angles.  r runs over two Gauss-Legendre panels, [0, R] and
+    [R, 2R], and no node lies beyond 2R, so an integrand must vanish there:
+    the collapse map with radius R is constant outside the ball.
+
+    Attributes:
+      dim: chart dimension p + q.
+      axes: per-coordinate (nodes, weights) pairs, the radial axis first.
+      orientation_sign: +-1 relating the chart coordinate order to the
+        product angle chart's orientation of S^p x S^q.
+    """
+
+    def __init__(self, p: int, q: int, radius: float, scale=1.0):
+        self.p, self.q, self.radius = p, q, float(radius)
+        self.dim = p + q
+        n_r, n_a = (max(2, int(round(n * scale))) for n in BALL_NODES)
+
+        inner = _gauss_axis(n_r, 0.0, self.radius)
+        outer = _gauss_axis(n_r, self.radius, 2.0 * self.radius)
+        self.axes = [tuple(np.concatenate(pair) for pair in zip(inner, outer))]
+        for j in range(self.dim - 1):
+            hi = pi if j < self.dim - 2 else 2.0 * pi
+            self.axes.append(_gauss_axis(n_a, 0.0, hi))
+        self.shape = tuple(len(a[0]) for a in self.axes)
+        self.n_nodes = int(np.prod(self.shape))
+        self.orientation_sign = self._calibrate_orientation()
+
+    def at_scale(self, scale: float) -> "BallChart":
+        return BallChart(self.p, self.q, self.radius, scale=scale)
+
+    def embed_cols(self, cols):
+        """(r, angles) columns -> ambient columns of S^p x S^q (dual-safe)."""
+        w = [cols[0] * u for u in embed_sphere(cols[1:], self.dim - 1)]
+        return _inverse_stereographic(w[:self.p]) + _inverse_stereographic(w[self.p:])
+
+    # The tensor-grid quadrature is the sphere charts', over the axes above.
+    nodes_at = ChartedSphereDomain.nodes_at
+    node_blocks = ChartedSphereDomain.node_blocks
+    embed_dual_cols = ChartedSphereDomain.embed_dual_cols
+
+    def _calibrate_orientation(self) -> int:
+        """Sign of det d(product angles)/d(r, angles) at a generic probe.
+
+        The product angle chart carries orientation_sign +1, so this sign
+        makes the ball chart integrate top forms with the same orientation.
+        """
+        probe = np.full((1, self.dim), 0.9)
+        probe[0, 0] = 0.6 * self.radius
+        amb = self.embed_dual_cols(probe)
+        ang = (sphere_angles_from_ambient(amb[:self.p + 1], self.p)
+               + sphere_angles_from_ambient(amb[self.p + 1:], self.q))
+        det = np.linalg.det(np.array([[a.eps[i, 0] for i in range(self.dim)] for a in ang]))
+        return 1 if det > 0 else -1

@@ -167,12 +167,12 @@ def check_product_splitting():
 
 
 def check_collapse_degree():
-    """The collapse map has degree +1 on all supported factor shapes."""
+    """The collapse map has degree +1 on all supported factor shapes, residual below 1e-8."""
     details, ok, converged = [], True, True
     for p, q in ((2, 1), (2, 3), (4, 1)):
         r = collapse_degree(p, q)
         details.append(f"({p},{q}): {r.value.real:.6f} residual {r.residual:.2e}")
-        ok = ok and r.rounded == 1 and r.residual < 1e-4
+        ok = ok and r.rounded == 1 and r.residual < 1e-8
         converged = converged and r.converged
     return _result("collapse degree", ok, "; ".join(details), converged=converged)
 

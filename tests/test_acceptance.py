@@ -44,7 +44,7 @@ def test_5_product_splitting():
 
 def test_6_collapse_map_degree():
     """The orientation-normalized collapse map has mapping degree +1 for
-    (p, q) in {(2,1), (2,3), (4,1)}, integrality residual < 1e-4."""
+    (p, q) in {(2,1), (2,3), (4,1)}, integrality residual < 1e-8."""
     _assert(verify.check_collapse_degree())
 
 

@@ -6,9 +6,10 @@ import pytest
 from oddchern.collapse import (CollapseMap, collapse_degree,
                                mapping_degree, signed_preimage_count,
                                smooth_step, volume_pullback_integral)
-from oddchern.defaults import CHUNK
-from oddchern.domains import ChartedSphereDomain
-from oddchern.maps import antipodal_map, circle_power_map, identity_chart_map
+from oddchern.defaults import CHUNK, COLLAPSE_RADIUS, DEGREE_CHECK_NODES_PER_ANGLE
+from oddchern.domains import BallChart, ChartedSphereDomain, _sphere_sqrtg, sphere_volume
+from oddchern.maps import (ChartMap, antipodal_map, circle_power_map,
+                           identity_chart_map)
 
 COARSE = {1: 32, 2: 24, 3: 16}
 
@@ -48,9 +49,9 @@ def test_probe_point_lands_in_identity_region():
     assert phi.local_radius(probe).max() < phi.radius
 
 
-@pytest.mark.parametrize("spheres,expected", [([1], 1), ([2], -1), ([3], 1)])
+@pytest.mark.parametrize("spheres,expected", [([1], 1), ([2], -1), ([3], 1), ([4], -1)])
 def test_mapping_degree_of_antipodal_map(spheres, expected):
-    dom = ChartedSphereDomain(spheres, nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain(spheres, nodes_per_angle=DEGREE_CHECK_NODES_PER_ANGLE)
     r = mapping_degree(antipodal_map(dom))
     assert r.rounded == expected
     assert r.residual < 1e-8
@@ -69,20 +70,33 @@ def test_circle_power_degree(m):
     assert r.rounded == m and r.residual < 1e-10
 
 
-def test_concentrated_and_round_forms_agree():
-    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
-    round_form = volume_pullback_integral(phi, scale=2.0)
-    cap_form = volume_pullback_integral(phi, scale=2.0, concentrated=True)
-    assert abs(round_form - 1.0) < 1e-3
-    assert abs(cap_form - 1.0) < 1e-5
-    assert abs(round_form.imag) < 1e-10 and abs(cap_form.imag) < 1e-10
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_ball_chart_weights_integrate_the_ball_volume(m):
+    ball = BallChart(1, m - 1, COLLAPSE_RADIUS).at_scale(1.5)
+    total = 0.0
+    for pts, w in ball.node_blocks(CHUNK):
+        angles = [pts[:, i] for i in range(1, m)]
+        total += np.sum(w * pts[:, 0] ** (m - 1) * _sphere_sqrtg(angles, m - 1))
+    exact = sphere_volume(m - 1) * (2.0 * COLLAPSE_RADIUS) ** m / m
+    assert abs(total / exact - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("p,q", [(2, 1), (1, 2)])
+def test_ball_chart_degree_agrees_with_the_angle_chart(p, q):
+    r = collapse_degree(p, q)
+    assert r.rounded == 1
+    phi = CollapseMap(p, q, nodes_per_angle=COARSE)
+    angle_chart = volume_pullback_integral(phi, scale=2.0)
+    assert abs(r.value - angle_chart) < 1e-3
+    assert abs(r.value.imag) < 1e-10 and abs(angle_chart.imag) < 1e-10
 
 
 def test_collapse_degree_small_case():
-    r = collapse_degree(2, 1)
-    assert r.rounded == 1
-    assert r.residual < 1e-4
-    assert r.converged
+    for p, q in ((2, 1), (1, 2), (3, 1)):
+        r = collapse_degree(p, q)
+        assert r.rounded == 1
+        assert r.residual < 1e-8
+        assert r.converged
 
 
 def test_preimage_oracle_circle_power():
@@ -94,26 +108,21 @@ def test_preimage_oracle_circle_power():
 
 
 def test_preimage_oracle_collapse_map():
-    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
-    rng = np.random.default_rng(4)
-    target = phi.target.angles_from_ambient_cols(
-        [c for c in phi.evaluate_ambient(phi.identity_region_probe()).T])
-    target = [float(t[0]) for t in target]
-    total, count = signed_preimage_count(phi, target, rng)
-    assert total == 1
-    assert count == 1
-
-
-def test_orientation_normalized_to_plus_one():
     for p, q in ((2, 1), (1, 2)):
         phi = CollapseMap(p, q, nodes_per_angle=COARSE)
-        val = volume_pullback_integral(phi, scale=1.5, concentrated=True)
-        assert round(val.real) == 1
+        rng = np.random.default_rng(4)
+        target = phi.target.angles_from_ambient_cols(
+            [c for c in phi.evaluate_ambient(phi.identity_region_probe()).T])
+        target = [float(t[0]) for t in target]
+        total, count = signed_preimage_count(phi, target, rng)
+        assert total == 1
+        assert count == 1
 
 
 def test_volume_pullback_does_not_depend_on_the_block_size():
-    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
-    assert phi.source.n_nodes > 2 * CHUNK
-    for concentrated in (False, True):
-        small = volume_pullback_integral(phi, chunk=997, concentrated=concentrated)
-        assert abs(small - volume_pullback_integral(phi, concentrated=concentrated)) < 1e-13
+    phi = CollapseMap(3, 1)
+    ball_map = ChartMap(BallChart(3, 1, phi.radius), phi.target, phi._ambient)
+    for chart_map in (CollapseMap(2, 1, nodes_per_angle=COARSE), ball_map):
+        assert chart_map.source.n_nodes > 2 * CHUNK
+        small = volume_pullback_integral(chart_map, chunk=997)
+        assert abs(small - volume_pullback_integral(chart_map)) < 1e-13

@@ -1,12 +1,17 @@
-"""Every name a demo imports from oddchern exists."""
+"""Every name a demo imports from oddchern exists, and the cheap demos run."""
 
 import ast
 import importlib
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def oddchern_imports(path):
@@ -30,3 +35,15 @@ def test_demo_imports_resolve(demo):
         mod = importlib.import_module(module)
         if name is not None:
             assert hasattr(mod, name), f"{demo.name}: {module}.{name} does not exist"
+
+
+def test_collapse_demo_prints_its_degrees():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, str(ROOT / "demos" / "02_collapse_map_degree.py")],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert re.findall(r"degree = ([+-]\d+)", out.stdout) == ["+1", "+1", "+1"]
+    assert re.findall(r"^  S\^(\d): ([+-]\d+)$", out.stdout, re.M) == [
+        ("1", "+1"), ("2", "-1"), ("3", "+1")]
