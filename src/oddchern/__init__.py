@@ -11,6 +11,7 @@ if "CHERN_THREADS" in _os.environ:
         _os.environ.setdefault(_var, _os.environ["CHERN_THREADS"])
 
 from .chern import (
+    SingularMapError,
     assemble_split_map,
     chern_simons,
     deg,

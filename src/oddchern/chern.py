@@ -10,10 +10,13 @@ every product is its wedge.  On a chart of odd dimension d only the
 k = (d-1)/2 term reaches the top degree, so the degree functionals integrate
 that term alone (odd_chern_top_integral): per node block one jet pass gives
 g and its d differentials, _maurer_cartan_form builds w, and power_odd(w, d)
-gives its top coefficient.  A boundary model's single sweep (superconn)
-feeds the same kernel from the jet it also uses for the gamma top integral.
-The mixed-degree forms odd_chern and maurer_cartan serve the transgression
-and Chern-Simons identities, which need every degree.
+gives its top coefficient.  w is formed on the same (N, N, npts) blocks, as
+g^{-1} times each dg_i, with g^{-1} in closed form for N <= 2 (1/g, or the
+adjugate over det g) and by LAPACK above; a node with |det g| < 1e-12 raises
+SingularMapError naming its grid index.  A boundary model's single sweep
+(superconn) feeds the same kernel from the jet it also uses for the gamma top
+integral.  The mixed-degree forms odd_chern and maurer_cartan serve the
+transgression and Chern-Simons identities, which need every degree.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from math import factorial
 import numpy as np
 
 from .defaults import CHUNK, DEGREE_LADDER
+from .domains import gauss_legendre
 from .fields import FormField, exterior_derivative
 from .forms import (
     GradedMatrixForm,
@@ -51,14 +55,59 @@ from .results import DegreeResult
 CURVATURE_EXP_SIGN = +1.0
 
 
-def _checked_inverse(vals):
-    """Batched inverse of g, rejecting numerically singular nodes."""
-    det = np.abs(np.linalg.det(vals))
-    if det.min() < 1e-12:
-        raise ValueError(
-            f"matrix map singular at sample point index {int(np.argmin(det))}"
-        )
-    return np.linalg.inv(vals)
+class SingularMapError(ValueError):
+    """A matrix map is numerically singular at a node; index names the node."""
+
+    def __init__(self, what: str, index: int):
+        super().__init__(f"{what} at sample point index {index}")
+        self.what, self.index = what, index
+
+
+def _checked_inverse(g):
+    """Pointwise inverse of an (N, N, npts) block array, rejecting singular nodes.
+
+    N = 1 and N = 2 are closed forms (1/g and the adjugate over
+    det = g00 g11 - g01 g10); larger N falls back to batched LAPACK on a
+    point-axis-first view.
+    """
+    n = g.shape[0]
+    if n == 1:
+        det = g[0, 0]
+    elif n == 2:
+        det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    else:
+        det = np.linalg.det(np.moveaxis(g, -1, 0))
+    absdet = np.abs(det)
+    node = int(np.argmin(absdet))
+    if absdet[node] < 1e-12:
+        raise SingularMapError("matrix map singular", node)
+    if n == 1:
+        return 1.0 / g
+    if n == 2:
+        r = 1.0 / det
+        inv = np.empty_like(g)
+        np.multiply(g[1, 1], r, out=inv[0, 0])
+        np.multiply(g[0, 0], r, out=inv[1, 1])
+        np.multiply(g[0, 1], -r, out=inv[0, 1])
+        np.multiply(g[1, 0], -r, out=inv[1, 0])
+        return inv
+    return _point_axis_last(np.linalg.inv(np.moveaxis(g, -1, 0)))
+
+
+def _sweep(domain, integrand, chunk):
+    """Oriented quadrature sum of integrand(pts), (..., npts), over domain's grid.
+
+    The grid is swept in node blocks; a SingularMapError raised on a block is
+    re-raised with its node index counted over the whole grid.
+    """
+    total, first = 0.0, 0
+    for pts, weights in domain.node_blocks(chunk):
+        try:
+            total = total + np.sum(weights * integrand(pts), axis=-1)
+        except SingularMapError as exc:
+            raise SingularMapError(exc.what, first + exc.index) from None
+        first += len(pts)
+    return domain.orientation_sign * total
 
 
 def maurer_cartan(g: SmoothMatrixMap, domain) -> FormField:
@@ -80,7 +129,7 @@ def _maurer_cartan_form(vals, dgs) -> GradedMatrixForm:
     vals is g at a batch of nodes, (npts, N, N), and dgs its (d, npts, N, N)
     differentials.
     """
-    inv = _point_axis_last(_checked_inverse(vals))
+    inv = _checked_inverse(_point_axis_last(vals))
     return GradedMatrixForm.one_form([_block_product(inv, _point_axis_last(dg)) for dg in dgs])
 
 
@@ -93,10 +142,7 @@ def _odd_chern_top(vals, dgs) -> np.ndarray:
 
 def odd_chern_top_integral(g: SmoothMatrixMap, domain, chunk: int = CHUNK) -> complex:
     """Integral of the top-degree part of odd_chern(g) over the domain's grid."""
-    total = 0.0 + 0.0j
-    for pts, weights in domain.node_blocks(chunk):
-        total += domain.orientation_sign * np.sum(weights * _odd_chern_top(*g.jet(domain, pts)))
-    return complex(total)
+    return complex(_sweep(domain, lambda pts: _odd_chern_top(*g.jet(domain, pts)), chunk))
 
 
 def odd_chern(g: SmoothMatrixMap, domain) -> FormField:
@@ -129,7 +175,7 @@ def chern_simons(conn0: FormField, conn1: FormField, domain,
     """
     d0 = exterior_derivative(conn0)
     d1 = exterior_derivative(conn1)
-    xs, ws = np.polynomial.legendre.leggauss(u_nodes)
+    xs, ws = gauss_legendre(u_nodes)
     xs = 0.5 * (xs + 1.0)
     ws = 0.5 * ws
 
@@ -159,7 +205,7 @@ def transgression_pair(family, domain, t: float):
         vals = g_t.evaluate(domain, pts)
         gdot = family.t_derivative(domain, pts, t)
         q = GradedMatrixForm(domain.dim, family.size, len(pts))
-        q.comps[0] = _block_product(_point_axis_last(np.linalg.inv(vals)), _point_axis_last(gdot))
+        q.comps[0] = _block_product(_checked_inverse(_point_axis_last(vals)), _point_axis_last(gdot))
         out = q.trace()  # k = 0 term
         w2 = None
         power = q

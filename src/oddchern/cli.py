@@ -3,7 +3,7 @@
 Subcommands mirror the library's report-producing operations; every
 subcommand accepts a scenario file via --config plus overrides. Exit codes:
 0 all checks pass, 2 an oracle mismatched, 3 a computation failed to
-converge, 64 the configuration is invalid.
+converge, 64 the configuration is invalid or its map is singular at a node.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .chern import SingularMapError
 from .scenarios import (EXIT_CONFIG_ERROR, EXIT_UNCONVERGED, ScenarioError,
                         UnconvergedError, emit_report, load_scenario, run)
 
@@ -54,7 +55,7 @@ def main(argv=None) -> int:
                 f"subcommand is {args.command!r}")
         report = run(cfg, resolution_scale=args.resolution_scale,
                      seed=args.seed)
-    except (ScenarioError, OSError) as exc:
+    except (ScenarioError, SingularMapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except (UnconvergedError, ValueError) as exc:

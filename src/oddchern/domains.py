@@ -9,6 +9,7 @@ carries the product orientation.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gamma, pi
 
 import numpy as np
@@ -22,8 +23,19 @@ def sphere_volume(m: int) -> float:
     return 2.0 * pi ** ((m + 1) / 2.0) / gamma((m + 1) / 2.0)
 
 
-def _gauss_axis(n: int, a: float, b: float):
+@lru_cache(maxsize=64)
+def gauss_legendre(n: int):
+    """The n-node Gauss-Legendre rule (x, w) on [-1, 1], computed once per n.
+
+    Both arrays are read-only, because every caller shares them.
+    """
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss_axis(n: int, a: float, b: float):
+    x, w = gauss_legendre(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 

@@ -35,7 +35,8 @@ from math import factorial
 
 import numpy as np
 
-from .chern import _normalized_degree, _odd_chern_top, deg, odd_chern_top_integral
+from .chern import (SingularMapError, _normalized_degree, _odd_chern_top, _sweep, deg,
+                    odd_chern_top_integral)
 from .defaults import (
     CHUNK,
     DEGREE_RESIDUAL_TOL,
@@ -46,6 +47,7 @@ from .defaults import (
     T_NODES,
     UNITARY_TOL,
 )
+from .domains import gauss_legendre
 from .fields import FormField
 from .forms import (
     SQRT_2PI_I,
@@ -75,8 +77,7 @@ def unitarize(v: SmoothMatrixMap, domain, floor=MIN_SINGULAR_VALUE) -> NumericMa
         h = np.conj(np.swapaxes(a, -1, -2)) @ a
         w, u = np.linalg.eigh(h)
         if w.min() < floor * floor:
-            node = int(np.argmin(w.min(axis=-1)))
-            raise ValueError(f"v*v nearly singular at sample index {node}")
+            raise SingularMapError("v*v nearly singular", int(np.argmin(w.min(axis=-1))))
         inv_sqrt = (u * (w[..., None, :] ** -0.5)) @ np.conj(np.swapaxes(u, -1, -2))
         return a @ inv_sqrt
 
@@ -241,13 +242,13 @@ def _gamma_top_integral(model: SuperBundleModel, chunk=CHUNK):
     the top part of the odd Chern form (_odd_chern_top, which rejects
     singular nodes).
     """
-    dom = model.domain
-    norm = SQRT_2PI_I ** (-dom.dim)
-    gamma = chern = 0.0 + 0.0j
-    for pts, w in dom.node_blocks(chunk):
+    norm = SQRT_2PI_I ** (-model.domain.dim)
+
+    def integrand(pts):
         vals, dvs = model._v_and_dv(pts)
-        gamma += dom.orientation_sign * np.sum(w * (norm * _top_supertrace(vals, dvs)))
-        chern += dom.orientation_sign * np.sum(w * _odd_chern_top(vals, dvs))
+        return np.stack([norm * _top_supertrace(vals, dvs), _odd_chern_top(vals, dvs)])
+
+    gamma, chern = _sweep(model.domain, integrand, chunk)
     return complex(gamma), complex(chern)
 
 
@@ -262,7 +263,7 @@ def gamma_boundary_integral(model: SuperBundleModel, T: float = T_MAX,
     """
     d = model.domain.dim
     top = model.gamma_top()
-    xs, ws = np.polynomial.legendre.leggauss(t_nodes)
+    xs, ws = gauss_legendre(t_nodes)
     t = 0.5 * T * (xs + 1.0)
     w = 0.5 * T * ws
     scalar = np.sum(w * (-t) ** d * np.exp(-t * t)) / factorial(d)

@@ -8,17 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddchern.chern import (_odd_chern_top, assemble_split_map, chern_simons,
-                            deg, deg_star, generator, maurer_cartan,
-                            odd_chern, odd_chern_coefficient,
-                            transgression_pair)
+from oddchern.chern import (SingularMapError, _checked_inverse, _odd_chern_top,
+                            assemble_split_map, chern_simons, deg, deg_star,
+                            generator, maurer_cartan, odd_chern,
+                            odd_chern_coefficient, transgression_pair)
 from oddchern.collapse import CollapseMap
-from oddchern.defaults import Ladder
+from oddchern.defaults import CHUNK, Ladder
 from oddchern.domains import ChartedSphereDomain
 from oddchern.fields import constant_field, exterior_derivative, integrate_top
+from oddchern.forms import _point_axis_last
 from oddchern.maps import (DualMatrixMap, HomotopyFamily, ProductMatrixMap,
                            SmoothMatrixMap, circle_winding,
                            compose_map_with_matrix, stabilize, su2_identity)
+from oddchern.superconn import SuperBundleModel
 
 COARSE = {1: 32, 2: 24, 3: 16}
 
@@ -156,6 +158,36 @@ def test_deg_names_the_singular_node():
         deg(DualMatrixMap(fn, 1), dom, Ladder((1.0,), 1e-6))
 
 
+@pytest.mark.parametrize("sweep", [
+    lambda g, dom: deg(g, dom, Ladder((1.0,), 1e-6)),
+    lambda g, dom: SuperBundleModel(dom, g).gamma_top(),
+], ids=["deg", "model-sweep"])
+def test_singular_node_is_named_by_its_grid_index(sweep):
+    # 24^3 = 13,824 nodes: the node lies in the second CHUNK-node block, so
+    # a block-local index would name node - CHUNK.
+    dom = ChartedSphereDomain([3], nodes_per_angle={3: 24})
+    node = CHUNK + 808
+    centre = dom.embed(dom.nodes()[node:node + 1])[0]
+
+    def fn(cols):
+        return [[sum((x - c) * (x - c) for x, c in zip(cols, centre)) + 0j]]
+
+    with pytest.raises(SingularMapError, match=f"singular at sample point index {node}$") as err:
+        sweep(DualMatrixMap(fn, 1), dom)
+    assert err.value.index == node
+
+
+def test_transgression_tilde_rejects_singular_maps():
+    dom = ChartedSphereDomain([1], nodes_per_angle=COARSE)
+
+    def fn(t, cols):
+        return [[t * (1.0 + 0.0 * cols[0])]]  # identically 0 at t = 0
+
+    _, tilde = transgression_pair(HomotopyFamily(fn, 1), dom, 0.0)
+    with pytest.raises(SingularMapError):
+        tilde.at(dom.nodes())
+
+
 # -- the N x N top-degree kernel against the dense odd_chern sampler -------------
 
 class SampledMap(SmoothMatrixMap):
@@ -198,6 +230,20 @@ def test_top_kernel_matches_dense_odd_chern(data, n, d):
     dgs = [data.draw(hnp.arrays(complex, shape, elements=ENTRIES)) for _ in range(d)]
     dom = ChartedSphereDomain([d], nodes_per_angle={d: 2})
     assert_top_matches_dense(SampledMap(vals, dgs), dom, np.zeros((4, d)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.sampled_from([1, 2, 3]),
+       kind=st.sampled_from(["general", "unitary"]), c=st.sampled_from([1.0, 0.1, 10.0]))
+def test_block_inverse_matches_lapack(data, n, kind, c):
+    # Entries of modulus <= 1 plus 4 Id: diagonally dominant, so well
+    # conditioned; its QR factor is a random unitary.
+    a = data.draw(hnp.arrays(complex, (5, n, n), elements=ENTRIES)) + 4.0 * np.eye(n)
+    vals = c * (np.linalg.qr(a)[0] if kind == "unitary" else a)
+    got = _checked_inverse(_point_axis_last(vals))
+    ref = _point_axis_last(np.linalg.inv(vals))
+    err = np.linalg.norm(got - ref, axis=(0, 1)) / np.linalg.norm(ref, axis=(0, 1))
+    assert np.all(err <= 1e-13 * np.linalg.cond(vals))
 
 
 def collapse_su2():

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import oddchern
+from oddchern import scenarios
 from oddchern.cli import main
+from oddchern.maps import DualMatrixMap
 
 DEG_SCENARIO = """\
 scenario = deg
@@ -105,6 +107,18 @@ def test_bad_geometry_is_usage_error(tmp_path, capsys, command, body, message):
     cfg = write(tmp_path, f"scenario = {command}\n" + body)
     assert main([command, "--config", cfg]) == 64
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_singular_map_is_usage_error(tmp_path, capsys, monkeypatch):
+    # No scenario map kind is singular, so the builder is replaced by the
+    # zero map, singular at every node.
+    def zero_map(cfg, prefix):
+        return DualMatrixMap(lambda cols: [[0.0 * cols[0]]], 1)
+
+    monkeypatch.setattr(scenarios, "_build_generator", zero_map)
+    cfg = write(tmp_path, DEG_SCENARIO)
+    assert main(["deg", "--config", cfg]) == 64
+    assert "error: matrix map singular at sample point index 0" in capsys.readouterr().err
 
 
 def test_flz_point_subcommand(tmp_path, capsys):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oddchern.domains import ChartedSphereDomain, sphere_volume
+from oddchern.domains import ChartedSphereDomain, gauss_legendre, sphere_volume
 from oddchern.fields import (FormField, exterior_derivative, integrate_top,
                              volume_field)
 from oddchern.forms import GradedMatrixForm
@@ -146,3 +146,13 @@ def test_node_blocks_cover_all_nodes():
     assert seen == dom.n_nodes
     # Chart weights only; the volume element rides along inside the forms.
     assert wsum == pytest.approx(dom.weights().sum(), rel=1e-12)
+
+
+def test_gauss_rule_is_computed_once_and_read_only():
+    x, w = gauss_legendre(12)
+    assert gauss_legendre(12)[0] is x
+    ref_x, ref_w = np.polynomial.legendre.leggauss(12)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
