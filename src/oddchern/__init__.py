@@ -55,11 +55,9 @@ from .superconn import (
     flz_point_case,
     gamma_boundary_integral,
     gamma_closed_form,
-    gamma_integrand,
     gamma_report,
     gaussian_moment,
     localize,
-    superconn_chern_form,
     unitarize,
 )
 

@@ -40,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--resolution-scale", type=float, default=1.0,
                        help="multiply all per-angle node counts")
         p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized property checks")
+                       help="echoed as effective.seed; no check reads it, "
+                            "since each randomized check pins its own generator")
     return parser
 
 

@@ -47,7 +47,7 @@ FD_STEP = 1e-4
 DEGREE_RESIDUAL_TOL = 1e-4      # |value - nearest integer|
 DEGREE_IMAG_TOL = 1e-8          # imaginary contamination, relative
 TWO_PATH_TOL = 1e-7             # gamma quadrature vs closed form
-UNITARY_TOL = 1e-12             # ||v* v - Id|| on unitarized models
+UNITARY_TOL = 1e-12             # ||v* v - Id|| on boundary models
 MIN_SINGULAR_VALUE = 1e-8       # invertibility floor for matrix maps
 
 

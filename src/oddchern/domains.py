@@ -184,9 +184,12 @@ class ChartedSphereDomain:
     def nodes(self) -> np.ndarray:
         return self.nodes_at(np.arange(self.n_nodes))
 
+    def sample_stride(self, n_sample: int) -> int:
+        return max(1, self.n_nodes // n_sample)
+
     def sample_nodes(self, n_sample: int) -> np.ndarray:
-        """About n_sample evenly strided grid nodes: nodes()[::n_nodes // n_sample]."""
-        return self.nodes_at(np.arange(0, self.n_nodes, max(1, self.n_nodes // n_sample)))
+        """About n_sample evenly strided grid nodes: nodes()[::sample_stride(n_sample)]."""
+        return self.nodes_at(np.arange(0, self.n_nodes, self.sample_stride(n_sample)))
 
     def weights(self) -> np.ndarray:
         if self._weights_cache is None:

@@ -110,7 +110,6 @@ sin = _lift(np.sin, np.cos)
 cos = _lift(np.cos, lambda v: -np.sin(v))
 exp = _lift(np.exp, np.exp)
 sqrt = _lift(np.sqrt, lambda v: 0.5 / np.sqrt(v))
-arccos = _lift(np.arccos, lambda v: -1.0 / np.sqrt(1.0 - v * v))
 
 
 def real(x):

@@ -56,9 +56,6 @@ class SmoothMatrixMap:
         return self.evaluate(domain, pts), np.stack(
             [self.differential(domain, pts, i) for i in range(domain.dim)])
 
-    def differentials(self, domain, pts):
-        return self.jet(domain, pts)[1]
-
     # -- contract checks ------------------------------------------------------
 
     def check_derivative(self, domain, rng, n_samples=8, rel_tol=1e-6):
@@ -67,7 +64,7 @@ class SmoothMatrixMap:
             rng.uniform(0.3, hi - 0.3, n_samples)
             for hi in [a[0].max() + a[0].min() for a in domain.axes]
         ])
-        for i, an in enumerate(self.differentials(domain, pts)):
+        for i, an in enumerate(self.jet(domain, pts)[1]):
             h = 1e-5
             qp, qm = pts.copy(), pts.copy()
             qp[:, i] += h
@@ -111,14 +108,9 @@ class NumericMatrixMap(SmoothMatrixMap):
         return self.eval_fn(domain, np.asarray(pts, float))
 
     def differential(self, domain, pts, direction):
-        h = self.step
-        pts = np.asarray(pts, float)
-        vals = []
-        for c in (-2.0, -1.0, 1.0, 2.0):
-            q = pts.copy()
-            q[:, direction] += c * h
-            vals.append(self.eval_fn(domain, q))
-        fm2, fm1, fp1, fp2 = vals
+        h, unit = self.step, np.eye(domain.dim)[direction]
+        fm2, fm1, fp1, fp2 = (self.eval_fn(domain, np.asarray(pts, float) + c * h * unit)
+                              for c in (-2.0, -1.0, 1.0, 2.0))
         return (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * h)
 
 
@@ -289,11 +281,6 @@ class ChartMap:
         ang = self.target.angles_from_ambient_cols(
             self.ambient_fn(self.source.embed_dual_cols(pts)))
         return np.stack([self._derivative_rows(a, n).T for a in ang], axis=1)
-
-    def compose(self, inner: "ChartMap") -> "ChartMap":
-        """self after inner: x -> self(inner(x))."""
-        return ChartMap(inner.source, self.target,
-                        lambda cols: self.ambient_fn(inner.ambient_fn(cols)))
 
 
 def identity_chart_map(domain) -> ChartMap:

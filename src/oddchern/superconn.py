@@ -3,7 +3,8 @@
 On a boundary model (product sphere, or odd sphere for the point case) the
 bundles are trivialized and the connection is the flat d, so the whole
 deformation machinery reduces to explicit expressions in the unitary-valued
-map v and its derivative: the deformed square is t^2 Id + t dV with
+map v and its derivative (a model replaces a non-unitary v by its polar part,
+whose jet is exact too): the deformed square is t^2 Id + t dV with
 V = [[0, v*], [v, 0]], and the boundary transgression form is
 (2 pi i)^{-1/2} phi(Tr_s(V exp(-t dV))) e^{-t^2} integrated in t.
 
@@ -48,17 +49,14 @@ from .defaults import (
     UNITARY_TOL,
 )
 from .domains import gauss_legendre
-from .fields import FormField
 from .forms import (
     SQRT_2PI_I,
     GradedMatrixForm,
     _point_axis_last,
     _trace_of_product,
-    nilpotent_exp,
-    normalize_2pi,
     wedge_chain,
 )
-from .maps import NumericMatrixMap, SmoothMatrixMap
+from .maps import SmoothMatrixMap
 from .results import DegreeResult
 
 BOUNDARY_ORIENTATION_SIGN = -1.0
@@ -69,58 +67,89 @@ def gaussian_moment(n: int) -> float:
     return 0.5 * factorial(n - 1)
 
 
-def unitarize(v: SmoothMatrixMap, domain, floor=MIN_SINGULAR_VALUE) -> NumericMatrixMap:
+def _conj_transpose(a):
+    """Pointwise conjugate transpose of (..., npts, N, N) arrays."""
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
+class _PolarMap(SmoothMatrixMap):
+    """The polar factor u = v H^(-1/2), H = v* v, with an exact jet.
+
+    One eigh H = Q diag(s^2) Q* per block; d(H^(-1/2)) = Q (L o Q* dH Q) Q*
+    (Daleckii-Krein) with L_ij = -1/(s_i s_j (s_i + s_j)), free of cancellation
+    at equal eigenvalues.  s^2 < floor^2 raises SingularMapError.
+    """
+
+    def __init__(self, v: SmoothMatrixMap, floor: float):
+        self.v, self.floor, self.size = v, floor, v.size
+
+    def _polar(self, a):
+        s2, q = np.linalg.eigh(_conj_transpose(a) @ a)
+        node = int(np.argmin(s2[:, 0]))  # eigh sorts ascending
+        if s2[node, 0] < self.floor * self.floor:
+            raise SingularMapError("v*v nearly singular", node)
+        qh = _conj_transpose(q)
+        inv_sqrt = (q * s2[:, None, :] ** -0.5) @ qh
+        return a @ inv_sqrt, inv_sqrt, np.sqrt(s2), q, qh
+
+    def evaluate(self, domain, pts):
+        return self._polar(self.v.evaluate(domain, pts))[0]
+
+    def differential(self, domain, pts, direction):
+        return self.jet(domain, pts)[1][direction]
+
+    def jet(self, domain, pts):
+        a, da = self.v.jet(domain, pts)
+        u, inv_sqrt, s, q, qh = self._polar(a)
+        si, sj = s[:, :, None], s[:, None, :]
+        dh = _conj_transpose(da) @ a + _conj_transpose(a) @ da
+        d_inv_sqrt = q @ ((qh @ dh @ q) * (-1.0 / (si * sj * (si + sj)))) @ qh
+        return u, da @ inv_sqrt + a @ d_inv_sqrt
+
+
+def unitarize(v: SmoothMatrixMap, domain, floor=MIN_SINGULAR_VALUE) -> SmoothMatrixMap:
     """Polar part v (v* v)^(-1/2); homotopic to v through invertibles."""
-
-    def eval_fn(dom, pts):
-        a = v.evaluate(dom, pts)
-        h = np.conj(np.swapaxes(a, -1, -2)) @ a
-        w, u = np.linalg.eigh(h)
-        if w.min() < floor * floor:
-            raise SingularMapError("v*v nearly singular", int(np.argmin(w.min(axis=-1))))
-        inv_sqrt = (u * (w[..., None, :] ** -0.5)) @ np.conj(np.swapaxes(u, -1, -2))
-        return a @ inv_sqrt
-
-    return NumericMatrixMap(eval_fn, v.size)
+    return _PolarMap(v, floor)
 
 
-def _unitarity_defect(v, domain, n_sample) -> float:
-    """max ||v* v - Id|| over about n_sample evenly strided grid nodes."""
-    pts = domain.sample_nodes(n_sample)
-    a = v.evaluate(domain, pts)
-    return float(np.abs(np.conj(np.swapaxes(a, -1, -2)) @ a - np.eye(v.size)).max())
+def _unitarity_defect(v, domain, n_sample=512) -> float:
+    """max ||v* v - Id|| over about n_sample strided grid nodes; errors name grid nodes."""
+    try:
+        a = v.evaluate(domain, domain.sample_nodes(n_sample))
+    except SingularMapError as exc:
+        raise SingularMapError(exc.what, exc.index * domain.sample_stride(n_sample)) from None
+    return float(np.abs(_conj_transpose(a) @ a - np.eye(v.size)).max())
 
 
 class SuperBundleModel:
-    """Z2-graded boundary data (E+ (+) E-, v) over a charted sphere domain."""
+    """Z2-graded boundary data (E+ (+) E-, v) over a charted sphere domain.
 
-    def __init__(self, domain, v: SmoothMatrixMap, unitarized: bool = False):
+    A v that is unitary on the 512-node sample is kept with its own jet;
+    any other v is replaced by its polar part, unitarize(v).
+    """
+
+    def __init__(self, domain, v: SmoothMatrixMap):
         if domain.dim % 2 == 0:
             raise ValueError("boundary models have odd dimension 2n - 1")
         self.domain = domain
         self.rank = v.size
-        if not unitarized and _unitarity_defect(v, domain, 256) < UNITARY_TOL:
-            # Already unitary: keep the original map (and its exact
-            # derivatives) instead of wrapping it in a polar decomposition.
-            unitarized = True
-        self.v = v if unitarized else unitarize(v, domain)
+        self.v = v
         self._deg_star = None
         self._top_integrals = None  # (gamma top, odd Chern top)
-        self.check_unitary()
+        if _unitarity_defect(v, domain) >= UNITARY_TOL:
+            self.v = unitarize(v, domain)
+            self.check_unitary()
 
     @property
     def n(self) -> int:
         return (self.domain.dim + 1) // 2
 
     def check_unitary(self, tol=UNITARY_TOL):
-        err = _unitarity_defect(self.v, self.domain, 512)
+        err = _unitarity_defect(self.v, self.domain)
         if err > tol:
-            raise ValueError(f"model is not unitarized: ||v* v - Id|| = {err:.3e}")
+            raise ValueError(f"model's v is not unitary: ||v* v - Id|| = {err:.3e}")
 
     # -- pointwise super data ---------------------------------------------------
-
-    def _v_and_dv(self, pts):
-        return self.v.jet(self.domain, pts)
 
     def odd_endomorphism(self, pts) -> GradedMatrixForm:
         """V = v + v* as a degree-0 form with 2N x 2N coefficients."""
@@ -131,7 +160,7 @@ class SuperBundleModel:
 
     def derivative_form(self, pts) -> GradedMatrixForm:
         """dV as a degree-1 form with odd 2N x 2N coefficients."""
-        dvs = _point_axis_last(self._v_and_dv(pts)[1])
+        dvs = _point_axis_last(self.v.jet(self.domain, pts)[1])
         return GradedMatrixForm.one_form([_odd_block(_adjoint(dv), dv) for dv in dvs])
 
     def _tops(self):
@@ -211,29 +240,6 @@ def _top_supertrace(vals, dvs) -> np.ndarray:
     return _trace_of_product(_adjoint(v), x) - _trace_of_product(v, y)
 
 
-def superconn_chern_form(model: SuperBundleModel, T: float) -> FormField:
-    """exp(-T^2) phi(Tr_s exp(-T dV)): the deformed Chern character form."""
-
-    def sampler(pts):
-        dv = model.derivative_form(pts)
-        st = nilpotent_exp(dv, -T).supertrace(model.rank)
-        return normalize_2pi(st).scale(np.exp(-T * T))
-
-    return FormField(model.domain, 1, sampler)
-
-
-def gamma_integrand(model: SuperBundleModel, t: float) -> FormField:
-    """(2 pi i)^(-1/2) exp(-t^2) phi(Tr_s(V exp(-t dV))); odd degrees only."""
-
-    def sampler(pts):
-        vform = model.odd_endomorphism(pts)
-        dv = model.derivative_form(pts)
-        st = vform.wedge(nilpotent_exp(dv, -t)).supertrace(model.rank)
-        return normalize_2pi(st).scale(np.exp(-t * t) / SQRT_2PI_I)
-
-    return FormField(model.domain, 1, sampler)
-
-
 def _gamma_top_integral(model: SuperBundleModel, chunk=CHUNK):
     """The model's one sweep: (gamma top, odd Chern top) over its grid.
 
@@ -245,7 +251,7 @@ def _gamma_top_integral(model: SuperBundleModel, chunk=CHUNK):
     norm = SQRT_2PI_I ** (-model.domain.dim)
 
     def integrand(pts):
-        vals, dvs = model._v_and_dv(pts)
+        vals, dvs = model.v.jet(model.domain, pts)
         return np.stack([norm * _top_supertrace(vals, dvs), _odd_chern_top(vals, dvs)])
 
     gamma, chern = _sweep(model.domain, integrand, chunk)
@@ -313,9 +319,7 @@ def gamma_report(model: SuperBundleModel, T_values=(2.0, 4.0, 6.0, T_MAX),
     deg_star_value = model.degree_star()
     integrals = [gamma_boundary_integral(model, T, t_nodes) for T in T_values]
     limit = integrals[-1]
-    coarse_model = SuperBundleModel(
-        model.domain.at_scale(GAMMA_COARSE_SCALE), model.v, unitarized=True
-    )
+    coarse_model = SuperBundleModel(model.domain.at_scale(GAMMA_COARSE_SCALE), model.v)
     coarse = gamma_boundary_integral(coarse_model, T_values[-1], t_nodes)
     return GammaReport(
         T_values=list(T_values),

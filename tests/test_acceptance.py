@@ -73,10 +73,10 @@ def test_10_point_case():
     _assert(verify.check_flz_point_case())
 
 
-def test_11_vanishing():
-    """Every component of the deformed Chern form on a unitarized model
-    decays below 1e-12 by T = 6."""
-    _assert(verify.check_vanishing())
+def test_11_gamma_profile():
+    """gamma(T) at T in {1, 2, 4, 6} is the incomplete-gamma factor
+    gamma(n, T^2)/2 times the model's top integral, to 1e-12 relative."""
+    _assert(verify.check_gamma_profile())
 
 
 def test_12_robustness():

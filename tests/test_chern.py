@@ -209,7 +209,7 @@ def assert_top_matches_dense(g, dom, pts):
     # |w| <= N max|g^-1| max|dg| entrywise, and c_k N^(d+1) d! |w|^d bounds
     # the sum of the absolute values of the terms of c_k Tr(w^d), so it sets
     # the scale of the rounding error.
-    vals, dgs = g.evaluate(dom, pts), g.differentials(dom, pts)
+    vals, dgs = g.jet(dom, pts)
     n, d = vals.shape[-1], dom.dim
     w_max = n * np.abs(np.linalg.inv(vals)).max() * max(np.abs(dg).max() for dg in dgs)
     bound = abs(odd_chern_coefficient((d - 1) // 2)) * n ** (d + 1) * factorial(d) * w_max ** d

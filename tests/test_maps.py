@@ -13,6 +13,7 @@ from oddchern.maps import (HomotopyFamily, ProductMatrixMap, ScaledMatrixMap,
                            compose_map_with_matrix, constant_map,
                            identity_chart_map, projection_second_factor,
                            stabilize, su2_identity)
+from oddchern.superconn import unitarize
 
 COARSE = {1: 24, 2: 16, 3: 12}
 
@@ -161,6 +162,11 @@ def collapse_pullback():
     return compose_map_with_matrix(phi, su2_identity()), phi.source
 
 
+def polar_part(v):
+    dom = ChartedSphereDomain([3])
+    return unitarize(v, dom), dom
+
+
 JET_CASES = {
     "su2": lambda: (su2_identity(), ChartedSphereDomain([3])),
     "su2-size3": lambda: (su2_identity(3), ChartedSphereDomain([3])),
@@ -170,6 +176,11 @@ JET_CASES = {
                                          ScaledMatrixMap(0.5, su2_identity())),
                         ChartedSphereDomain([3])),
     "collapse-S2xS1": collapse_pullback,
+    # Polar parts: a non-normal map with distinct singular values, whose
+    # v* v varies over the sphere, and c v, whose eigenvalues are equal.
+    "polar-non-normal": lambda: polar_part(ProductMatrixMap(
+        constant_map([[2.0, 0.3], [0.0, 0.5]]), su2_identity())),
+    "polar-scaled": lambda: polar_part(ScaledMatrixMap(3.0, su2_identity())),
 }
 
 

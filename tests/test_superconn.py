@@ -9,18 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddchern import chern, superconn
-from oddchern.chern import deg_star, odd_chern_top_integral
+from oddchern.chern import SingularMapError, deg_star, odd_chern_top_integral
 from oddchern.collapse import CollapseMap
 from oddchern.defaults import CHUNK, SPLIT_LADDER, Ladder
 from oddchern.domains import ChartedSphereDomain
-from oddchern.forms import GradedMatrixForm
-from oddchern.maps import (ScaledMatrixMap, circle_winding,
+from oddchern.forms import SQRT_2PI_I, GradedMatrixForm, nilpotent_exp, normalize_2pi
+from oddchern.maps import (DualMatrixMap, ScaledMatrixMap, circle_winding,
                            compose_map_with_matrix, stabilize, su2_identity)
 from oddchern.superconn import (SuperBundleModel, _top_supertrace,
                                 flz_point_case, gamma_boundary_integral,
-                                gamma_closed_form, gamma_integrand,
-                                gamma_report, gaussian_moment, localize,
-                                superconn_chern_form, unitarize)
+                                gamma_closed_form, gamma_report,
+                                gaussian_moment, localize, unitarize)
 
 COARSE = {1: 32, 2: 24, 3: 16}
 
@@ -32,7 +31,7 @@ def coarse_model(winding=None):
         from oddchern.chern import assemble_split_map
 
         v = assemble_split_map(circle_winding(winding), su2_identity(), phi)
-    model = SuperBundleModel(phi.source, v, unitarized=True)
+    model = SuperBundleModel(phi.source, v)
     model.degree_star()
     return model
 
@@ -63,7 +62,6 @@ def test_unitarize_fixes_unitary_maps():
 
 def test_unitarize_rejects_singular_maps():
     dom = ChartedSphereDomain([1], nodes_per_angle=COARSE)
-    from oddchern.maps import DualMatrixMap
 
     def fn(cols):
         x, y = cols[0], cols[1]
@@ -79,30 +77,58 @@ def test_model_requires_odd_dimension():
         SuperBundleModel(dom, su2_identity())
 
 
-def test_model_rejects_nonunitary_claim():
+def test_model_keeps_unitary_maps_and_unitarizes_others():
     dom = ChartedSphereDomain([3], nodes_per_angle=COARSE)
-    with pytest.raises(ValueError):
-        SuperBundleModel(dom, ScaledMatrixMap(2.0, su2_identity()),
-                         unitarized=True)
+    v = su2_identity()
+    assert SuperBundleModel(dom, v).v is v
+    scaled = SuperBundleModel(dom, ScaledMatrixMap(2.0, v))
+    assert scaled.v is not v
+    pts = dom.nodes()[::31]
+    assert np.abs(scaled.v.evaluate(dom, pts) - v.evaluate(dom, pts)).max() < 1e-12
 
 
-def test_chern_form_vanishes_identically():
-    # Even supertrace blocks cancel exactly on a unitarized model, so the
-    # deformed Chern form is zero for every T, not only in the large-T limit.
-    model = coarse_model()
-    pts = model.domain.nodes()[::211]
-    for T in (0.5, 2.0, 6.0):
-        form = superconn_chern_form(model, T).at(pts)
-        assert form.max_abs() < 1e-12
+def test_model_rejects_nonunitary_claim():
+    model = SuperBundleModel(ChartedSphereDomain([3], nodes_per_angle=COARSE),
+                             su2_identity())
+    model.v = ScaledMatrixMap(2.0, model.v)
+    with pytest.raises(ValueError, match="not unitary"):
+        model.check_unitary()
 
 
-def test_gamma_integrand_has_only_odd_degrees():
+def test_unitarity_sample_names_the_singular_grid_node():
+    # 24^3 = 13,824 nodes sampled with stride 27: grid node 8,991 is sample
+    # node 333, and the error must name the grid node.
+    dom = ChartedSphereDomain([3], nodes_per_angle={3: 24})
+    node = 8991
+    assert dom.sample_stride(512) == 27 and node % 27 == 0
+    centre = dom.embed(dom.nodes()[node:node + 1])[0]
+
+    def fn(cols):
+        return [[sum((x - c) * (x - c) for x, c in zip(cols, centre)) + 0j]]
+
+    with pytest.raises(SingularMapError, match=f"singular at sample point index {node}$"):
+        SuperBundleModel(dom, DualMatrixMap(fn, 1))
+
+
+@pytest.mark.parametrize("t", [0.5, 1.3, 3.0])
+def test_dense_gamma_integrand_factors_through_the_top_supertrace(t):
+    # The dense transgression integrand (2 pi i)^(-1/2) e^(-t^2)
+    # phi(Tr_s(V exp(-t dV))) has odd degrees only, and its top component is
+    # the t-factor (-t)^d e^(-t^2)/d! times the block kernel's Tr_s(V dV^d).
+    # Without V the even supertrace blocks cancel: Tr_s exp(-t dV) is 0.
     model = coarse_model()
     pts = model.domain.nodes()[::301]
-    form = gamma_integrand(model, 1.3).at(pts)
+    d = model.domain.dim
+    expdv = nilpotent_exp(model.derivative_form(pts), -t)
+    assert expdv.supertrace(model.rank).max_abs() < 1e-12
+    form = model.odd_endomorphism(pts).wedge(expdv)
+    form = normalize_2pi(form.supertrace(model.rank)).scale(np.exp(-t * t) / SQRT_2PI_I)
     for mask, comp in enumerate(form.comps):
         if comp is not None and np.abs(comp).max() > 1e-13:
             assert bin(mask).count("1") % 2 == 1
+    top = _top_supertrace(*model.v.jet(model.domain, pts))
+    factor = (-t) ** d * np.exp(-t * t) / factorial(d) * SQRT_2PI_I ** -(d + 1)
+    assert np.abs(form.comps[-1][0, 0] - factor * top).max() < 1e-13 * np.abs(factor * top).max()
 
 
 def test_two_paths_agree_on_shared_grid():
@@ -171,8 +197,7 @@ def test_degree_and_closed_form_sweep_the_model_grid_once(monkeypatch):
     models, domains = record_sweeps(monkeypatch)
     phi = CollapseMap(2, 1, nodes_per_angle={1: 16, 2: 12})
     model = SuperBundleModel(phi.source.at_scale(2.0),
-                             compose_map_with_matrix(phi, su2_identity()),
-                             unitarized=True)
+                             compose_map_with_matrix(phi, su2_identity()))
     ds = model.degree_star()
     rep = gamma_report(model, T_values=(4.0, 8.0), t_nodes=60)
     # The ladder's scale-2 level is the model's own grid: it reads the
@@ -328,8 +353,7 @@ def test_block_kernel_matches_dense_supertrace(data, n, d):
 
 def collapse_su2_model():
     phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
-    return SuperBundleModel(phi.source, compose_map_with_matrix(phi, su2_identity()),
-                            unitarized=True)
+    return SuperBundleModel(phi.source, compose_map_with_matrix(phi, su2_identity()))
 
 
 def sphere_model(m, v):
@@ -345,7 +369,7 @@ def sphere_model(m, v):
 def test_block_kernel_matches_dense_on_models(build):
     model = build()
     pts = model.domain.nodes()[::37]
-    vals, dvs = model._v_and_dv(pts)
+    vals, dvs = model.v.jet(model.domain, pts)
     ref = dense_top_supertrace(model.odd_endomorphism(pts),
                                model.derivative_form(pts), model.rank)
     assert np.abs(ref).max() > 0
