@@ -5,18 +5,23 @@ sum_k (-1)^k k!/(2k+1)! Tr(w^(2k+1)) with w = g^{-1} dg, truncated by
 nilpotency at the chart dimension.  Its normalized top integral over an odd
 sphere (or a product sphere of odd total dimension) quantizes to an integer.
 
-Every form here is a forms.GradedMatrixForm on point-axis-last blocks, and
-every product is its wedge.  On a chart of odd dimension d only the
-k = (d-1)/2 term reaches the top degree, so the degree functionals integrate
-that term alone (odd_chern_top_integral): per node block one jet pass gives
-g and its d differentials, _maurer_cartan_form builds w, and power_odd(w, d)
-gives its top coefficient.  w is formed on the same (N, N, npts) blocks, as
-g^{-1} times each dg_i, with g^{-1} in closed form for N <= 2 (1/g, or the
-adjugate over det g) and by LAPACK above; a node with |det g| < 1e-12 raises
-SingularMapError naming its grid index.  A boundary model's single sweep
-(superconn) feeds the same kernel from the jet it also uses for the gamma top
-integral.  The mixed-degree forms odd_chern and maurer_cartan serve the
-transgression and Chern-Simons identities, which need every degree.
+Every form here is a forms.GradedMatrixForm on point-axis-last blocks.  On a
+chart of odd dimension d only the k = (d-1)/2 term reaches the top degree,
+so the degree functionals integrate that term alone (odd_chern_top_integral):
+per node block one jet pass gives g and its d differentials,
+_maurer_cartan_form builds w, and _odd_chern_top folds its last wedge into
+the trace, Tr(w^d)_top = d Tr(w_0 (w_1 ^ ... ^ w_(d-1))_top), which holds
+because a cyclic shift of an odd number of factors is an even permutation.
+w is formed on the same (N, N, npts) blocks, as g^{-1} times each dg_i, with
+g^{-1} in closed form for N <= 2 (1/g, or the adjugate over det g) and by
+LAPACK above; a node with |det g| < 1e-12 raises SingularMapError naming its
+grid index.  The sweep (_sweep) runs the jet only on the nodes of
+g.support(domain, pts), since elsewhere g is constant and every top kernel
+is exactly 0, and still tests the first skipped node for singularity.  A
+boundary model's single sweep (superconn) feeds the same kernel from the jet
+it also uses for the gamma top integral.  The mixed-degree forms odd_chern
+and maurer_cartan serve the transgression and Chern-Simons identities,
+which need every degree.
 """
 
 from __future__ import annotations
@@ -31,9 +36,10 @@ from .fields import FormField, exterior_derivative
 from .forms import (
     GradedMatrixForm,
     _block_product,
+    _diagonal_sum,
     _point_axis_last,
+    _trace_of_product,
     nilpotent_exp,
-    power_odd,
 )
 from .maps import (
     ChartMap,
@@ -94,18 +100,33 @@ def _checked_inverse(g):
     return _point_axis_last(np.linalg.inv(np.moveaxis(g, -1, 0)))
 
 
-def _sweep(domain, integrand, chunk):
-    """Oriented quadrature sum of integrand(pts), (..., npts), over domain's grid.
+def _sweep(g: SmoothMatrixMap, domain, kernel, chunk):
+    """Oriented quadrature sum of kernel(*g.jet(domain, pts)), (..., npts), over domain's grid.
 
-    The grid is swept in node blocks; a SingularMapError raised on a block is
-    re-raised with its node index counted over the whole grid.
+    The grid is swept in node blocks, and the jet and the kernel run only on
+    the nodes of g.support(domain, pts): elsewhere g is constant with zero
+    differentials, so every top-degree kernel is exactly 0 there and the sum
+    is the whole grid's less exact zeros.  The first skipped node is still
+    held to _checked_inverse's singularity test, through g's value there.  A
+    SingularMapError is re-raised with its node index counted over the whole
+    grid.
     """
-    total, first = 0.0, 0
+    total, first, skip_checked = 0.0, 0, False
     for pts, weights in domain.node_blocks(chunk):
+        keep = g.support(domain, pts)
+        # nodes holds the block indices of the points evaluated, so that a
+        # SingularMapError's index into them names a node of the block.
         try:
-            total = total + np.sum(weights * integrand(pts), axis=-1)
+            if keep is not None and not skip_checked and not keep.all():
+                skip_checked = True
+                nodes = np.flatnonzero(~keep)[:1]
+                _checked_inverse(_point_axis_last(g.evaluate(domain, pts[nodes])))
+            nodes = np.arange(len(pts)) if keep is None else np.flatnonzero(keep)
+            if len(nodes):
+                sel = slice(None) if keep is None else nodes
+                total = total + np.sum(weights[sel] * kernel(*g.jet(domain, pts[sel])), axis=-1)
         except SingularMapError as exc:
-            raise SingularMapError(exc.what, first + exc.index) from None
+            raise SingularMapError(exc.what, first + int(nodes[exc.index])) from None
         first += len(pts)
     return domain.orientation_sign * total
 
@@ -134,15 +155,25 @@ def _maurer_cartan_form(vals, dgs) -> GradedMatrixForm:
 
 
 def _odd_chern_top(vals, dgs) -> np.ndarray:
-    """Top coefficient of odd_chern(g) from a jet of g: c_k Tr(w^d), d = 2k + 1."""
+    """Top coefficient of odd_chern(g) from a jet of g: c_k Tr(w^d), d = 2k + 1.
+
+    A cyclic shift of an odd number of factors is an even permutation, so
+    under the trace every term of w^d can be rotated to start with w_0:
+    Tr(w^d)_top = d Tr(w_0 (w_1 ^ ... ^ w_(d-1))_top), where the wedge is the
+    (d-1)-th power of sum_(i>0) w_i dx_i on the coordinates after the first.
+    """
+    w = _maurer_cartan_form(vals, dgs).comps
     d = len(dgs)
-    top = power_odd(_maurer_cartan_form(vals, dgs), d).trace().comps[-1]
-    return odd_chern_coefficient((d - 1) // 2) * top[0, 0]
+    c = odd_chern_coefficient((d - 1) // 2)
+    if d == 1:
+        return c * _diagonal_sum(w[1], range(w[1].shape[0]))
+    rest = GradedMatrixForm.one_form([w[1 << i] for i in range(1, d)]).wedge_power(d - 1)
+    return (c * d) * _trace_of_product(w[1], rest.comps[-1])
 
 
 def odd_chern_top_integral(g: SmoothMatrixMap, domain, chunk: int = CHUNK) -> complex:
     """Integral of the top-degree part of odd_chern(g) over the domain's grid."""
-    return complex(_sweep(domain, lambda pts: _odd_chern_top(*g.jet(domain, pts)), chunk))
+    return complex(_sweep(g, domain, _odd_chern_top, chunk))
 
 
 def odd_chern(g: SmoothMatrixMap, domain) -> FormField:
@@ -180,13 +211,12 @@ def chern_simons(conn0: FormField, conn1: FormField, domain,
     ws = 0.5 * ws
 
     def sampler(pts):
-        a0, a1 = conn0.at(pts), conn1.at(pts)
-        da0, da1 = d0.at(pts), d1.at(pts)
-        adot = a1 - a0
+        a0, da0 = conn0.at(pts), d0.at(pts)
+        adot, dadot = conn1.at(pts) - a0, d1.at(pts) - da0
         out = None
         for u, w in zip(xs, ws):
-            au = a0.scale(1.0 - u) + a1.scale(u)
-            dau = da0.scale(1.0 - u) + da1.scale(u)
+            au = a0 + adot.scale(u)
+            dau = da0 + dadot.scale(u)
             curv = (dau + au.wedge(au)).scale(CURVATURE_EXP_SIGN)
             term = adot.wedge(nilpotent_exp(curv)).trace().scale(w)
             out = term if out is None else out + term

@@ -7,6 +7,16 @@ radially reparametrized by a monotone profile that is the identity for
 through the inverse stereographic projection.  Outside |w| < 2R the map is
 constant at the projection pole, which collapses the wedge of the two factor
 basepoints smoothly.
+
+CollapseMap.support(domain, pts) marks the nodes with |w| < 2R.  Outside
+that mask the map's value is the pole and its differentials are exactly 0,
+so a matrix map pulled back through it is one constant matrix there, and
+every top-degree integrand built from its jet is exactly 0.  The mask and
+the map's own constant branch come from one test (_far) on the same plain
+values of the two factor-leading ambient coordinates, so they cannot
+disagree.  On the product angle chart those values are cos theta_1 and
+cos theta_(p+1), the first outputs of embed_sphere, read without an
+embedding; on any other chart support returns None (varies everywhere).
 """
 
 from __future__ import annotations
@@ -57,23 +67,39 @@ class CollapseMap(ChartMap):
 
     # -- map definition ------------------------------------------------------
 
+    def _far(self, x1, y1):
+        """Mask of |w| >= 2R (or a factor at its basepoint), from the plain
+        values x1, y1 of the two factor-leading ambient coordinates.
+
+        The arithmetic is the dual pass's in _ambient, value for value.
+        """
+        d1, d2 = 1.0 - x1, 1.0 - y1
+        near1, near2 = d1 > _DENOM_FLOOR, d2 > _DENOM_FLOOR
+        r2 = (1.0 + x1) / np.where(near1, d1, 1.0) + (1.0 + y1) / np.where(near2, d2, 1.0)
+        return ~near1 | ~near2 | (r2 >= 4.0 * self.radius * self.radius)
+
+    def support(self, domain, pts):
+        """Mask of the nodes with |w| < 2R on the product angle chart, else None."""
+        if not (isinstance(domain, ChartedSphereDomain) and domain.spheres == (self.p, self.q)):
+            return None
+        return ~self._far(np.cos(pts[:, 0]), np.cos(pts[:, self.p]))
+
     def _ambient(self, cols):
         p, q, R = self.p, self.q, self.radius
         x1 = cols[0]          # first factor's leading ambient coordinate
         y1 = cols[p + 1]      # second factor's leading ambient coordinate
         ones = np.ones_like(dual.value(x1))
+        far = self._far(dual.value(x1), dual.value(y1))
 
         d1 = 1.0 - x1
         d2 = 1.0 - y1
         d1s = dual.where(dual.value(d1) > _DENOM_FLOOR, d1, ones)
         d2s = dual.where(dual.value(d2) > _DENOM_FLOOR, d2, ones)
-        far = (dual.value(d1) <= _DENOM_FLOOR) | (dual.value(d2) <= _DENOM_FLOOR)
 
         # |sigma(x)|^2 = (1 + x1)/(1 - x1) on the unit sphere.
         s1 = (1.0 + x1) / d1s
         s2 = (1.0 + y1) / d2s
         r2 = s1 + s2
-        far = far | (dual.value(r2) >= 4.0 * R * R)
 
         w = [c / d1s for c in cols[1:p + 1]] + [c / d2s for c in cols[p + 2:p + q + 2]]
 

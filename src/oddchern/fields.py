@@ -28,11 +28,13 @@ class FormField:
 
 
 def constant_field(domain, mat) -> FormField:
+    """The degree-0 field mat; the zero matrix gives a field with no components."""
     mat = np.asarray(mat, dtype=complex)
 
     def sampler(pts):
         f = GradedMatrixForm(domain.dim, mat.shape[0], len(pts))
-        f.comps[0] = np.broadcast_to(mat[:, :, None], mat.shape + (len(pts),)).copy()
+        if mat.any():
+            f.comps[0] = np.broadcast_to(mat[:, :, None], mat.shape + (len(pts),)).copy()
         return f
 
     return FormField(domain, mat.shape[0], sampler)

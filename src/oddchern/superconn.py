@@ -18,9 +18,12 @@ which deg* and the closed-form limit need.  V and dV are block
 off-diagonal: with a = sum dv_i dx_i and b = sum dv_i* dx_i, V dV^d is
 block diagonal with blocks v* (a b a ...) and v (b a b ...), so the
 supertrace is Tr(v* X) - Tr(v Y) with the alternating wedges
-X = a b a ... and Y = b a b ... (d factors each).  These are N x N forms,
-folded by the same GradedMatrixForm.wedge as the dense 2N x 2N forms
-odd_endomorphism and derivative_form.
+X = a b a ... and Y = b a b ... (d factors each).  Both are built from one
+N x N form c = b a b ... (d - 1 factors), as X = a c and Y = c b, so the
+kernel wedges c once, by the same GradedMatrixForm.wedge as the dense
+2N x 2N forms odd_endomorphism and derivative_form, and folds the last
+factor into the trace.  The sweep skips the nodes outside v's support
+(maps.SmoothMatrixMap.support), where both top forms are exactly 0.
 
 Orientation convention: the boundary of a tubular neighborhood is oriented
 opposite to our factor-ordered product orientation.  Boundary integrals of
@@ -52,6 +55,7 @@ from .domains import gauss_legendre
 from .forms import (
     SQRT_2PI_I,
     GradedMatrixForm,
+    _block_product,
     _point_axis_last,
     _trace_of_product,
     wedge_chain,
@@ -82,6 +86,9 @@ class _PolarMap(SmoothMatrixMap):
 
     def __init__(self, v: SmoothMatrixMap, floor: float):
         self.v, self.floor, self.size = v, floor, v.size
+
+    def support(self, domain, pts):
+        return self.v.support(domain, pts)
 
     def _polar(self, a):
         s2, q = np.linalg.eigh(_conj_transpose(a) @ a)
@@ -230,14 +237,27 @@ def _top_supertrace(vals, dvs) -> np.ndarray:
 
     vals is (npts, N, N) and dvs (d, npts, N, N).  With a = sum dv_i dx_i and
     b = sum dv_i* dx_i, V dV^d = diag(v* X, v Y) where X = a ^ b ^ a ... and
-    Y = b ^ a ^ b ..., so the supertrace is Tr(v* X) - Tr(v Y).
+    Y = b ^ a ^ b ..., so the supertrace is Tr(v* X) - Tr(v Y).  Both share
+    c = b ^ a ^ ... (d - 1 factors): X = a ^ c and Y = c ^ b.  With c^i the
+    coefficient of c on every coordinate but i, their top coefficients are
+    sum_i (-1)^i a_i c^i and, d being odd, sum_i (-1)^i c^i b_i.  So the
+    supertrace is sum_i (-1)^i Tr((v* dv_i - dv_i* v) c^i).
     """
     v, dv = _point_axis_last(vals), _point_axis_last(dvs)
-    a, b = GradedMatrixForm.one_form(dv), GradedMatrixForm.one_form(_adjoint(dv))
-    d = len(dvs)
-    x = wedge_chain(([a, b] * d)[:d]).comps[-1]
-    y = wedge_chain(([b, a] * d)[:d]).comps[-1]
-    return _trace_of_product(_adjoint(v), x) - _trace_of_product(v, y)
+    d, npts = len(dvs), v.shape[-1]
+    vh, dvh = _adjoint(v), _adjoint(dv)
+    if d == 1:
+        c = GradedMatrixForm.identity(d, v.shape[0], npts)
+    else:
+        a, b = GradedMatrixForm.one_form(dv), GradedMatrixForm.one_form(dvh)
+        c = wedge_chain(([b, a] * d)[:d - 1])
+    top = (1 << d) - 1
+    total = 0.0
+    for i in range(d):
+        m = _block_product(vh, dv[i]) - _block_product(dvh[i], v)
+        term = _trace_of_product(m, c.comps[top ^ (1 << i)])
+        total = total - term if i & 1 else total + term
+    return total
 
 
 def _gamma_top_integral(model: SuperBundleModel, chunk=CHUNK):
@@ -246,15 +266,14 @@ def _gamma_top_integral(model: SuperBundleModel, chunk=CHUNK):
     Per node block one jet of v feeds both top integrals: phi(Tr_s(V dV^d))
     with the t-factor stripped (_top_supertrace), and c_k Tr((v^{-1} dv)^d),
     the top part of the odd Chern form (_odd_chern_top, which rejects
-    singular nodes).
+    singular nodes).  Like every sweep, it runs only on v's support.
     """
     norm = SQRT_2PI_I ** (-model.domain.dim)
 
-    def integrand(pts):
-        vals, dvs = model.v.jet(model.domain, pts)
+    def kernel(vals, dvs):
         return np.stack([norm * _top_supertrace(vals, dvs), _odd_chern_top(vals, dvs)])
 
-    gamma, chern = _sweep(model.domain, integrand, chunk)
+    gamma, chern = _sweep(model.v, model.domain, kernel, chunk)
     return complex(gamma), complex(chern)
 
 

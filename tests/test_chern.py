@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oddchern import dual
 from oddchern.chern import (SingularMapError, _checked_inverse, _odd_chern_top,
                             assemble_split_map, chern_simons, deg, deg_star,
                             generator, maurer_cartan, odd_chern,
-                            odd_chern_coefficient, transgression_pair)
+                            odd_chern_coefficient, odd_chern_top_integral,
+                            transgression_pair)
 from oddchern.collapse import CollapseMap
 from oddchern.defaults import CHUNK, Ladder
 from oddchern.domains import ChartedSphereDomain
@@ -62,6 +64,56 @@ def test_su2_degree_and_stabilization():
     stab = deg(stabilize(su2_identity(), 3), dom)
     assert stab.rounded == base.rounded
     assert abs(stab.value - base.value) < 1e-9
+
+
+# -- degree properties on random inputs -----------------------------------------
+
+@settings(max_examples=12, deadline=None)
+@given(a=st.integers(-3, 3), b=st.integers(-3, 3))
+def test_degree_is_additive_under_products(a, b):
+    dom = ChartedSphereDomain([1], nodes_per_angle=COARSE)
+    r = deg(ProductMatrixMap(circle_winding(a, size=2), circle_winding(b, size=2)), dom)
+    assert r.accepted and r.rounded == -(a + b)
+
+
+def test_su2_squared_has_degree_minus_two():
+    dom = ChartedSphereDomain([3], nodes_per_angle=COARSE)
+    r = deg(ProductMatrixMap(su2_identity(), su2_identity()), dom)
+    assert r.accepted and r.rounded == -2
+
+
+@settings(max_examples=4, deadline=None)
+@given(k=st.integers(1, 3))
+def test_stabilization_keeps_the_degree(k):
+    dom = ChartedSphereDomain([3], nodes_per_angle=COARSE)
+    base, stab = deg(su2_identity(), dom), deg(stabilize(su2_identity(), k), dom)
+    assert stab.accepted and stab.rounded == base.rounded == -1
+    assert abs(stab.value - base.value) < 1e-9
+
+
+UNIT_DISC = st.complex_numbers(max_magnitude=0.7, allow_nan=False, allow_infinity=False,
+                               allow_subnormal=False)
+
+
+@settings(max_examples=12, deadline=None)
+@given(m=st.integers(-3, 3), k1=st.integers(1, 2), k2=st.integers(1, 2),
+       c1=UNIT_DISC, c2=UNIT_DISC, ts=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=3))
+def test_degree_is_constant_along_a_homotopy(m, k1, k2, c1, c2, ts):
+    # g_t = [[z^m, t c1 z^k1], [t c2 conj(z)^k2, 1]] has det z^m - t^2 c1 c2 z^k1 conj(z)^k2,
+    # and |t^2 c1 c2| < 1 keeps it invertible, with the winding m of z^m.
+    dom = ChartedSphereDomain([1], nodes_per_angle=COARSE)
+
+    def fn(t, cols):
+        z = cols[0] + 1j * cols[1]
+        zbar = dual.conj(z)
+        ones = np.ones_like(dual.value(cols[0]))
+        zm = z ** m if m else 1.0 * ones
+        return [[zm, (t * c1) * z ** k1], [(t * c2) * zbar ** k2, 1.0 * ones]]
+
+    family = HomotopyFamily(fn, 2)
+    for t in ts:
+        r = deg(family.slice_at(t), dom)
+        assert r.accepted and r.rounded == -m
 
 
 def test_deg_rejects_even_or_product_domains():
@@ -175,6 +227,43 @@ def test_singular_node_is_named_by_its_grid_index(sweep):
     with pytest.raises(SingularMapError, match=f"singular at sample point index {node}$") as err:
         sweep(DualMatrixMap(fn, 1), dom)
     assert err.value.index == node
+
+
+def test_singular_value_outside_the_support_is_named():
+    # h = (1 - x1) Id is singular only at the pole, the collapse map's value
+    # on every node outside its support, so the sweep's check of the first
+    # skipped node must name it, as a sweep over every node does.
+    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
+    dom = phi.source
+
+    def fn(cols):
+        ones = np.ones_like(dual.value(cols[0]))
+        return [[1.0 - cols[0], 0.0 * ones], [0.0 * ones, 1.0 - cols[0]]]
+
+    g = compose_map_with_matrix(phi, DualMatrixMap(fn, 2))
+    node = int(np.flatnonzero(phi.local_radius(dom.nodes()) >= 2.0 * phi.radius)[0])
+    with pytest.raises(SingularMapError, match=f"singular at sample point index {node}$"):
+        odd_chern_top_integral(g, dom)
+
+
+def test_singular_kept_node_is_named_by_its_grid_index():
+    # A node of the second block, inside the support, preceded there by
+    # skipped nodes: its index among the block's kept nodes is smaller than
+    # its index in the block, and both differ from its grid index.
+    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
+    dom = phi.source
+    r = phi.local_radius(dom.nodes())
+    block = np.arange(CHUNK, 2 * CHUNK)
+    first_skipped = block[r[block] >= 2.0 * phi.radius][0]
+    node = int(block[(block > first_skipped) & (r[block] < phi.radius)][0])
+    centre = phi.evaluate_ambient(dom.nodes()[node:node + 1])[0]
+
+    def fn(cols):
+        return [[sum((x - c) * (x - c) for x, c in zip(cols, centre)) + 0j]]
+
+    g = compose_map_with_matrix(phi, DualMatrixMap(fn, 1))
+    with pytest.raises(SingularMapError, match=f"singular at sample point index {node}$"):
+        odd_chern_top_integral(g, dom)
 
 
 def test_transgression_tilde_rejects_singular_maps():

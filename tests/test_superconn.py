@@ -374,3 +374,53 @@ def test_block_kernel_matches_dense_on_models(build):
                                model.derivative_form(pts), model.rank)
     assert np.abs(ref).max() > 0
     assert_close_to_dense(_top_supertrace(vals, dvs), ref, vals, dvs)
+
+
+# -- sweeps skip the nodes where the collapse map is constant -------------------
+
+def full_sums(v, dom):
+    """Both top integrals of v over every node of dom, with full jets."""
+    norm = SQRT_2PI_I ** (-dom.dim)
+    gamma = chern_top = 0.0
+    for pts, w in dom.node_blocks(CHUNK):
+        vals, dvs = v.jet(dom, pts)
+        gamma += np.sum(w * norm * _top_supertrace(vals, dvs))
+        chern_top += np.sum(w * chern._odd_chern_top(vals, dvs))
+    return complex(gamma), complex(chern_top)
+
+
+def test_collapse_pullback_is_constant_outside_its_support():
+    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
+    h = su2_identity()
+    g = compose_map_with_matrix(phi, h)
+    dom = phi.source
+    pts = dom.nodes()
+    inside = g.support(dom, pts)
+    assert np.array_equal(inside, phi.local_radius(pts) < 2.0 * phi.radius)
+    assert 0 < inside.sum() < len(pts)
+    vals, dgs = g.jet(dom, pts[~inside])
+    pole = h.evaluate(phi.target, np.zeros((1, 3)))
+    assert np.array_equal(vals, np.broadcast_to(pole, vals.shape))
+    assert not dgs.any()
+
+
+def test_sweeps_on_the_support_equal_full_sums():
+    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
+    g = compose_map_with_matrix(phi, su2_identity())
+    dom = phi.source
+    assert dom.n_nodes > 2 * CHUNK
+    for v in (g, ScaledMatrixMap(2.0, g)):
+        model = SuperBundleModel(dom, v)
+        assert np.array_equal(model.v.support(dom, dom.nodes()), g.support(dom, dom.nodes()))
+        gamma, chern_top = full_sums(model.v, dom)
+        assert abs(odd_chern_top_integral(model.v, dom) - chern_top) < 1e-13
+        got = superconn._gamma_top_integral(model)
+        assert abs(got[0] - gamma) < 1e-13 and abs(got[1] - chern_top) < 1e-13
+
+
+def test_split_map_has_no_support():
+    from oddchern.chern import assemble_split_map
+
+    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
+    split = assemble_split_map(circle_winding(1), su2_identity(), phi)
+    assert split.support(phi.source, phi.source.nodes()[:100]) is None
