@@ -15,9 +15,12 @@ because a cyclic shift of an odd number of factors is an even permutation.
 w is formed on the same (N, N, npts) blocks, as g^{-1} times each dg_i, with
 g^{-1} in closed form for N <= 2 (1/g, or the adjugate over det g) and by
 LAPACK above; a node with |det g| < 1e-12 raises SingularMapError naming its
-grid index.  The sweep (_sweep) runs the jet only on the nodes of
-g.support(domain, pts), since elsewhere g is constant and every top kernel
-is exactly 0, and still tests the first skipped node for singularity.  A
+grid index.  The sweep (_sweep) walks the grid in tensor node blocks
+(domains.NodeBlock) and runs the jet on each block's columns, so the map's
+intermediates are computed per axis and expanded to the block's nodes only
+when packed.  It jets only the sub-block where g.support holds somewhere,
+since elsewhere g is constant and every top kernel is exactly 0, and still
+tests the first skipped node for singularity.  A
 boundary model's single sweep (superconn) feeds the same kernel from the jet
 it also uses for the gamma top integral.  The mixed-degree forms odd_chern
 and maurer_cartan serve the transgression and Chern-Simons identities,
@@ -101,33 +104,35 @@ def _checked_inverse(g):
 
 
 def _sweep(g: SmoothMatrixMap, domain, kernel, chunk):
-    """Oriented quadrature sum of kernel(*g.jet(domain, pts)), (..., npts), over domain's grid.
+    """Oriented quadrature sum of kernel(*g.jet(domain, block)), (..., npts), over domain's grid.
 
-    The grid is swept in node blocks, and the jet and the kernel run only on
-    the nodes of g.support(domain, pts): elsewhere g is constant with zero
-    differentials, so every top-degree kernel is exactly 0 there and the sum
-    is the whole grid's less exact zeros.  The first skipped node is still
-    held to _checked_inverse's singularity test, through g's value there.  A
-    SingularMapError is re-raised with its node index counted over the whole
-    grid.
+    The grid is swept in tensor node blocks (domains.NodeBlock), and the jet
+    and the kernel run on each block restricted to the axis indices where
+    g.support holds for some node.  The nodes left out are outside the
+    support, where g is constant with zero differentials, so every top-degree
+    kernel is exactly 0 there, as it is on the unsupported nodes that the
+    sub-block still holds; the sum is the whole grid's less exact zeros.  The
+    first skipped node is still held to _checked_inverse's singularity test,
+    through g's value there.  A SingularMapError is re-raised naming its node
+    by its index on the whole grid.
     """
-    total, first, skip_checked = 0.0, 0, False
-    for pts, weights in domain.node_blocks(chunk):
-        keep = g.support(domain, pts)
-        # nodes holds the block indices of the points evaluated, so that a
-        # SingularMapError's index into them names a node of the block.
+    total, skip_checked = 0.0, False
+    for block in domain.node_blocks(chunk):
+        keep = g.support(domain, block)
+        # nodes holds the grid indices of the points evaluated, so that a
+        # SingularMapError's index into them names a grid node.
         try:
             if keep is not None and not skip_checked and not keep.all():
                 skip_checked = True
-                nodes = np.flatnonzero(~keep)[:1]
-                _checked_inverse(_point_axis_last(g.evaluate(domain, pts[nodes])))
-            nodes = np.arange(len(pts)) if keep is None else np.flatnonzero(keep)
+                skipped = ~np.broadcast_to(keep, block.shape).reshape(-1)
+                nodes = block.flat_index()[np.flatnonzero(skipped)[:1]]
+                _checked_inverse(_point_axis_last(g.evaluate(domain, domain.nodes_at(nodes))))
+            sub = block if keep is None else block.restrict(keep)
+            nodes = sub.flat_index()
             if len(nodes):
-                sel = slice(None) if keep is None else nodes
-                total = total + np.sum(weights[sel] * kernel(*g.jet(domain, pts[sel])), axis=-1)
+                total = total + np.sum(sub.weights() * kernel(*g.jet(domain, sub)), axis=-1)
         except SingularMapError as exc:
-            raise SingularMapError(exc.what, first + int(nodes[exc.index])) from None
-        first += len(pts)
+            raise SingularMapError(exc.what, int(nodes[exc.index])) from None
     return domain.orientation_sign * total
 
 

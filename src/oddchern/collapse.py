@@ -16,7 +16,9 @@ the map's own constant branch come from one test (_far) on the same plain
 values of the two factor-leading ambient coordinates, so they cannot
 disagree.  On the product angle chart those values are cos theta_1 and
 cos theta_(p+1), the first outputs of embed_sphere, read without an
-embedding; on any other chart support returns None (varies everywhere).
+embedding; on a node block (domains.NodeBlock) the mask is then one array
+over the theta_1 x theta_(p+1) axes.  On any other chart support returns
+None (varies everywhere).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import dual
 from .defaults import CHUNK, COLLAPSE_LADDER, COLLAPSE_RADIUS, DEGREE_LADDER
-from .domains import BallChart, ChartedSphereDomain
+from .domains import BallChart, ChartedSphereDomain, chart_columns
 from .maps import ChartMap
 from .results import DegreeResult
 
@@ -82,7 +84,8 @@ class CollapseMap(ChartMap):
         """Mask of the nodes with |w| < 2R on the product angle chart, else None."""
         if not (isinstance(domain, ChartedSphereDomain) and domain.spheres == (self.p, self.q)):
             return None
-        return ~self._far(np.cos(pts[:, 0]), np.cos(pts[:, self.p]))
+        cols, _ = chart_columns(pts)
+        return ~self._far(np.cos(cols[0]), np.cos(cols[self.p]))
 
     def _ambient(self, cols):
         p, q, R = self.p, self.q, self.radius
@@ -155,10 +158,10 @@ def volume_pullback_integral(chart_map: ChartMap, scale=1.0, chunk=CHUNK) -> com
     sign = chart_map.target.ambient_det_sign
     norm = 1.0 / chart_map.target.volume()
     total = 0.0
-    for pts, w in src.node_blocks(chunk):
-        vals, jac_cols = chart_map.ambient_jacobian_columns(pts)
+    for block in src.node_blocks(chunk):
+        vals, jac_cols = chart_map.ambient_jacobian_columns(block)
         mat = np.stack([vals] + jac_cols, axis=1)  # (n, 1 + dim_s, amb_t)
-        total += np.sum(w * np.linalg.det(mat))
+        total += np.sum(block.weights() * np.linalg.det(mat))
     return complex(src.orientation_sign * sign * norm * total)
 
 

@@ -87,18 +87,26 @@ COLLAPSE_LADDER = Ladder((1.0, 1.25), 1e-6)
 # Resolution of the coarse grid in gamma_report's convergence table.
 GAMMA_COARSE_SCALE = 0.5
 
-# Node-batch size for chunked evaluation over large grids.  A block's
-# temporaries (a jet of an N x N map is d + 1 arrays of N*N*CHUNK complex
-# numbers) should stay small enough to be reused from the heap.  At 400,000
-# nodes each one is a fresh mmap'd region, page-faulted on every use, and
-# peak RSS follows glibc's mmap threshold: five passes of collapse-4d then
-# took 345,000-355,000 minor faults, 1.3-1.7 s of system time and 460 MB,
-# against 147,000, 0.25-0.33 s and 49 MB at 8,192.  Scan on a 2-vCPU Xeon
-# VM, one BLAS thread, direct runs of the benchmark workloads' ops, median
-# pass seconds of 15 (3 interleaved rounds of 5) and peak RSS:
+# Node-block size of every sweep.  Grids are tensor products of per-axis
+# rules, and node_blocks (domains) cuts them into tensor sub-grids of at most
+# CHUNK nodes: a slab of one axis times every trailing axis whole.  On
+# gamma-limit's 60 x 60 x 80 model grid a block is one theta_1 row of
+# 4,800 nodes; on the collapse-4d ball chart, 8,192 or 8,000 nodes.  A
+# block's full-size temporaries (a jet of an N x N map is d + 1 arrays of
+# N*N*npts complex numbers) should stay small enough to be reused from the
+# heap.  One (8192,) complex array is 128 KiB, glibc's default mmap
+# threshold, and larger ones are mapped afresh and page-faulted on every
+# use: at 400,000 nodes five passes of collapse-4d took 345,000-355,000
+# minor faults, 1.3-1.7 s of system time and 460 MB, against 147,000,
+# 0.25-0.33 s and 49 MB at 8,192.  Scan on a 2-vCPU Xeon VM, one BLAS thread,
+# direct runs of the benchmark workloads' ops, median pass seconds of 15
+# (3 interleaved rounds of 5) and peak RSS:
 #             sphere-chern     collapse-4d      gamma-limit
-#    4,096    0.46 s  45 MB    0.94 s  42 MB    0.88 s  41 MB
-#    8,192    0.43 s  53 MB    0.89 s  50 MB    0.86 s  46 MB
-#   16,384    0.45 s  70 MB    1.03 s  64 MB    0.95 s  59 MB
-#   32,768    0.47 s 104 MB    1.08 s  92 MB    1.05 s  76 MB
+#    4,096    0.19 s  43 MB    0.11 s  41 MB    0.27 s  39 MB
+#    8,192    0.21 s  49 MB    0.12 s  49 MB    0.26 s  39 MB
+#   16,384    0.22 s  60 MB    0.13 s  62 MB    0.20 s  46 MB
+# 16,384 is slower on two workloads.  A second scan of 4,096 against 8,192
+# alone (4 rounds of 5) read gamma-limit 0.34 s against 0.22 s: below 4,800
+# nodes a theta_1 row no longer fits a block and splits into blocks of 4,080
+# and 720 nodes.
 CHUNK = 8_192

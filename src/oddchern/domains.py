@@ -5,6 +5,15 @@ theta_1..theta_{m-1} in (0, pi) and theta_m in (0, 2*pi); the Gauss nodes are
 interior, so no node ever touches the coordinate-singular poles.  A product
 domain concatenates the factor charts (first factor's angles first) and
 carries the product orientation.
+
+Every grid is a tensor product of per-axis rules, and node_blocks sweeps it
+in NodeBlocks: tensor sub-grids that keep one node array per axis.  A
+block's columns are shaped to broadcast against each other, so a map
+evaluated on them computes each intermediate only on the axes it depends on
+(a collapse map's radial profile on theta_1 x theta_(p+1), say), and the
+block is expanded to its full node count only where a result is packed.
+An (npts, dim) point array is the special case of a block whose columns
+all have shape (npts,); chart_columns reads either.
 """
 
 from __future__ import annotations
@@ -16,6 +25,70 @@ import numpy as np
 
 from . import dual
 from .defaults import BALL_NODES, NODES_PER_ANGLE
+
+
+class NodeBlock:
+    """A tensor sub-grid of a domain's grid: per axis, a set of grid indices.
+
+    Attributes:
+      shape: nodes per axis of the block.
+      cols: one chart coordinate column per axis, axis i of shape
+        (1, ..., n_i, ..., 1), so the columns broadcast against each other.
+      index: per-axis grid indices of the block's nodes.
+    """
+
+    def __init__(self, axes, grid_shape, index):
+        self._axes, self.grid_shape = axes, grid_shape
+        self.index = index
+        self.shape = tuple(len(i) for i in index)
+        self.cols = [self._column(a[0][i], k) for k, (a, i) in enumerate(zip(axes, index))]
+
+    def _column(self, values, axis):
+        sh = [1] * len(self.shape)
+        sh[axis] = -1
+        return values.reshape(sh)
+
+    def __len__(self):
+        return int(np.prod(self.shape))
+
+    def weights(self) -> np.ndarray:
+        """Per-node quadrature weights in C order, folded axis by axis as
+        ChartedSphereDomain.weights folds them, so they are bit-identical."""
+        w = np.ones(self.shape)
+        for k, ((_, wi), i) in enumerate(zip(self._axes, self.index)):
+            w = w * self._column(wi[i], k)
+        return w.reshape(-1)
+
+    def points(self) -> np.ndarray:
+        """The block's nodes as an (npts, dim) array, for callers that shift points."""
+        out = np.empty(self.shape + (len(self.shape),))
+        for k, c in enumerate(self.cols):
+            out[..., k] = c
+        return out.reshape(-1, len(self.shape))
+
+    def flat_index(self) -> np.ndarray:
+        """Each node's C-order index on the whole grid."""
+        strides = np.cumprod((self.grid_shape[1:] + (1,))[::-1])[::-1]
+        flat = sum(self._column(i * s, k) for k, (i, s) in enumerate(zip(self.index, strides)))
+        return np.broadcast_to(flat, self.shape).reshape(-1)
+
+    def restrict(self, mask) -> "NodeBlock":
+        """The sub-block on every axis index where the mask, broadcast to
+        the block's shape, holds for some node."""
+        mask = np.broadcast_to(mask, self.shape)
+        axes = range(len(self.shape))
+        index = [i[mask.any(axis=tuple(j for j in axes if j != k))]
+                 for k, i in enumerate(self.index)]
+        return NodeBlock(self._axes, self.grid_shape, index)
+
+
+def chart_columns(pts):
+    """(columns, shape) of a NodeBlock, or of an (npts, dim) point array,
+    which is a block whose columns all have shape (npts,)."""
+    if isinstance(pts, NodeBlock):
+        return pts.cols, pts.shape
+    pts = np.asarray(pts, dtype=float)
+    return list(pts.T), (len(pts),)
 
 
 def sphere_volume(m: int) -> float:
@@ -166,13 +239,13 @@ class ChartedSphereDomain:
         cols = [pts[:, i] for i in range(self.dim)]
         return np.asarray(self.sqrtg_cols(cols), dtype=float) * np.ones(len(pts))
 
-    def embed_dual_cols(self, pts: np.ndarray):
-        """Ambient columns with every chart coordinate seeded at once.
+    def embed_dual_cols(self, cols):
+        """Ambient columns with every chart coordinate column seeded at once.
 
-        Each dual column's eps has shape (dim, npts): row i is the derivative
-        along chart coordinate i.
+        Each dual column's eps has a leading direction axis of length dim:
+        row i is the derivative along chart coordinate i.
         """
-        return self.embed_cols(dual.seed_all(pts.T))
+        return self.embed_cols(dual.seed_all(cols))
 
     # -- quadrature ---------------------------------------------------------------
 
@@ -202,14 +275,23 @@ class ChartedSphereDomain:
         return self._weights_cache
 
     def node_blocks(self, chunk: int):
-        """Yield (points, weights) batches without materializing the full grid."""
-        for lo in range(0, self.n_nodes, chunk):
-            flat = np.arange(lo, min(lo + chunk, self.n_nodes))
-            idx = np.unravel_index(flat, self.shape)
-            w = np.ones(len(flat))
-            for (_, wi), i in zip(self.axes, idx):
-                w = w * wi[i]
-            yield self.nodes_at(flat), w
+        """Yield the grid as NodeBlocks of at most chunk nodes, in C order.
+
+        Axis k is the first whose trailing axes hold at most chunk nodes;
+        each block fixes the indices before k, takes a slab of axis k whose
+        nodes times that trailing product stay within chunk, and the trailing
+        axes whole.
+        """
+        k = 0
+        while int(np.prod(self.shape[k + 1:])) > chunk:
+            k += 1
+        slab = max(1, chunk // int(np.prod(self.shape[k + 1:])))
+        whole = [np.arange(n) for n in self.shape[k + 1:]]
+        for lead in np.ndindex(*self.shape[:k]):
+            for lo in range(0, self.shape[k], slab):
+                index = ([np.array([i]) for i in lead]
+                         + [np.arange(lo, min(lo + slab, self.shape[k]))] + whole)
+                yield NodeBlock(self.axes, self.shape, index)
 
     def volume(self) -> float:
         return float(np.prod([sphere_volume(m) for m in self.spheres]))
@@ -298,7 +380,7 @@ class BallChart:
         """
         probe = np.full((1, self.dim), 0.9)
         probe[0, 0] = 0.6 * self.radius
-        amb = self.embed_dual_cols(probe)
+        amb = self.embed_dual_cols(list(probe.T))
         ang = (sphere_angles_from_ambient(amb[:self.p + 1], self.p)
                + sphere_angles_from_ambient(amb[self.p + 1:], self.q))
         det = np.linalg.det(np.array([[a.eps[i, 0] for i in range(self.dim)] for a in ang]))

@@ -5,7 +5,12 @@ parameters.  The derivative array eps may carry a leading direction axis:
 with val of shape (npts,) and eps of shape (dim, npts), row i of eps is the
 derivative along seed i, and numpy broadcasting carries every operation
 below through all directions at once (vector forward mode, one pass for the
-value and the whole Jacobian).  All the built-in geometry (sphere
+value and the whole Jacobian).  Values need not share one shape: on a
+tensor node block (domains.NodeBlock) the seeded columns have shapes
+(1, ..., n_i, ..., 1), and each result takes the broadcast shape of what it
+depends on, its eps that shape behind the direction axis.  Every operation
+is elementwise, so it gives bit for bit what the same values give as flat
+arrays.  All the built-in geometry (sphere
 embeddings, stereographic projections, collapse profiles, generator maps) is
 written against the dispatching helpers below, so seeding the chart
 coordinates yields exact derivatives through arbitrary compositions,

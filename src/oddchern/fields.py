@@ -107,8 +107,8 @@ def integrate_top(field_or_form, domain, chunk: int = CHUNK):
         return integrate_form(field_or_form, domain)
     field = field_or_form
     total = 0.0 + 0.0j
-    for pts, w in domain.node_blocks(chunk):
-        total += integrate_form(field.at(pts), domain, weights=w)
+    for block in domain.node_blocks(chunk):
+        total += integrate_form(field.at(block.points()), domain, weights=block.weights())
     return total
 
 
@@ -119,8 +119,8 @@ def integrate_all_degrees(field: FormField, domain, chunk: int = CHUNK):
     compare two fields 'in every integrated degree'.
     """
     sums = {}
-    for pts, w in domain.node_blocks(chunk):
-        f = field.at(pts)
+    for block in domain.node_blocks(chunk):
+        f, w = field.at(block.points()), block.weights()
         for mask, c in enumerate(f.comps):
             if c is None:
                 continue

@@ -13,18 +13,21 @@ import numpy as np
 
 from . import dual
 from .defaults import FD_STEP
+from .domains import NodeBlock, chart_columns
 
 
-def pack_matrix(rows, npts, ndirs=0):
+def pack_matrix(rows, shape, ndirs=0):
     """Nested-list matrix of Dual/array entries -> (values, derivatives).
 
-    values has shape (npts, n, n) and derivatives (ndirs, npts, n, n), one
-    row per seeded direction.  Both are views of point-axis-last buffers,
-    so the N x N block kernels take them without a copy.
+    Each entry is broadcast into the block shape and the block flattened
+    once, to npts nodes in C order.  values has shape (npts, n, n) and
+    derivatives (ndirs, npts, n, n), one row per seeded direction.  Both are
+    views of point-axis-last buffers, so the N x N block kernels take them
+    without a copy.
     """
-    n = len(rows)
-    vals = np.zeros((n, n, npts), dtype=complex)
-    eps = np.zeros((ndirs, n, n, npts), dtype=complex)
+    n, npts = len(rows), int(np.prod(shape))
+    vals = np.empty((n, n) + shape, dtype=complex)
+    eps = np.zeros((ndirs, n, n) + shape, dtype=complex)
     for i, row in enumerate(rows):
         for j, e in enumerate(row):
             if isinstance(e, dual.Dual):
@@ -32,11 +35,29 @@ def pack_matrix(rows, npts, ndirs=0):
                 eps[:, i, j] = e.eps
             else:
                 vals[i, j] = e
-    return np.moveaxis(vals, -1, 0), np.moveaxis(eps, -1, 1)
+    return (np.moveaxis(vals.reshape(n, n, npts), -1, 0),
+            np.moveaxis(eps.reshape(ndirs, n, n, npts), -1, 1))
+
+
+def _pack_columns(cols, shape, ndirs):
+    """Real ambient columns of a jet pass -> values (npts, k) and
+    derivatives (ndirs, npts, k), each column broadcast into the block shape."""
+    vals = np.empty(shape + (len(cols),))
+    eps = np.zeros((ndirs,) + shape + (len(cols),))
+    for k, c in enumerate(cols):
+        vals[..., k] = dual.value(c)
+        if isinstance(c, dual.Dual):
+            eps[..., k] = c.eps
+    npts = int(np.prod(shape))
+    return vals.reshape(npts, len(cols)), eps.reshape(ndirs, npts, len(cols))
 
 
 class SmoothMatrixMap:
-    """Base contract: pointwise values plus chart-direction derivatives."""
+    """Base contract: pointwise values plus chart-direction derivatives.
+
+    pts is a domains.NodeBlock or an (npts, dim) point array; results are
+    flat over its nodes in C order.
+    """
 
     size: int
 
@@ -59,8 +80,9 @@ class SmoothMatrixMap:
     def support(self, domain, pts):
         """Boolean mask of the nodes pts where the map may vary, or None for all.
 
-        Outside the mask the map is one constant matrix and its differentials
-        are exactly 0, so every top-degree integrand built from it is 0 there.
+        The mask broadcasts against pts's columns (domains.chart_columns).
+        Outside it the map is one constant matrix and its differentials are
+        exactly 0, so every top-degree integrand built from it is 0 there.
         """
         return None
 
@@ -99,17 +121,15 @@ class DualMatrixMap(SmoothMatrixMap):
         return None if self._support is None else self._support(domain, pts)
 
     def evaluate(self, domain, pts):
-        cols = [c for c in np.asarray(pts, float).T]
-        rows = self.fn_entries(domain.embed_cols(cols))
-        vals, _ = pack_matrix(rows, len(pts))
-        return vals
+        cols, shape = chart_columns(pts)
+        return pack_matrix(self.fn_entries(domain.embed_cols(cols)), shape)[0]
 
     def differential(self, domain, pts, direction):
         return self.jet(domain, pts)[1][direction]
 
     def jet(self, domain, pts):
-        rows = self.fn_entries(domain.embed_dual_cols(np.asarray(pts, float)))
-        return pack_matrix(rows, len(pts), domain.dim)
+        cols, shape = chart_columns(pts)
+        return pack_matrix(self.fn_entries(domain.embed_dual_cols(cols)), shape, domain.dim)
 
 
 class NumericMatrixMap(SmoothMatrixMap):
@@ -120,12 +140,16 @@ class NumericMatrixMap(SmoothMatrixMap):
         self.size = size
         self.step = step
 
+    @staticmethod
+    def _points(pts):
+        return pts.points() if isinstance(pts, NodeBlock) else np.asarray(pts, float)
+
     def evaluate(self, domain, pts):
-        return self.eval_fn(domain, np.asarray(pts, float))
+        return self.eval_fn(domain, self._points(pts))
 
     def differential(self, domain, pts, direction):
         h, unit = self.step, np.eye(domain.dim)[direction]
-        fm2, fm1, fp1, fp2 = (self.eval_fn(domain, np.asarray(pts, float) + c * h * unit)
+        fm2, fm1, fp1, fp2 = (self.eval_fn(domain, self._points(pts) + c * h * unit)
                               for c in (-2.0, -1.0, 1.0, 2.0))
         return (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * h)
 
@@ -261,12 +285,10 @@ class HomotopyFamily:
         return DualMatrixMap(lambda cols: self.fn_entries(t, cols), self.size)
 
     def t_derivative(self, domain, pts, t: float) -> np.ndarray:
-        pts = np.asarray(pts, float)
-        cols = [dual.Dual.const(c) for c in pts.T]
-        amb = domain.embed_cols(cols)
-        td = dual.Dual.seed(np.full(len(pts), float(t)))
-        rows = self.fn_entries(td, amb)
-        _, eps = pack_matrix(rows, len(pts), 1)
+        cols, shape = chart_columns(pts)
+        amb = domain.embed_cols([dual.Dual.const(c) for c in cols])
+        td = dual.Dual.seed(np.full(shape, float(t)))
+        _, eps = pack_matrix(self.fn_entries(td, amb), shape, 1)
         return eps[0]
 
 
@@ -286,32 +308,25 @@ class ChartMap:
         return None
 
     def evaluate_ambient(self, pts) -> np.ndarray:
-        cols = [c for c in np.asarray(pts, float).T]
-        out = self.ambient_fn(self.source.embed_cols(cols))
-        n = len(pts)
-        return np.stack([np.asarray(dual.value(c), float) * np.ones(n) for c in out], axis=1)
+        cols, shape = chart_columns(pts)
+        return _pack_columns(self.ambient_fn(self.source.embed_cols(cols)), shape, 0)[0]
 
-    def _derivative_rows(self, col, n):
-        """(dim_s, n) chart derivatives of one output column of a jet pass."""
-        eps = col.eps if isinstance(col, dual.Dual) else 0.0
-        return np.broadcast_to(np.asarray(eps, float), (self.source.dim, n))
+    def _jet_columns(self, pts, target_angles=False):
+        cols, shape = chart_columns(pts)
+        out = self.ambient_fn(self.source.embed_dual_cols(cols))
+        if target_angles:
+            out = self.target.angles_from_ambient_cols(out)
+        return _pack_columns(out, shape, self.source.dim)
 
     def ambient_jacobian_columns(self, pts):
         """Ambient values plus d(ambient)/d(chart_i) for every source direction."""
-        pts = np.asarray(pts, float)
-        n = len(pts)
-        amb = self.ambient_fn(self.source.embed_dual_cols(pts))
-        vals = np.stack([np.asarray(dual.value(c), float) * np.ones(n) for c in amb], axis=1)
-        jac = np.stack([self._derivative_rows(c, n) for c in amb], axis=2)
+        vals, jac = self._jet_columns(pts)
         return vals, list(jac)
 
     def jacobian_chart(self, pts) -> np.ndarray:
         """d(target chart)/d(source chart), shape (n, dim_t, dim_s)."""
-        pts = np.asarray(pts, float)
-        n = len(pts)
-        ang = self.target.angles_from_ambient_cols(
-            self.ambient_fn(self.source.embed_dual_cols(pts)))
-        return np.stack([self._derivative_rows(a, n).T for a in ang], axis=1)
+        jac = self._jet_columns(pts, target_angles=True)[1]
+        return np.moveaxis(jac, 0, -1)
 
 
 def identity_chart_map(domain) -> ChartMap:

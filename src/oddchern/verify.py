@@ -138,7 +138,7 @@ def check_transgression():
         for _ in range(5):
             fam = _random_family(rng, dim + 1)
             worst = max(worst, _transgression_error(fam, dom))
-    return _result("transgression identity", worst < 1e-4,
+    return _result("transgression identity", worst < 1e-6,
                    f"max relative error {worst:.3e} over 10 families")
 
 

@@ -266,6 +266,34 @@ def test_singular_kept_node_is_named_by_its_grid_index():
         odd_chern_top_integral(g, dom)
 
 
+def test_singular_node_of_a_restricted_slab_block_is_named_by_its_grid_index():
+    # S^2 x S^3 on 8 x 8 x 6 x 6 x 6 nodes in 72-node blocks, slabs of the
+    # theta_3 axis: the support mask varies along the slab, so the sweep jets
+    # a sub-block, whose local index, the block's local index and the grid
+    # index of a node all differ.
+    phi = CollapseMap(2, 3, nodes_per_angle={2: 8, 3: 6})
+    dom, chunk = phi.source, 100
+    r = phi.local_radius(dom.nodes())
+    node = None
+    for block in dom.node_blocks(chunk):
+        idx = block.flat_index()
+        sub = block.restrict(phi.support(dom, block)).flat_index()
+        inner = sub[r[sub] < phi.radius]
+        if block.shape[2] > 1 and 0 < len(sub) < len(idx) and len(inner) and idx[0] > 0:
+            node = int(inner[-1])
+            break
+    assert node is not None and block.shape == (1, 1, 2, 6, 6)
+    assert np.flatnonzero(sub == node)[0] != np.flatnonzero(idx == node)[0] != node
+    centre = phi.evaluate_ambient(dom.nodes()[node:node + 1])[0]
+
+    def fn(cols):
+        return [[sum((x - c) * (x - c) for x, c in zip(cols, centre)) + 0j]]
+
+    g = compose_map_with_matrix(phi, DualMatrixMap(fn, 1))
+    with pytest.raises(SingularMapError, match=f"singular at sample point index {node}$"):
+        odd_chern_top_integral(g, dom, chunk)
+
+
 def test_transgression_tilde_rejects_singular_maps():
     dom = ChartedSphereDomain([1], nodes_per_angle=COARSE)
 

@@ -74,7 +74,8 @@ def test_circle_power_degree(m):
 def test_ball_chart_weights_integrate_the_ball_volume(m):
     ball = BallChart(1, m - 1, COLLAPSE_RADIUS).at_scale(1.5)
     total = 0.0
-    for pts, w in ball.node_blocks(CHUNK):
+    for block in ball.node_blocks(CHUNK):
+        pts, w = block.points(), block.weights()
         angles = [pts[:, i] for i in range(1, m)]
         total += np.sum(w * pts[:, 0] ** (m - 1) * _sphere_sqrtg(angles, m - 1))
     exact = sphere_volume(m - 1) * (2.0 * COLLAPSE_RADIUS) ** m / m

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oddchern.chern import assemble_split_map
 from oddchern.collapse import CollapseMap
-from oddchern.domains import ChartedSphereDomain
-from oddchern.maps import (HomotopyFamily, ProductMatrixMap, ScaledMatrixMap,
-                           antipodal_map, circle_power_map, circle_winding,
+from oddchern.domains import BallChart, ChartedSphereDomain
+from oddchern.maps import (ChartMap, HomotopyFamily, ProductMatrixMap,
+                           ScaledMatrixMap, antipodal_map, circle_power_map,
+                           circle_winding,
                            compose_map_with_matrix, constant_map,
                            identity_chart_map, projection_second_factor,
                            stabilize, su2_identity)
@@ -218,3 +220,55 @@ def test_ambient_jacobian_columns_match_fd(data, pq):
     for i, col in enumerate(cols):
         fd = fd4(phi.evaluate_ambient, pts, i)
         assert np.abs(col - fd).max() < 1e-7 * (1.0 + np.abs(col).max())
+
+
+# -- tensor node blocks: jets on broadcast columns equal flat jets --------------
+
+def _block_cases():
+    phi21 = CollapseMap(2, 1, nodes_per_angle=COARSE)
+    pull21 = compose_map_with_matrix(phi21, su2_identity())
+    s3 = ChartedSphereDomain([3], nodes_per_angle=COARSE)
+    # S^2 x S^3 on 8 x 8 x 6 x 6 x 6 nodes: at chunk 100 the last three axes
+    # hold 216 nodes and the last two 36, so blocks are slabs of the third axis.
+    phi23 = CollapseMap(2, 3, nodes_per_angle={2: 8, 3: 6})
+    return {
+        "su2-S3": (su2_identity(), s3, 1000),
+        "collapse-pullback-S2xS1": (pull21, phi21.source, 2000),
+        "split-map": (assemble_split_map(circle_winding(1), su2_identity(), phi21),
+                      phi21.source, 2000),
+        "polar-of-scaled": (unitarize(ScaledMatrixMap(2.0, pull21), phi21.source),
+                            phi21.source, 2000),
+        "collapse-pullback-S2xS3-slab-axis-2": (
+            compose_map_with_matrix(phi23, su2_identity()), phi23.source, 100),
+    }
+
+
+@pytest.mark.parametrize("case", list(_block_cases()))
+def test_block_jets_equal_flat_jets_bit_for_bit(case):
+    g, dom, chunk = _block_cases()[case]
+    blocks = list(dom.node_blocks(chunk))
+    assert len(blocks) > 1
+    for block in blocks:
+        subs = [block]
+        keep = g.support(dom, block)
+        if keep is not None and not keep.all():
+            subs.append(block.restrict(keep))
+        for sub in subs:
+            vals, dgs = g.jet(dom, sub)
+            flat_vals, flat_dgs = g.jet(dom, sub.points())
+            assert np.array_equal(vals, flat_vals) and np.array_equal(dgs, flat_dgs)
+    if case == "collapse-pullback-S2xS3-slab-axis-2":
+        assert blocks[0].shape == (1, 1, 2, 6, 6)
+
+
+def test_ball_chart_ambient_jacobian_is_bit_identical_on_blocks():
+    phi = CollapseMap(3, 1, nodes_per_angle=COARSE)
+    ball = BallChart(3, 1, phi.radius, scale=0.5)
+    amap = ChartMap(ball, phi.target, phi._ambient)
+    blocks = list(ball.node_blocks(500))
+    assert len(blocks) > 1
+    for block in blocks:
+        vals, jac = amap.ambient_jacobian_columns(block)
+        flat_vals, flat_jac = amap.ambient_jacobian_columns(block.points())
+        assert np.array_equal(vals, flat_vals)
+        assert all(np.array_equal(a, b) for a, b in zip(jac, flat_jac))

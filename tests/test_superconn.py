@@ -382,7 +382,8 @@ def full_sums(v, dom):
     """Both top integrals of v over every node of dom, with full jets."""
     norm = SQRT_2PI_I ** (-dom.dim)
     gamma = chern_top = 0.0
-    for pts, w in dom.node_blocks(CHUNK):
+    for block in dom.node_blocks(CHUNK):
+        pts, w = block.points(), block.weights()
         vals, dvs = v.jet(dom, pts)
         gamma += np.sum(w * norm * _top_supertrace(vals, dvs))
         chern_top += np.sum(w * chern._odd_chern_top(vals, dvs))
