@@ -1,9 +1,11 @@
 """Command-line front end for scenario-driven runs.
 
-Subcommands mirror the library's report-producing operations; every
-subcommand accepts a scenario file via --config plus overrides. Exit codes:
-0 all checks pass, 2 an oracle mismatched, 3 a computation failed to
-converge, 64 the configuration is invalid or its map is singular at a node.
+One subcommand per kind in the scenarios dispatch table; each accepts a
+scenario file via --config plus overrides. The report's exit_code is the exit
+code: 0 all checks pass, 2 an oracle mismatched, 3 a computation failed to
+converge (the report is still printed). 64: the configuration is invalid or
+its map is singular at a node. A library ValueError (a non-unitary polar
+part, numpy's LinAlgError) exits 3 without a report.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ import argparse
 import sys
 
 from .chern import SingularMapError
-from .scenarios import (EXIT_CONFIG_ERROR, EXIT_UNCONVERGED, ScenarioError,
-                        UnconvergedError, emit_report, load_scenario, run)
+from .scenarios import (_DISPATCH, EXIT_CONFIG_ERROR, EXIT_UNCONVERGED, ScenarioError,
+                        emit_report, load_scenario, run)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -23,22 +25,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     "index localization on spheres and product spheres.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, summary in (
-        ("deg", "normalized odd-Chern degree on an odd sphere"),
-        ("deg-star", "normalized degree on a product sphere"),
-        ("gamma-limit", "boundary transgression integral and its limit"),
-        ("localize", "localized relative Chern number, both paths"),
-        ("flz-point", "point-singularity contribution on S^(2n-1)"),
-        ("index-report", "(-1)^n sum of model degrees"),
-        ("verify", "run the acceptance check suite"),
-    ):
+    for name, (_, summary) in _DISPATCH.items():
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="scenario file (key = value lines)",
                        required=(name != "verify"))
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--resolution-scale", type=float, default=1.0,
-                       help="multiply all per-angle node counts")
+                       help="multiply all per-angle node counts "
+                            "(verify accepts only 1.0)")
         p.add_argument("--seed", type=int, default=0,
                        help="echoed as effective.seed; no check reads it, "
                             "since each randomized check pins its own generator")
@@ -59,7 +54,7 @@ def main(argv=None) -> int:
     except (ScenarioError, SingularMapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (UnconvergedError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNCONVERGED
     text = emit_report(report, out_path=args.out, fmt=args.format)

@@ -360,11 +360,17 @@ class LocalizeReport:
     agreement: float
 
     @property
+    def converged(self) -> bool:
+        return all(m["deg_star"].converged for m in self.per_model)
+
+    @property
     def consistent(self) -> bool:
         # The degree path is rounded to an integer while the gamma path keeps
         # its quadrature error, so the gap is bounded by the degree residual
-        # tolerance rather than the same-grid two-path tolerance.
-        return self.agreement < DEGREE_RESIDUAL_TOL
+        # tolerance rather than the same-grid two-path tolerance.  Each
+        # rounded deg* counts only if it is accepted.
+        return (self.agreement < DEGREE_RESIDUAL_TOL
+                and all(m["deg_star"].accepted for m in self.per_model))
 
 
 def localize(models, n: int, t_nodes: int = T_NODES) -> LocalizeReport:
@@ -374,8 +380,6 @@ def localize(models, n: int, t_nodes: int = T_NODES) -> LocalizeReport:
         if m.n != n:
             raise ValueError("all models must share the same half-dimension n")
         ds = m.degree_star()
-        if not ds.accepted:
-            raise ValueError(f"unconverged degree on a model: {ds}")
         glim = gamma_boundary_integral(m, T_MAX, t_nodes)
         per_model.append({"deg_star": ds, "gamma_limit": glim})
         deg_sum += ds.rounded
@@ -402,6 +406,4 @@ def flz_point_case(v: SmoothMatrixMap, domain, n: int) -> PointCaseReport:
         raise ValueError("point case lives on the odd sphere S^(2n-1)")
     model = SuperBundleModel(domain, v)
     d = deg(model.v, domain)
-    if not d.accepted:
-        raise ValueError(f"unconverged degree: {d}")
     return PointCaseReport(value=complex((-1.0) ** (n - 1) * d.rounded), degree=d)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .chern import assemble_split_map, chern_simons, deg, deg_star, maurer_cartan, odd_chern, transgression_pair
 from .collapse import CollapseMap, collapse_degree, mapping_degree
-from .defaults import DEGREE_CHECK_NODES_PER_ANGLE, DEGREE_RESIDUAL_TOL, T_MAX
+from .defaults import DEGREE_CHECK_NODES_PER_ANGLE, DEGREE_RESIDUAL_TOL, T_MAX, TWO_PATH_TOL
 from .domains import ChartedSphereDomain, gauss_legendre
 from .fields import constant_field, exterior_derivative, integrate_all_degrees
 from .forms import SQRT_2PI_I
@@ -218,7 +218,7 @@ def check_two_path_gamma():
         details.append(f"{label}: sweep {sweep:.8f}, closed {closed:.8f}, "
                        f"(-1)^n deg* = {expected:.8f}, gap {gap:.2e}, "
                        f"integer residual {residual:.2e}")
-        ok = ok and gap < 1e-7 and residual < DEGREE_RESIDUAL_TOL
+        ok = ok and gap < TWO_PATH_TOL and residual < DEGREE_RESIDUAL_TOL
         converged = converged and ds.converged
     return _result("two-path gamma identity", ok, "; ".join(details),
                    converged=converged)
@@ -228,12 +228,10 @@ def check_localize_sign_chain():
     """localize returns (-1)^(n+1) deg* and matches minus the gamma sum."""
     model = _boundary_models()[0]
     rep = localize([model], n=model.n)
-    residual = abs(rep.value - rep.gamma_path)
-    ok = (rep.value == 1.0 and residual < 1e-4)
     return _result(
-        "localization sign chain", ok,
+        "localization sign chain", rep.value == 1.0 and rep.consistent,
         f"value {rep.value}, gamma path {rep.gamma_path:.8f}, "
-        f"residual {residual:.2e}")
+        f"residual {rep.agreement:.2e}", converged=rep.converged)
 
 
 def check_flz_point_case():
@@ -241,9 +239,10 @@ def check_flz_point_case():
     dom = ChartedSphereDomain.sphere(1)
     for m in range(-2, 3):
         rep = flz_point_case(circle_winding(m), dom, n=1)
-        if rep.value != -m:
+        if rep.value != -m or not rep.degree.accepted:
             return _result("point case", False,
-                           f"m={m}: got {rep.value}, expected {-m}")
+                           f"m={m}: got {rep.value} (residual {rep.degree.residual:.2e}), "
+                           f"expected {-m}", converged=rep.degree.converged)
     return _result("point case", True, "matches -m for m in -2..2")
 
 
@@ -308,13 +307,8 @@ CHECKS = (
 )
 
 
-def run_all_checks(only=None, seed=0):
-    """Run the named checks (all by default) and return their result dicts.
-
-    seed is accepted only so that reports can echo it as effective.seed: every
-    randomized check pins its own generator, so the results do not depend on it.
-    """
-    del seed
+def run_all_checks(only=None):
+    """Run the named checks (all by default) and return their result dicts."""
     results = []
     for name, fn in CHECKS:
         if only and name not in only:

@@ -32,7 +32,7 @@ def test_3_chern_simons_consistency():
 
 def test_4_transgression_identity():
     """Finite-difference d/dt of Ch(g_t) matches d of the transgression form
-    for random trigonometric families on S^1 and S^3, relative error < 1e-4."""
+    for random trigonometric families on S^1 and S^3, relative error < 1e-6."""
     _assert(verify.check_transgression())
 
 

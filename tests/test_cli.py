@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import oddchern
-from oddchern import scenarios
+from oddchern import dual, scenarios
 from oddchern.cli import main
 from oddchern.maps import DualMatrixMap
 
@@ -102,6 +102,12 @@ def test_unknown_generator_is_usage_error(tmp_path, capsys):
      "gamma.T: expected a positive number, got nan"),
     ("gamma-limit", "gamma.T = -8\nmap.h.kind = su2_identity\n",
      "gamma.T: expected a positive number, got -8.0"),
+    ("deg", "map.kind = su2_identity\nmap.size = 0\n",
+     "map.size: expected an integer >= 1, got 0"),
+    ("deg-star", "map.f.kind = circle_winding\nmap.f.size = 0\nmap.h.kind = su2_identity\n",
+     "map.f.size: expected an integer >= 1, got 0"),
+    ("localize", "map.h.kind = su2_identity\nmap.h.size = -1\n",
+     "map.h.size: expected an integer >= 1, got -1"),
 ])
 def test_bad_geometry_is_usage_error(tmp_path, capsys, command, body, message):
     cfg = write(tmp_path, f"scenario = {command}\n" + body)
@@ -119,6 +125,64 @@ def test_singular_map_is_usage_error(tmp_path, capsys, monkeypatch):
     cfg = write(tmp_path, DEG_SCENARIO)
     assert main(["deg", "--config", cfg]) == 64
     assert "error: matrix map singular at sample point index 0" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_resolution_scale(capsys):
+    # verify's checks run on their own fixed grids, so a scale would be
+    # echoed without taking effect.
+    assert main(["verify", "--resolution-scale", "0.5"]) == 64
+    captured = capsys.readouterr()
+    assert "error: resolution scale: verify runs every check" in captured.err
+    assert captured.out == ""
+
+
+def clutching_map(cfg, prefix):
+    # [[z^3, z/2], [5 conj(z)^2/8, 1]] has degree -3, but on 32 nodes of S^1
+    # DEGREE_LADDER's last step is 5.8e-6, above its 1e-6 tolerance.
+    def fn(cols):
+        z = cols[0] + 1j * cols[1]
+        return [[z ** 3, 0.5 * z], [0.625 * dual.conj(z) ** 2, 1.0 + 0.0 * cols[0]]]
+
+    return DualMatrixMap(fn, 2)
+
+
+@pytest.mark.parametrize("command,check", [
+    ("deg", "deg integral quantizes"),
+    ("flz-point", "point case quantizes"),
+])
+def test_unconverged_degree_prints_its_report_and_exits_3(
+        tmp_path, capsys, monkeypatch, command, check):
+    monkeypatch.setattr(scenarios, "_build_generator", clutching_map)
+    cfg = write(tmp_path, f"scenario = {command}\nmap.kind = circle_winding\n")
+    code = main([command, "--config", cfg, "--resolution-scale", "0.5"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert payload["checks"] == [{"name": check, "passed": False, "converged": False}]
+    assert payload["values"]["deg"]["rounded"] == -3
+    assert len(payload["convergence"]["deg"]) == 4
+
+
+@pytest.mark.parametrize("command,check", [
+    ("deg-star", "deg* integral quantizes"),
+    ("localize", "degree path equals gamma path"),
+    ("index-report", "index integral quantizes"),
+])
+def test_unconverged_deg_star_prints_its_report_and_exits_3(tmp_path, capsys,
+                                                            command, check):
+    # At scale 0.2 the phi* su2 ladder's one step reads 1.4e-3 against
+    # SPLIT_LADDER's 2e-4 tolerance.
+    cfg = write(tmp_path, f"""\
+scenario = {command}
+geometry.p = 2
+geometry.q = 1
+map.h.kind = su2_identity
+""")
+    code = main([command, "--config", cfg, "--resolution-scale", "0.2"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert [c["name"] for c in payload["checks"]] == [check]
+    assert payload["checks"][0]["converged"] is False
+    assert len(payload["convergence"]["deg_star"]) == 2
 
 
 def test_flz_point_subcommand(tmp_path, capsys):

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from oddchern import superconn, verify
 from oddchern.defaults import GAMMA_COARSE_SCALE, SPLIT_LADDER
+from oddchern.results import DegreeResult
 from oddchern.scenarios import (RunReport, ScenarioError, emit_report,
                                 parse_scenario, run)
 
@@ -114,3 +116,24 @@ def test_gamma_resolution_rows_name_their_grids():
     assert rows[-1][0] == report.convergence["deg_star"][-1][0]
     assert rows[-1][1:3] == report.values["gamma_limit"]
     assert [row[0] for row in rows] == [GAMMA_COARSE_SCALE, SPLIT_LADDER.scales[-1]]
+
+
+def test_unconverged_point_case_is_reported_among_the_other_checks(monkeypatch):
+    # An unconverged point-case degree fails its own check and leaves the
+    # checks around it to run.
+    real_deg = superconn.deg
+
+    def unconverged_deg(v, domain):
+        r = real_deg(v, domain)
+        return DegreeResult.from_value(r.value, r.convergence, False)
+
+    monkeypatch.setattr(superconn, "deg", unconverged_deg)
+    only = ("winding quantization", "gaussian moment", "point case")
+    results = {r["name"]: r for r in verify.run_all_checks(only=only)}
+    assert set(results) == set(only)
+    assert results["point case"]["passed"] is False
+    assert results["point case"]["converged"] is False
+    assert results["winding quantization"]["passed"]
+    assert results["gaussian moment"]["passed"]
+    report = run({"scenario": "verify", "verify.only": ", ".join(only)})
+    assert report.exit_code == 3

@@ -16,6 +16,7 @@ from oddchern.domains import ChartedSphereDomain
 from oddchern.forms import SQRT_2PI_I, GradedMatrixForm, nilpotent_exp, normalize_2pi
 from oddchern.maps import (DualMatrixMap, ScaledMatrixMap, circle_winding,
                            compose_map_with_matrix, stabilize, su2_identity)
+from oddchern.results import DegreeResult
 from oddchern.superconn import (SuperBundleModel, _top_supertrace,
                                 flz_point_case, gamma_boundary_integral,
                                 gamma_closed_form, gamma_report,
@@ -252,6 +253,19 @@ def test_localize_sign_chain():
     assert rep.value == 1.0
     assert abs(rep.gamma_path - rep.value) < 1e-4
     assert len(rep.per_model) == 1
+
+
+def test_localize_report_needs_converged_and_accepted_degrees():
+    def report(ds):
+        return superconn.LocalizeReport(value=1.0, gamma_path=1.0,
+                                        per_model=[{"deg_star": ds}], agreement=0.0)
+
+    good = report(DegreeResult.from_value(-1.0, [], True))
+    unconverged = report(DegreeResult.from_value(-1.0, [], False))
+    non_integral = report(DegreeResult.from_value(-0.9, [], True))
+    assert good.consistent and good.converged
+    assert not unconverged.consistent and not unconverged.converged
+    assert not non_integral.consistent and non_integral.converged
 
 
 def test_localize_rejects_mixed_dimensions():
