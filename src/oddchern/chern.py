@@ -18,11 +18,11 @@ LAPACK above; a node with |det g| < 1e-12 raises SingularMapError naming its
 grid index.  The sweep (_sweep) walks the grid in tensor node blocks
 (domains.NodeBlock) and runs the jet on each block's columns, so the map's
 intermediates are computed per axis and expanded to the block's nodes only
-when packed.  It jets only the sub-block where g.support holds somewhere,
-since elsewhere g is constant and every top kernel is exactly 0, and still
-tests the first skipped node for singularity.  A
-boundary model's single sweep (superconn) feeds the same kernel from the jet
-it also uses for the gamma top integral.  The mixed-degree forms odd_chern
+when packed.  A pullback through the collapse map is swept on the map's
+ball chart (domains.BallChart), outside which it is constant; the sweep
+still tests its value there for singularity.  A boundary model's single
+sweep (superconn) feeds the same kernel from the jet it also uses for the
+gamma top integral.  The mixed-degree forms odd_chern
 and maurer_cartan serve the transgression and Chern-Simons identities,
 which need every degree.
 """
@@ -106,33 +106,24 @@ def _checked_inverse(g):
 def _sweep(g: SmoothMatrixMap, domain, kernel, chunk):
     """Oriented quadrature sum of kernel(*g.jet(domain, block)), (..., npts), over domain's grid.
 
-    The grid is swept in tensor node blocks (domains.NodeBlock), and the jet
-    and the kernel run on each block restricted to the axis indices where
-    g.support holds for some node.  The nodes left out are outside the
-    support, where g is constant with zero differentials, so every top-degree
-    kernel is exactly 0 there, as it is on the unsupported nodes that the
-    sub-block still holds; the sum is the whole grid's less exact zeros.  The
-    first skipped node is still held to _checked_inverse's singularity test,
-    through g's value there.  A SingularMapError is re-raised naming its node
-    by its index on the whole grid.
+    The grid is swept in tensor node blocks (domains.NodeBlock), and a
+    SingularMapError is re-raised naming its node by its index on the whole
+    grid.  A domain whose grid leaves out a region where g is taken to be
+    constant (domains.BallChart) has an exterior point there; g's value at
+    it is held to _checked_inverse's singularity test first, and an error
+    there names index domain.n_nodes, one past the grid's last node.
     """
-    total, skip_checked = 0.0, False
-    for block in domain.node_blocks(chunk):
-        keep = g.support(domain, block)
-        # nodes holds the grid indices of the points evaluated, so that a
-        # SingularMapError's index into them names a grid node.
+    if domain.exterior is not None:
         try:
-            if keep is not None and not skip_checked and not keep.all():
-                skip_checked = True
-                skipped = ~np.broadcast_to(keep, block.shape).reshape(-1)
-                nodes = block.flat_index()[np.flatnonzero(skipped)[:1]]
-                _checked_inverse(_point_axis_last(g.evaluate(domain, domain.nodes_at(nodes))))
-            sub = block if keep is None else block.restrict(keep)
-            nodes = sub.flat_index()
-            if len(nodes):
-                total = total + np.sum(sub.weights() * kernel(*g.jet(domain, sub)), axis=-1)
+            _checked_inverse(_point_axis_last(g.evaluate(domain, domain.exterior)))
         except SingularMapError as exc:
-            raise SingularMapError(exc.what, int(nodes[exc.index])) from None
+            raise SingularMapError(exc.what, domain.n_nodes) from None
+    total = 0.0
+    for block in domain.node_blocks(chunk):
+        try:
+            total = total + np.sum(block.weights() * kernel(*g.jet(domain, block)), axis=-1)
+        except SingularMapError as exc:
+            raise SingularMapError(exc.what, int(block.flat_index()[exc.index])) from None
     return domain.orientation_sign * total
 
 

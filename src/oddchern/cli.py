@@ -32,8 +32,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--resolution-scale", type=float, default=1.0,
-                       help="multiply all per-angle node counts "
-                            "(verify accepts only 1.0)")
+                       help="multiply every node budget: the per-angle node "
+                            "counts and the ball chart's nodes per radial panel "
+                            "and per angle (verify accepts only 1.0)")
         p.add_argument("--seed", type=int, default=0,
                        help="echoed as effective.seed; no check reads it, "
                             "since each randomized check pins its own generator")
@@ -62,7 +63,8 @@ def main(argv=None) -> int:
         sys.stdout.write(text)
     else:
         for check in report.checks:
-            status = "ok" if check["passed"] else "FAIL"
+            # A check that passed on an unconverged ladder is no "ok".
+            status = ("ok" if check["converged"] else "UNCONVERGED") if check["passed"] else "FAIL"
             print(f"{status:4s} {check['name']}")
     return report.exit_code
 

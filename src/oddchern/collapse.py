@@ -8,17 +8,11 @@ through the inverse stereographic projection.  Outside |w| < 2R the map is
 constant at the projection pole, which collapses the wedge of the two factor
 basepoints smoothly.
 
-CollapseMap.support(domain, pts) marks the nodes with |w| < 2R.  Outside
-that mask the map's value is the pole and its differentials are exactly 0,
-so a matrix map pulled back through it is one constant matrix there, and
-every top-degree integrand built from its jet is exactly 0.  The mask and
-the map's own constant branch come from one test (_far) on the same plain
-values of the two factor-leading ambient coordinates, so they cannot
-disagree.  On the product angle chart those values are cos theta_1 and
-cos theta_(p+1), the first outputs of embed_sphere, read without an
-embedding; on a node block (domains.NodeBlock) the mask is then one array
-over the theta_1 x theta_(p+1) axes.  On any other chart support returns
-None (varies everywhere).
+There its differentials are exactly 0 too, so a matrix map pulled back
+through it is one constant matrix there, and every top-degree integrand
+built from its jet is exactly 0.  Such an integrand is integrated on the
+ball alone: CollapseMap.ball builds the ball chart (domains.BallChart) that
+collapse_degree and every boundary model of a pure pullback phi* h sweep.
 """
 
 from __future__ import annotations
@@ -26,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import dual
-from .defaults import CHUNK, COLLAPSE_LADDER, COLLAPSE_RADIUS, DEGREE_LADDER
-from .domains import BallChart, ChartedSphereDomain, chart_columns
+from .defaults import BALL_NODES, CHUNK, COLLAPSE_LADDER, COLLAPSE_RADIUS, DEGREE_LADDER
+from .domains import BallChart, ChartedSphereDomain
 from .maps import ChartMap
 from .results import DegreeResult
 
@@ -70,22 +64,13 @@ class CollapseMap(ChartMap):
     # -- map definition ------------------------------------------------------
 
     def _far(self, x1, y1):
-        """Mask of |w| >= 2R (or a factor at its basepoint), from the plain
-        values x1, y1 of the two factor-leading ambient coordinates.
-
-        The arithmetic is the dual pass's in _ambient, value for value.
-        """
+        """Mask of |w| >= 2R (or a factor at its basepoint), where the map is
+        constant, from the plain values x1, y1 of the two factor-leading
+        ambient coordinates."""
         d1, d2 = 1.0 - x1, 1.0 - y1
         near1, near2 = d1 > _DENOM_FLOOR, d2 > _DENOM_FLOOR
         r2 = (1.0 + x1) / np.where(near1, d1, 1.0) + (1.0 + y1) / np.where(near2, d2, 1.0)
         return ~near1 | ~near2 | (r2 >= 4.0 * self.radius * self.radius)
-
-    def support(self, domain, pts):
-        """Mask of the nodes with |w| < 2R on the product angle chart, else None."""
-        if not (isinstance(domain, ChartedSphereDomain) and domain.spheres == (self.p, self.q)):
-            return None
-        cols, _ = chart_columns(pts)
-        return ~self._far(np.cos(cols[0]), np.cos(cols[self.p]))
 
     def _ambient(self, cols):
         p, q, R = self.p, self.q, self.radius
@@ -122,6 +107,11 @@ class CollapseMap(ChartMap):
         if self.swap_target:
             out[-1], out[-2] = out[-2], out[-1]
         return out
+
+    def ball(self, ball_nodes=BALL_NODES) -> BallChart:
+        """The chart of the ball |w| < 2R, outside which the map is constant,
+        on a budget of (nodes per radial panel, nodes per angle)."""
+        return BallChart(self.p, self.q, self.radius, ball_nodes)
 
     # -- orientation ----------------------------------------------------------
 
@@ -180,8 +170,7 @@ def collapse_degree(p: int, q: int, radius: float = COLLAPSE_RADIUS) -> DegreeRe
     its pulled-back volume form is integrated over that ball alone.
     """
     phi = CollapseMap(p, q, radius)
-    ball = BallChart(p, q, phi.radius)
-    return mapping_degree(ChartMap(ball, phi.target, phi._ambient), COLLAPSE_LADDER)
+    return mapping_degree(ChartMap(phi.ball(), phi.target, phi._ambient), COLLAPSE_LADDER)
 
 
 def signed_preimage_count(chart_map: ChartMap, target_chart_point, rng,

@@ -5,19 +5,22 @@ from dataclasses import dataclass
 # Gauss-Legendre nodes per angular coordinate, keyed by sphere dimension.
 NODES_PER_ANGLE = {1: 64, 2: 48, 3: 32, 4: 32, 5: 24}
 
-# Reduced per-angle budget for the product-splitting check and the
-# robustness check: on 5-dimensional domains the default table would produce
-# tens of millions of nodes.
+# Reduced per-angle budget for the product-splitting check, whose split maps
+# live on the product angle chart: on 5-dimensional domains the default
+# table would produce tens of millions of nodes.
 DEGREE_CHECK_NODES_PER_ANGLE = {1: 32, 2: 24, 3: 16, 4: 16, 5: 14}
 
-# Ball-chart budget of collapse.collapse_degree (domains.BallChart): Gauss-
-# Legendre nodes per radial panel and nodes per angle of S^(p+q-1), at scale
-# 1.  The collapse map's pulled-back volume form is radial, so its value
-# depends only on p + q and the two errors separate.  The radial one
-# dominates, because the smooth step on [R, 2R] is C-infinity but not
-# analytic, and a radial node costs one grid slice, while an angle node
-# multiplies the grid p + q - 1 times.  Scan of |value - 1| (grid nodes),
-# R = 4:
+# Ball-chart budget (domains.BallChart): Gauss-Legendre nodes per radial
+# panel and nodes per angle of S^(p+q-1), at scale 1, of
+# collapse.collapse_degree and of every boundary model of a pure pullback
+# phi* h; the CLI's --resolution-scale multiplies both entries.  On the
+# SPLIT_LADDER levels of such a model, 3,072 and 24,576 nodes on S^2 x S^1,
+# |deg*(phi* su2) + 1| is 1.4e-9 and 2.7e-14.  The collapse map's
+# pulled-back volume form is radial, so its value depends only on p + q and
+# the two errors separate.  The radial one dominates, because the smooth
+# step on [R, 2R] is C-infinity but not analytic, and a radial node costs
+# one grid slice, while an angle node multiplies the grid p + q - 1 times.
+# Scan of collapse_degree's |value - 1| (grid nodes), R = 4:
 #    budget     p+q = 3            4                  5
 #    (12, 6)    1.2e-7 (864)       1.8e-5 (5,184)     1.3e-4 (31,104)
 #    (16, 8)    2.0e-7 (2,048)     6.5e-8 (16,384)    5.4e-7 (131,072)
@@ -68,13 +71,16 @@ class Ladder:
 DEGREE_LADDER = Ladder((0.5, 1.0, 2.0, 4.0), 1e-6)
 
 # deg* of maps pulled back through the collapse map: the deg-star scenario and
-# every boundary model (SuperBundleModel.degree_star).  Their integrands
-# concentrate near the gluing annulus and converge slowly and
-# non-monotonically, so consecutive-step agreement is judged against a looser
-# tolerance while integrality is still held to DEGREE_RESIDUAL_TOL.  Boundary models live on the last level's grid
-# (superconn.boundary_model): the gamma integrand carries the collapse map's
-# gluing profile, whose quadrature error only drops below 1e-7 around twice
-# the default per-angle budget, and deg* and gamma then share quadrature.
+# every boundary model (SuperBundleModel.degree_star).  On the product angle
+# chart, where split maps pr2* f . phi* h live, the integrands concentrate
+# near the gluing annulus and converge slowly and non-monotonically, so
+# consecutive-step agreement is judged against a looser tolerance while
+# integrality is still held to DEGREE_RESIDUAL_TOL.  Pure pullbacks phi* h
+# live on the ball chart and pass it with a step of about 1e-9 (BALL_NODES).
+# Boundary models live on the last level's grid (superconn.boundary_model):
+# on the angle chart the gamma integrand carries the collapse map's gluing
+# profile, whose quadrature error only drops below 1e-7 around twice the
+# default per-angle budget, and deg* and gamma then share quadrature.
 SPLIT_LADDER = Ladder((1.0, 2.0), 2e-4)
 
 # Mapping degree of the collapse map itself (collapse.collapse_degree), on the

@@ -72,15 +72,6 @@ class NodeBlock:
         flat = sum(self._column(i * s, k) for k, (i, s) in enumerate(zip(self.index, strides)))
         return np.broadcast_to(flat, self.shape).reshape(-1)
 
-    def restrict(self, mask) -> "NodeBlock":
-        """The sub-block on every axis index where the mask, broadcast to
-        the block's shape, holds for some node."""
-        mask = np.broadcast_to(mask, self.shape)
-        axes = range(len(self.shape))
-        index = [i[mask.any(axis=tuple(j for j in axes if j != k))]
-                 for k, i in enumerate(self.index)]
-        return NodeBlock(self._axes, self.grid_shape, index)
-
 
 def chart_columns(pts):
     """(columns, shape) of a NodeBlock, or of an (npts, dim) point array,
@@ -155,7 +146,10 @@ class ChartedSphereDomain:
         orientation, so the round volume form integrates to +Vol.
       ambient_det_sign: +-1 with det[y, dy/dtheta_1, ...] = sign * sqrt(g);
         used by the ambient-determinant route to volume-form pullbacks.
+      exterior: None; the grid covers the whole chart (compare BallChart).
     """
+
+    exterior = None
 
     def __init__(self, spheres, nodes_per_angle=None, scale=1.0):
         """spheres: list of factor dimensions, e.g. [2] for S^2, [2, 1] for S^2 x S^1."""
@@ -335,19 +329,29 @@ class BallChart:
     (r, theta_1..theta_{p+q-1}) with w = r u and u in S^(p+q-1) in
     hyperspherical angles.  r runs over two Gauss-Legendre panels, [0, R] and
     [R, 2R], and no node lies beyond 2R, so an integrand must vanish there:
-    the collapse map with radius R is constant outside the ball.
+    the collapse map with radius R is constant outside the ball, and so is
+    every pullback through it (collapse.CollapseMap.ball).
 
     Attributes:
       dim: chart dimension p + q.
+      is_product: True; the ball charts the product S^p x S^q.
+      ball_nodes: (nodes per radial panel, nodes per angle) at scale 1, as
+        in BALL_NODES.
+      scale: the multiplier of ball_nodes this grid was built at.
       axes: per-coordinate (nodes, weights) pairs, the radial axis first.
       orientation_sign: +-1 relating the chart coordinate order to the
         product angle chart's orientation of S^p x S^q.
+      exterior: one chart point at |w| = 4R, in the region the grid leaves
+        out, where chern._sweep tests a map's value for singularity.
     """
 
-    def __init__(self, p: int, q: int, radius: float, scale=1.0):
+    is_product = True
+
+    def __init__(self, p: int, q: int, radius: float, ball_nodes=BALL_NODES, scale=1.0):
         self.p, self.q, self.radius = p, q, float(radius)
+        self.ball_nodes, self.scale = tuple(ball_nodes), float(scale)
         self.dim = p + q
-        n_r, n_a = (max(2, int(round(n * scale))) for n in BALL_NODES)
+        n_r, n_a = (max(2, int(round(n * scale))) for n in self.ball_nodes)
 
         inner = _gauss_axis(n_r, 0.0, self.radius)
         outer = _gauss_axis(n_r, self.radius, 2.0 * self.radius)
@@ -357,10 +361,12 @@ class BallChart:
             self.axes.append(_gauss_axis(n_a, 0.0, hi))
         self.shape = tuple(len(a[0]) for a in self.axes)
         self.n_nodes = int(np.prod(self.shape))
+        self.exterior = np.full((1, self.dim), 0.9)
+        self.exterior[0, 0] = 4.0 * self.radius
         self.orientation_sign = self._calibrate_orientation()
 
     def at_scale(self, scale: float) -> "BallChart":
-        return BallChart(self.p, self.q, self.radius, scale=scale)
+        return BallChart(self.p, self.q, self.radius, self.ball_nodes, scale)
 
     def embed_cols(self, cols):
         """(r, angles) columns -> ambient columns of S^p x S^q (dual-safe)."""
@@ -369,6 +375,8 @@ class BallChart:
 
     # The tensor-grid quadrature is the sphere charts', over the axes above.
     nodes_at = ChartedSphereDomain.nodes_at
+    sample_stride = ChartedSphereDomain.sample_stride
+    sample_nodes = ChartedSphereDomain.sample_nodes
     node_blocks = ChartedSphereDomain.node_blocks
     embed_dual_cols = ChartedSphereDomain.embed_dual_cols
 

@@ -77,15 +77,6 @@ class SmoothMatrixMap:
         return self.evaluate(domain, pts), np.stack(
             [self.differential(domain, pts, i) for i in range(domain.dim)])
 
-    def support(self, domain, pts):
-        """Boolean mask of the nodes pts where the map may vary, or None for all.
-
-        The mask broadcasts against pts's columns (domains.chart_columns).
-        Outside it the map is one constant matrix and its differentials are
-        exactly 0, so every top-degree integrand built from it is 0 there.
-        """
-        return None
-
     # -- contract checks ------------------------------------------------------
 
     def check_derivative(self, domain, rng, n_samples=8, rel_tol=1e-6):
@@ -106,19 +97,11 @@ class SmoothMatrixMap:
 
 
 class DualMatrixMap(SmoothMatrixMap):
-    """Map given entrywise as dual-safe functions of ambient coordinates.
+    """Map given entrywise as dual-safe functions of ambient coordinates."""
 
-    support, when given, is the support(domain, pts) of the map (see
-    SmoothMatrixMap.support).
-    """
-
-    def __init__(self, fn_entries, size, support=None):
+    def __init__(self, fn_entries, size):
         self.fn_entries = fn_entries
         self.size = size
-        self._support = support
-
-    def support(self, domain, pts):
-        return None if self._support is None else self._support(domain, pts)
 
     def evaluate(self, domain, pts):
         cols, shape = chart_columns(pts)
@@ -174,11 +157,6 @@ class ProductMatrixMap(SmoothMatrixMap):
         vb, db = self.b.jet(domain, pts)
         return va @ vb, da @ vb + va @ db
 
-    def support(self, domain, pts):
-        """The union of the factors' supports; None if either factor has none."""
-        sa, sb = self.a.support(domain, pts), self.b.support(domain, pts)
-        return None if sa is None or sb is None else sa | sb
-
 
 class ScaledMatrixMap(SmoothMatrixMap):
     def __init__(self, c, inner: SmoothMatrixMap):
@@ -194,9 +172,6 @@ class ScaledMatrixMap(SmoothMatrixMap):
     def jet(self, domain, pts):
         vals, ds = self.inner.jet(domain, pts)
         return self.c * vals, self.c * ds
-
-    def support(self, domain, pts):
-        return self.inner.support(domain, pts)
 
 
 def constant_map(mat) -> DualMatrixMap:
@@ -300,13 +275,6 @@ class ChartMap:
         self.target = target
         self.ambient_fn = ambient_fn
 
-    def support(self, domain, pts):
-        """Mask of the source nodes pts where the map may vary, or None for all.
-
-        Outside the mask the map is constant with zero differentials.
-        """
-        return None
-
     def evaluate_ambient(self, pts) -> np.ndarray:
         cols, shape = chart_columns(pts)
         return _pack_columns(self.ambient_fn(self.source.embed_cols(cols)), shape, 0)[0]
@@ -360,9 +328,5 @@ def projection_second_factor(product_domain, factor_domain) -> ChartMap:
 
 
 def compose_map_with_matrix(chart_map: ChartMap, g: DualMatrixMap) -> DualMatrixMap:
-    """Pull a matrix map on the target back through a chart map (g o phi).
-
-    The pullback is constant wherever phi is, so it has phi's support.
-    """
-    return DualMatrixMap(lambda cols: g.fn_entries(chart_map.ambient_fn(cols)), g.size,
-                         support=chart_map.support)
+    """Pull a matrix map on the target back through a chart map (g o phi)."""
+    return DualMatrixMap(lambda cols: g.fn_entries(chart_map.ambient_fn(cols)), g.size)

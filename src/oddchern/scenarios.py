@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from . import __version__
 from .chern import assemble_split_map, deg, deg_star, generator
 from .collapse import CollapseMap
-from .defaults import (COLLAPSE_RADIUS, NODES_PER_ANGLE, SPLIT_LADDER, T_MAX, T_NODES,
-                       TWO_PATH_TOL)
+from .defaults import (BALL_NODES, COLLAPSE_RADIUS, NODES_PER_ANGLE, SPLIT_LADDER, T_MAX,
+                       T_NODES, TWO_PATH_TOL)
 from .domains import ChartedSphereDomain
 from .maps import compose_map_with_matrix
 from .results import DegreeResult
@@ -105,16 +105,6 @@ def _build_generator(cfg, prefix):
         raise ScenarioError(f"{prefix}.kind: {exc}") from None
 
 
-def _build_product_map(cfg, p, q, radius, nodes_per_angle=None):
-    """Split-form map (pr2* f) . (phi* h) or a plain phi* h pullback."""
-    phi = CollapseMap(p, q, radius, nodes_per_angle=nodes_per_angle)
-    h = _build_generator(cfg, "map.h")
-    if "map.f.kind" in cfg:
-        f = _build_generator(cfg, "map.f")
-        return assemble_split_map(f, h, collapse=phi), phi.source
-    return compose_map_with_matrix(phi, h), phi.source
-
-
 def _degree_entry(result: DegreeResult) -> dict:
     return {
         "value": [result.value.real, result.value.imag],
@@ -185,10 +175,14 @@ class RunReport:
         return buf.getvalue()
 
 
+def _scaled(nodes: int, scale: float) -> int:
+    return max(4, int(round(nodes * scale)))
+
+
 def _scale_nodes(scale: float):
     if scale == 1.0:
         return None
-    return {k: max(4, int(round(v * scale))) for k, v in NODES_PER_ANGLE.items()}
+    return {k: _scaled(v, scale) for k, v in NODES_PER_ANGLE.items()}
 
 
 def _degree_report(name, result: DegreeResult, check_name):
@@ -212,20 +206,27 @@ def _run_deg(cfg, resolution_scale):
     return _degree_report("deg", deg(g, dom), "deg integral quantizes")
 
 
-def _boundary_geometry(cfg, resolution_scale):
+def _build_product_map(cfg, resolution_scale):
+    """The scenario's map on S^p x S^q with its chart: a split-form map
+    (pr2* f) . (phi* h) on the product angle chart, or a plain phi* h
+    pullback on phi's ball chart."""
     p = _get_int(cfg, "geometry.p", 2, minimum=1)
     q = _get_int(cfg, "geometry.q", 1, minimum=1)
     if (p + q) % 2 == 0:
         raise ScenarioError(f"geometry.p, geometry.q: boundary models need p + q odd, "
                             f"got {p} + {q}")
     radius = _get_positive_float(cfg, "geometry.collapse_radius", COLLAPSE_RADIUS)
-    nodes = _scale_nodes(resolution_scale)
-    return p, q, radius, nodes
+    phi = CollapseMap(p, q, radius, nodes_per_angle=_scale_nodes(resolution_scale))
+    h = _build_generator(cfg, "map.h")
+    if "map.f.kind" in cfg:
+        f = _build_generator(cfg, "map.f")
+        return assemble_split_map(f, h, collapse=phi), phi.source
+    ball = phi.ball(tuple(_scaled(n, resolution_scale) for n in BALL_NODES))
+    return compose_map_with_matrix(phi, h), ball
 
 
 def _run_deg_star(cfg, resolution_scale):
-    p, q, radius, nodes = _boundary_geometry(cfg, resolution_scale)
-    g, dom = _build_product_map(cfg, p, q, radius, nodes)
+    g, dom = _build_product_map(cfg, resolution_scale)
     result = deg_star(g, dom, SPLIT_LADDER)
     values, convergence, checks = _degree_report("deg_star", result,
                                                  "deg* integral quantizes")
@@ -233,7 +234,8 @@ def _run_deg_star(cfg, resolution_scale):
         # Splitting oracle: deg*(pr2* f . phi* h) should equal deg(h) over
         # the collapse target sphere.
         h = _build_generator(cfg, "map.h")
-        h_dom = ChartedSphereDomain.sphere(p + q, nodes_per_angle=nodes)
+        h_dom = ChartedSphereDomain.sphere(dom.dim,
+                                           nodes_per_angle=_scale_nodes(resolution_scale))
         oracle = deg(h, h_dom)
         values["deg_h_oracle"] = _degree_entry(oracle)
         checks.append({
@@ -245,8 +247,7 @@ def _run_deg_star(cfg, resolution_scale):
 
 
 def _build_model(cfg, resolution_scale):
-    p, q, radius, nodes = _boundary_geometry(cfg, resolution_scale)
-    g, dom = _build_product_map(cfg, p, q, radius, nodes)
+    g, dom = _build_product_map(cfg, resolution_scale)
     return boundary_model(dom, g)
 
 
@@ -321,12 +322,17 @@ def _run_index_report(cfg, resolution_scale):
 
 
 def _run_verify(cfg, resolution_scale):
-    from .verify import run_all_checks
+    from .verify import CHECKS, run_all_checks
 
     if resolution_scale != 1.0:
         raise ScenarioError(f"resolution scale: verify runs every check on its own "
                             f"fixed grids, expected 1.0, got {resolution_scale!r}")
     names = [s.strip() for s in cfg.get("verify.only", "").split(",") if s.strip()]
+    known = [name for name, _ in CHECKS]
+    for name in names:
+        if name not in known:
+            raise ScenarioError(f"verify.only: unknown check {name!r}, "
+                                f"expected one of {', '.join(known)}")
     results = run_all_checks(only=names or None)
     values = {r["name"]: r["detail"] for r in results}
     checks = [{"name": r["name"], "passed": r["passed"],

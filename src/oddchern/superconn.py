@@ -22,8 +22,9 @@ X = a b a ... and Y = b a b ... (d factors each).  Both are built from one
 N x N form c = b a b ... (d - 1 factors), as X = a c and Y = c b, so the
 kernel wedges c once, by the same GradedMatrixForm.wedge as the dense
 2N x 2N forms odd_endomorphism and derivative_form, and folds the last
-factor into the trace.  The sweep skips the nodes outside v's support
-(maps.SmoothMatrixMap.support), where both top forms are exactly 0.
+factor into the trace.  A model of a pure pullback phi* h lives on the
+collapse map's ball chart (collapse.CollapseMap.ball), since outside the
+ball both top forms are exactly 0.
 
 Orientation convention: the boundary of a tubular neighborhood is oriented
 opposite to our factor-ordered product orientation.  Boundary integrals of
@@ -86,9 +87,6 @@ class _PolarMap(SmoothMatrixMap):
 
     def __init__(self, v: SmoothMatrixMap, floor: float):
         self.v, self.floor, self.size = v, floor, v.size
-
-    def support(self, domain, pts):
-        return self.v.support(domain, pts)
 
     def _polar(self, a):
         s2, q = np.linalg.eigh(_conj_transpose(a) @ a)
@@ -191,10 +189,9 @@ class SuperBundleModel:
         return self._tops()[1]
 
     def _chern_top_on(self, dom) -> complex:
-        """Odd Chern top integral on one ladder grid, reusing the model's own."""
-        own = self.domain
-        if (dom.spheres, dom.nodes_per_angle, dom.scale) == (
-                own.spheres, own.nodes_per_angle, own.scale):
+        """Odd Chern top integral on a ladder grid, self.domain.at_scale(s),
+        reusing the model's own sweep when s is the model's scale."""
+        if dom.scale == self.domain.scale:
             return self.chern_top()
         return odd_chern_top_integral(self.v, dom)
 
@@ -266,7 +263,7 @@ def _gamma_top_integral(model: SuperBundleModel, chunk=CHUNK):
     Per node block one jet of v feeds both top integrals: phi(Tr_s(V dV^d))
     with the t-factor stripped (_top_supertrace), and c_k Tr((v^{-1} dv)^d),
     the top part of the odd Chern form (_odd_chern_top, which rejects
-    singular nodes).  Like every sweep, it runs only on v's support.
+    singular nodes).
     """
     norm = SQRT_2PI_I ** (-model.domain.dim)
 

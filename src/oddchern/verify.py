@@ -193,9 +193,10 @@ def check_gaussian_moment():
 
 @lru_cache(maxsize=1)
 def _boundary_models():
-    """S^2 x S^1 boundary models (n = 2) with unitary v's."""
+    """S^2 x S^1 boundary models (n = 2) with unitary v's: phi* su2 on phi's
+    ball chart and a split map on the product angle chart."""
     phi = CollapseMap(2, 1)
-    return [boundary_model(phi.source, compose_map_with_matrix(phi, su2_identity())),
+    return [boundary_model(phi.ball(), compose_map_with_matrix(phi, su2_identity())),
             boundary_model(phi.source,
                            assemble_split_map(circle_winding(1), su2_identity(), phi))]
 
@@ -265,13 +266,14 @@ def check_gamma_profile():
 def check_robustness():
     """deg*, gamma limit, localize are stable under scaling/re-unitarization.
 
-    All variants share one grid, so quadrature error cancels in the
-    comparison and the 1e-8 bound probes only the map-level perturbations
-    (scalar scaling and the polar decomposition with its exact jet).
+    All variants share one grid, the collapse map's ball chart, so
+    quadrature error cancels in the comparison and the 1e-8 bound probes only
+    the map-level perturbations (scalar scaling and the polar decomposition
+    with its exact jet).
     """
-    phi = CollapseMap(2, 1, nodes_per_angle=DEGREE_CHECK_NODES_PER_ANGLE)
+    phi = CollapseMap(2, 1)
     v = compose_map_with_matrix(phi, su2_identity())
-    dom = phi.source
+    dom = phi.ball()
     base = SuperBundleModel(dom, v)
 
     def observables(model):

@@ -229,33 +229,46 @@ def test_singular_node_is_named_by_its_grid_index(sweep):
     assert err.value.index == node
 
 
-def test_singular_value_outside_the_support_is_named():
+def singular_at_the_pole(cols):
     # h = (1 - x1) Id is singular only at the pole, the collapse map's value
-    # on every node outside its support, so the sweep's check of the first
-    # skipped node must name it, as a sweep over every node does.
+    # wherever it is constant.
+    ones = np.ones_like(dual.value(cols[0]))
+    return [[1.0 - cols[0], 0.0 * ones], [0.0 * ones, 1.0 - cols[0]]]
+
+
+def test_singular_value_outside_the_support_is_named():
+    # On the angle chart the sweep meets h(pole) at the first node with
+    # |w| >= 2R, and names it.
     phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
     dom = phi.source
-
-    def fn(cols):
-        ones = np.ones_like(dual.value(cols[0]))
-        return [[1.0 - cols[0], 0.0 * ones], [0.0 * ones, 1.0 - cols[0]]]
-
-    g = compose_map_with_matrix(phi, DualMatrixMap(fn, 2))
+    g = compose_map_with_matrix(phi, DualMatrixMap(singular_at_the_pole, 2))
     node = int(np.flatnonzero(phi.local_radius(dom.nodes()) >= 2.0 * phi.radius)[0])
     with pytest.raises(SingularMapError, match=f"singular at sample point index {node}$"):
         odd_chern_top_integral(g, dom)
 
 
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_singular_value_outside_the_ball_is_caught(scale):
+    # The ball chart has no node with |w| >= 2R, so on the budget that
+    # --resolution-scale 0.2 gives, the sweep tests g at the ball's exterior
+    # point, before any node, and names index n_nodes, one past the grid.
+    phi = CollapseMap(2, 1)
+    dom = phi.ball((5, 4)).at_scale(scale)
+    g = compose_map_with_matrix(phi, DualMatrixMap(singular_at_the_pole, 2))
+    with pytest.raises(SingularMapError, match=f"singular at sample point index {dom.n_nodes}$"):
+        odd_chern_top_integral(g, dom)
+
+
 def test_singular_kept_node_is_named_by_its_grid_index():
-    # A node of the second block, inside the support, preceded there by
-    # skipped nodes: its index among the block's kept nodes is smaller than
-    # its index in the block, and both differ from its grid index.
+    # A node of the second block with |w| < R, preceded there by nodes where
+    # the collapse map is constant: its index in the block differs from its
+    # grid index, which the error must name.
     phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
     dom = phi.source
     r = phi.local_radius(dom.nodes())
     block = np.arange(CHUNK, 2 * CHUNK)
-    first_skipped = block[r[block] >= 2.0 * phi.radius][0]
-    node = int(block[(block > first_skipped) & (r[block] < phi.radius)][0])
+    first_constant = block[r[block] >= 2.0 * phi.radius][0]
+    node = int(block[(block > first_constant) & (r[block] < phi.radius)][0])
     centre = phi.evaluate_ambient(dom.nodes()[node:node + 1])[0]
 
     def fn(cols):
@@ -264,34 +277,6 @@ def test_singular_kept_node_is_named_by_its_grid_index():
     g = compose_map_with_matrix(phi, DualMatrixMap(fn, 1))
     with pytest.raises(SingularMapError, match=f"singular at sample point index {node}$"):
         odd_chern_top_integral(g, dom)
-
-
-def test_singular_node_of_a_restricted_slab_block_is_named_by_its_grid_index():
-    # S^2 x S^3 on 8 x 8 x 6 x 6 x 6 nodes in 72-node blocks, slabs of the
-    # theta_3 axis: the support mask varies along the slab, so the sweep jets
-    # a sub-block, whose local index, the block's local index and the grid
-    # index of a node all differ.
-    phi = CollapseMap(2, 3, nodes_per_angle={2: 8, 3: 6})
-    dom, chunk = phi.source, 100
-    r = phi.local_radius(dom.nodes())
-    node = None
-    for block in dom.node_blocks(chunk):
-        idx = block.flat_index()
-        sub = block.restrict(phi.support(dom, block)).flat_index()
-        inner = sub[r[sub] < phi.radius]
-        if block.shape[2] > 1 and 0 < len(sub) < len(idx) and len(inner) and idx[0] > 0:
-            node = int(inner[-1])
-            break
-    assert node is not None and block.shape == (1, 1, 2, 6, 6)
-    assert np.flatnonzero(sub == node)[0] != np.flatnonzero(idx == node)[0] != node
-    centre = phi.evaluate_ambient(dom.nodes()[node:node + 1])[0]
-
-    def fn(cols):
-        return [[sum((x - c) * (x - c) for x, c in zip(cols, centre)) + 0j]]
-
-    g = compose_map_with_matrix(phi, DualMatrixMap(fn, 1))
-    with pytest.raises(SingularMapError, match=f"singular at sample point index {node}$"):
-        odd_chern_top_integral(g, dom, chunk)
 
 
 def test_transgression_tilde_rejects_singular_maps():

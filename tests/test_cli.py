@@ -136,6 +136,14 @@ def test_verify_rejects_a_resolution_scale(capsys):
     assert captured.out == ""
 
 
+def test_verify_rejects_an_unknown_check(tmp_path, capsys):
+    cfg = write(tmp_path, "scenario = verify\nverify.only = gausian moment, point case\n")
+    assert main(["verify", "--config", cfg]) == 64
+    captured = capsys.readouterr()
+    assert "error: verify.only: unknown check 'gausian moment'" in captured.err
+    assert captured.out == ""
+
+
 def clutching_map(cfg, prefix):
     # [[z^3, z/2], [5 conj(z)^2/8, 1]] has degree -3, but on 32 nodes of S^1
     # DEGREE_LADDER's last step is 5.8e-6, above its 1e-6 tolerance.
@@ -169,8 +177,8 @@ def test_unconverged_degree_prints_its_report_and_exits_3(
 ])
 def test_unconverged_deg_star_prints_its_report_and_exits_3(tmp_path, capsys,
                                                             command, check):
-    # At scale 0.2 the phi* su2 ladder's one step reads 1.4e-3 against
-    # SPLIT_LADDER's 2e-4 tolerance.
+    # At scale 0.2 the phi* su2 ladder's one step, on the ball chart's 160
+    # and 1,280 nodes, reads 1.0e-2 against SPLIT_LADDER's 2e-4 tolerance.
     cfg = write(tmp_path, f"""\
 scenario = {command}
 geometry.p = 2
@@ -183,6 +191,45 @@ map.h.kind = su2_identity
     assert [c["name"] for c in payload["checks"]] == [check]
     assert payload["checks"][0]["converged"] is False
     assert len(payload["convergence"]["deg_star"]) == 2
+
+
+PHI_SU2 = """\
+geometry.p = 2
+geometry.q = 1
+map.h.kind = su2_identity
+"""
+
+
+def test_unconverged_check_has_its_own_status_line(tmp_path, capsys):
+    # At scale 0.2 both gamma paths agree and the limit equals (-1)^n deg*,
+    # but the deg* ladder they rest on ends unconverged.
+    cfg = write(tmp_path, "scenario = gamma-limit\n" + PHI_SU2)
+    out_path = tmp_path / "report.json"
+    code = main(["gamma-limit", "--config", cfg, "--resolution-scale", "0.2",
+                 "--out", str(out_path)])
+    checks = json.loads(out_path.read_text(encoding="utf-8"))["checks"]
+    assert code == 3
+    assert [(c["passed"], c["converged"]) for c in checks] == [(True, False)] * 2
+    assert capsys.readouterr().out.splitlines() == [
+        "UNCONVERGED two gamma paths agree",
+        "UNCONVERGED gamma limit equals (-1)^n deg*",
+    ]
+
+
+def test_singular_pole_value_is_usage_error_on_the_ball(tmp_path, capsys, monkeypatch):
+    # h = (1 - x1) Id is singular only at the pole, the value of phi* h
+    # outside the ball chart; the sweep of the ladder's first level, 160
+    # nodes at scale 0.2, names index 160, one past its grid.
+    def singular_at_the_pole(cfg, prefix):
+        def fn(cols):
+            zero = 0.0 * cols[0]
+            return [[1.0 - cols[0], zero], [zero, 1.0 - cols[0]]]
+        return DualMatrixMap(fn, 2)
+
+    monkeypatch.setattr(scenarios, "_build_generator", singular_at_the_pole)
+    cfg = write(tmp_path, "scenario = deg-star\n" + PHI_SU2)
+    assert main(["deg-star", "--config", cfg, "--resolution-scale", "0.2"]) == 64
+    assert "error: matrix map singular at sample point index 160" in capsys.readouterr().err
 
 
 def test_flz_point_subcommand(tmp_path, capsys):

@@ -152,7 +152,6 @@ def test_node_blocks_cover_all_nodes():
     # fourth at chunk 100, the third at 1,000, the second at 2,000 and the
     # first at 100,000.
     big = ChartedSphereDomain([2, 3], nodes_per_angle={2: 10, 3: 12})
-    rng = np.random.default_rng(3)
     for d, chunk in ((dom, 1000), (big, 100), (big, 1000), (big, 2000), (big, 100_000)):
         blocks = list(d.node_blocks(chunk))
         flat = [b.flat_index() for b in blocks]
@@ -161,23 +160,6 @@ def test_node_blocks_cover_all_nodes():
             assert len(b) <= chunk
             assert np.array_equal(b.weights(), d.weights()[idx])
             assert np.array_equal(b.points(), d.nodes_at(idx))
-        # restrict keeps every True node of a mask over some of the axes ...
-        b = blocks[len(blocks) // 2]
-        mask = rng.random([n if k % 2 else 1 for k, n in enumerate(b.shape)]) < 0.3
-        mask.flat[-1] = True
-        sub = b.restrict(mask)
-        kept = b.flat_index()[np.broadcast_to(mask, b.shape).reshape(-1)]
-        assert len(kept) and np.isin(kept, sub.flat_index()).all()
-        assert np.isin(sub.flat_index(), b.flat_index()).all()
-        # ... and, for a product of per-axis masks, exactly their indices.
-        axis_keep = [rng.random(n) < 0.6 for n in b.shape]
-        for k in axis_keep:
-            k[-1] = True
-        product = np.ones(b.shape, dtype=bool)
-        for c, k in zip(b.cols, axis_keep):
-            product = product & k.reshape(c.shape)
-        sub = b.restrict(product)
-        assert all(np.array_equal(i, j[k]) for i, j, k in zip(sub.index, b.index, axis_keep))
 
 
 def test_gauss_rule_is_computed_once_and_read_only():
