@@ -13,9 +13,9 @@ _maurer_cartan_form builds w, and _odd_chern_top folds its last wedge into
 the trace, Tr(w^d)_top = d Tr(w_0 (w_1 ^ ... ^ w_(d-1))_top), which holds
 because a cyclic shift of an odd number of factors is an even permutation.
 w is formed on the same (N, N, npts) blocks, as g^{-1} times each dg_i, with
-g^{-1} in closed form for N <= 2 (1/g, or the adjugate over det g) and by
-LAPACK above; a node with |det g| < 1e-12 raises SingularMapError naming its
-grid index.  The sweep (_sweep) walks the grid in tensor node blocks
+g^{-1} in closed form for N <= 3 (1/g, or the adjugate over det g) and by
+LAPACK from N = 4; a node with |det g| < 1e-12 raises SingularMapError
+naming its grid index.  The sweep (_sweep) walks the grid in tensor node blocks
 (domains.NodeBlock) and runs the jet on each block's columns, so the map's
 intermediates are computed per axis and expanded to the block's nodes only
 when packed.  A pullback through the collapse map is swept on the map's
@@ -24,7 +24,8 @@ still tests its value there for singularity.  A boundary model's single
 sweep (superconn) feeds the same kernel from the jet it also uses for the
 gamma top integral.  The mixed-degree forms odd_chern
 and maurer_cartan serve the transgression and Chern-Simons identities,
-which need every degree.
+which need every degree; transgression_pair's Ch~ takes g^{-1} and w from
+one jet of g_t.
 """
 
 from __future__ import annotations
@@ -75,15 +76,21 @@ class SingularMapError(ValueError):
 def _checked_inverse(g):
     """Pointwise inverse of an (N, N, npts) block array, rejecting singular nodes.
 
-    N = 1 and N = 2 are closed forms (1/g and the adjugate over
-    det = g00 g11 - g01 g10); larger N falls back to batched LAPACK on a
-    point-axis-first view.
+    N <= 3 are closed forms: 1/g; for N = 2 the adjugate over
+    det = g00 g11 - g01 g10; for N = 3 the transposed cofactors, computed
+    once on the block, over the det that expands along their first row.
+    From N = 4 it falls back to batched LAPACK on a point-axis-first view.
     """
     n = g.shape[0]
     if n == 1:
         det = g[0, 0]
     elif n == 2:
         det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    elif n == 3:
+        # cof[i, j] = g[i+1, j+1] g[i+2, j+2] - g[i+1, j+2] g[i+2, j+1], indices mod 3.
+        s1, s2 = [1, 2, 0], [2, 0, 1]
+        cof = g[np.ix_(s1, s1)] * g[np.ix_(s2, s2)] - g[np.ix_(s1, s2)] * g[np.ix_(s2, s1)]
+        det = g[0, 0] * cof[0, 0] + g[0, 1] * cof[0, 1] + g[0, 2] * cof[0, 2]
     else:
         det = np.linalg.det(np.moveaxis(g, -1, 0))
     absdet = np.abs(det)
@@ -100,6 +107,8 @@ def _checked_inverse(g):
         np.multiply(g[0, 1], -r, out=inv[0, 1])
         np.multiply(g[1, 0], -r, out=inv[1, 0])
         return inv
+    if n == 3:
+        return np.divide(cof.swapaxes(0, 1), det, out=np.empty_like(g))
     return _point_axis_last(np.linalg.inv(np.moveaxis(g, -1, 0)))
 
 
@@ -131,7 +140,8 @@ def maurer_cartan(g: SmoothMatrixMap, domain) -> FormField:
     """Degree-1 matrix form field with coefficients g^{-1} dg/dx_i."""
 
     def sampler(pts):
-        return _maurer_cartan_form(*g.jet(domain, pts))
+        vals, dgs = g.jet(domain, pts)
+        return _maurer_cartan_form(_checked_inverse(_point_axis_last(vals)), dgs)
 
     return FormField(domain, g.size, sampler)
 
@@ -140,13 +150,12 @@ def odd_chern_coefficient(k: int) -> float:
     return (-1.0) ** k * factorial(k) / factorial(2 * k + 1)
 
 
-def _maurer_cartan_form(vals, dgs) -> GradedMatrixForm:
-    """w = sum_i g^{-1} dg_i dx_i from a jet of g.
+def _maurer_cartan_form(inv, dgs) -> GradedMatrixForm:
+    """w = sum_i g^{-1} dg_i dx_i from g^{-1} and the differentials of g.
 
-    vals is g at a batch of nodes, (npts, N, N), and dgs its (d, npts, N, N)
-    differentials.
+    inv is g^{-1} at a batch of nodes, an (N, N, npts) block, and dgs the
+    (d, npts, N, N) differentials of g's jet.
     """
-    inv = _checked_inverse(_point_axis_last(vals))
     return GradedMatrixForm.one_form([_block_product(inv, _point_axis_last(dg)) for dg in dgs])
 
 
@@ -158,7 +167,7 @@ def _odd_chern_top(vals, dgs) -> np.ndarray:
     Tr(w^d)_top = d Tr(w_0 (w_1 ^ ... ^ w_(d-1))_top), where the wedge is the
     (d-1)-th power of sum_(i>0) w_i dx_i on the coordinates after the first.
     """
-    w = _maurer_cartan_form(vals, dgs).comps
+    w = _maurer_cartan_form(_checked_inverse(_point_axis_last(vals)), dgs).comps
     d = len(dgs)
     c = odd_chern_coefficient((d - 1) // 2)
     if d == 1:
@@ -225,20 +234,20 @@ def transgression_pair(family, domain, t: float):
     """(Ch(g_t), Ch~(g_t)) with Ch~ = sum_k (-1)^k k!/(2k)! Tr(g^-1 g_dot w^(2k))."""
     g_t = family.slice_at(t)
     ch = odd_chern(g_t, domain)
-    omega = maurer_cartan(g_t, domain)
 
     def tilde_sampler(pts):
-        vals = g_t.evaluate(domain, pts)
+        vals, dgs = g_t.jet(domain, pts)
+        inv = _checked_inverse(_point_axis_last(vals))
         gdot = family.t_derivative(domain, pts, t)
         q = GradedMatrixForm(domain.dim, family.size, len(pts))
-        q.comps[0] = _block_product(_checked_inverse(_point_axis_last(vals)), _point_axis_last(gdot))
+        q.comps[0] = _block_product(inv, _point_axis_last(gdot))
         out = q.trace()  # k = 0 term
         w2 = None
         power = q
         k = 1
         while 2 * k <= domain.dim:
             if w2 is None:
-                w = omega.at(pts)
+                w = _maurer_cartan_form(inv, dgs)
                 w2 = w.wedge(w)
             power = power.wedge(w2)
             out = out + power.trace().scale((-1.0) ** k * factorial(k) / factorial(2 * k))

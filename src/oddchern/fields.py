@@ -57,33 +57,38 @@ def exterior_derivative(field: FormField, step: float = FD_STEP) -> FormField:
     """Coordinate exterior derivative via Richardson-extrapolated differences.
 
     Uses the 5-point fourth-order stencil per chart direction; the input field
-    must be smooth (evaluable at arbitrary nearby points).
+    must be smooth (evaluable at arbitrary nearby points).  The 4 * dim
+    shifted copies of the points are stacked into one field.at call per
+    slice of at most CHUNK // (4 * dim) points, so no call passes more than
+    CHUNK nodes, and each difference is taken from views of that call.
     """
     dim = field.domain.dim
+    # Row 4 i + k shifts chart coordinate i by the k-th stencil offset.
+    offsets = np.kron(np.eye(dim), step * np.array([[-2.0], [-1.0], [1.0], [2.0]]))[:, None]
+    per_call = CHUNK // (4 * dim)
 
     def sampler(pts):
         n = len(pts)
         out = GradedMatrixForm(dim, field.size, n)
-        for i in range(dim):
-            shifted = []
-            for c in (-2.0, -1.0, 1.0, 2.0):
-                q = pts.copy()
-                q[:, i] += c * step
-                shifted.append(field.at(q))
-            fm2, fm1, fp1, fp2 = shifted
-            for mask in range(1 << dim):
-                if mask & (1 << i):
-                    continue
-                cs = [f.comps[mask] for f in (fm2, fm1, fp1, fp2)]
-                if all(c is None for c in cs):
-                    continue
-                cs = [c if c is not None else 0.0 for c in cs]
-                der = (8.0 * (cs[2] - cs[1]) - (cs[3] - cs[0])) / (12.0 * step)
-                # d prepends dx^i; sign counts indices of the mask below i.
-                sign = -1 if bin(mask & ((1 << i) - 1)).count("1") & 1 else 1
-                new = mask | (1 << i)
-                term = sign * der
-                out.comps[new] = term if out.comps[new] is None else out.comps[new] + term
+        for lo in range(0, n, per_call):
+            part = pts[lo:lo + per_call]
+            m = len(part)
+            shifted = field.at((part[None] + offsets).reshape(-1, dim)).comps
+            # (N, N, dim, 4, m): direction, then stencil offset, then point.
+            shifted = [None if c is None else c.reshape(c.shape[:2] + (dim, 4, m))
+                       for c in shifted]
+            for i in range(dim):
+                for mask, c in enumerate(shifted):
+                    if c is None or mask & (1 << i):
+                        continue
+                    fm2, fm1, fp1, fp2 = (c[:, :, i, k] for k in range(4))
+                    der = (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * step)
+                    # d prepends dx^i; sign counts indices of the mask below i.
+                    sign = -1 if bin(mask & ((1 << i) - 1)).count("1") & 1 else 1
+                    new = mask | (1 << i)
+                    if out.comps[new] is None:
+                        out.comps[new] = np.zeros(c.shape[:2] + (n,), dtype=complex)
+                    out.comps[new][:, :, lo:lo + m] += sign * der
         return out
 
     return FormField(field.domain, field.size, sampler)

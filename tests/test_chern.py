@@ -229,6 +229,23 @@ def test_singular_node_is_named_by_its_grid_index(sweep):
     assert err.value.index == node
 
 
+def test_closed_form_3x3_inverse_names_the_singular_node():
+    # det g = |x - centre|^2 by expansion along the first row, so the 3 x 3
+    # closed form meets a singular block only at the node in the second
+    # CHUNK-node block.
+    dom = ChartedSphereDomain([3], nodes_per_angle={3: 24})
+    node = CHUNK + 808
+    centre = dom.embed(dom.nodes()[node:node + 1])[0]
+
+    def fn(cols):
+        r2 = sum((x - c) * (x - c) for x, c in zip(cols, centre)) + 0j
+        return [[r2 - 1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]
+
+    with pytest.raises(SingularMapError, match=f"singular at sample point index {node}$") as err:
+        deg(DualMatrixMap(fn, 3), dom, Ladder((1.0,), 1e-6))
+    assert err.value.index == node
+
+
 def singular_at_the_pole(cols):
     # h = (1 - x1) Id is singular only at the pole, the collapse map's value
     # wherever it is constant.

@@ -37,13 +37,25 @@ def test_demo_imports_resolve(demo):
             assert hasattr(mod, name), f"{demo.name}: {module}.{name} does not exist"
 
 
-def test_collapse_demo_prints_its_degrees():
+def run_demo(name):
+    """The demo's standard output; it must exit with 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run([sys.executable, str(ROOT / "demos" / "02_collapse_map_degree.py")],
+    out = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
                          capture_output=True, text=True, env=env, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert re.findall(r"degree = ([+-]\d+)", out.stdout) == ["+1", "+1", "+1"]
-    assert re.findall(r"^  S\^(\d): ([+-]\d+)$", out.stdout, re.M) == [
+    return out.stdout
+
+
+def test_collapse_demo_prints_its_degrees():
+    out = run_demo("02_collapse_map_degree.py")
+    assert re.findall(r"degree = ([+-]\d+)", out) == ["+1", "+1", "+1"]
+    assert re.findall(r"^  S\^(\d): ([+-]\d+)$", out, re.M) == [
         ("1", "+1"), ("2", "-1"), ("3", "+1")]
+
+
+def test_transgression_demo_prints_a_small_relative_error():
+    out = run_demo("03_transgression_identity.py")
+    (rel,) = re.findall(r"relative to the largest derivative component: +(\S+)$", out, re.M)
+    assert float(rel) < 1e-6

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oddchern.defaults import CHUNK, FD_STEP
 from oddchern.domains import ChartedSphereDomain, gauss_legendre, sphere_volume
 from oddchern.fields import (FormField, exterior_derivative, integrate_top,
                              volume_field)
@@ -127,6 +128,69 @@ def test_d_squared_is_zero():
     dd = exterior_derivative(exterior_derivative(f))
     pts = dom.nodes()[::211]
     assert dd.at(pts).max_abs() < 1e-6
+
+
+def _mixed_field(dom):
+    """A 2 x 2 field with a smooth coefficient in every degree below the top."""
+
+    def sampler(pts):
+        amb = dom.embed(pts)
+        form = GradedMatrixForm(dom.dim, 2, len(pts))
+        for mask in range((1 << dom.dim) - 1):
+            a, b = amb[:, mask % amb.shape[1]], amb[:, (mask + 1) % amb.shape[1]]
+            form.comps[mask] = np.array([[a * b, a + 1j * b], [np.exp(a), 1j * b * b]])
+        return form
+
+    return FormField(dom, 2, sampler)
+
+
+def _per_shift_derivative(field, pts):
+    """The 5-point stencil of d with one field call per shift and direction."""
+    dim = field.domain.dim
+    out = {}
+    for i in range(dim):
+        shifted = []
+        for c in (-2.0, -1.0, 1.0, 2.0):
+            q = pts.copy()
+            q[:, i] += c * FD_STEP
+            shifted.append(field.at(q).comps)
+        for mask in range(1 << dim):
+            if mask & (1 << i) or shifted[0][mask] is None:
+                continue
+            fm2, fm1, fp1, fp2 = (f[mask] for f in shifted)
+            sign = (-1) ** bin(mask & ((1 << i) - 1)).count("1")
+            new = mask | (1 << i)
+            out[new] = out.get(new, 0.0) + sign * (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * FD_STEP)
+    return out
+
+
+@pytest.mark.parametrize("spheres", [[3], [2, 1]])
+def test_exterior_derivative_matches_a_per_shift_stencil(spheres):
+    dom = ChartedSphereDomain(spheres, nodes_per_angle=COARSE)
+    field = _mixed_field(dom)
+    pts = dom.sample_nodes(128)
+    got = exterior_derivative(field).at(pts).comps
+    ref = _per_shift_derivative(field, pts)
+    assert sorted(ref) == [m for m, c in enumerate(got) if c is not None]
+    for mask, r in ref.items():
+        assert np.abs(got[mask] - r).max() <= 1e-14 * np.abs(r).max()
+
+
+def test_exterior_derivative_samples_each_slice_in_one_call():
+    dom = ChartedSphereDomain([3], nodes_per_angle={3: 32})
+    field, calls = _mixed_field(dom), []
+    recording = FormField(dom, 2, lambda pts: calls.append(len(pts)) or field.at(pts))
+    d = exterior_derivative(recording)
+
+    d.at(dom.sample_nodes(128))
+    assert calls == [4 * 3 * 128]
+
+    calls.clear()
+    block = next(iter(dom.node_blocks(CHUNK)))
+    assert len(block) == CHUNK
+    d.at(block.points())
+    assert max(calls) <= CHUNK
+    assert sum(calls) == 4 * 3 * CHUNK
 
 
 def test_at_scale_rescales_nodes():
