@@ -9,7 +9,9 @@ normalized round volume form of the target and integrating.  phi is
 constant outside the ball |w| < 2R of stereographic coordinates
 w = (sigma_p, sigma_q), so the integral runs over that ball alone: two
 Gauss panels in |w|, on [0, R] and [R, 2R], times Gauss nodes in the
-angles of S^(p+q-1).
+angles of S^(p+q-1).  On that chart phi is written in polar coordinates
+w = r u, as the inverse stereographic projection of rho(r) u, so its
+radial profile rho is computed on the radial axis alone.
 """
 
 from oddchern.collapse import collapse_degree, mapping_degree

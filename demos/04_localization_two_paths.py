@@ -21,9 +21,10 @@ from oddchern.superconn import (
 
 # Pull the su2 generator back through the collapse map S^2 x S^1 -> S^3.
 # The pullback is constant outside the ball |w| < 2R of stereographic
-# coordinates, so the model lives on that ball's chart.
-phi = CollapseMap(2, 1)
-model = boundary_model(phi.ball(), compose_map_with_matrix(phi, su2_identity()))
+# coordinates, so the model lives on that ball's chart, where the map is
+# evaluated in the ball's polar coordinates (|w|, w/|w|).
+ball = CollapseMap(2, 1).ball()
+model = boundary_model(ball.source, compose_map_with_matrix(ball, su2_identity()))
 
 ds = model.degree_star()
 print(f"deg*(v)               = {ds.value.real:+.12f}  (rounded {ds.rounded:+d})")

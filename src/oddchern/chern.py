@@ -18,9 +18,10 @@ LAPACK from N = 4; a node with |det g| < 1e-12 raises SingularMapError
 naming its grid index.  The sweep (_sweep) walks the grid in tensor node blocks
 (domains.NodeBlock) and runs the jet on each block's columns, so the map's
 intermediates are computed per axis and expanded to the block's nodes only
-when packed.  A pullback through the collapse map is swept on the map's
-ball chart (domains.BallChart), outside which it is constant; the sweep
-still tests its value there for singularity.  A boundary model's single
+when packed.  A pure pullback through the collapse map is swept on the
+map's ball chart (domains.BallChart), outside which it is constant, with
+the map in the ball's polar coordinates (collapse.CollapseMap.ball); the
+sweep still tests its value there for singularity.  A boundary model's single
 sweep (superconn) feeds the same kernel from the jet it also uses for the
 gamma top integral.  The mixed-degree forms odd_chern
 and maurer_cartan serve the transgression and Chern-Simons identities,

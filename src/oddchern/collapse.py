@@ -11,8 +11,12 @@ basepoints smoothly.
 There its differentials are exactly 0 too, so a matrix map pulled back
 through it is one constant matrix there, and every top-degree integrand
 built from its jet is exactly 0.  Such an integrand is integrated on the
-ball alone: CollapseMap.ball builds the ball chart (domains.BallChart) that
-collapse_degree and every boundary model of a pure pullback phi* h sweep.
+ball alone: CollapseMap.ball is phi on the ball chart (domains.BallChart)
+that collapse_degree and every boundary model of a pure pullback phi* h
+sweep.  There phi is written in the chart's polar coordinates w = r u, as
+the inverse stereographic projection of rho(r) u, so the profile runs on
+the radial column alone.  Split maps pr2* f . phi* h vary outside the ball
+and read phi on the product angle chart, through CollapseMap._ambient.
 """
 
 from __future__ import annotations
@@ -72,8 +76,18 @@ class CollapseMap(ChartMap):
         r2 = (1.0 + x1) / np.where(near1, d1, 1.0) + (1.0 + y1) / np.where(near2, d2, 1.0)
         return ~near1 | ~near2 | (r2 >= 4.0 * self.radius * self.radius)
 
+    def _eta(self, r, inside):
+        """The radial profile eta of rho(|w|) = |w| / eta(|w|) at |w| = r:
+        1 where inside (|w| <= R), smooth_step((2R - r)/R) beyond."""
+        R = self.radius
+        ones = np.ones_like(dual.value(r))
+        return dual.where(inside, ones, smooth_step((2.0 * R - r) / R))
+
     def _ambient(self, cols):
         p, q, R = self.p, self.q, self.radius
+        if len(cols) != p + q + 2:
+            raise ValueError(f"the collapse map reads the {p + q + 2} ambient columns of "
+                             f"S^{p} x S^{q}, got {len(cols)}; on a ball chart use ball()")
         x1 = cols[0]          # first factor's leading ambient coordinate
         y1 = cols[p + 1]      # second factor's leading ambient coordinate
         ones = np.ones_like(dual.value(x1))
@@ -91,11 +105,8 @@ class CollapseMap(ChartMap):
 
         w = [c / d1s for c in cols[1:p + 1]] + [c / d2s for c in cols[p + 2:p + q + 2]]
 
-        # Radial profile rho(r) = r / eta(r); eta == 1 on r <= R.
         r2_safe = dual.where(dual.value(r2) >= 0.25 * R * R, r2, (R * R) * ones)
-        r = dual.sqrt(r2_safe)
-        eta = dual.where(dual.value(r2) <= R * R, ones,
-                         smooth_step((2.0 * R - r) / R))
+        eta = self._eta(dual.sqrt(r2_safe), dual.value(r2) <= R * R)
         denom = r2 + eta * eta
 
         first = (r2 - eta * eta) / denom
@@ -103,15 +114,32 @@ class CollapseMap(ChartMap):
 
         first = dual.where(far, ones, first)
         rest = [dual.where(far, np.zeros_like(ones), ri) for ri in rest]
-        out = [first] + rest
+        return self._swapped([first] + rest)
+
+    def _on_ball(self, cols):
+        """phi on the ball chart's map coordinates [r] + u, with w = r u
+        (domains.BallChart): the inverse stereographic projection of
+        rho(r) u.  Every radial intermediate keeps the radial column's shape;
+        only the last p + q products, by the u_i, reach the block's.  From
+        r >= 2R on, eta and its derivatives are exactly 0, so phi is exactly
+        the pole there, with zero differentials."""
+        r, u = cols[0], cols[1:]
+        eta = self._eta(r, dual.value(r) <= self.radius)
+        r2, eta2 = r * r, eta * eta
+        denom = r2 + eta2
+        radial = 2.0 * eta * r / denom
+        return self._swapped([(r2 - eta2) / denom] + [radial * ui for ui in u])
+
+    def _swapped(self, out):
         if self.swap_target:
             out[-1], out[-2] = out[-2], out[-1]
         return out
 
-    def ball(self, ball_nodes=BALL_NODES) -> BallChart:
-        """The chart of the ball |w| < 2R, outside which the map is constant,
-        on a budget of (nodes per radial panel, nodes per angle)."""
-        return BallChart(self.p, self.q, self.radius, ball_nodes)
+    def ball(self, ball_nodes=BALL_NODES) -> ChartMap:
+        """phi on the chart of the ball |w| < 2R, outside which it is
+        constant, on a budget of (nodes per radial panel, nodes per angle)."""
+        return ChartMap(BallChart(self.p, self.q, self.radius, ball_nodes),
+                        self.target, self._on_ball)
 
     # -- orientation ----------------------------------------------------------
 
@@ -149,8 +177,8 @@ def volume_pullback_integral(chart_map: ChartMap, scale=1.0, chunk=CHUNK) -> com
     norm = 1.0 / chart_map.target.volume()
     total = 0.0
     for block in src.node_blocks(chunk):
-        vals, jac_cols = chart_map.ambient_jacobian_columns(block)
-        mat = np.stack([vals] + jac_cols, axis=1)  # (n, 1 + dim_s, amb_t)
+        # Rows y, dy/dx_1, ... of each node's matrix: (n, 1 + dim_s, amb_t).
+        mat = chart_map.jet_columns(block).swapaxes(0, 1)
         total += np.sum(block.weights() * np.linalg.det(mat))
     return complex(src.orientation_sign * sign * norm * total)
 
@@ -169,8 +197,7 @@ def collapse_degree(p: int, q: int, radius: float = COLLAPSE_RADIUS) -> DegreeRe
     The map is constant outside |w| < 2R in stereographic coordinates w, so
     its pulled-back volume form is integrated over that ball alone.
     """
-    phi = CollapseMap(p, q, radius)
-    return mapping_degree(ChartMap(phi.ball(), phi.target, phi._ambient), COLLAPSE_LADDER)
+    return mapping_degree(CollapseMap(p, q, radius).ball(), COLLAPSE_LADDER)
 
 
 def signed_preimage_count(chart_map: ChartMap, target_chart_point, rng,

@@ -330,7 +330,9 @@ class BallChart:
     hyperspherical angles.  r runs over two Gauss-Legendre panels, [0, R] and
     [R, 2R], and no node lies beyond 2R, so an integrand must vanish there:
     the collapse map with radius R is constant outside the ball, and so is
-    every pullback through it (collapse.CollapseMap.ball).
+    every pullback through it.  A map on the ball reads the map coordinates
+    [r] + u (embed_cols), not a point of S^p x S^q, so it is written for
+    this chart: collapse.CollapseMap.ball is the collapse map's.
 
     Attributes:
       dim: chart dimension p + q.
@@ -369,9 +371,13 @@ class BallChart:
         return BallChart(self.p, self.q, self.radius, self.ball_nodes, scale)
 
     def embed_cols(self, cols):
-        """(r, angles) columns -> ambient columns of S^p x S^q (dual-safe)."""
-        w = [cols[0] * u for u in embed_sphere(cols[1:], self.dim - 1)]
-        return _inverse_stereographic(w[:self.p]) + _inverse_stereographic(w[self.p:])
+        """(r, angles) columns -> the map coordinates [r] + u (dual-safe).
+
+        u is the unit vector of S^(p+q-1) at the angles, so w = r u; a map on
+        the ball reads r and u (collapse.CollapseMap.ball) and computes its
+        radial intermediates on the radial column alone.
+        """
+        return [cols[0]] + embed_sphere(cols[1:], self.dim - 1)
 
     # The tensor-grid quadrature is the sphere charts', over the axes above.
     nodes_at = ChartedSphereDomain.nodes_at
@@ -388,7 +394,9 @@ class BallChart:
         """
         probe = np.full((1, self.dim), 0.9)
         probe[0, 0] = 0.6 * self.radius
-        amb = self.embed_dual_cols(list(probe.T))
+        r, *u = self.embed_dual_cols(list(probe.T))
+        w = [r * ui for ui in u]
+        amb = _inverse_stereographic(w[:self.p]) + _inverse_stereographic(w[self.p:])
         ang = (sphere_angles_from_ambient(amb[:self.p + 1], self.p)
                + sphere_angles_from_ambient(amb[self.p + 1:], self.q))
         det = np.linalg.det(np.array([[a.eps[i, 0] for i in range(self.dim)] for a in ang]))

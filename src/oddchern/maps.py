@@ -40,16 +40,14 @@ def pack_matrix(rows, shape, ndirs=0):
 
 
 def _pack_columns(cols, shape, ndirs):
-    """Real ambient columns of a jet pass -> values (npts, k) and
-    derivatives (ndirs, npts, k), each column broadcast into the block shape."""
-    vals = np.empty(shape + (len(cols),))
-    eps = np.zeros((ndirs,) + shape + (len(cols),))
+    """Real ambient columns of a jet pass -> one (1 + ndirs, npts, k) array:
+    row 0 the values, row 1 + i the derivatives along direction i, each
+    column broadcast into the block shape."""
+    jet = np.empty((1 + ndirs,) + shape + (len(cols),))
     for k, c in enumerate(cols):
-        vals[..., k] = dual.value(c)
-        if isinstance(c, dual.Dual):
-            eps[..., k] = c.eps
-    npts = int(np.prod(shape))
-    return vals.reshape(npts, len(cols)), eps.reshape(ndirs, npts, len(cols))
+        jet[0, ..., k] = dual.value(c)
+        jet[1:, ..., k] = c.eps if isinstance(c, dual.Dual) else 0.0
+    return jet.reshape(1 + ndirs, -1, len(cols))
 
 
 class SmoothMatrixMap:
@@ -279,7 +277,10 @@ class ChartMap:
         cols, shape = chart_columns(pts)
         return _pack_columns(self.ambient_fn(self.source.embed_cols(cols)), shape, 0)[0]
 
-    def _jet_columns(self, pts, target_angles=False):
+    def jet_columns(self, pts, target_angles=False) -> np.ndarray:
+        """The map's jet at pts as one (1 + dim_s, npts, k) array: row 0 its
+        ambient values (or target chart angles), row 1 + i their derivatives
+        along source chart direction i."""
         cols, shape = chart_columns(pts)
         out = self.ambient_fn(self.source.embed_dual_cols(cols))
         if target_angles:
@@ -288,13 +289,12 @@ class ChartMap:
 
     def ambient_jacobian_columns(self, pts):
         """Ambient values plus d(ambient)/d(chart_i) for every source direction."""
-        vals, jac = self._jet_columns(pts)
-        return vals, list(jac)
+        jet = self.jet_columns(pts)
+        return jet[0], list(jet[1:])
 
     def jacobian_chart(self, pts) -> np.ndarray:
         """d(target chart)/d(source chart), shape (n, dim_t, dim_s)."""
-        jac = self._jet_columns(pts, target_angles=True)[1]
-        return np.moveaxis(jac, 0, -1)
+        return np.moveaxis(self.jet_columns(pts, target_angles=True)[1:], 0, -1)
 
 
 def identity_chart_map(domain) -> ChartMap:

@@ -222,7 +222,7 @@ def _build_product_map(cfg, resolution_scale):
         f = _build_generator(cfg, "map.f")
         return assemble_split_map(f, h, collapse=phi), phi.source
     ball = phi.ball(tuple(_scaled(n, resolution_scale) for n in BALL_NODES))
-    return compose_map_with_matrix(phi, h), ball
+    return compose_map_with_matrix(ball, h), ball.source
 
 
 def _run_deg_star(cfg, resolution_scale):

@@ -23,8 +23,9 @@ N x N form c = b a b ... (d - 1 factors), as X = a c and Y = c b, so the
 kernel wedges c once, by the same GradedMatrixForm.wedge as the dense
 2N x 2N forms odd_endomorphism and derivative_form, and folds the last
 factor into the trace.  A model of a pure pullback phi* h lives on the
-collapse map's ball chart (collapse.CollapseMap.ball), since outside the
-ball both top forms are exactly 0.
+collapse map's ball chart, since outside the ball both top forms are
+exactly 0: v = compose_map_with_matrix(ball, h) on ball.source, with
+ball = collapse.CollapseMap.ball() the map in the ball's polar coordinates.
 
 Orientation convention: the boundary of a tubular neighborhood is oriented
 opposite to our factor-ordered product orientation.  Boundary integrals of

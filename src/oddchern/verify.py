@@ -196,7 +196,8 @@ def _boundary_models():
     """S^2 x S^1 boundary models (n = 2) with unitary v's: phi* su2 on phi's
     ball chart and a split map on the product angle chart."""
     phi = CollapseMap(2, 1)
-    return [boundary_model(phi.ball(), compose_map_with_matrix(phi, su2_identity())),
+    ball = phi.ball()
+    return [boundary_model(ball.source, compose_map_with_matrix(ball, su2_identity())),
             boundary_model(phi.source,
                            assemble_split_map(circle_winding(1), su2_identity(), phi))]
 
@@ -271,9 +272,9 @@ def check_robustness():
     the map-level perturbations (scalar scaling and the polar decomposition
     with its exact jet).
     """
-    phi = CollapseMap(2, 1)
-    v = compose_map_with_matrix(phi, su2_identity())
-    dom = phi.ball()
+    ball = CollapseMap(2, 1).ball()
+    v = compose_map_with_matrix(ball, su2_identity())
+    dom = ball.source
     base = SuperBundleModel(dom, v)
 
     def observables(model):

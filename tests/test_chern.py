@@ -269,9 +269,9 @@ def test_singular_value_outside_the_ball_is_caught(scale):
     # The ball chart has no node with |w| >= 2R, so on the budget that
     # --resolution-scale 0.2 gives, the sweep tests g at the ball's exterior
     # point, before any node, and names index n_nodes, one past the grid.
-    phi = CollapseMap(2, 1)
-    dom = phi.ball((5, 4)).at_scale(scale)
-    g = compose_map_with_matrix(phi, DualMatrixMap(singular_at_the_pole, 2))
+    ball = CollapseMap(2, 1).ball((5, 4))
+    dom = ball.source.at_scale(scale)
+    g = compose_map_with_matrix(ball, DualMatrixMap(singular_at_the_pole, 2))
     with pytest.raises(SingularMapError, match=f"singular at sample point index {dom.n_nodes}$"):
         odd_chern_top_integral(g, dom)
 

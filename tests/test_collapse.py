@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+from oddchern import collapse, dual
 from oddchern.collapse import (CollapseMap, collapse_degree,
                                mapping_degree, signed_preimage_count,
                                smooth_step, volume_pullback_integral)
 from oddchern.defaults import CHUNK, COLLAPSE_RADIUS, DEGREE_CHECK_NODES_PER_ANGLE
-from oddchern.domains import BallChart, ChartedSphereDomain, _sphere_sqrtg, sphere_volume
-from oddchern.maps import (ChartMap, antipodal_map, circle_power_map,
-                           identity_chart_map)
+from oddchern.domains import (BallChart, ChartedSphereDomain, _inverse_stereographic,
+                              _sphere_sqrtg, embed_sphere, sphere_volume)
+from oddchern.maps import (antipodal_map, circle_power_map,
+                           compose_map_with_matrix, identity_chart_map, su2_identity)
 
 COARSE = {1: 32, 2: 24, 3: 16}
 
@@ -121,9 +123,66 @@ def test_preimage_oracle_collapse_map():
 
 
 def test_volume_pullback_does_not_depend_on_the_block_size():
-    phi = CollapseMap(3, 1)
-    ball_map = ChartMap(BallChart(3, 1, phi.radius), phi.target, phi._ambient)
+    ball_map = CollapseMap(3, 1).ball()
     for chart_map in (CollapseMap(2, 1, nodes_per_angle=COARSE), ball_map):
         assert chart_map.source.n_nodes > 2 * CHUNK
         small = volume_pullback_integral(chart_map, chunk=997)
         assert abs(small - volume_pullback_integral(chart_map)) < 1e-13
+
+
+# -- the collapse map on its ball chart ---------------------------------------
+
+def product_path_on_the_ball(phi, ball, pts):
+    """phi's values and chart Jacobian columns at ball chart points, through
+    the product embedding (inverse stereographic projection of each factor's
+    block of w = r u) and CollapseMap._ambient."""
+    r, *rest = dual.seed_all(list(pts.T))
+    w = [r * u for u in embed_sphere(rest, ball.dim - 1)]
+    amb = _inverse_stereographic(w[:phi.p]) + _inverse_stereographic(w[phi.p:])
+    out = phi._ambient(amb)
+    vals = np.stack([c.val for c in out], axis=1)
+    return vals, [np.stack([c.eps[i] for c in out], axis=1) for i in range(ball.dim)]
+
+
+@pytest.mark.parametrize("p,q", [(2, 1), (1, 2), (3, 1), (2, 3)])
+def test_ball_formula_matches_the_product_path(p, q):
+    phi = CollapseMap(p, q)
+    ball_map = phi.ball((6, 3))
+    pts = ball_map.source.nodes_at(np.arange(ball_map.source.n_nodes))
+    vals, jac = ball_map.ambient_jacobian_columns(pts)
+    ref_vals, ref_jac = product_path_on_the_ball(phi, ball_map.source, pts)
+    assert len(jac) == len(ref_jac) == p + q
+    for got, ref in zip([vals] + jac, [ref_vals] + ref_jac):
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    # The exterior point, |w| = 4R, maps exactly to the pole, where phi is
+    # constant.
+    vals, jac = ball_map.ambient_jacobian_columns(ball_map.source.exterior)
+    pole = np.zeros((1, p + q + 1))
+    pole[0, 0] = 1.0
+    assert np.array_equal(vals, pole)
+    assert not np.any(jac)
+
+
+def test_product_path_rejects_ball_chart_columns():
+    # The ball chart's map coordinates [r] + u are p + q + 1 columns, which
+    # the product formula would misread as ambient columns of S^p x S^q.
+    phi = CollapseMap(2, 1)
+    ball = phi.ball().source
+    with pytest.raises(ValueError, match="reads the 5 ambient columns of S\\^2 x S\\^1, got 4"):
+        compose_map_with_matrix(phi, su2_identity()).jet(ball, ball.nodes_at(np.arange(8)))
+
+
+def test_ball_jet_evaluates_the_radial_profile_on_the_radial_axis_alone(monkeypatch):
+    shapes = []
+
+    def recording_step(s):
+        shapes.append(dual.value(s).shape)
+        return smooth_step(s)
+
+    ball_map = CollapseMap(3, 1).ball()
+    block = next(ball_map.source.node_blocks(CHUNK))
+    monkeypatch.setattr(collapse, "smooth_step", recording_step)
+    assert block.shape == (16, 8, 8, 8)
+    ball_map.ambient_jacobian_columns(block)
+    compose_map_with_matrix(ball_map, su2_identity()).jet(ball_map.source, block)
+    assert shapes == [(16, 1, 1, 1)] * 2

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from oddchern.chern import assemble_split_map
 from oddchern.collapse import CollapseMap
-from oddchern.domains import BallChart, ChartedSphereDomain
-from oddchern.maps import (ChartMap, HomotopyFamily, ProductMatrixMap,
+from oddchern.domains import ChartedSphereDomain
+from oddchern.maps import (HomotopyFamily, ProductMatrixMap,
                            ScaledMatrixMap, antipodal_map, circle_power_map,
                            circle_winding,
                            compose_map_with_matrix, constant_map,
@@ -227,6 +227,7 @@ def test_ambient_jacobian_columns_match_fd(data, pq):
 def _block_cases():
     phi21 = CollapseMap(2, 1, nodes_per_angle=COARSE)
     pull21 = compose_map_with_matrix(phi21, su2_identity())
+    ball21 = phi21.ball()
     s3 = ChartedSphereDomain([3], nodes_per_angle=COARSE)
     # S^2 x S^3 on 8 x 8 x 6 x 6 x 6 nodes: at chunk 100 the last three axes
     # hold 216 nodes and the last two 36, so blocks are slabs of the third axis.
@@ -234,7 +235,8 @@ def _block_cases():
     return {
         "su2-S3": (su2_identity(), s3, 1000),
         "collapse-pullback-S2xS1": (pull21, phi21.source, 2000),
-        "collapse-pullback-on-the-ball": (pull21, phi21.ball(), 1000),
+        "collapse-pullback-on-the-ball": (
+            compose_map_with_matrix(ball21, su2_identity()), ball21.source, 1000),
         "split-map": (assemble_split_map(circle_winding(1), su2_identity(), phi21),
                       phi21.source, 2000),
         "polar-of-scaled": (unitarize(ScaledMatrixMap(2.0, pull21), phi21.source),
@@ -258,10 +260,9 @@ def test_block_jets_equal_flat_jets_bit_for_bit(case):
 
 
 def test_ball_chart_ambient_jacobian_is_bit_identical_on_blocks():
-    phi = CollapseMap(3, 1, nodes_per_angle=COARSE)
-    ball = BallChart(3, 1, phi.radius, scale=0.5)
-    amap = ChartMap(ball, phi.target, phi._ambient)
-    blocks = list(ball.node_blocks(500))
+    # BALL_NODES at scale 0.5.
+    amap = CollapseMap(3, 1, nodes_per_angle=COARSE).ball((12, 4))
+    blocks = list(amap.source.node_blocks(500))
     assert len(blocks) > 1
     for block in blocks:
         vals, jac = amap.ambient_jacobian_columns(block)

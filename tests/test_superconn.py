@@ -413,17 +413,25 @@ def test_collapse_pullback_is_constant_outside_its_support():
 def test_pullback_integrals_on_the_ball_agree_with_the_angle_chart(variant):
     # The angle chart's 36,000 nodes leave an error of 1.4e-4 in deg*, the
     # ball chart's 24,576 nodes at scale 2 about 3e-14.
+    # phi* su2 is built on each chart: in the ball's polar coordinates there,
+    # in the product's ambient coordinates on the angle chart.
     phi = CollapseMap(2, 1, nodes_per_angle={1: 40, 2: 30})
-    g = compose_map_with_matrix(phi, su2_identity())
-    v = {"plain": g, "scaled": ScaledMatrixMap(2.0, g),
-         "polar-of-scaled": unitarize(ScaledMatrixMap(0.5, g), phi.source)}[variant]
-    ball, angle = phi.ball().at_scale(2.0), phi.source
-    ds_ball, ds_angle = (deg_star(v, dom, Ladder((dom.scale,), 1e-6)) for dom in (ball, angle))
+    ball_map = phi.ball()
+    ball, angle = ball_map.source.at_scale(2.0), phi.source
+
+    def variant_of(chart_map, dom):
+        g = compose_map_with_matrix(chart_map, su2_identity())
+        return {"plain": g, "scaled": ScaledMatrixMap(2.0, g),
+                "polar-of-scaled": unitarize(ScaledMatrixMap(0.5, g), dom)}[variant]
+
+    v_ball, v_angle = variant_of(ball_map, ball), variant_of(phi, angle)
+    ds_ball, ds_angle = (deg_star(v, dom, Ladder((dom.scale,), 1e-6))
+                         for v, dom in ((v_ball, ball), (v_angle, angle)))
     assert ds_ball.rounded == ds_angle.rounded == -1
     assert ds_ball.residual < 1e-12
     assert abs(ds_ball.value - ds_angle.value) < 1e-3
-    on_ball, on_angle = SuperBundleModel(ball, v), SuperBundleModel(angle, v)
-    assert (on_ball.v is v) == (on_angle.v is v) == (variant != "scaled")
+    on_ball, on_angle = SuperBundleModel(ball, v_ball), SuperBundleModel(angle, v_angle)
+    assert (on_ball.v is v_ball) == (on_angle.v is v_angle) == (variant != "scaled")
     for top in ("gamma_top", "chern_top"):
         a, b = getattr(on_ball, top)(), getattr(on_angle, top)()
         assert abs(a - b) < 1e-3 * abs(a)
