@@ -26,6 +26,7 @@ import numpy as np
 from . import dual
 from .defaults import BALL_NODES, CHUNK, COLLAPSE_LADDER, COLLAPSE_RADIUS, DEGREE_LADDER
 from .domains import BallChart, ChartedSphereDomain
+from .forms import _block_det
 from .maps import ChartMap
 from .results import DegreeResult
 
@@ -171,15 +172,18 @@ def volume_pullback_integral(chart_map: ChartMap, scale=1.0, chunk=CHUNK) -> com
 
     Evaluated through ambient determinants det[y, dy/dx_1, ...], which stays
     smooth across the target chart's poles (unlike chart-coordinate minors).
+    Each block's determinants are taken by cofactor expansion on node arrays
+    (forms._block_det) on an axis-swapped view of the block's jet, so no
+    node's matrix is copied or factorized.
     """
     src = chart_map.source.at_scale(scale)
     sign = chart_map.target.ambient_det_sign
     norm = 1.0 / chart_map.target.volume()
     total = 0.0
     for block in src.node_blocks(chunk):
-        # Rows y, dy/dx_1, ... of each node's matrix: (n, 1 + dim_s, amb_t).
-        mat = chart_map.jet_columns(block).swapaxes(0, 1)
-        total += np.sum(block.weights() * np.linalg.det(mat))
+        # Rows y, dy/dx_1, ... by ambient columns: (1 + dim_s, amb_t, npts).
+        rows = chart_map.jet_columns(block).swapaxes(1, 2)
+        total += np.sum(block.weights() * _block_det(rows))
     return complex(src.orientation_sign * sign * norm * total)
 
 

@@ -4,13 +4,16 @@ A form lives on a d-dimensional chart and is stored densely over the 2**d
 subsets of chart coordinates (bitmask index).  Each coefficient is one
 layout, an (N, N, npts) complex block over a batch of chart points: point
 axis last, so every matrix product unrolls into elementwise vector
-operations (_block_product).  Only strictly increasing multi-indices are
-stored; antisymmetry is canonicalized into Koszul signs at wedge time.
-GradedMatrixForm.wedge is the one product, for every degree.
+operations (_block_product, _trace_of_product).  Only strictly increasing
+multi-indices are stored; antisymmetry is canonicalized into Koszul signs at
+wedge time.  GradedMatrixForm.wedge is the one product, for every degree.
+_block_det takes pointwise determinants the same way, by cofactor expansion
+on node arrays; collapse.volume_pullback_integral reads it.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import factorial
 
 import numpy as np
@@ -71,6 +74,30 @@ def _trace_of_product(a, b):
             entry += a[i, k] * b[k, i]
         total = entry if total is None else total + entry
     return total
+
+
+def _block_det(rows):
+    """Pointwise determinant of k x k matrices given as rows[i][j] node
+    arrays, such as a (k, k, npts) block array or a view of one.
+
+    Laplace expansion from the last row up: the minors of the lower rows on
+    every column subset are formed once, each from the row above them and
+    the minors one row smaller, so the k x k determinant costs
+    k 2^(k-1) - k products (75 at k = 5, 186 at k = 6)."""
+    k = len(rows)
+    minors = {(j,): rows[k - 1][j] for j in range(k)}
+    for i in range(k - 2, -1, -1):
+        row, below, minors = rows[i], minors, {}
+        for cols in combinations(range(k), k - i):
+            acc = row[cols[0]] * below[cols[1:]]
+            for pos in range(1, len(cols)):
+                term = row[cols[pos]] * below[cols[:pos] + cols[pos + 1:]]
+                if pos & 1:
+                    acc -= term
+                else:
+                    acc += term
+            minors[cols] = acc
+    return minors[tuple(range(k))]
 
 
 def _diagonal_sum(a, rows):

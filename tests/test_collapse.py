@@ -130,6 +130,45 @@ def test_volume_pullback_does_not_depend_on_the_block_size():
         assert abs(small - volume_pullback_integral(chart_map)) < 1e-13
 
 
+def lapack_volume_pullback(chart_map):
+    """volume_pullback_integral's sum, with every node's determinant taken by
+    LAPACK on the same jet_columns blocks."""
+    src, tgt = chart_map.source, chart_map.target
+    total = 0.0
+    for block in src.node_blocks(CHUNK):
+        dets = np.linalg.det(chart_map.jet_columns(block).swapaxes(0, 1))
+        total += np.sum(block.weights() * dets)
+    return complex(src.orientation_sign * tgt.ambient_det_sign * total / tgt.volume())
+
+
+@pytest.mark.parametrize("case", ["ball 2 1", "ball 3 1", "ball 2 3",
+                                  "identity 1", "identity 2", "identity 3",
+                                  "antipodal 1", "antipodal 2", "antipodal 3"])
+def test_volume_pullback_matches_a_lapack_reference(case):
+    kind, *dims = case.split()
+    if kind == "ball":
+        chart_map = CollapseMap(*map(int, dims)).ball()
+    else:
+        dom = ChartedSphereDomain.sphere(int(dims[0]), nodes_per_angle=COARSE)
+        chart_map = (identity_chart_map if kind == "identity" else antipodal_map)(dom)
+    got = volume_pullback_integral(chart_map)
+    assert abs(got - lapack_volume_pullback(chart_map)) < 1e-14
+
+
+def test_collapse_degree_takes_no_batched_lapack_determinant(monkeypatch):
+    # Chart and map construction calibrate orientation signs on one matrix
+    # each; the volume form's per-node determinants must not reach LAPACK.
+    lapack_det = np.linalg.det
+
+    def single_matrix_det(a):
+        if np.ndim(a) > 2:
+            raise AssertionError("batched LAPACK determinant")
+        return lapack_det(a)
+
+    monkeypatch.setattr(np.linalg, "det", single_matrix_det)
+    assert collapse_degree(3, 1).rounded == 1
+
+
 # -- the collapse map on its ball chart ---------------------------------------
 
 def product_path_on_the_ball(phi, ball, pts):

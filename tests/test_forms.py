@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oddchern.forms import (GradedMatrixForm, SQRT_2PI_I, bit_indices,
-                            nilpotent_exp, normalize_2pi, power_odd,
-                            shuffle_sign)
+from oddchern.forms import (GradedMatrixForm, SQRT_2PI_I, _block_det,
+                            bit_indices, nilpotent_exp, normalize_2pi,
+                            power_odd, shuffle_sign)
 
 
 def perm_sign_oracle(seq):
@@ -240,3 +240,30 @@ def test_supertrace_kills_supercommutators(dim, rank, odd, degrees, seed):
     supercomm = a.wedge(b) - b.wedge(a).scale(sign)
     scale = a.max_abs() * b.max_abs() * 2 * rank * 2 ** dim
     assert supercomm.supertrace(rank).max_abs() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_block_det_matches_lapack(k):
+    rng = np.random.default_rng(30 + k)
+    for npts in (1, 7, 997):
+        a = rng.standard_normal((k, k, npts))
+        # Hadamard's bound |det| <= prod of the row norms, per node.
+        bound = np.prod(np.linalg.norm(a, axis=1), axis=0)
+        det = _block_det(a)
+        assert det.shape == (npts,)
+        assert np.all(np.abs(det - np.linalg.det(np.moveaxis(a, -1, 0))) <= 1e-13 * bound)
+        # A row swap flips the sign: bitwise for the last two rows, whose
+        # 2 x 2 minors negate exactly, and to rounding for any other pair.
+        for i in range(k - 1):
+            swapped = a.copy()
+            swapped[[i, k - 1]] = swapped[[k - 1, i]]
+            if i == k - 2:
+                assert np.array_equal(_block_det(swapped), -det)
+            else:
+                assert np.all(np.abs(_block_det(swapped) + det) <= 1e-13 * bound)
+        # Rank k - 1 at every node: the last row is a combination of the others.
+        if k > 1:
+            singular = a.copy()
+            singular[k - 1] = np.einsum("i...,ij...->j...", rng.standard_normal((k - 1, npts)), a[:k - 1])
+            bound = np.prod(np.linalg.norm(singular, axis=1), axis=0)
+            assert np.all(np.abs(_block_det(singular)) <= 1e-14 * bound)
