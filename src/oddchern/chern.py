@@ -19,12 +19,12 @@ naming its grid index.  The sweep (_sweep) walks the grid in tensor node blocks
 (domains.NodeBlock) and runs the jet on each block's columns, so the map's
 intermediates are computed per axis and expanded to the block's nodes only
 when packed.  A pure pullback through the collapse map is swept on the
-map's ball chart (domains.BallChart), outside which it is constant, with
-the map in the ball's polar coordinates (collapse.CollapseMap.ball); the
-sweep still tests its value there for singularity.  A boundary model's single
-sweep (superconn) feeds the same kernel from the jet it also uses for the
-gamma top integral.  The mixed-degree forms odd_chern
-and maurer_cartan serve the transgression and Chern-Simons identities,
+map's ball chart (domains.ChartedSphereDomain.ball), outside which it is
+constant, with the map in the ball's polar coordinates
+(collapse.CollapseMap.ball); the sweep still tests its value there for
+singularity.  A boundary model's single sweep (superconn) feeds the same
+kernel from the jet it also uses for the gamma top integral.  The
+mixed-degree forms odd_chern and maurer_cartan serve the transgression and Chern-Simons identities,
 which need every degree; transgression_pair's Ch~ takes g^{-1} and w from
 one jet of g_t.
 """
@@ -36,7 +36,7 @@ from math import factorial
 import numpy as np
 
 from .defaults import CHUNK, DEGREE_LADDER
-from .domains import gauss_legendre
+from .domains import gauss_axis
 from .fields import FormField, exterior_derivative
 from .forms import (
     GradedMatrixForm,
@@ -119,9 +119,10 @@ def _sweep(g: SmoothMatrixMap, domain, kernel, chunk):
     The grid is swept in tensor node blocks (domains.NodeBlock), and a
     SingularMapError is re-raised naming its node by its index on the whole
     grid.  A domain whose grid leaves out a region where g is taken to be
-    constant (domains.BallChart) has an exterior point there; g's value at
-    it is held to _checked_inverse's singularity test first, and an error
-    there names index domain.n_nodes, one past the grid's last node.
+    constant (the ball, domains.ChartedSphereDomain.ball) has an exterior
+    point there; g's value at it is held to _checked_inverse's singularity
+    test first, and an error there names index domain.n_nodes, one past the
+    grid's last node.
     """
     if domain.exterior is not None:
         try:
@@ -212,9 +213,7 @@ def chern_simons(conn0: FormField, conn1: FormField, domain,
     """
     d0 = exterior_derivative(conn0)
     d1 = exterior_derivative(conn1)
-    xs, ws = gauss_legendre(u_nodes)
-    xs = 0.5 * (xs + 1.0)
-    ws = 0.5 * ws
+    xs, ws = gauss_axis((u_nodes, (0.0, 1.0)))
 
     def sampler(pts):
         a0, da0 = conn0.at(pts), d0.at(pts)

@@ -11,12 +11,13 @@ basepoints smoothly.
 There its differentials are exactly 0 too, so a matrix map pulled back
 through it is one constant matrix there, and every top-degree integrand
 built from its jet is exactly 0.  Such an integrand is integrated on the
-ball alone: CollapseMap.ball is phi on the ball chart (domains.BallChart)
-that collapse_degree and every boundary model of a pure pullback phi* h
-sweep.  There phi is written in the chart's polar coordinates w = r u, as
-the inverse stereographic projection of rho(r) u, so the profile runs on
-the radial column alone.  Split maps pr2* f . phi* h vary outside the ball
-and read phi on the product angle chart, through CollapseMap._ambient.
+ball alone: CollapseMap.ball is phi on the ball chart
+(domains.ChartedSphereDomain.ball) that collapse_degree and every boundary
+model of a pure pullback phi* h sweep.  There phi is written in the chart's
+polar coordinates w = r u, as the inverse stereographic projection of
+rho(r) u, so the profile runs on the radial column alone.  Split maps
+pr2* f . phi* h vary outside the ball and read phi on the product angle
+chart, through CollapseMap._ambient.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import dual
 from .defaults import BALL_NODES, CHUNK, COLLAPSE_LADDER, COLLAPSE_RADIUS, DEGREE_LADDER
-from .domains import BallChart, ChartedSphereDomain
+from .domains import ChartedSphereDomain
 from .forms import _block_det
 from .maps import ChartMap
 from .results import DegreeResult
@@ -119,11 +120,11 @@ class CollapseMap(ChartMap):
 
     def _on_ball(self, cols):
         """phi on the ball chart's map coordinates [r] + u, with w = r u
-        (domains.BallChart): the inverse stereographic projection of
-        rho(r) u.  Every radial intermediate keeps the radial column's shape;
-        only the last p + q products, by the u_i, reach the block's.  From
-        r >= 2R on, eta and its derivatives are exactly 0, so phi is exactly
-        the pole there, with zero differentials."""
+        (domains.ChartedSphereDomain.ball): the inverse stereographic
+        projection of rho(r) u.  Every radial intermediate keeps the radial
+        column's shape; only the last p + q products, by the u_i, reach the
+        block's.  From r >= 2R on, eta and its derivatives are exactly 0, so
+        phi is exactly the pole there, with zero differentials."""
         r, u = cols[0], cols[1:]
         eta = self._eta(r, dual.value(r) <= self.radius)
         r2, eta2 = r * r, eta * eta
@@ -139,7 +140,7 @@ class CollapseMap(ChartMap):
     def ball(self, ball_nodes=BALL_NODES) -> ChartMap:
         """phi on the chart of the ball |w| < 2R, outside which it is
         constant, on a budget of (nodes per radial panel, nodes per angle)."""
-        return ChartMap(BallChart(self.p, self.q, self.radius, ball_nodes),
+        return ChartMap(ChartedSphereDomain.ball(self.p, self.q, self.radius, ball_nodes),
                         self.target, self._on_ball)
 
     # -- orientation ----------------------------------------------------------

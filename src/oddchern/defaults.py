@@ -10,8 +10,8 @@ NODES_PER_ANGLE = {1: 64, 2: 48, 3: 32, 4: 32, 5: 24}
 # table would produce tens of millions of nodes.
 DEGREE_CHECK_NODES_PER_ANGLE = {1: 32, 2: 24, 3: 16, 4: 16, 5: 14}
 
-# Ball-chart budget (domains.BallChart): Gauss-Legendre nodes per radial
-# panel and nodes per angle of S^(p+q-1), at scale 1, of
+# Ball-chart budget (domains.ChartedSphereDomain.ball): Gauss-Legendre
+# nodes per radial panel and nodes per angle of S^(p+q-1), at scale 1, of
 # collapse.collapse_degree and of every boundary model of a pure pullback
 # phi* h; the CLI's --resolution-scale multiplies both entries.  On the
 # SPLIT_LADDER levels of such a model, 3,072 and 24,576 nodes on S^2 x S^1,

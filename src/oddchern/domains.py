@@ -1,23 +1,25 @@
-"""Charted spheres and two-factor products with Gauss-Legendre quadrature.
+"""Tensor charts with Gauss-Legendre quadrature: spheres, two-factor
+products, and the collapse map's ball.
 
-A sphere S^m is parametrized by hyperspherical angles
-theta_1..theta_{m-1} in (0, pi) and theta_m in (0, 2*pi); the Gauss nodes are
-interior, so no node ever touches the coordinate-singular poles.  A product
-domain concatenates the factor charts (first factor's angles first) and
-carries the product orientation.
+Every grid is a tensor product of per-axis rules (gauss_axis).  A sphere S^m
+is parametrized by hyperspherical angles theta_1..theta_{m-1} in (0, pi) and
+theta_m in (0, 2*pi); the Gauss nodes are interior, so no node ever touches
+the coordinate-singular poles.  A product domain concatenates the factor
+charts (first factor's angles first) and carries the product orientation.
+The ball chart is polar: a radius on two panels, then angles.
 
-Every grid is a tensor product of per-axis rules, and node_blocks sweeps it
-in NodeBlocks: tensor sub-grids that keep one node array per axis.  A
-block's columns are shaped to broadcast against each other, so a map
-evaluated on them computes each intermediate only on the axes it depends on
-(a collapse map's radial profile on theta_1 x theta_(p+1), say), and the
-block is expanded to its full node count only where a result is packed.
-An (npts, dim) point array is the special case of a block whose columns
-all have shape (npts,); chart_columns reads either.
+node_blocks sweeps a grid in NodeBlocks: tensor sub-grids that keep one node
+array per axis.  A block's columns are shaped to broadcast against each
+other, so a map evaluated on them computes each intermediate only on the
+axes it depends on (a collapse map's radial profile on the ball's radius,
+say), and the block is expanded to its full node count only where a result
+is packed.  An (npts, dim) point array is the special case of a block whose
+columns all have shape (npts,); chart_columns reads either.
 """
 
 from __future__ import annotations
 
+import copy
 from functools import lru_cache
 from math import gamma, pi
 
@@ -52,8 +54,9 @@ class NodeBlock:
         return int(np.prod(self.shape))
 
     def weights(self) -> np.ndarray:
-        """Per-node quadrature weights in C order, folded axis by axis as
-        ChartedSphereDomain.weights folds them, so they are bit-identical."""
+        """Per-node quadrature weights in C order, folded axis by axis, so a
+        block's weights are bit-identical to the whole grid's
+        (ChartedSphereDomain.weights is the block of every node)."""
         w = np.ones(self.shape)
         for k, ((_, wi), i) in enumerate(zip(self._axes, self.index)):
             w = w * self._column(wi[i], k)
@@ -98,9 +101,19 @@ def gauss_legendre(n: int):
     return x, w
 
 
-def _gauss_axis(n: int, a: float, b: float):
-    x, w = gauss_legendre(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+def gauss_axis(rule, scale=1.0):
+    """The (nodes, weights) axis of a rule (n, breaks) at a resolution scale:
+    max(2, round(n scale)) Gauss-Legendre nodes on each [breaks[i], breaks[i+1]]."""
+    n, breaks = rule
+    x, w = gauss_legendre(max(2, int(round(n * scale))))
+    panels = [(0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w)
+              for a, b in zip(breaks[:-1], breaks[1:])]
+    return tuple(np.concatenate(c) for c in zip(*panels))
+
+
+def _angle_rules(m: int, n: int):
+    """Rules of S^m's hyperspherical angles: (0, pi), then (0, 2 pi) last."""
+    return ((n, (0.0, pi)),) * (m - 1) + ((n, (0.0, 2.0 * pi)),)
 
 
 def embed_sphere(cols, m: int):
@@ -136,20 +149,25 @@ def _sphere_sqrtg(cols, m: int):
 
 
 class ChartedSphereDomain:
-    """Quadrature-gridded S^m or S^p x S^q with a single global chart.
+    """A tensor chart: one quadrature rule per chart coordinate, and an embedding.
+
+    The constructor (or sphere, product) builds a sphere or product angle
+    chart, and ball the collapse map's ball chart.  volume, sqrtg,
+    ambient_det_sign, angles_from_ambient_cols and factor_slices apply to
+    sphere and product charts only.
 
     Attributes:
+      spheres: factor dimensions, (m,) or (p, q); the ball charts S^p x S^q.
       dim: chart dimension (m, or p + q).
-      ambient_dim: length of ambient coordinate vectors.
-      axes: per-angle (nodes, weights) pairs.
-      orientation_sign: +1; the chart coordinate order is the positive
-        orientation, so the round volume form integrates to +Vol.
-      ambient_det_sign: +-1 with det[y, dy/dtheta_1, ...] = sign * sqrt(g);
-        used by the ambient-determinant route to volume-form pullbacks.
-      exterior: None; the grid covers the whole chart (compare BallChart).
+      rules: per-coordinate rules (n, breaks) at scale 1 (gauss_axis).
+      scale: the multiplier of every rule's n; axes are the rules at scale.
+      radius: the ball's R; None on sphere charts.
+      orientation_sign: +1 on sphere charts, whose coordinate order is the
+        positive orientation; on the ball, the sign that matches it.
+      ambient_det_sign: +-1 with det[y, dy/dtheta_1, ...] = sign * sqrt(g).
+      exterior: on the ball, one chart point at |w| = 4R, outside the grid,
+        where chern._sweep tests a map's value for singularity; else None.
     """
-
-    exterior = None
 
     def __init__(self, spheres, nodes_per_angle=None, scale=1.0):
         """spheres: list of factor dimensions, e.g. [2] for S^2, [2, 1] for S^2 x S^1."""
@@ -159,23 +177,12 @@ class ChartedSphereDomain:
         if any(m < 1 for m in self.spheres):
             raise ValueError("factor dimension must be >= 1")
         self.nodes_per_angle = dict(nodes_per_angle or NODES_PER_ANGLE)
-        self.scale = float(scale)
-        self.dim = sum(self.spheres)
-        self.ambient_dim = sum(m + 1 for m in self.spheres)
-
-        self.axes = []
-        for m in self.spheres:
-            n = max(2, int(round(self.nodes_per_angle.get(m, 32) * scale)))
-            for j in range(m):
-                hi = pi if j < m - 1 else 2.0 * pi
-                self.axes.append(_gauss_axis(n, 0.0, hi))
-        self.shape = tuple(len(a[0]) for a in self.axes)
-        self.n_nodes = int(np.prod(self.shape))
-        self._weights_cache = None
+        self.rules = sum((_angle_rules(m, self.nodes_per_angle.get(m, 32))
+                          for m in self.spheres), ())
+        self._set_scale(scale)
+        self.radius = self.exterior = None
         self.orientation_sign = 1
         self.ambient_det_sign = self._calibrate_det_sign()
-
-    # -- construction helpers -------------------------------------------------
 
     @classmethod
     def sphere(cls, m, **kw):
@@ -185,8 +192,42 @@ class ChartedSphereDomain:
     def product(cls, p, q, **kw):
         return cls([p, q], **kw)
 
+    @classmethod
+    def ball(cls, p: int, q: int, radius: float, ball_nodes=BALL_NODES, scale=1.0):
+        """The ball |w| < 2R of stereographic coordinates on S^p x S^q.
+
+        w = (sigma_p(x), sigma_q(y)) in R^(p+q); the chart coordinates are
+        (r, theta_1..theta_{p+q-1}) with w = r u and u in S^(p+q-1) in
+        hyperspherical angles.  ball_nodes is (nodes per radial panel, nodes
+        per angle) at scale 1.  r runs over two panels, [0, R] and [R, 2R],
+        and no node lies beyond 2R, so an integrand must vanish there: the
+        collapse map with radius R is constant outside the ball, and so is
+        every pullback through it.  A map on the ball reads the map
+        coordinates [r] + u (embed_cols), as collapse.CollapseMap.ball does.
+        """
+        self = cls.__new__(cls)
+        self.spheres, self.radius = (p, q), float(radius)
+        self.rules = (((ball_nodes[0], (0.0, self.radius, 2.0 * self.radius)),)
+                      + _angle_rules(p + q - 1, ball_nodes[1]))
+        self._set_scale(scale)
+        self.exterior = np.array([[4.0 * self.radius] + [0.9] * (self.dim - 1)])
+        self.ambient_det_sign = None
+        self.orientation_sign = self._calibrate_ball_orientation()
+        return self
+
+    def _set_scale(self, scale):
+        self.scale = float(scale)
+        self.axes = [gauss_axis(rule, self.scale) for rule in self.rules]
+        self.dim = len(self.axes)
+        self.shape = tuple(len(a[0]) for a in self.axes)
+        self.n_nodes = int(np.prod(self.shape))
+        self._weights_cache = None
+
     def at_scale(self, scale: float) -> "ChartedSphereDomain":
-        return ChartedSphereDomain(self.spheres, self.nodes_per_angle, scale=scale)
+        """The same chart and rules at another scale, keeping the calibrated signs."""
+        out = copy.copy(self)
+        out._set_scale(scale)
+        return out
 
     @property
     def is_product(self) -> bool:
@@ -204,7 +245,15 @@ class ChartedSphereDomain:
     # -- chart maps -------------------------------------------------------------
 
     def embed_cols(self, cols):
-        """Chart coordinate columns -> ambient coordinate columns (dual-safe)."""
+        """Chart coordinate columns -> ambient coordinate columns (dual-safe).
+
+        On the ball these are the map coordinates [r] + u, with u the unit
+        vector of S^(p+q-1) at the angles, so w = r u; a map on the ball reads
+        r and u (collapse.CollapseMap.ball) and computes its radial
+        intermediates on the radial column alone.
+        """
+        if self.radius is not None:
+            return [cols[0]] + embed_sphere(cols[1:], self.dim - 1)
         out, c0 = [], 0
         for m in self.spheres:
             out.extend(embed_sphere(cols[c0:c0 + m], m))
@@ -212,8 +261,7 @@ class ChartedSphereDomain:
         return out
 
     def embed(self, pts: np.ndarray) -> np.ndarray:
-        cols = [pts[:, i] for i in range(self.dim)]
-        return np.stack([np.asarray(c, dtype=float) for c in self.embed_cols(cols)], axis=1)
+        return np.stack([np.asarray(c, dtype=float) for c in self.embed_cols(list(pts.T))], axis=1)
 
     def angles_from_ambient_cols(self, cols):
         out, a0 = [], 0
@@ -222,16 +270,12 @@ class ChartedSphereDomain:
             a0 += m + 1
         return out
 
-    def sqrtg_cols(self, cols):
+    def sqrtg(self, pts: np.ndarray) -> np.ndarray:
         g, c0 = 1.0, 0
         for m in self.spheres:
-            g = g * _sphere_sqrtg(cols[c0:c0 + m], m)
+            g = g * _sphere_sqrtg(list(pts.T[c0:c0 + m]), m)
             c0 += m
-        return g
-
-    def sqrtg(self, pts: np.ndarray) -> np.ndarray:
-        cols = [pts[:, i] for i in range(self.dim)]
-        return np.asarray(self.sqrtg_cols(cols), dtype=float) * np.ones(len(pts))
+        return np.asarray(g, dtype=float) * np.ones(len(pts))
 
     def embed_dual_cols(self, cols):
         """Ambient columns with every chart coordinate column seeded at once.
@@ -260,12 +304,8 @@ class ChartedSphereDomain:
 
     def weights(self) -> np.ndarray:
         if self._weights_cache is None:
-            w = np.ones(self.shape)
-            for i, (_, wi) in enumerate(self.axes):
-                sh = [1] * self.dim
-                sh[i] = -1
-                w = w * wi.reshape(sh)
-            self._weights_cache = w.reshape(-1)
+            whole = NodeBlock(self.axes, self.shape, [np.arange(n) for n in self.shape])
+            self._weights_cache = whole.weights()
         return self._weights_cache
 
     def node_blocks(self, chunk: int):
@@ -300,8 +340,7 @@ class ChartedSphereDomain:
         """
         sign = 1
         for m in self.spheres:
-            probe = np.full((1, m), 0.9)  # generic interior angle point
-            cols = [probe[:, i] for i in range(m)]
+            cols = list(np.full((m, 1), 0.9))  # a generic interior angle point
             amb = embed_sphere(dual.seed_all(cols), m)
             # Rows: the point y, then d y / d theta_i for each chart direction.
             det = np.linalg.det(np.array([[a.val[0] for a in amb]]
@@ -309,6 +348,23 @@ class ChartedSphereDomain:
             sq = float(dual.value(_sphere_sqrtg(cols, m))[0]) if m > 1 else 1.0
             sign *= 1 if det * sq > 0 else -1
         return sign
+
+    def _calibrate_ball_orientation(self) -> int:
+        """Sign of det d(product angles)/d(r, angles) at a generic probe.
+
+        The product angle chart carries orientation_sign +1, so this sign
+        makes the ball chart integrate top forms with the same orientation.
+        """
+        p, q = self.spheres
+        probe = np.full((1, self.dim), 0.9)
+        probe[0, 0] = 0.6 * self.radius
+        r, *u = self.embed_dual_cols(list(probe.T))
+        w = [r * ui for ui in u]
+        amb = _inverse_stereographic(w[:p]) + _inverse_stereographic(w[p:])
+        ang = (sphere_angles_from_ambient(amb[:p + 1], p)
+               + sphere_angles_from_ambient(amb[p + 1:], q))
+        det = np.linalg.det(np.array([[a.eps[i, 0] for i in range(self.dim)] for a in ang]))
+        return 1 if det > 0 else -1
 
 
 def _inverse_stereographic(w):
@@ -320,84 +376,3 @@ def _inverse_stereographic(w):
     s = sum(wi * wi for wi in w)
     d = 1.0 / (1.0 + s)
     return [(s - 1.0) * d] + [2.0 * wi * d for wi in w]
-
-
-class BallChart:
-    """The ball |w| < 2R of stereographic coordinates on S^p x S^q.
-
-    w = (sigma_p(x), sigma_q(y)) in R^(p+q); the chart coordinates are
-    (r, theta_1..theta_{p+q-1}) with w = r u and u in S^(p+q-1) in
-    hyperspherical angles.  r runs over two Gauss-Legendre panels, [0, R] and
-    [R, 2R], and no node lies beyond 2R, so an integrand must vanish there:
-    the collapse map with radius R is constant outside the ball, and so is
-    every pullback through it.  A map on the ball reads the map coordinates
-    [r] + u (embed_cols), not a point of S^p x S^q, so it is written for
-    this chart: collapse.CollapseMap.ball is the collapse map's.
-
-    Attributes:
-      dim: chart dimension p + q.
-      is_product: True; the ball charts the product S^p x S^q.
-      ball_nodes: (nodes per radial panel, nodes per angle) at scale 1, as
-        in BALL_NODES.
-      scale: the multiplier of ball_nodes this grid was built at.
-      axes: per-coordinate (nodes, weights) pairs, the radial axis first.
-      orientation_sign: +-1 relating the chart coordinate order to the
-        product angle chart's orientation of S^p x S^q.
-      exterior: one chart point at |w| = 4R, in the region the grid leaves
-        out, where chern._sweep tests a map's value for singularity.
-    """
-
-    is_product = True
-
-    def __init__(self, p: int, q: int, radius: float, ball_nodes=BALL_NODES, scale=1.0):
-        self.p, self.q, self.radius = p, q, float(radius)
-        self.ball_nodes, self.scale = tuple(ball_nodes), float(scale)
-        self.dim = p + q
-        n_r, n_a = (max(2, int(round(n * scale))) for n in self.ball_nodes)
-
-        inner = _gauss_axis(n_r, 0.0, self.radius)
-        outer = _gauss_axis(n_r, self.radius, 2.0 * self.radius)
-        self.axes = [tuple(np.concatenate(pair) for pair in zip(inner, outer))]
-        for j in range(self.dim - 1):
-            hi = pi if j < self.dim - 2 else 2.0 * pi
-            self.axes.append(_gauss_axis(n_a, 0.0, hi))
-        self.shape = tuple(len(a[0]) for a in self.axes)
-        self.n_nodes = int(np.prod(self.shape))
-        self.exterior = np.full((1, self.dim), 0.9)
-        self.exterior[0, 0] = 4.0 * self.radius
-        self.orientation_sign = self._calibrate_orientation()
-
-    def at_scale(self, scale: float) -> "BallChart":
-        return BallChart(self.p, self.q, self.radius, self.ball_nodes, scale)
-
-    def embed_cols(self, cols):
-        """(r, angles) columns -> the map coordinates [r] + u (dual-safe).
-
-        u is the unit vector of S^(p+q-1) at the angles, so w = r u; a map on
-        the ball reads r and u (collapse.CollapseMap.ball) and computes its
-        radial intermediates on the radial column alone.
-        """
-        return [cols[0]] + embed_sphere(cols[1:], self.dim - 1)
-
-    # The tensor-grid quadrature is the sphere charts', over the axes above.
-    nodes_at = ChartedSphereDomain.nodes_at
-    sample_stride = ChartedSphereDomain.sample_stride
-    sample_nodes = ChartedSphereDomain.sample_nodes
-    node_blocks = ChartedSphereDomain.node_blocks
-    embed_dual_cols = ChartedSphereDomain.embed_dual_cols
-
-    def _calibrate_orientation(self) -> int:
-        """Sign of det d(product angles)/d(r, angles) at a generic probe.
-
-        The product angle chart carries orientation_sign +1, so this sign
-        makes the ball chart integrate top forms with the same orientation.
-        """
-        probe = np.full((1, self.dim), 0.9)
-        probe[0, 0] = 0.6 * self.radius
-        r, *u = self.embed_dual_cols(list(probe.T))
-        w = [r * ui for ui in u]
-        amb = _inverse_stereographic(w[:self.p]) + _inverse_stereographic(w[self.p:])
-        ang = (sphere_angles_from_ambient(amb[:self.p + 1], self.p)
-               + sphere_angles_from_ambient(amb[self.p + 1:], self.q))
-        det = np.linalg.det(np.array([[a.eps[i, 0] for i in range(self.dim)] for a in ang]))
-        return 1 if det > 0 else -1

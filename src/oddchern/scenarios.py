@@ -179,6 +179,13 @@ def _scaled(nodes: int, scale: float) -> int:
     return max(4, int(round(nodes * scale)))
 
 
+def _check_budget(key, dim):
+    """Reject a chart beyond NODES_PER_ANGLE; its 32-node fallback sweeps ~1e10 nodes."""
+    if dim > max(NODES_PER_ANGLE):
+        raise ScenarioError(f"{key}: a {dim}-dimensional chart is beyond NODES_PER_ANGLE, "
+                            f"whose largest key is {max(NODES_PER_ANGLE)}")
+
+
 def _scale_nodes(scale: float):
     if scale == 1.0:
         return None
@@ -200,6 +207,7 @@ def _run_deg(cfg, resolution_scale):
     m_dim = _get_int(cfg, "geometry.sphere", 1, minimum=1)
     if m_dim % 2 == 0:
         raise ScenarioError(f"geometry.sphere: deg needs an odd sphere, got {m_dim}")
+    _check_budget("geometry.sphere", m_dim)
     dom = ChartedSphereDomain.sphere(
         m_dim, nodes_per_angle=_scale_nodes(resolution_scale))
     g = _build_generator(cfg, "map")
@@ -215,6 +223,7 @@ def _build_product_map(cfg, resolution_scale):
     if (p + q) % 2 == 0:
         raise ScenarioError(f"geometry.p, geometry.q: boundary models need p + q odd, "
                             f"got {p} + {q}")
+    _check_budget("geometry.p, geometry.q", p + q)
     radius = _get_positive_float(cfg, "geometry.collapse_radius", COLLAPSE_RADIUS)
     phi = CollapseMap(p, q, radius, nodes_per_angle=_scale_nodes(resolution_scale))
     h = _build_generator(cfg, "map.h")
@@ -301,6 +310,7 @@ def _run_localize(cfg, resolution_scale):
 
 def _run_flz_point(cfg, resolution_scale):
     n = _get_int(cfg, "geometry.n", 1, minimum=1)
+    _check_budget("geometry.n", 2 * n - 1)
     dom = ChartedSphereDomain.sphere(
         2 * n - 1, nodes_per_angle=_scale_nodes(resolution_scale))
     v = _build_generator(cfg, "map")

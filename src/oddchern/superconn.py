@@ -53,7 +53,7 @@ from .defaults import (
     T_NODES,
     UNITARY_TOL,
 )
-from .domains import gauss_legendre
+from .domains import gauss_axis
 from .forms import (
     SQRT_2PI_I,
     GradedMatrixForm,
@@ -286,9 +286,7 @@ def gamma_boundary_integral(model: SuperBundleModel, T: float = T_MAX,
     """
     d = model.domain.dim
     top = model.gamma_top()
-    xs, ws = gauss_legendre(t_nodes)
-    t = 0.5 * T * (xs + 1.0)
-    w = 0.5 * T * ws
+    t, w = gauss_axis((t_nodes, (0.0, T)))
     scalar = np.sum(w * (-t) ** d * np.exp(-t * t)) / factorial(d)
     return complex(BOUNDARY_ORIENTATION_SIGN * scalar * top / SQRT_2PI_I)
 

@@ -115,6 +115,19 @@ def test_bad_geometry_is_usage_error(tmp_path, capsys, command, body, message):
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,body,key,dim", [
+    ("deg", "geometry.sphere = 7\nmap.kind = circle_winding\n", "geometry.sphere", 7),
+    ("flz-point", "geometry.n = 4\nmap.kind = circle_winding\n", "geometry.n", 7),
+    ("deg-star", "geometry.p = 4\ngeometry.q = 3\nmap.h.kind = su2_identity\n",
+     "geometry.p, geometry.q", 7),
+])
+def test_chart_beyond_the_node_budget_is_usage_error(tmp_path, capsys, command, body, key, dim):
+    cfg = write(tmp_path, f"scenario = {command}\n" + body)
+    assert main([command, "--config", cfg]) == 64
+    assert (f"error: {key}: a {dim}-dimensional chart is beyond NODES_PER_ANGLE, "
+            f"whose largest key is 5") in capsys.readouterr().err
+
+
 def test_singular_map_is_usage_error(tmp_path, capsys, monkeypatch):
     # No scenario map kind is singular, so the builder is replaced by the
     # zero map, singular at every node.

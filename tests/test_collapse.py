@@ -8,7 +8,7 @@ from oddchern.collapse import (CollapseMap, collapse_degree,
                                mapping_degree, signed_preimage_count,
                                smooth_step, volume_pullback_integral)
 from oddchern.defaults import CHUNK, COLLAPSE_RADIUS, DEGREE_CHECK_NODES_PER_ANGLE
-from oddchern.domains import (BallChart, ChartedSphereDomain, _inverse_stereographic,
+from oddchern.domains import (ChartedSphereDomain, _inverse_stereographic,
                               _sphere_sqrtg, embed_sphere, sphere_volume)
 from oddchern.maps import (antipodal_map, circle_power_map,
                            compose_map_with_matrix, identity_chart_map, su2_identity)
@@ -74,7 +74,7 @@ def test_circle_power_degree(m):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_ball_chart_weights_integrate_the_ball_volume(m):
-    ball = BallChart(1, m - 1, COLLAPSE_RADIUS).at_scale(1.5)
+    ball = ChartedSphereDomain.ball(1, m - 1, COLLAPSE_RADIUS).at_scale(1.5)
     total = 0.0
     for block in ball.node_blocks(CHUNK):
         pts, w = block.points(), block.weights()

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oddchern.defaults import CHUNK, FD_STEP
+from oddchern.defaults import CHUNK, COLLAPSE_RADIUS, FD_STEP
 from oddchern.domains import ChartedSphereDomain, gauss_legendre, sphere_volume
 from oddchern.fields import (FormField, exterior_derivative, integrate_top,
                              volume_field)
@@ -193,11 +193,36 @@ def test_exterior_derivative_samples_each_slice_in_one_call():
     assert sum(calls) == 4 * 3 * CHUNK
 
 
-def test_at_scale_rescales_nodes():
-    dom = ChartedSphereDomain([2], nodes_per_angle={2: 16})
-    finer = dom.at_scale(2.0)
-    assert finer.n_nodes == 4 * dom.n_nodes
-    assert finer.volume() == pytest.approx(dom.volume(), rel=1e-9)
+CHARTS = {
+    "sphere": lambda scale: ChartedSphereDomain([2], nodes_per_angle={2: 16}, scale=scale),
+    "product": lambda scale: ChartedSphereDomain([2, 1], nodes_per_angle=COARSE, scale=scale),
+    "ball": lambda scale: ChartedSphereDomain.ball(2, 1, COLLAPSE_RADIUS, (12, 6), scale=scale),
+}
+
+
+@pytest.mark.parametrize("kind", list(CHARTS))
+def test_at_scale_rescales_nodes(kind):
+    dom = CHARTS[kind](1.0)
+    assert dom.at_scale(2.0).n_nodes == 2 ** dom.dim * dom.n_nodes
+    for scale in (0.5, 0.625, 1.5, 2.0):
+        scaled, direct = dom.at_scale(scale), CHARTS[kind](scale)
+        assert scaled.scale == direct.scale == scale
+        assert len(scaled.axes) == len(direct.axes) == dom.dim
+        for (x, w), (dx, dw) in zip(scaled.axes, direct.axes):
+            assert np.array_equal(x, dx) and np.array_equal(w, dw)
+        assert scaled.orientation_sign == direct.orientation_sign
+        assert np.array_equal(scaled.exterior, direct.exterior)
+        if kind == "ball":
+            # Two radial panels, [0, R] and [R, 2R], of n interior nodes each.
+            n, R = max(2, round(12 * scale)), COLLAPSE_RADIUS
+            r, w = scaled.axes[0]
+            assert len(r) == 2 * n
+            assert np.all((0.0 < r[:n]) & (r[:n] < R)) and np.all((R < r[n:]) & (r[n:] < 2 * R))
+            assert w[:n].sum() == pytest.approx(R, rel=1e-14)
+            assert w[n:].sum() == pytest.approx(R, rel=1e-14)
+        else:
+            assert scaled.ambient_det_sign == direct.ambient_det_sign
+            assert scaled.volume() == pytest.approx(dom.volume(), rel=1e-9)
 
 
 def test_node_blocks_cover_all_nodes():

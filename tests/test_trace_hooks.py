@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import oddchern  # noqa: F401 - loads every submodule that install patches
+from oddchern.collapse import CollapseMap, volume_pullback_integral
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -50,3 +51,16 @@ def test_install_patches_and_restore_undoes_every_patch():
     assert ("oddchern.superconn", "_gamma_top_integral") in patched
     assert after.keys() == before.keys()
     assert [key for key, val in before.items() if after[key] is not val] == []
+
+
+def test_trace_sees_the_ball_chart_grid():
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        volume_pullback_integral(CollapseMap(3, 1).ball((6, 4)))
+    finally:
+        restore()
+    names = [span[0] for span in tracer.spans]
+    assert "domains.grid" in names and "domains.embed" in names
+    assert [span[4] for span in tracer.spans if span[0] == "domains.grid"] == [{"nodes": 12 * 4 ** 3}]
