@@ -18,15 +18,18 @@ LAPACK from N = 4; a node with |det g| < 1e-12 raises SingularMapError
 naming its grid index.  The sweep (_sweep) walks the grid in tensor node blocks
 (domains.NodeBlock) and runs the jet on each block's columns, so the map's
 intermediates are computed per axis and expanded to the block's nodes only
-when packed.  A pure pullback through the collapse map is swept on the
-map's ball chart (domains.ChartedSphereDomain.ball), outside which it is
-constant, with the map in the ball's polar coordinates
-(collapse.CollapseMap.ball); the sweep still tests its value there for
-singularity.  A boundary model's single sweep (superconn) feeds the same
-kernel from the jet it also uses for the gamma top integral.  The
-mixed-degree forms odd_chern and maurer_cartan serve the transgression and Chern-Simons identities,
-which need every degree; transgression_pair's Ch~ takes g^{-1} and w from
-one jet of g_t.
+when packed.  The kernel writes g^{-1}, the w_i and the wedge's top
+component into one scratch set of block buffers (forms.BlockScratch) that
+the sweep reuses on all its blocks, not allocated per block.  A pure
+pullback through the collapse map is swept on the map's ball chart
+(domains.ChartedSphereDomain.ball), outside which it is constant, with the
+map in the ball's polar coordinates (collapse.CollapseMap.ball); the sweep
+still tests its value there for singularity.  A boundary model's single
+sweep (superconn) feeds the same kernel, and the same scratch set, from the
+jet it also uses for the gamma top integral.  The mixed-degree forms
+odd_chern and maurer_cartan serve the transgression and Chern-Simons
+identities, which need every degree; transgression_pair's Ch~ takes g^{-1}
+and w from one jet of g_t.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .defaults import CHUNK, DEGREE_LADDER
 from .domains import gauss_axis
 from .fields import FormField, exterior_derivative
 from .forms import (
+    BlockScratch,
     GradedMatrixForm,
     _block_product,
     _diagonal_sum,
@@ -74,24 +78,32 @@ class SingularMapError(ValueError):
         self.what, self.index = what, index
 
 
-def _checked_inverse(g):
+def _checked_inverse(g, out=None):
     """Pointwise inverse of an (N, N, npts) block array, rejecting singular nodes.
 
     N <= 3 are closed forms: 1/g; for N = 2 the adjugate over
-    det = g00 g11 - g01 g10; for N = 3 the transposed cofactors, computed
-    once on the block, over the det that expands along their first row.
-    From N = 4 it falls back to batched LAPACK on a point-axis-first view.
+    det = g00 g11 - g01 g10; for N = 3 the transposed cofactors, written
+    entry by entry into the result, over the det that expands along their
+    first row.  From N = 4 it falls back to batched LAPACK on a
+    point-axis-first view.  out, when given, is an (N, N, npts) buffer that
+    does not overlap g, and the inverse is written there.
     """
     n = g.shape[0]
+    if out is None:
+        out = np.empty_like(g)
     if n == 1:
         det = g[0, 0]
     elif n == 2:
         det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
     elif n == 3:
-        # cof[i, j] = g[i+1, j+1] g[i+2, j+2] - g[i+1, j+2] g[i+2, j+1], indices mod 3.
-        s1, s2 = [1, 2, 0], [2, 0, 1]
-        cof = g[np.ix_(s1, s1)] * g[np.ix_(s2, s2)] - g[np.ix_(s1, s2)] * g[np.ix_(s2, s1)]
-        det = g[0, 0] * cof[0, 0] + g[0, 1] * cof[0, 1] + g[0, 2] * cof[0, 2]
+        # out[j, i] = cof[i, j] = g[i+1, j+1] g[i+2, j+2] - g[i+1, j+2] g[i+2, j+1], indices mod 3.
+        for i in range(3):
+            i1, i2 = (i + 1) % 3, (i + 2) % 3
+            for j in range(3):
+                j1, j2 = (j + 1) % 3, (j + 2) % 3
+                np.multiply(g[i1, j1], g[i2, j2], out=out[j, i])
+                out[j, i] -= g[i1, j2] * g[i2, j1]
+        det = g[0, 0] * out[0, 0] + g[0, 1] * out[1, 0] + g[0, 2] * out[2, 0]
     else:
         det = np.linalg.det(np.moveaxis(g, -1, 0))
     absdet = np.abs(det)
@@ -99,27 +111,34 @@ def _checked_inverse(g):
     if absdet[node] < 1e-12:
         raise SingularMapError("matrix map singular", node)
     if n == 1:
-        return 1.0 / g
+        return np.divide(1.0, g, out=out)
     if n == 2:
         r = 1.0 / det
-        inv = np.empty_like(g)
-        np.multiply(g[1, 1], r, out=inv[0, 0])
-        np.multiply(g[0, 0], r, out=inv[1, 1])
-        np.multiply(g[0, 1], -r, out=inv[0, 1])
-        np.multiply(g[1, 0], -r, out=inv[1, 0])
-        return inv
+        np.multiply(g[1, 1], r, out=out[0, 0])
+        np.multiply(g[0, 0], r, out=out[1, 1])
+        np.multiply(g[0, 1], -r, out=out[0, 1])
+        np.multiply(g[1, 0], -r, out=out[1, 0])
+        return out
     if n == 3:
-        return np.divide(cof.swapaxes(0, 1), det, out=np.empty_like(g))
-    return _point_axis_last(np.linalg.inv(np.moveaxis(g, -1, 0)))
+        return np.divide(out, det, out=out)
+    out[...] = np.moveaxis(np.linalg.inv(np.moveaxis(g, -1, 0)), 0, -1)
+    return out
 
 
-def _sweep(g: SmoothMatrixMap, domain, kernel, chunk):
-    """Oriented quadrature sum of kernel(*g.jet(domain, block)), (..., npts), over domain's grid.
+def _sweep(g: SmoothMatrixMap, domain, kernel, chunk, buffers):
+    """Oriented quadrature sum of kernel(vals, dgs, scratch), (..., npts), over domain's grid.
 
-    The grid is swept in tensor node blocks (domains.NodeBlock), and a
-    SingularMapError is re-raised naming its node by its index on the whole
-    grid.  A domain whose grid leaves out a region where g is taken to be
-    constant (the ball, domains.ChartedSphereDomain.ball) has an exterior
+    The grid is swept in tensor node blocks (domains.NodeBlock), and
+    (vals, dgs) is g.jet(domain, block) on each.  scratch is one
+    forms.BlockScratch, which the kernel takes at most `buffers`
+    (N, N, npts) block buffers from.  The sweep passes the same one with
+    every block and drops it when it returns.  It takes the buffers itself
+    before each jet of a new block shape, so that they lie under the arrays
+    that every block's jet allocates and frees: taken after the first jet,
+    they raised the peak RSS of deg su2 size 3 on S^3 by 2 MB.
+    A SingularMapError is re-raised naming its node by its index on the
+    whole grid.  A domain whose grid leaves out a region where g is taken to
+    be constant (the ball, domains.ChartedSphereDomain.ball) has an exterior
     point there; g's value at it is held to _checked_inverse's singularity
     test first, and an error there names index domain.n_nodes, one past the
     grid's last node.
@@ -130,9 +149,12 @@ def _sweep(g: SmoothMatrixMap, domain, kernel, chunk):
         except SingularMapError as exc:
             raise SingularMapError(exc.what, domain.n_nodes) from None
     total = 0.0
+    scratch = BlockScratch()
     for block in domain.node_blocks(chunk):
+        scratch.take(buffers, (g.size, g.size, len(block)))
         try:
-            total = total + np.sum(block.weights() * kernel(*g.jet(domain, block)), axis=-1)
+            values = kernel(*g.jet(domain, block), scratch)
+            total = total + np.sum(block.weights() * values, axis=-1)
         except SingularMapError as exc:
             raise SingularMapError(exc.what, int(block.flat_index()[exc.index])) from None
     return domain.orientation_sign * total
@@ -152,35 +174,43 @@ def odd_chern_coefficient(k: int) -> float:
     return (-1.0) ** k * factorial(k) / factorial(2 * k + 1)
 
 
-def _maurer_cartan_form(inv, dgs) -> GradedMatrixForm:
+def _maurer_cartan_form(inv, dgs, out=None) -> GradedMatrixForm:
     """w = sum_i g^{-1} dg_i dx_i from g^{-1} and the differentials of g.
 
     inv is g^{-1} at a batch of nodes, an (N, N, npts) block, and dgs the
-    (d, npts, N, N) differentials of g's jet.
+    (d, npts, N, N) differentials of g's jet.  out, when given, holds d
+    (N, N, npts) buffers that the w_i are written into.
     """
-    return GradedMatrixForm.one_form([_block_product(inv, _point_axis_last(dg)) for dg in dgs])
+    out = [None] * len(dgs) if out is None else out
+    return GradedMatrixForm.one_form(
+        [_block_product(inv, _point_axis_last(dg), o) for dg, o in zip(dgs, out)])
 
 
-def _odd_chern_top(vals, dgs) -> np.ndarray:
+def _odd_chern_top(vals, dgs, scratch=None) -> np.ndarray:
     """Top coefficient of odd_chern(g) from a jet of g: c_k Tr(w^d), d = 2k + 1.
 
     A cyclic shift of an odd number of factors is an even permutation, so
     under the trace every term of w^d can be rotated to start with w_0:
     Tr(w^d)_top = d Tr(w_0 (w_1 ^ ... ^ w_(d-1))_top), where the wedge is the
     (d-1)-th power of sum_(i>0) w_i dx_i on the coordinates after the first.
+    g^{-1} and the w_i are d + 1 buffers of scratch, a forms.BlockScratch (a
+    new one when None), and the wedge's top component takes g^{-1}'s buffer
+    once w is formed.
     """
-    w = _maurer_cartan_form(_checked_inverse(_point_axis_last(vals)), dgs).comps
-    d = len(dgs)
+    g, d = _point_axis_last(vals), len(dgs)
+    inv, *w = (BlockScratch() if scratch is None else scratch).take(d + 1, g.shape)
+    _maurer_cartan_form(_checked_inverse(g, inv), dgs, w)
     c = odd_chern_coefficient((d - 1) // 2)
     if d == 1:
-        return c * _diagonal_sum(w[1], range(w[1].shape[0]))
-    rest = GradedMatrixForm.one_form([w[1 << i] for i in range(1, d)]).wedge_power(d - 1)
-    return (c * d) * _trace_of_product(w[1], rest.comps[-1])
+        return c * _diagonal_sum(w[0], range(g.shape[0]))
+    top = (1 << (d - 1)) - 1
+    rest = GradedMatrixForm.one_form(w[1:]).wedge_power(d - 1, out={top: inv})
+    return (c * d) * _trace_of_product(w[0], rest.comps[top])
 
 
 def odd_chern_top_integral(g: SmoothMatrixMap, domain, chunk: int = CHUNK) -> complex:
     """Integral of the top-degree part of odd_chern(g) over the domain's grid."""
-    return complex(_sweep(g, domain, _odd_chern_top, chunk))
+    return complex(_sweep(g, domain, _odd_chern_top, chunk, domain.dim + 1))
 
 
 def odd_chern(g: SmoothMatrixMap, domain) -> FormField:

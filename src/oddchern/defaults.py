@@ -98,12 +98,13 @@ GAMMA_COARSE_SCALE = 0.5
 # CHUNK nodes: a slab of one axis times every trailing axis whole.  On
 # gamma-limit's 60 x 60 x 80 model grid a block is one theta_1 row of
 # 4,800 nodes; on the collapse-4d ball chart, 8,192 or 8,000 nodes.  A
-# block's full-size temporaries (a jet of an N x N map is d + 1 arrays of
-# N*N*npts complex numbers) should stay small enough to be reused from the
-# heap.  One (8192,) complex array is 128 KiB, glibc's default mmap
-# threshold, and larger ones are mapped afresh and page-faulted on every
-# use: at 400,000 nodes five passes of collapse-4d took 345,000-355,000
-# minor faults, 1.3-1.7 s of system time and 460 MB, against 147,000,
+# block's arrays grow with it: a jet of an N x N map is d + 1 arrays of
+# N*N*npts complex numbers, and the odd Chern and gamma top kernels reuse
+# d + 1 or d + 3 more, one scratch set per sweep (forms.BlockScratch), on
+# every block, so they are not page-faulted in afresh per block.  One
+# (8192,) complex row is 128 KiB, glibc's default mmap threshold; at
+# 400,000 nodes five passes of collapse-4d took 345,000-355,000 minor
+# faults, 1.3-1.7 s of system time and 460 MB, against 147,000,
 # 0.25-0.33 s and 49 MB at 8,192.  Scan on a 2-vCPU Xeon VM, one BLAS thread,
 # direct runs of the benchmark workloads' ops, median pass seconds of 15
 # (3 interleaved rounds of 5) and peak RSS:

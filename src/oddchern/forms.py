@@ -7,6 +7,8 @@ axis last, so every matrix product unrolls into elementwise vector
 operations (_block_product, _trace_of_product).  Only strictly increasing
 multi-indices are stored; antisymmetry is canonicalized into Koszul signs at
 wedge time.  GradedMatrixForm.wedge is the one product, for every degree.
+A product or a wedge component can be formed in a given buffer, such as one
+of the BlockScratch buffers that a sweep reuses on all its node blocks.
 _block_det takes pointwise determinants the same way, by cofactor expansion
 on node arrays; collapse.volume_pullback_integral reads it.
 """
@@ -51,17 +53,49 @@ def _point_axis_last(a):
     return np.ascontiguousarray(np.moveaxis(a, -3, -1))
 
 
-def _block_product(a, b):
-    """Pointwise N x N matrix product of two (N, N, npts) block arrays."""
+def _block_product(a, b, out=None, add=0):
+    """Pointwise N x N matrix product of two (N, N, npts) block arrays.
+
+    out, when given, is an (N, N, npts) buffer that overlaps neither factor.
+    With add = 0 the product is written there; with add = +1 or -1 it is
+    added to or subtracted from out one entry at a time, bit for bit as
+    out += a b or out -= a b would, without a block temporary.
+    """
     n = a.shape[0]
-    out = np.empty_like(a)
+    if out is None:
+        out = np.empty_like(a)
+    term = np.empty_like(out[0, 0])
+    row = np.empty_like(term) if add else None
     for i in range(n):
         for j in range(n):
-            acc = out[i, j]
+            acc = row if add else out[i, j]
             np.multiply(a[i, 0], b[0, j], out=acc)
             for k in range(1, n):
-                acc += a[i, k] * b[k, j]
+                acc += np.multiply(a[i, k], b[k, j], out=term)
+            if add > 0:
+                out[i, j] += acc
+            elif add < 0:
+                out[i, j] -= acc
     return out
+
+
+class BlockScratch:
+    """The (N, N, npts) block buffers that one sweep reuses on every node block.
+
+    take(k, shape) returns k complex buffers of that shape, the same ones on
+    each call with it.  A call with another shape, such as a sweep's smaller
+    tail block, drops the buffers and allocates new ones.
+    """
+
+    def __init__(self):
+        self.shape, self.buffers = None, []
+
+    def take(self, k: int, shape):
+        if shape != self.shape:
+            self.shape, self.buffers = shape, []
+        while len(self.buffers) < k:
+            self.buffers.append(np.empty(shape, dtype=complex))
+        return self.buffers[:k]
 
 
 def _trace_of_product(a, b):
@@ -190,44 +224,53 @@ class GradedMatrixForm:
 
     # -- multiplicative structure ---------------------------------------------
 
-    def wedge(self, other):
+    def wedge(self, other, out=None):
         """Wedge product with matrix multiplication on coefficients.
 
         A scalar-valued factor (N == 1) broadcasts against a matrix-valued one.
-        Terms are summed in mask order, negative Koszul terms subtracted.
+        Terms are summed in mask order, negative Koszul terms subtracted;
+        between matrix-valued factors each term after a component's first is
+        summed into it entry by entry (_block_product's add).  out, when
+        given, maps masks to (N, N, npts) buffers that overlap neither factor,
+        and the component at such a mask is formed there.
         """
         if self.dim != other.dim or self.npts != other.npts:
             raise ValueError("wedge requires the same chart and point batch")
         if self.size != other.size and 1 not in (self.size, other.size):
             raise ValueError("matrix sizes incompatible for wedge")
-        out = GradedMatrixForm(self.dim, max(self.size, other.size), self.npts)
+        out_form = GradedMatrixForm(self.dim, max(self.size, other.size), self.npts)
+        comps = out_form.comps
         for ma, a in enumerate(self.comps):
             if a is None:
                 continue
             for mb, b in enumerate(other.comps):
                 if b is None or (ma & mb):
                     continue
+                k, sign = ma | mb, shuffle_sign(ma, mb)
+                if comps[k] is not None and self.size == other.size:
+                    _block_product(a, b, comps[k], sign)
+                    continue
+                buf = out.get(k) if out is not None and comps[k] is None else None
                 if self.size == other.size:
-                    term = _block_product(a, b)
+                    term = _block_product(a, b, buf)
                 elif self.size == 1:
-                    term = a[0, 0] * b
+                    term = np.multiply(a[0, 0], b, out=buf)
                 else:
-                    term = a * b[0, 0]
-                negative = shuffle_sign(ma, mb) < 0
-                k = ma | mb
-                if out.comps[k] is None:
-                    out.comps[k] = np.negative(term, out=term) if negative else term
-                elif negative:
-                    out.comps[k] -= term
+                    term = np.multiply(a, b[0, 0], out=buf)
+                if comps[k] is None:
+                    comps[k] = np.negative(term, out=term) if sign < 0 else term
+                elif sign < 0:
+                    comps[k] -= term
                 else:
-                    out.comps[k] += term
-        return out
+                    comps[k] += term
+        return out_form
 
-    def wedge_power(self, m: int):
-        """m-fold left-folded wedge of the form with itself (m >= 1)."""
+    def wedge_power(self, m: int, out=None):
+        """m-fold left-folded wedge of the form with itself (m >= 1); out
+        goes to the last wedge."""
         if m < 1:
             raise ValueError("wedge_power needs m >= 1")
-        return wedge_chain([self] * m)
+        return wedge_chain([self] * m, out=out)
 
     # -- trace-like maps ------------------------------------------------------
 
@@ -256,12 +299,13 @@ class GradedMatrixForm:
         return out
 
 
-def wedge_chain(factors) -> GradedMatrixForm:
-    """Left-folded wedge f_0 ^ f_1 ^ ... of a nonempty sequence of forms."""
+def wedge_chain(factors, out=None) -> GradedMatrixForm:
+    """Left-folded wedge f_0 ^ f_1 ^ ... of a nonempty sequence of forms;
+    out (GradedMatrixForm.wedge) goes to the last wedge."""
     acc = factors[0]
-    for f in factors[1:]:
+    for f in factors[1:-1]:
         acc = acc.wedge(f)
-    return acc
+    return acc.wedge(factors[-1], out=out) if len(factors) > 1 else acc
 
 
 def power_odd(w: GradedMatrixForm, m: int) -> GradedMatrixForm:

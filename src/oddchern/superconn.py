@@ -56,6 +56,7 @@ from .defaults import (
 from .domains import gauss_axis
 from .forms import (
     SQRT_2PI_I,
+    BlockScratch,
     GradedMatrixForm,
     _block_product,
     _point_axis_last,
@@ -230,7 +231,7 @@ def _odd_block(pm, mp):
     return out
 
 
-def _top_supertrace(vals, dvs) -> np.ndarray:
+def _top_supertrace(vals, dvs, scratch=None) -> np.ndarray:
     """Tr_s(V dV^d) on the top multi-index, from v and its d differentials.
 
     vals is (npts, N, N) and dvs (d, npts, N, N).  With a = sum dv_i dx_i and
@@ -239,20 +240,27 @@ def _top_supertrace(vals, dvs) -> np.ndarray:
     c = b ^ a ^ ... (d - 1 factors): X = a ^ c and Y = c ^ b.  With c^i the
     coefficient of c on every coordinate but i, their top coefficients are
     sum_i (-1)^i a_i c^i and, d being odd, sum_i (-1)^i c^i b_i.  So the
-    supertrace is sum_i (-1)^i Tr((v* dv_i - dv_i* v) c^i).
+    supertrace is sum_i (-1)^i Tr(m_i c^i), m_i = v* dv_i - dv_i* v.
+    v*, the dv_i*, m_i and the c^i are 2 d + 2 buffers of scratch, a
+    forms.BlockScratch (a new one when None).
     """
     v, dv = _point_axis_last(vals), _point_axis_last(dvs)
-    d, npts = len(dvs), v.shape[-1]
-    vh, dvh = _adjoint(v), _adjoint(dv)
+    d, top = len(dvs), (1 << len(dvs)) - 1
+    vh, m, *bufs = (BlockScratch() if scratch is None else scratch).take(2 * d + 2, v.shape)
+    dvh = bufs[:d]
+    np.conj(v.swapaxes(0, 1), out=vh)
+    for i in range(d):
+        np.conj(dv[i].swapaxes(0, 1), out=dvh[i])
     if d == 1:
-        c = GradedMatrixForm.identity(d, v.shape[0], npts)
+        c = GradedMatrixForm.identity(d, v.shape[0], v.shape[-1])
     else:
         a, b = GradedMatrixForm.one_form(dv), GradedMatrixForm.one_form(dvh)
-        c = wedge_chain(([b, a] * d)[:d - 1])
-    top = (1 << d) - 1
+        c = wedge_chain(([b, a] * d)[:d - 1],
+                        out={top ^ (1 << i): buf for i, buf in enumerate(bufs[d:])})
     total = 0.0
     for i in range(d):
-        m = _block_product(vh, dv[i]) - _block_product(dvh[i], v)
+        _block_product(vh, dv[i], m)
+        _block_product(dvh[i], v, m, -1)
         term = _trace_of_product(m, c.comps[top ^ (1 << i)])
         total = total - term if i & 1 else total + term
     return total
@@ -264,14 +272,16 @@ def _gamma_top_integral(model: SuperBundleModel, chunk=CHUNK):
     Per node block one jet of v feeds both top integrals: phi(Tr_s(V dV^d))
     with the t-factor stripped (_top_supertrace), and c_k Tr((v^{-1} dv)^d),
     the top part of the odd Chern form (_odd_chern_top, which rejects
-    singular nodes).
+    singular nodes).  The two kernels run one after the other on the
+    sweep's one scratch set of block buffers.
     """
     norm = SQRT_2PI_I ** (-model.domain.dim)
 
-    def kernel(vals, dvs):
-        return np.stack([norm * _top_supertrace(vals, dvs), _odd_chern_top(vals, dvs)])
+    def kernel(vals, dvs, scratch):
+        return np.stack([norm * _top_supertrace(vals, dvs, scratch),
+                         _odd_chern_top(vals, dvs, scratch)])
 
-    gamma, chern = _sweep(model.v, model.domain, kernel, chunk)
+    gamma, chern = _sweep(model.v, model.domain, kernel, chunk, 2 * model.domain.dim + 2)
     return complex(gamma), complex(chern)
 
 

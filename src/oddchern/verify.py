@@ -13,6 +13,7 @@ from math import factorial
 
 import numpy as np
 
+from . import dual
 from .chern import assemble_split_map, chern_simons, deg, deg_star, maurer_cartan, odd_chern, transgression_pair
 from .collapse import CollapseMap, collapse_degree, mapping_degree
 from .defaults import DEGREE_CHECK_NODES_PER_ANGLE, DEGREE_RESIDUAL_TOL, T_MAX, TWO_PATH_TOL
@@ -83,6 +84,23 @@ def check_chern_simons_consistency():
                    f"max integrated gap {gap:.3e} (S1: {gap1:.3e}, S3: {gap3:.3e})")
 
 
+def _matrix_axes_first(x):
+    """A Dual or array with two leading unit axes for a matrix's indices,
+    behind eps's direction axis when it has one; a scalar as it is."""
+    if isinstance(x, dual.Dual):
+        lead = x.eps.ndim - x.val.ndim
+        return dual.Dual(x.val[None, None], np.expand_dims(x.eps, (lead, lead + 1)))
+    return x[None, None] if np.ndim(x) else x
+
+
+def _matrix_entry(g, i, j):
+    """Entry (i, j) of a Dual or array whose matrix axes lead its node axes."""
+    if isinstance(g, dual.Dual):
+        lead = g.eps.ndim - g.val.ndim
+        return dual.Dual(g.val[i, j], g.eps[(slice(None),) * lead + (i, j)])
+    return g[i, j]
+
+
 def _random_family(rng, n_ambient, size=2, spread=0.12):
     """Invertible family Id + sum_i (A_i + t B_i) x_i with trig entries."""
     scale = spread / n_ambient
@@ -92,17 +110,17 @@ def _random_family(rng, n_ambient, size=2, spread=0.12):
                  + 1j * rng.standard_normal((n_ambient, size, size)))
 
     def fn(t, cols):
-        rows = []
-        for i in range(size):
-            row = []
-            for j in range(size):
-                entry = (1.0 + 0.0j) if i == j else (0.0 + 0.0j)
-                for k in range(n_ambient):
-                    entry = entry + A[k, i, j] * cols[k] \
-                        + (B[k, i, j] * cols[k]) * t
-                row.append(entry)
-            rows.append(row)
-        return rows
+        # One (size, size, ...) expression per ambient column, summed in the
+        # order of the columns.  The Dual operand goes first, since an
+        # ndarray on the left would make an object array.
+        nodes = (1,) * np.ndim(dual.value(cols[0]))
+        a, b = A.reshape(A.shape + nodes), B.reshape(B.shape + nodes)
+        t = _matrix_axes_first(t)
+        g = np.eye(size, dtype=complex).reshape((size, size) + nodes)
+        for k in range(n_ambient):
+            c = _matrix_axes_first(cols[k])
+            g = c * a[k] + g + (c * b[k]) * t
+        return [[_matrix_entry(g, i, j) for j in range(size)] for i in range(size)]
 
     return HomotopyFamily(fn, size)
 

@@ -1,5 +1,6 @@
 """Odd Chern character: degrees, Chern-Simons consistency, transgression."""
 
+import tracemalloc
 from math import factorial
 
 import hypothesis.extra.numpy as hnp
@@ -363,6 +364,56 @@ def test_block_inverse_matches_lapack(data, n, kind, c):
     ref = _point_axis_last(np.linalg.inv(vals))
     err = np.linalg.norm(got - ref, axis=(0, 1)) / np.linalg.norm(ref, axis=(0, 1))
     assert np.all(err <= 1e-13 * np.linalg.cond(vals))
+    # Written into a given buffer, the inverse is the allocating call's bit
+    # for bit, whatever the buffer held before.
+    out = np.full_like(got, np.nan)
+    assert _checked_inverse(_point_axis_last(vals), out=out) is out
+    assert out.tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_block_inverse_names_the_same_singular_node_with_an_output_buffer(n):
+    rng = np.random.default_rng(40 + n)
+    g = rng.standard_normal((n, n, 9)) + 4.0 * np.eye(n)[:, :, None] + 0j
+    g[:, :, 6] = 0.0
+    if n > 1:
+        g[0, 0, 6] = 1.0  # rank 1
+    indices = []
+    for out in (None, np.empty_like(g)):
+        with pytest.raises(SingularMapError) as err:
+            _checked_inverse(g, out=out)
+        indices.append(err.value.index)
+    assert indices == [6, 6]
+
+
+def test_sweep_reuses_its_scratch_across_unequal_blocks():
+    # 32^3 nodes in blocks of 997: per theta_1 index a slab of 31 theta_2
+    # rows of 32 nodes and a tail of one row, so the sweep's scratch set
+    # changes shape twice per theta_1 index.
+    g, dom = stabilize(su2_identity(), 1), ChartedSphereDomain.sphere(3)
+    blocks = {len(b) for b in dom.node_blocks(997)}
+    assert len(blocks) > 1
+    assert abs(odd_chern_top_integral(g, dom, chunk=997) - odd_chern_top_integral(g, dom)) < 1e-13
+
+
+def test_sweep_peak_memory_is_the_jet_and_the_scratch_set():
+    # On S^3 a size-3 map's jet is d + 1 = 4 (3, 3, npts) block arrays, and
+    # the top kernel's scratch set 4 more: g^-1 and the three w_i.  Rows of
+    # npts nodes (determinants, products being summed, the map's own
+    # columns) may come on top, but not two further block arrays, which is
+    # what a scratch set of six buffers in one stacked array would add.
+    g, dom = stabilize(su2_identity(), 1), ChartedSphereDomain.sphere(3)
+    npts = max(len(b) for b in dom.node_blocks(CHUNK))
+    row = 16 * npts
+    bound = (4 + 4) * 9 * row + 12 * row
+    odd_chern_top_integral(g, dom)
+    tracemalloc.start()
+    try:
+        odd_chern_top_integral(g, dom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def collapse_su2():

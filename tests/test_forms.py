@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oddchern.forms import (GradedMatrixForm, SQRT_2PI_I, _block_det,
-                            bit_indices, nilpotent_exp, normalize_2pi,
-                            power_odd, shuffle_sign)
+from oddchern.forms import (BlockScratch, GradedMatrixForm, SQRT_2PI_I,
+                            _block_det, _block_product, bit_indices,
+                            nilpotent_exp, normalize_2pi, power_odd,
+                            shuffle_sign)
 
 
 def perm_sign_oracle(seq):
@@ -267,3 +268,32 @@ def test_block_det_matches_lapack(k):
             singular[k - 1] = np.einsum("i...,ij...->j...", rng.standard_normal((k - 1, npts)), a[:k - 1])
             bound = np.prod(np.linalg.norm(singular, axis=1), axis=0)
             assert np.all(np.abs(_block_det(singular)) <= 1e-14 * bound)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_block_product_into_a_buffer_is_the_allocating_product(n):
+    rng = np.random.default_rng(50 + n)
+    a, b = (rng.standard_normal((n, n, 997)) + 1j * rng.standard_normal((n, n, 997))
+            for _ in range(2))
+    ref = np.einsum("ikp,kjp->ijp", a, b)
+    got = _block_product(a, b)
+    assert np.all(np.abs(got - ref) <= 1e-14 * n * np.abs(a).max() * np.abs(b).max())
+    out = np.full_like(got, np.nan)
+    assert _block_product(a, b, out) is out
+    assert out.tobytes() == got.tobytes()
+    # Summed into a buffer, the product is the out +/- a b of whole blocks.
+    c = rng.standard_normal((n, n, 997)) + 0j
+    for add in (1, -1):
+        out = c.copy()
+        _block_product(a, b, out, add)
+        assert out.tobytes() == (c + add * got).tobytes()
+
+
+def test_block_scratch_reuses_its_buffers_until_the_shape_changes():
+    scratch = BlockScratch()
+    first = scratch.take(2, (3, 3, 8))
+    again = scratch.take(3, (3, 3, 8))
+    assert all(x is y for x, y in zip(first, again)) and len(again) == 3
+    tail = scratch.take(2, (3, 3, 5))
+    assert [t.shape for t in tail] == [(3, 3, 5)] * 2
+    assert not any(t is x for t in tail for x in again)
