@@ -15,7 +15,6 @@ radial profile rho is computed on the radial axis alone.
 """
 
 from oddchern.collapse import collapse_degree, mapping_degree
-from oddchern.defaults import DEGREE_CHECK_NODES_PER_ANGLE
 
 for p, q in ((2, 1), (1, 2), (2, 3)):
     r = collapse_degree(p, q)
@@ -29,6 +28,6 @@ from oddchern.domains import ChartedSphereDomain
 
 print("\nantipodal map degrees:")
 for m in (1, 2, 3):
-    sphere = ChartedSphereDomain.sphere(m, nodes_per_angle=DEGREE_CHECK_NODES_PER_ANGLE)
+    sphere = ChartedSphereDomain.sphere(m, resolution=0.5)
     r = mapping_degree(antipodal_map(sphere))
     print(f"  S^{m}: {r.rounded:+d}")

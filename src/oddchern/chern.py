@@ -326,10 +326,7 @@ def assemble_split_map(f: DualMatrixMap, h: DualMatrixMap,
         else:
             h = stabilize(h, big - h.size)
     product = collapse.source
-    (_, _), (cs2, _) = product.factor_slices()
-    q = cs2.stop - cs2.start
-    factor2 = type(product).sphere(q, nodes_per_angle=product.nodes_per_angle)
-    pr2 = projection_second_factor(product, factor2)
+    pr2 = projection_second_factor(product, type(product).sphere(product.spheres[1]))
     return ProductMatrixMap(
         compose_map_with_matrix(pr2, f),
         compose_map_with_matrix(collapse, h),

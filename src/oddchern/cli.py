@@ -32,9 +32,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--resolution-scale", type=float, default=1.0,
-                       help="multiply every node budget: the per-angle node "
-                            "counts and the ball chart's nodes per radial panel "
-                            "and per angle (verify accepts only 1.0)")
+                       help="the charts' resolution: every default node count "
+                            "(nodes per angle, and the ball chart's nodes per "
+                            "radial panel) becomes max(4, round(n * scale)) "
+                            "(verify accepts only 1.0)")
         p.add_argument("--seed", type=int, default=0,
                        help="echoed as effective.seed; no check reads it, "
                             "since each randomized check pins its own generator")

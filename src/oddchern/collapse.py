@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import dual
-from .defaults import BALL_NODES, CHUNK, COLLAPSE_LADDER, COLLAPSE_RADIUS, DEGREE_LADDER
+from .defaults import CHUNK, COLLAPSE_LADDER, COLLAPSE_RADIUS, DEGREE_LADDER
 from .domains import ChartedSphereDomain
 from .forms import _block_det
 from .maps import ChartMap
@@ -52,16 +52,17 @@ def smooth_step(s):
 
 
 class CollapseMap(ChartMap):
-    """Degree-one smash/collapse map with orientation normalized to +1."""
+    """Degree-one smash/collapse map with orientation normalized to +1; its
+    charts, ball() included, are built at one resolution."""
 
     def __init__(self, p: int, q: int, radius: float = COLLAPSE_RADIUS,
-                 nodes_per_angle=None):
+                 resolution: float = 1.0):
         if p < 1 or q < 1 or radius <= 0:
             raise ValueError("need p, q >= 1 and a positive collapse radius")
-        self.p, self.q, self.radius = p, q, float(radius)
+        self.p, self.q, self.radius, self.resolution = p, q, float(radius), resolution
         self.swap_target = False
-        source = ChartedSphereDomain.product(p, q, nodes_per_angle=nodes_per_angle)
-        target = ChartedSphereDomain.sphere(p + q, nodes_per_angle=nodes_per_angle)
+        source = ChartedSphereDomain.product(p, q, resolution=resolution)
+        target = ChartedSphereDomain.sphere(p + q, resolution=resolution)
         super().__init__(source, target, self._ambient)
         self.swap_target = self._probe_orientation() < 0
         if self._probe_orientation() < 0:
@@ -137,10 +138,10 @@ class CollapseMap(ChartMap):
             out[-1], out[-2] = out[-2], out[-1]
         return out
 
-    def ball(self, ball_nodes=BALL_NODES) -> ChartMap:
+    def ball(self) -> ChartMap:
         """phi on the chart of the ball |w| < 2R, outside which it is
-        constant, on a budget of (nodes per radial panel, nodes per angle)."""
-        return ChartMap(ChartedSphereDomain.ball(self.p, self.q, self.radius, ball_nodes),
+        constant, at the map's resolution."""
+        return ChartMap(ChartedSphereDomain.ball(self.p, self.q, self.radius, self.resolution),
                         self.target, self._on_ball)
 
     # -- orientation ----------------------------------------------------------

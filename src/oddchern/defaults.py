@@ -2,18 +2,14 @@
 
 from dataclasses import dataclass
 
-# Gauss-Legendre nodes per angular coordinate, keyed by sphere dimension.
+# Gauss-Legendre nodes per angular coordinate at resolution 1, keyed by
+# sphere dimension; a chart at resolution r takes max(4, round(n r)).
 NODES_PER_ANGLE = {1: 64, 2: 48, 3: 32, 4: 32, 5: 24}
 
-# Reduced per-angle budget for the product-splitting check, whose split maps
-# live on the product angle chart: on 5-dimensional domains the default
-# table would produce tens of millions of nodes.
-DEGREE_CHECK_NODES_PER_ANGLE = {1: 32, 2: 24, 3: 16, 4: 16, 5: 14}
-
 # Ball-chart budget (domains.ChartedSphereDomain.ball): Gauss-Legendre
-# nodes per radial panel and nodes per angle of S^(p+q-1), at scale 1, of
-# collapse.collapse_degree and of every boundary model of a pure pullback
-# phi* h; the CLI's --resolution-scale multiplies both entries.  On the
+# nodes per radial panel and nodes per angle of S^(p+q-1), at resolution 1,
+# of collapse.collapse_degree and of every boundary model of a pure pullback
+# phi* h; resolution r takes max(4, round(n r)) of each.  On the
 # SPLIT_LADDER levels of such a model, 3,072 and 24,576 nodes on S^2 x S^1,
 # |deg*(phi* su2) + 1| is 1.4e-9 and 2.7e-14.  The collapse map's
 # pulled-back volume form is radial, so its value depends only on p + q and

@@ -111,6 +111,11 @@ def gauss_axis(rule, scale=1.0):
     return tuple(np.concatenate(c) for c in zip(*panels))
 
 
+def _budget(n: int, resolution: float) -> int:
+    """A default node count n at a chart's resolution: max(4, round(n resolution))."""
+    return max(4, int(round(n * resolution)))
+
+
 def _angle_rules(m: int, n: int):
     """Rules of S^m's hyperspherical angles: (0, pi), then (0, 2 pi) last."""
     return ((n, (0.0, pi)),) * (m - 1) + ((n, (0.0, 2.0 * pi)),)
@@ -159,7 +164,9 @@ class ChartedSphereDomain:
     Attributes:
       spheres: factor dimensions, (m,) or (p, q); the ball charts S^p x S^q.
       dim: chart dimension (m, or p + q).
-      rules: per-coordinate rules (n, breaks) at scale 1 (gauss_axis).
+      rules: per-coordinate rules (n, breaks) at scale 1 (gauss_axis), each
+        n a default count (NODES_PER_ANGLE, BALL_NODES) at the resolution the
+        chart was built with.
       scale: the multiplier of every rule's n; axes are the rules at scale.
       radius: the ball's R; None on sphere charts.
       orientation_sign: +1 on sphere charts, whose coordinate order is the
@@ -169,15 +176,15 @@ class ChartedSphereDomain:
         where chern._sweep tests a map's value for singularity; else None.
     """
 
-    def __init__(self, spheres, nodes_per_angle=None, scale=1.0):
-        """spheres: list of factor dimensions, e.g. [2] for S^2, [2, 1] for S^2 x S^1."""
+    def __init__(self, spheres, resolution=1.0, scale=1.0):
+        """spheres: list of factor dimensions, e.g. [2] for S^2, [2, 1] for S^2 x S^1;
+        resolution: the multiplier of every default node count (_budget)."""
         if len(spheres) not in (1, 2):
             raise ValueError("only spheres and two-factor products are supported")
         self.spheres = tuple(int(m) for m in spheres)
         if any(m < 1 for m in self.spheres):
             raise ValueError("factor dimension must be >= 1")
-        self.nodes_per_angle = dict(nodes_per_angle or NODES_PER_ANGLE)
-        self.rules = sum((_angle_rules(m, self.nodes_per_angle.get(m, 32))
+        self.rules = sum((_angle_rules(m, _budget(NODES_PER_ANGLE.get(m, 32), resolution))
                           for m in self.spheres), ())
         self._set_scale(scale)
         self.radius = self.exterior = None
@@ -193,22 +200,23 @@ class ChartedSphereDomain:
         return cls([p, q], **kw)
 
     @classmethod
-    def ball(cls, p: int, q: int, radius: float, ball_nodes=BALL_NODES, scale=1.0):
+    def ball(cls, p: int, q: int, radius: float, resolution=1.0, scale=1.0):
         """The ball |w| < 2R of stereographic coordinates on S^p x S^q.
 
         w = (sigma_p(x), sigma_q(y)) in R^(p+q); the chart coordinates are
         (r, theta_1..theta_{p+q-1}) with w = r u and u in S^(p+q-1) in
-        hyperspherical angles.  ball_nodes is (nodes per radial panel, nodes
-        per angle) at scale 1.  r runs over two panels, [0, R] and [R, 2R],
-        and no node lies beyond 2R, so an integrand must vanish there: the
-        collapse map with radius R is constant outside the ball, and so is
-        every pullback through it.  A map on the ball reads the map
+        hyperspherical angles, on BALL_NODES (nodes per radial panel, nodes
+        per angle) at the resolution.  r runs over two panels, [0, R] and
+        [R, 2R], and no node lies beyond 2R, so an integrand must vanish
+        there: the collapse map with radius R is constant outside the ball,
+        and so is every pullback through it.  A map on the ball reads the map
         coordinates [r] + u (embed_cols), as collapse.CollapseMap.ball does.
         """
         self = cls.__new__(cls)
         self.spheres, self.radius = (p, q), float(radius)
-        self.rules = (((ball_nodes[0], (0.0, self.radius, 2.0 * self.radius)),)
-                      + _angle_rules(p + q - 1, ball_nodes[1]))
+        n_r, n_angle = (_budget(n, resolution) for n in BALL_NODES)
+        self.rules = (((n_r, (0.0, self.radius, 2.0 * self.radius)),)
+                      + _angle_rules(p + q - 1, n_angle))
         self._set_scale(scale)
         self.exterior = np.array([[4.0 * self.radius] + [0.9] * (self.dim - 1)])
         self.ambient_det_sign = None

@@ -94,26 +94,19 @@ def exterior_derivative(field: FormField, step: float = FD_STEP) -> FormField:
     return FormField(field.domain, field.size, sampler)
 
 
-def integrate_form(form: GradedMatrixForm, domain, weights=None):
-    """Integral of the top-degree coefficient over the domain's grid."""
-    top = (1 << domain.dim) - 1
-    c = form.comps[top]
-    if c is None:
-        return 0.0 + 0.0j
-    w = domain.weights() if weights is None else weights
-    if form.size == 1:
-        return complex(domain.orientation_sign * np.sum(w * c[0, 0]))
-    return domain.orientation_sign * np.einsum("ijn,n->ij", c, w)
-
-
-def integrate_top(field_or_form, domain, chunk: int = CHUNK):
+def integrate_top(field: FormField, domain, chunk: int = CHUNK):
     """Quadrature of the top-degree component of a field over the domain."""
-    if isinstance(field_or_form, GradedMatrixForm):
-        return integrate_form(field_or_form, domain)
-    field = field_or_form
+    top = (1 << domain.dim) - 1
     total = 0.0 + 0.0j
     for block in domain.node_blocks(chunk):
-        total += integrate_form(field.at(block.points()), domain, weights=block.weights())
+        c = field.at(block.points()).comps[top]
+        if c is None:
+            continue
+        w = block.weights()
+        if len(c) == 1:
+            total += complex(domain.orientation_sign * np.sum(w * c[0, 0]))
+        else:
+            total += domain.orientation_sign * np.einsum("ijn,n->ij", c, w)
     return total
 
 

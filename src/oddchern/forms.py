@@ -227,18 +227,15 @@ class GradedMatrixForm:
     def wedge(self, other, out=None):
         """Wedge product with matrix multiplication on coefficients.
 
-        A scalar-valued factor (N == 1) broadcasts against a matrix-valued one.
-        Terms are summed in mask order, negative Koszul terms subtracted;
-        between matrix-valued factors each term after a component's first is
-        summed into it entry by entry (_block_product's add).  out, when
-        given, maps masks to (N, N, npts) buffers that overlap neither factor,
-        and the component at such a mask is formed there.
+        Both factors are N x N forms on the same chart and point batch.
+        Terms are summed in mask order, negative Koszul terms subtracted,
+        each term after a component's first summed into it entry by entry
+        (_block_product's add).  out, when given, maps masks to (N, N, npts)
+        buffers that overlap neither factor, and the component at such a
+        mask is formed there.
         """
-        if self.dim != other.dim or self.npts != other.npts:
-            raise ValueError("wedge requires the same chart and point batch")
-        if self.size != other.size and 1 not in (self.size, other.size):
-            raise ValueError("matrix sizes incompatible for wedge")
-        out_form = GradedMatrixForm(self.dim, max(self.size, other.size), self.npts)
+        self._check_compatible(other)
+        out_form = GradedMatrixForm(self.dim, self.size, self.npts)
         comps = out_form.comps
         for ma, a in enumerate(self.comps):
             if a is None:
@@ -247,22 +244,11 @@ class GradedMatrixForm:
                 if b is None or (ma & mb):
                     continue
                 k, sign = ma | mb, shuffle_sign(ma, mb)
-                if comps[k] is not None and self.size == other.size:
+                if comps[k] is not None:
                     _block_product(a, b, comps[k], sign)
                     continue
-                buf = out.get(k) if out is not None and comps[k] is None else None
-                if self.size == other.size:
-                    term = _block_product(a, b, buf)
-                elif self.size == 1:
-                    term = np.multiply(a[0, 0], b, out=buf)
-                else:
-                    term = np.multiply(a, b[0, 0], out=buf)
-                if comps[k] is None:
-                    comps[k] = np.negative(term, out=term) if sign < 0 else term
-                elif sign < 0:
-                    comps[k] -= term
-                else:
-                    comps[k] += term
+                term = _block_product(a, b, out.get(k) if out is not None else None)
+                comps[k] = np.negative(term, out=term) if sign < 0 else term
         return out_form
 
     def wedge_power(self, m: int, out=None):

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from . import __version__
 from .chern import assemble_split_map, deg, deg_star, generator
 from .collapse import CollapseMap
-from .defaults import (BALL_NODES, COLLAPSE_RADIUS, NODES_PER_ANGLE, SPLIT_LADDER, T_MAX,
-                       T_NODES, TWO_PATH_TOL)
+from .defaults import (COLLAPSE_RADIUS, NODES_PER_ANGLE, SPLIT_LADDER, T_MAX, T_NODES,
+                       TWO_PATH_TOL)
 from .domains import ChartedSphereDomain
 from .maps import compose_map_with_matrix
 from .results import DegreeResult
@@ -175,21 +175,11 @@ class RunReport:
         return buf.getvalue()
 
 
-def _scaled(nodes: int, scale: float) -> int:
-    return max(4, int(round(nodes * scale)))
-
-
 def _check_budget(key, dim):
     """Reject a chart beyond NODES_PER_ANGLE; its 32-node fallback sweeps ~1e10 nodes."""
     if dim > max(NODES_PER_ANGLE):
         raise ScenarioError(f"{key}: a {dim}-dimensional chart is beyond NODES_PER_ANGLE, "
                             f"whose largest key is {max(NODES_PER_ANGLE)}")
-
-
-def _scale_nodes(scale: float):
-    if scale == 1.0:
-        return None
-    return {k: _scaled(v, scale) for k, v in NODES_PER_ANGLE.items()}
 
 
 def _degree_report(name, result: DegreeResult, check_name):
@@ -208,8 +198,7 @@ def _run_deg(cfg, resolution_scale):
     if m_dim % 2 == 0:
         raise ScenarioError(f"geometry.sphere: deg needs an odd sphere, got {m_dim}")
     _check_budget("geometry.sphere", m_dim)
-    dom = ChartedSphereDomain.sphere(
-        m_dim, nodes_per_angle=_scale_nodes(resolution_scale))
+    dom = ChartedSphereDomain.sphere(m_dim, resolution=resolution_scale)
     g = _build_generator(cfg, "map")
     return _degree_report("deg", deg(g, dom), "deg integral quantizes")
 
@@ -225,12 +214,12 @@ def _build_product_map(cfg, resolution_scale):
                             f"got {p} + {q}")
     _check_budget("geometry.p, geometry.q", p + q)
     radius = _get_positive_float(cfg, "geometry.collapse_radius", COLLAPSE_RADIUS)
-    phi = CollapseMap(p, q, radius, nodes_per_angle=_scale_nodes(resolution_scale))
+    phi = CollapseMap(p, q, radius, resolution=resolution_scale)
     h = _build_generator(cfg, "map.h")
     if "map.f.kind" in cfg:
         f = _build_generator(cfg, "map.f")
         return assemble_split_map(f, h, collapse=phi), phi.source
-    ball = phi.ball(tuple(_scaled(n, resolution_scale) for n in BALL_NODES))
+    ball = phi.ball()
     return compose_map_with_matrix(ball, h), ball.source
 
 
@@ -243,8 +232,7 @@ def _run_deg_star(cfg, resolution_scale):
         # Splitting oracle: deg*(pr2* f . phi* h) should equal deg(h) over
         # the collapse target sphere.
         h = _build_generator(cfg, "map.h")
-        h_dom = ChartedSphereDomain.sphere(dom.dim,
-                                           nodes_per_angle=_scale_nodes(resolution_scale))
+        h_dom = ChartedSphereDomain.sphere(dom.dim, resolution=resolution_scale)
         oracle = deg(h, h_dom)
         values["deg_h_oracle"] = _degree_entry(oracle)
         checks.append({
@@ -311,8 +299,7 @@ def _run_localize(cfg, resolution_scale):
 def _run_flz_point(cfg, resolution_scale):
     n = _get_int(cfg, "geometry.n", 1, minimum=1)
     _check_budget("geometry.n", 2 * n - 1)
-    dom = ChartedSphereDomain.sphere(
-        2 * n - 1, nodes_per_angle=_scale_nodes(resolution_scale))
+    dom = ChartedSphereDomain.sphere(2 * n - 1, resolution=resolution_scale)
     v = _build_generator(cfg, "map")
     rep = flz_point_case(v, dom, n)
     values, convergence, checks = _degree_report("deg", rep.degree,

@@ -114,7 +114,7 @@ class _PolarMap(SmoothMatrixMap):
         return u, da @ inv_sqrt + a @ d_inv_sqrt
 
 
-def unitarize(v: SmoothMatrixMap, domain, floor=MIN_SINGULAR_VALUE) -> SmoothMatrixMap:
+def unitarize(v: SmoothMatrixMap, floor=MIN_SINGULAR_VALUE) -> SmoothMatrixMap:
     """Polar part v (v* v)^(-1/2); homotopic to v through invertibles."""
     return _PolarMap(v, floor)
 
@@ -144,7 +144,7 @@ class SuperBundleModel:
         self._deg_star = None
         self._top_integrals = None  # (gamma top, odd Chern top)
         if _unitarity_defect(v, domain) >= UNITARY_TOL:
-            self.v = unitarize(v, domain)
+            self.v = unitarize(v)
             self.check_unitary()
 
     @property

@@ -25,7 +25,7 @@ from oddchern.maps import (DualMatrixMap, HomotopyFamily, ProductMatrixMap,
                            compose_map_with_matrix, stabilize, su2_identity)
 from oddchern.superconn import SuperBundleModel
 
-COARSE = {1: 32, 2: 24, 3: 16}
+COARSE = 0.5  # resolution: 32, 24 and 16 nodes per angle on S^1, S^2 and S^3
 
 
 def test_odd_chern_coefficients():
@@ -36,7 +36,7 @@ def test_odd_chern_coefficients():
 
 
 def test_odd_chern_has_only_odd_degrees():
-    dom = ChartedSphereDomain([3], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([3], resolution=COARSE)
     ch = odd_chern(su2_identity(), dom).at(dom.nodes()[::101])
     for mask, comp in enumerate(ch.comps):
         if comp is not None and np.abs(comp).max() > 1e-14:
@@ -45,20 +45,20 @@ def test_odd_chern_has_only_odd_degrees():
 
 @pytest.mark.parametrize("m", range(-3, 4))
 def test_winding_degree(m):
-    dom = ChartedSphereDomain([1], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([1], resolution=COARSE)
     r = deg(circle_winding(m), dom)
     assert r.rounded == -m
     assert r.residual < 1e-10
 
 
 def test_winding_multiplicativity():
-    dom = ChartedSphereDomain([1], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([1], resolution=COARSE)
     g = ProductMatrixMap(circle_winding(2, size=2), circle_winding(1, size=2))
     assert deg(g, dom).rounded == -3
 
 
 def test_su2_degree_and_stabilization():
-    dom = ChartedSphereDomain([3], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([3], resolution=COARSE)
     base = deg(su2_identity(), dom)
     assert base.rounded == -1
     assert base.residual < 1e-6
@@ -72,13 +72,13 @@ def test_su2_degree_and_stabilization():
 @settings(max_examples=12, deadline=None)
 @given(a=st.integers(-3, 3), b=st.integers(-3, 3))
 def test_degree_is_additive_under_products(a, b):
-    dom = ChartedSphereDomain([1], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([1], resolution=COARSE)
     r = deg(ProductMatrixMap(circle_winding(a, size=2), circle_winding(b, size=2)), dom)
     assert r.accepted and r.rounded == -(a + b)
 
 
 def test_su2_squared_has_degree_minus_two():
-    dom = ChartedSphereDomain([3], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([3], resolution=COARSE)
     r = deg(ProductMatrixMap(su2_identity(), su2_identity()), dom)
     assert r.accepted and r.rounded == -2
 
@@ -86,7 +86,7 @@ def test_su2_squared_has_degree_minus_two():
 @settings(max_examples=4, deadline=None)
 @given(k=st.integers(1, 3))
 def test_stabilization_keeps_the_degree(k):
-    dom = ChartedSphereDomain([3], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([3], resolution=COARSE)
     base, stab = deg(su2_identity(), dom), deg(stabilize(su2_identity(), k), dom)
     assert stab.accepted and stab.rounded == base.rounded == -1
     assert abs(stab.value - base.value) < 1e-9
@@ -102,7 +102,7 @@ UNIT_DISC = st.complex_numbers(max_magnitude=0.7, allow_nan=False, allow_infinit
 def test_degree_is_constant_along_a_homotopy(m, k1, k2, c1, c2, ts):
     # g_t = [[z^m, t c1 z^k1], [t c2 conj(z)^k2, 1]] has det z^m - t^2 c1 c2 z^k1 conj(z)^k2,
     # and |t^2 c1 c2| < 1 keeps it invertible, with the winding m of z^m.
-    dom = ChartedSphereDomain([1], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([1], resolution=COARSE)
 
     def fn(t, cols):
         z = cols[0] + 1j * cols[1]
@@ -119,15 +119,15 @@ def test_degree_is_constant_along_a_homotopy(m, k1, k2, c1, c2, ts):
 
 def test_deg_rejects_even_or_product_domains():
     with pytest.raises(ValueError):
-        deg(su2_identity(), ChartedSphereDomain([2], nodes_per_angle=COARSE))
+        deg(su2_identity(), ChartedSphereDomain([2], resolution=COARSE))
     with pytest.raises(ValueError):
-        deg(su2_identity(), ChartedSphereDomain([2, 1], nodes_per_angle=COARSE))
+        deg(su2_identity(), ChartedSphereDomain([2, 1], resolution=COARSE))
     with pytest.raises(ValueError):
-        deg_star(su2_identity(), ChartedSphereDomain([3], nodes_per_angle=COARSE))
+        deg_star(su2_identity(), ChartedSphereDomain([3], resolution=COARSE))
 
 
 def test_homotopy_invariance_of_degree():
-    dom = ChartedSphereDomain([1], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([1], resolution=COARSE)
 
     def fn(t, cols):
         x, y = cols[0], cols[1]
@@ -142,7 +142,7 @@ def test_homotopy_invariance_of_degree():
 
 
 def test_chern_simons_reproduces_odd_chern():
-    dom = ChartedSphereDomain([1], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([1], resolution=COARSE)
     g = circle_winding(2, size=2)
     zero = constant_field(dom, np.zeros((2, 2)))
     cs = chern_simons(zero, maurer_cartan(g, dom), dom)
@@ -151,7 +151,7 @@ def test_chern_simons_reproduces_odd_chern():
 
 
 def test_transgression_identity_single_family():
-    dom = ChartedSphereDomain([1], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([1], resolution=COARSE)
 
     def fn(t, cols):
         x, y = cols[0], cols[1]
@@ -172,10 +172,10 @@ def test_transgression_identity_single_family():
 
 
 def test_split_map_degree_equals_deg_h():
-    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
+    phi = CollapseMap(2, 1, resolution=COARSE)
     g = assemble_split_map(circle_winding(2), su2_identity(), phi)
     r = deg_star(g, phi.source)
-    oracle = deg(su2_identity(), ChartedSphereDomain([3], nodes_per_angle=COARSE))
+    oracle = deg(su2_identity(), ChartedSphereDomain([3], resolution=COARSE))
     assert r.rounded == oracle.rounded == -1
 
 
@@ -188,7 +188,7 @@ def test_generator_dispatch():
 
 
 def test_maurer_cartan_rejects_singular_maps():
-    dom = ChartedSphereDomain([1], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([1], resolution=COARSE)
 
     def fn(cols):
         x, y = cols[0], cols[1]
@@ -199,7 +199,7 @@ def test_maurer_cartan_rejects_singular_maps():
 
 
 def test_deg_names_the_singular_node():
-    dom = ChartedSphereDomain([1], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([1], resolution=COARSE)
     node = 5
     x0, y0 = np.cos(dom.nodes()[node, 0]), np.sin(dom.nodes()[node, 0])
 
@@ -218,7 +218,7 @@ def test_deg_names_the_singular_node():
 def test_singular_node_is_named_by_its_grid_index(sweep):
     # 24^3 = 13,824 nodes: the node lies in the second CHUNK-node block, so
     # a block-local index would name node - CHUNK.
-    dom = ChartedSphereDomain([3], nodes_per_angle={3: 24})
+    dom = ChartedSphereDomain([3], resolution=0.75)
     node = CHUNK + 808
     centre = dom.embed(dom.nodes()[node:node + 1])[0]
 
@@ -234,7 +234,7 @@ def test_closed_form_3x3_inverse_names_the_singular_node():
     # det g = |x - centre|^2 by expansion along the first row, so the 3 x 3
     # closed form meets a singular block only at the node in the second
     # CHUNK-node block.
-    dom = ChartedSphereDomain([3], nodes_per_angle={3: 24})
+    dom = ChartedSphereDomain([3], resolution=0.75)
     node = CHUNK + 808
     centre = dom.embed(dom.nodes()[node:node + 1])[0]
 
@@ -257,7 +257,7 @@ def singular_at_the_pole(cols):
 def test_singular_value_outside_the_support_is_named():
     # On the angle chart the sweep meets h(pole) at the first node with
     # |w| >= 2R, and names it.
-    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
+    phi = CollapseMap(2, 1, resolution=COARSE)
     dom = phi.source
     g = compose_map_with_matrix(phi, DualMatrixMap(singular_at_the_pole, 2))
     node = int(np.flatnonzero(phi.local_radius(dom.nodes()) >= 2.0 * phi.radius)[0])
@@ -270,7 +270,7 @@ def test_singular_value_outside_the_ball_is_caught(scale):
     # The ball chart has no node with |w| >= 2R, so on the budget that
     # --resolution-scale 0.2 gives, the sweep tests g at the ball's exterior
     # point, before any node, and names index n_nodes, one past the grid.
-    ball = CollapseMap(2, 1).ball((5, 4))
+    ball = CollapseMap(2, 1, resolution=0.2).ball()
     dom = ball.source.at_scale(scale)
     g = compose_map_with_matrix(ball, DualMatrixMap(singular_at_the_pole, 2))
     with pytest.raises(SingularMapError, match=f"singular at sample point index {dom.n_nodes}$"):
@@ -281,7 +281,7 @@ def test_singular_kept_node_is_named_by_its_grid_index():
     # A node of the second block with |w| < R, preceded there by nodes where
     # the collapse map is constant: its index in the block differs from its
     # grid index, which the error must name.
-    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
+    phi = CollapseMap(2, 1, resolution=COARSE)
     dom = phi.source
     r = phi.local_radius(dom.nodes())
     block = np.arange(CHUNK, 2 * CHUNK)
@@ -298,7 +298,7 @@ def test_singular_kept_node_is_named_by_its_grid_index():
 
 
 def test_transgression_tilde_rejects_singular_maps():
-    dom = ChartedSphereDomain([1], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([1], resolution=COARSE)
 
     def fn(t, cols):
         return [[t * (1.0 + 0.0 * cols[0])]]  # identically 0 at t = 0
@@ -348,7 +348,7 @@ def test_top_kernel_matches_dense_odd_chern(data, n, d):
     # Entries of modulus <= 1 plus 4 Id: diagonally dominant, so invertible.
     vals = data.draw(hnp.arrays(complex, shape, elements=ENTRIES)) + 4.0 * np.eye(n)
     dgs = [data.draw(hnp.arrays(complex, shape, elements=ENTRIES)) for _ in range(d)]
-    dom = ChartedSphereDomain([d], nodes_per_angle={d: 2})
+    dom = ChartedSphereDomain([d])  # only its dimension is read
     assert_top_matches_dense(SampledMap(vals, dgs), dom, np.zeros((4, d)))
 
 
@@ -417,13 +417,13 @@ def test_sweep_peak_memory_is_the_jet_and_the_scratch_set():
 
 
 def collapse_su2():
-    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
+    phi = CollapseMap(2, 1, resolution=COARSE)
     return compose_map_with_matrix(phi, su2_identity()), phi.source
 
 
 @pytest.mark.parametrize("build", [
-    lambda: (su2_identity(), ChartedSphereDomain([3], nodes_per_angle=COARSE)),
-    lambda: (stabilize(su2_identity(), 1), ChartedSphereDomain([3], nodes_per_angle=COARSE)),
+    lambda: (su2_identity(), ChartedSphereDomain([3], resolution=COARSE)),
+    lambda: (stabilize(su2_identity(), 1), ChartedSphereDomain([3], resolution=COARSE)),
     collapse_su2,
 ], ids=["su2-S3", "su2-S3-stabilized", "collapse-S2xS1"])
 def test_top_kernel_matches_dense_on_maps(build):

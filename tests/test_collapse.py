@@ -7,13 +7,13 @@ from oddchern import collapse, dual
 from oddchern.collapse import (CollapseMap, collapse_degree,
                                mapping_degree, signed_preimage_count,
                                smooth_step, volume_pullback_integral)
-from oddchern.defaults import CHUNK, COLLAPSE_RADIUS, DEGREE_CHECK_NODES_PER_ANGLE
+from oddchern.defaults import CHUNK, COLLAPSE_RADIUS
 from oddchern.domains import (ChartedSphereDomain, _inverse_stereographic,
                               _sphere_sqrtg, embed_sphere, sphere_volume)
 from oddchern.maps import (antipodal_map, circle_power_map,
                            compose_map_with_matrix, identity_chart_map, su2_identity)
 
-COARSE = {1: 32, 2: 24, 3: 16}
+COARSE = 0.5  # resolution: 32, 24 and 16 nodes per angle on S^1, S^2 and S^3
 
 
 def test_smooth_step_range_and_monotonicity():
@@ -27,7 +27,7 @@ def test_smooth_step_range_and_monotonicity():
 
 
 def test_wedge_region_collapses_to_basepoint():
-    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
+    phi = CollapseMap(2, 1, resolution=COARSE)
     pts = phi.source.nodes()[::37]
     r = phi.local_radius(pts)
     far = r >= 2.0 * phi.radius
@@ -39,35 +39,35 @@ def test_wedge_region_collapses_to_basepoint():
 
 
 def test_identity_region_hits_target_sphere():
-    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
+    phi = CollapseMap(2, 1, resolution=COARSE)
     pts = phi.source.nodes()[::17]
     out = phi.evaluate_ambient(pts)
     assert np.abs(np.linalg.norm(out, axis=1) - 1.0).max() < 1e-10
 
 
 def test_probe_point_lands_in_identity_region():
-    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
+    phi = CollapseMap(2, 1, resolution=COARSE)
     probe = phi.identity_region_probe()
     assert phi.local_radius(probe).max() < phi.radius
 
 
 @pytest.mark.parametrize("spheres,expected", [([1], 1), ([2], -1), ([3], 1), ([4], -1)])
 def test_mapping_degree_of_antipodal_map(spheres, expected):
-    dom = ChartedSphereDomain(spheres, nodes_per_angle=DEGREE_CHECK_NODES_PER_ANGLE)
+    dom = ChartedSphereDomain(spheres, resolution=0.5)
     r = mapping_degree(antipodal_map(dom))
     assert r.rounded == expected
     assert r.residual < 1e-8
 
 
 def test_mapping_degree_identity():
-    dom = ChartedSphereDomain([3], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([3], resolution=COARSE)
     r = mapping_degree(identity_chart_map(dom))
     assert r.rounded == 1 and r.residual < 1e-8
 
 
 @pytest.mark.parametrize("m", [-2, 1, 3])
 def test_circle_power_degree(m):
-    dom = ChartedSphereDomain([1], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([1], resolution=COARSE)
     r = mapping_degree(circle_power_map(dom, m))
     assert r.rounded == m and r.residual < 1e-10
 
@@ -88,7 +88,7 @@ def test_ball_chart_weights_integrate_the_ball_volume(m):
 def test_ball_chart_degree_agrees_with_the_angle_chart(p, q):
     r = collapse_degree(p, q)
     assert r.rounded == 1
-    phi = CollapseMap(p, q, nodes_per_angle=COARSE)
+    phi = CollapseMap(p, q, resolution=COARSE)
     angle_chart = volume_pullback_integral(phi, scale=2.0)
     assert abs(r.value - angle_chart) < 1e-3
     assert abs(r.value.imag) < 1e-10 and abs(angle_chart.imag) < 1e-10
@@ -103,7 +103,7 @@ def test_collapse_degree_small_case():
 
 
 def test_preimage_oracle_circle_power():
-    dom = ChartedSphereDomain([1], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([1], resolution=COARSE)
     rng = np.random.default_rng(3)
     total, count = signed_preimage_count(circle_power_map(dom, 3), [2.0], rng)
     assert total == 3
@@ -112,7 +112,7 @@ def test_preimage_oracle_circle_power():
 
 def test_preimage_oracle_collapse_map():
     for p, q in ((2, 1), (1, 2)):
-        phi = CollapseMap(p, q, nodes_per_angle=COARSE)
+        phi = CollapseMap(p, q, resolution=COARSE)
         rng = np.random.default_rng(4)
         target = phi.target.angles_from_ambient_cols(
             [c for c in phi.evaluate_ambient(phi.identity_region_probe()).T])
@@ -124,7 +124,7 @@ def test_preimage_oracle_collapse_map():
 
 def test_volume_pullback_does_not_depend_on_the_block_size():
     ball_map = CollapseMap(3, 1).ball()
-    for chart_map in (CollapseMap(2, 1, nodes_per_angle=COARSE), ball_map):
+    for chart_map in (CollapseMap(2, 1, resolution=COARSE), ball_map):
         assert chart_map.source.n_nodes > 2 * CHUNK
         small = volume_pullback_integral(chart_map, chunk=997)
         assert abs(small - volume_pullback_integral(chart_map)) < 1e-13
@@ -149,7 +149,7 @@ def test_volume_pullback_matches_a_lapack_reference(case):
     if kind == "ball":
         chart_map = CollapseMap(*map(int, dims)).ball()
     else:
-        dom = ChartedSphereDomain.sphere(int(dims[0]), nodes_per_angle=COARSE)
+        dom = ChartedSphereDomain.sphere(int(dims[0]), resolution=COARSE)
         chart_map = (identity_chart_map if kind == "identity" else antipodal_map)(dom)
     got = volume_pullback_integral(chart_map)
     assert abs(got - lapack_volume_pullback(chart_map)) < 1e-14
@@ -185,8 +185,8 @@ def product_path_on_the_ball(phi, ball, pts):
 
 @pytest.mark.parametrize("p,q", [(2, 1), (1, 2), (3, 1), (2, 3)])
 def test_ball_formula_matches_the_product_path(p, q):
-    phi = CollapseMap(p, q)
-    ball_map = phi.ball((6, 3))
+    phi = CollapseMap(p, q, resolution=0.25)
+    ball_map = phi.ball()
     pts = ball_map.source.nodes_at(np.arange(ball_map.source.n_nodes))
     vals, jac = ball_map.ambient_jacobian_columns(pts)
     ref_vals, ref_jac = product_path_on_the_ball(phi, ball_map.source, pts)

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from oddchern.defaults import CHUNK, COLLAPSE_RADIUS, FD_STEP
+from oddchern.defaults import (BALL_NODES, CHUNK, COLLAPSE_LADDER, COLLAPSE_RADIUS,
+                               DEGREE_LADDER, FD_STEP, GAMMA_COARSE_SCALE, NODES_PER_ANGLE,
+                               SPLIT_LADDER)
 from oddchern.domains import ChartedSphereDomain, gauss_legendre, sphere_volume
 from oddchern.fields import (FormField, exterior_derivative, integrate_top,
                              volume_field)
 from oddchern.forms import GradedMatrixForm
 
-COARSE = {1: 24, 2: 16, 3: 12, 4: 10, 5: 8}
+COARSE = 0.375  # resolution: 24, 18, 12, 12 and 9 nodes per angle on S^1 to S^5
 
 
 def closed_form_volume(m):
@@ -25,7 +27,7 @@ def test_sphere_volume_closed_form():
 
 @pytest.mark.parametrize("spheres", [[1], [2], [3], [4], [2, 1], [2, 3], [4, 1]])
 def test_embedding_on_unit_spheres(spheres):
-    dom = ChartedSphereDomain(spheres, nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain(spheres, resolution=COARSE)
     pts = dom.nodes()[:: max(1, dom.n_nodes // 500)]
     amb = dom.embed(pts)
     start = 0
@@ -37,7 +39,7 @@ def test_embedding_on_unit_spheres(spheres):
 
 @pytest.mark.parametrize("spheres", [[1], [2], [3], [2, 1], [2, 3]])
 def test_quadrature_volume(spheres):
-    dom = ChartedSphereDomain(spheres, nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain(spheres, resolution=COARSE)
     expected = 1.0
     for m in spheres:
         expected *= closed_form_volume(m)
@@ -48,7 +50,7 @@ def test_quadrature_volume(spheres):
 
 
 def test_angles_from_ambient_roundtrip():
-    dom = ChartedSphereDomain([2, 3], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([2, 3], resolution=COARSE)
     pts = dom.nodes()[::97]
     amb = dom.embed(pts)
     back = np.stack(dom.angles_from_ambient_cols([c for c in amb.T]), axis=1)
@@ -56,7 +58,7 @@ def test_angles_from_ambient_roundtrip():
 
 
 def test_sqrtg_matches_embedding_gram_determinant():
-    dom = ChartedSphereDomain([2, 1], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([2, 1], resolution=COARSE)
     pts = dom.nodes()[::53]
     h = 1e-6
     jac = []
@@ -74,21 +76,21 @@ def test_sqrtg_matches_embedding_gram_determinant():
 
 def test_orientation_volume_positive():
     for spheres in ([1], [3], [2, 1]):
-        dom = ChartedSphereDomain(spheres, nodes_per_angle=COARSE)
+        dom = ChartedSphereDomain(spheres, resolution=COARSE)
         total = integrate_top(volume_field(dom), dom)
         assert total.real > 0
         assert total == pytest.approx(dom.volume(), rel=1e-10)
 
 
 def test_normalized_volume_integrates_to_one():
-    dom = ChartedSphereDomain([2], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([2], resolution=COARSE)
     assert integrate_top(volume_field(dom, normalized=True), dom) \
         == pytest.approx(1.0, rel=1e-10)
 
 
 def test_ambient_det_sign_is_a_sign():
     for spheres in ([1], [2], [3], [2, 1]):
-        dom = ChartedSphereDomain(spheres, nodes_per_angle=COARSE)
+        dom = ChartedSphereDomain(spheres, resolution=COARSE)
         assert dom.ambient_det_sign in (-1, 1)
         assert dom.at_scale(0.5).ambient_det_sign == dom.ambient_det_sign
 
@@ -109,14 +111,14 @@ def _smooth_one_form(dom):
 
 def test_stokes_closed_manifold():
     # The integral of an exact top form over a closed manifold vanishes.
-    dom = ChartedSphereDomain([2], nodes_per_angle={2: 32})
+    dom = ChartedSphereDomain([2], resolution=2 / 3)
     alpha = _smooth_one_form(dom)
     total = integrate_top(exterior_derivative(alpha), dom)
     assert abs(total) < 1e-8
 
 
 def test_d_squared_is_zero():
-    dom = ChartedSphereDomain([2, 1], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([2, 1], resolution=COARSE)
 
     def sampler(pts):
         amb = dom.embed(pts)
@@ -166,7 +168,7 @@ def _per_shift_derivative(field, pts):
 
 @pytest.mark.parametrize("spheres", [[3], [2, 1]])
 def test_exterior_derivative_matches_a_per_shift_stencil(spheres):
-    dom = ChartedSphereDomain(spheres, nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain(spheres, resolution=COARSE)
     field = _mixed_field(dom)
     pts = dom.sample_nodes(128)
     got = exterior_derivative(field).at(pts).comps
@@ -177,7 +179,7 @@ def test_exterior_derivative_matches_a_per_shift_stencil(spheres):
 
 
 def test_exterior_derivative_samples_each_slice_in_one_call():
-    dom = ChartedSphereDomain([3], nodes_per_angle={3: 32})
+    dom = ChartedSphereDomain([3])
     field, calls = _mixed_field(dom), []
     recording = FormField(dom, 2, lambda pts: calls.append(len(pts)) or field.at(pts))
     d = exterior_derivative(recording)
@@ -194,9 +196,9 @@ def test_exterior_derivative_samples_each_slice_in_one_call():
 
 
 CHARTS = {
-    "sphere": lambda scale: ChartedSphereDomain([2], nodes_per_angle={2: 16}, scale=scale),
-    "product": lambda scale: ChartedSphereDomain([2, 1], nodes_per_angle=COARSE, scale=scale),
-    "ball": lambda scale: ChartedSphereDomain.ball(2, 1, COLLAPSE_RADIUS, (12, 6), scale=scale),
+    "sphere": lambda scale: ChartedSphereDomain([2], resolution=1 / 3, scale=scale),
+    "product": lambda scale: ChartedSphereDomain([2, 1], resolution=COARSE, scale=scale),
+    "ball": lambda scale: ChartedSphereDomain.ball(2, 1, COLLAPSE_RADIUS, 0.5, scale=scale),
 }
 
 
@@ -225,8 +227,30 @@ def test_at_scale_rescales_nodes(kind):
             assert scaled.volume() == pytest.approx(dom.volume(), rel=1e-9)
 
 
+LADDER_SCALES = sorted({*DEGREE_LADDER.scales, *SPLIT_LADDER.scales,
+                        *COLLAPSE_LADDER.scales, GAMMA_COARSE_SCALE})
+
+
+@pytest.mark.parametrize("resolution", [0.2, 0.5, 0.625, 0.75, 1.0, 1.5])
+def test_resolution_multiplies_every_default_node_count(resolution):
+    # Each chart's default counts n, per axis with its number of panels.
+    angles = {m: [(NODES_PER_ANGLE[m], 1)] * m for m in NODES_PER_ANGLE}
+    charts = [(ChartedSphereDomain.sphere(m, resolution=resolution), angles[m])
+              for m in range(1, 6)]
+    charts += [(ChartedSphereDomain.product(p, q, resolution=resolution), angles[p] + angles[q])
+               for p, q in ((2, 1), (1, 2), (2, 3), (4, 1))]
+    charts += [(ChartedSphereDomain.ball(p, q, COLLAPSE_RADIUS, resolution),
+                [(BALL_NODES[0], 2)] + [(BALL_NODES[1], 1)] * (p + q - 1))
+               for p, q in ((2, 1), (3, 1), (2, 3))]
+    for dom, defaults in charts:
+        for s in LADDER_SCALES:
+            expected = tuple(panels * max(2, round(max(4, round(n * resolution)) * s))
+                             for n, panels in defaults)
+            assert dom.at_scale(s).shape == expected
+
+
 def test_node_blocks_cover_all_nodes():
-    dom = ChartedSphereDomain([2, 1], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([2, 1], resolution=COARSE)
     seen, wsum = 0, 0.0
     for block in dom.node_blocks(chunk=1000):
         w = block.weights()
@@ -237,10 +261,10 @@ def test_node_blocks_cover_all_nodes():
     # Chart weights only; the volume element rides along inside the forms.
     assert wsum == pytest.approx(dom.weights().sum(), rel=1e-12)
 
-    # S^2 x S^3 with 10 x 10 x 12 x 12 x 12 nodes: the slab axis is the
+    # S^2 x S^3 with 16 x 16 x 11 x 11 x 11 nodes: the slab axis is the
     # fourth at chunk 100, the third at 1,000, the second at 2,000 and the
     # first at 100,000.
-    big = ChartedSphereDomain([2, 3], nodes_per_angle={2: 10, 3: 12})
+    big = ChartedSphereDomain([2, 3], resolution=1 / 3)
     for d, chunk in ((dom, 1000), (big, 100), (big, 1000), (big, 2000), (big, 100_000)):
         blocks = list(d.node_blocks(chunk))
         flat = [b.flat_index() for b in blocks]

@@ -59,15 +59,10 @@ def random_form(rng, dim, size, npts, masks):
 def brute_wedge(fa, fb):
     """Reference wedge: sort concatenated indices, sign from the permutation.
 
-    Coefficients multiply by einsum, a scalar factor as that multiple of the
-    identity, so the oracle shares no product code with GradedMatrixForm.
+    Coefficients multiply by einsum, so the oracle shares no product code
+    with GradedMatrixForm.
     """
-    dim, size, npts = fa.dim, max(fa.size, fb.size), fa.npts
-
-    def full(f, c):
-        return c[0, 0] * np.eye(size)[:, :, None] if f.size < size else c
-
-    out = GradedMatrixForm(dim, size, npts)
+    out = GradedMatrixForm(fa.dim, fa.size, fa.npts)
     for ma, A in enumerate(fa.comps):
         if A is None:
             continue
@@ -75,7 +70,7 @@ def brute_wedge(fa, fb):
             if B is None or (ma & mb):
                 continue
             seq = list(bit_indices(ma)) + list(bit_indices(mb))
-            term = perm_sign_oracle(seq) * np.einsum("ikn,kjn->ijn", full(fa, A), full(fb, B))
+            term = perm_sign_oracle(seq) * np.einsum("ikn,kjn->ijn", A, B)
             if out.comps[ma | mb] is None:
                 out.comps[ma | mb] = term
             else:
@@ -195,19 +190,24 @@ def random_masks(dim):
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), dim=st.integers(1, 5), n=st.sampled_from([1, 2, 3, 4]),
-       sizes=st.sampled_from(["same", "scalar-left", "scalar-right"]),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_wedge_matches_einsum_oracle(data, dim, n, sizes, seed):
+def test_wedge_matches_einsum_oracle(data, dim, n, seed):
     rng = np.random.default_rng(seed)
-    size_a = 1 if sizes == "scalar-left" else n
-    size_b = 1 if sizes == "scalar-right" else n
-    fa = random_form(rng, dim, size_a, 3, data.draw(random_masks(dim)))
-    fb = random_form(rng, dim, size_b, 3, data.draw(random_masks(dim)))
+    fa = random_form(rng, dim, n, 3, data.draw(random_masks(dim)))
+    fb = random_form(rng, dim, n, 3, data.draw(random_masks(dim)))
     got = fa.wedge(fb)
     assert got.size == n
     # Each coefficient sums at most 2**dim products of n terms of modulus
     # about 1, which sets the scale of the rounding error.
     assert_forms_close(got, brute_wedge(fa, fb), tol=1e-13 * 2 ** dim * n)
+
+
+@pytest.mark.parametrize("sizes", [(1, 2), (2, 1), (2, 3)])
+def test_wedge_rejects_unequal_matrix_sizes(sizes):
+    rng = np.random.default_rng(7)
+    fa, fb = (random_form(rng, 2, n, 3, [1]) for n in sizes)
+    with pytest.raises(ValueError):
+        fa.wedge(fb)
 
 
 def graded_form(rng, dim, rank, degree, odd):

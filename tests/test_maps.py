@@ -17,7 +17,7 @@ from oddchern.maps import (HomotopyFamily, ProductMatrixMap,
                            stabilize, su2_identity)
 from oddchern.superconn import unitarize
 
-COARSE = {1: 24, 2: 16, 3: 12}
+COARSE = 0.375  # resolution: 24, 18 and 12 nodes per angle on S^1, S^2 and S^3
 
 
 def fd4(f, pts, i, h=1e-4):
@@ -42,7 +42,7 @@ def fd_differential(g, dom, pts, i):
 ])
 def test_dual_differential_matches_fd(builder, spheres):
     g = builder()
-    dom = ChartedSphereDomain(spheres, nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain(spheres, resolution=COARSE)
     pts = dom.nodes()[:: max(1, dom.n_nodes // 40)]
     for i in range(dom.dim):
         exact = g.differential(dom, pts, i)
@@ -51,13 +51,13 @@ def test_dual_differential_matches_fd(builder, spheres):
 
 
 def test_builtin_derivative_check():
-    dom = ChartedSphereDomain([3], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([3], resolution=COARSE)
     rng = np.random.default_rng(0)
     su2_identity().check_derivative(dom, rng)
 
 
 def test_product_map_product_rule():
-    dom = ChartedSphereDomain([1], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([1], resolution=COARSE)
     a, b = circle_winding(2, size=2), circle_winding(-1, size=2)
     prod = ProductMatrixMap(a, b)
     pts = dom.nodes()[::3]
@@ -71,7 +71,7 @@ def test_product_map_product_rule():
 
 def test_unitarity_of_generators():
     for g, spheres in ((circle_winding(3, size=2), [1]), (su2_identity(), [3])):
-        dom = ChartedSphereDomain(spheres, nodes_per_angle=COARSE)
+        dom = ChartedSphereDomain(spheres, resolution=COARSE)
         pts = dom.nodes()[::7]
         vals = g.evaluate(dom, pts)
         gram = np.conj(np.swapaxes(vals, -1, -2)) @ vals
@@ -79,7 +79,7 @@ def test_unitarity_of_generators():
 
 
 def test_constant_map_has_zero_derivative():
-    dom = ChartedSphereDomain([2, 1], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([2, 1], resolution=COARSE)
     g = constant_map(np.array([[2.0, 1.0], [0.0, 1.0]]))
     pts = dom.nodes()[::101]
     for i in range(dom.dim):
@@ -87,7 +87,7 @@ def test_constant_map_has_zero_derivative():
 
 
 def test_stabilize_embeds_identity_block():
-    dom = ChartedSphereDomain([3], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([3], resolution=COARSE)
     g = stabilize(su2_identity(), 2)
     pts = dom.nodes()[::19]
     vals = g.evaluate(dom, pts)
@@ -96,7 +96,7 @@ def test_stabilize_embeds_identity_block():
 
 
 def test_homotopy_family_t_derivative():
-    dom = ChartedSphereDomain([1], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([1], resolution=COARSE)
 
     def fn(t, cols):
         x, y = cols[0], cols[1]
@@ -113,7 +113,7 @@ def test_homotopy_family_t_derivative():
 
 
 def test_chart_map_jacobian_vs_fd():
-    dom = ChartedSphereDomain([2], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([2], resolution=COARSE)
     amap = antipodal_map(dom)
     pts = dom.nodes()[::29]
     _, jac_cols = amap.ambient_jacobian_columns(pts)
@@ -127,8 +127,8 @@ def test_chart_map_jacobian_vs_fd():
 
 
 def test_identity_and_projection_values():
-    prod = ChartedSphereDomain([2, 1], nodes_per_angle=COARSE)
-    circle = ChartedSphereDomain([1], nodes_per_angle=COARSE)
+    prod = ChartedSphereDomain([2, 1], resolution=COARSE)
+    circle = ChartedSphereDomain([1], resolution=COARSE)
     ident = identity_chart_map(prod)
     pts = prod.nodes()[::97]
     assert np.abs(ident.evaluate_ambient(pts) - prod.embed(pts)).max() < 1e-12
@@ -138,7 +138,7 @@ def test_identity_and_projection_values():
 
 
 def test_circle_power_map_composition():
-    dom = ChartedSphereDomain([1], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([1], resolution=COARSE)
     sq = circle_power_map(dom, 2)
     pts = dom.nodes()[::2]
     amb = dom.embed(pts)
@@ -148,7 +148,7 @@ def test_circle_power_map_composition():
 
 
 def test_compose_map_with_matrix_pullback_values():
-    dom = ChartedSphereDomain([1], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([1], resolution=COARSE)
     sq = circle_power_map(dom, 2)
     g = compose_map_with_matrix(sq, circle_winding(3))
     pts = dom.nodes()[::2]
@@ -160,13 +160,13 @@ def test_compose_map_with_matrix_pullback_values():
 # -- one-pass jets ----------------------------------------------------------------
 
 def collapse_pullback():
-    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
+    phi = CollapseMap(2, 1, resolution=COARSE)
     return compose_map_with_matrix(phi, su2_identity()), phi.source
 
 
 def polar_part(v):
     dom = ChartedSphereDomain([3])
-    return unitarize(v, dom), dom
+    return unitarize(v), dom
 
 
 JET_CASES = {
@@ -212,7 +212,7 @@ def test_jet_matches_evaluate_and_fd(data, name):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), pq=st.sampled_from([(2, 1), (1, 2), (3, 1)]))
 def test_ambient_jacobian_columns_match_fd(data, pq):
-    phi = CollapseMap(*pq, nodes_per_angle=COARSE)
+    phi = CollapseMap(*pq, resolution=COARSE)
     pts = interior_points(data, phi.source)
     vals, cols = phi.ambient_jacobian_columns(pts)
     assert np.array_equal(vals, phi.evaluate_ambient(pts))
@@ -225,13 +225,13 @@ def test_ambient_jacobian_columns_match_fd(data, pq):
 # -- tensor node blocks: jets on broadcast columns equal flat jets --------------
 
 def _block_cases():
-    phi21 = CollapseMap(2, 1, nodes_per_angle=COARSE)
+    phi21 = CollapseMap(2, 1, resolution=COARSE)
     pull21 = compose_map_with_matrix(phi21, su2_identity())
-    ball21 = phi21.ball()
-    s3 = ChartedSphereDomain([3], nodes_per_angle=COARSE)
-    # S^2 x S^3 on 8 x 8 x 6 x 6 x 6 nodes: at chunk 100 the last three axes
+    ball21 = CollapseMap(2, 1).ball()
+    s3 = ChartedSphereDomain([3], resolution=COARSE)
+    # S^2 x S^3 on 9 x 9 x 6 x 6 x 6 nodes: at chunk 100 the last three axes
     # hold 216 nodes and the last two 36, so blocks are slabs of the third axis.
-    phi23 = CollapseMap(2, 3, nodes_per_angle={2: 8, 3: 6})
+    phi23 = CollapseMap(2, 3, resolution=0.1875)
     return {
         "su2-S3": (su2_identity(), s3, 1000),
         "collapse-pullback-S2xS1": (pull21, phi21.source, 2000),
@@ -239,7 +239,7 @@ def _block_cases():
             compose_map_with_matrix(ball21, su2_identity()), ball21.source, 1000),
         "split-map": (assemble_split_map(circle_winding(1), su2_identity(), phi21),
                       phi21.source, 2000),
-        "polar-of-scaled": (unitarize(ScaledMatrixMap(2.0, pull21), phi21.source),
+        "polar-of-scaled": (unitarize(ScaledMatrixMap(2.0, pull21)),
                             phi21.source, 2000),
         "collapse-pullback-S2xS3-slab-axis-2": (
             compose_map_with_matrix(phi23, su2_identity()), phi23.source, 100),
@@ -260,8 +260,8 @@ def test_block_jets_equal_flat_jets_bit_for_bit(case):
 
 
 def test_ball_chart_ambient_jacobian_is_bit_identical_on_blocks():
-    # BALL_NODES at scale 0.5.
-    amap = CollapseMap(3, 1, nodes_per_angle=COARSE).ball((12, 4))
+    # BALL_NODES at resolution 0.5: 12 nodes per radial panel, 4 per angle.
+    amap = CollapseMap(3, 1, resolution=0.5).ball()
     blocks = list(amap.source.node_blocks(500))
     assert len(blocks) > 1
     for block in blocks:

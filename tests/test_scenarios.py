@@ -5,7 +5,10 @@ import json
 import pytest
 
 from oddchern import superconn, verify
+from oddchern.chern import deg_star
+from oddchern.collapse import CollapseMap
 from oddchern.defaults import GAMMA_COARSE_SCALE, SPLIT_LADDER
+from oddchern.maps import compose_map_with_matrix, su2_identity
 from oddchern.results import DegreeResult
 from oddchern.scenarios import (RunReport, ScenarioError, emit_report,
                                 parse_scenario, run)
@@ -116,6 +119,17 @@ def test_gamma_resolution_rows_name_their_grids():
     assert rows[-1][0] == report.convergence["deg_star"][-1][0]
     assert rows[-1][1:3] == report.values["gamma_limit"]
     assert [row[0] for row in rows] == [GAMMA_COARSE_SCALE, SPLIT_LADDER.scales[-1]]
+
+
+def test_deg_star_report_sweeps_the_ball_at_the_resolution_scale():
+    # A pure pullback's report reads deg* on the collapse map's ball chart,
+    # built at the run's resolution like every other chart.
+    report = run({"scenario": "deg-star", "geometry.p": "2", "geometry.q": "1",
+                  "map.h.kind": "su2_identity"}, resolution_scale=0.625)
+    ball = CollapseMap(2, 1, resolution=0.625).ball()
+    ref = deg_star(compose_map_with_matrix(ball, su2_identity()), ball.source, SPLIT_LADDER)
+    assert [row[:3] for row in report.convergence["deg_star"]] \
+        == [[s, v.real, v.imag] for s, v in ref.convergence]
 
 
 def test_unconverged_point_case_is_reported_among_the_other_checks(monkeypatch):

@@ -22,11 +22,11 @@ from oddchern.superconn import (SuperBundleModel, _top_supertrace,
                                 gamma_closed_form, gamma_report,
                                 gaussian_moment, localize, unitarize)
 
-COARSE = {1: 32, 2: 24, 3: 16}
+COARSE = 0.5  # resolution: 32, 24 and 16 nodes per angle on S^1, S^2 and S^3
 
 
 def coarse_model(winding=None):
-    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
+    phi = CollapseMap(2, 1, resolution=COARSE)
     v = compose_map_with_matrix(phi, su2_identity())
     if winding is not None:
         from oddchern.chern import assemble_split_map
@@ -44,9 +44,9 @@ def test_gaussian_moment_values():
 
 
 def test_unitarize_output_is_unitary():
-    dom = ChartedSphereDomain([3], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([3], resolution=COARSE)
     v = ScaledMatrixMap(3.0, su2_identity())
-    u = unitarize(v, dom)
+    u = unitarize(v)
     pts = dom.nodes()[::31]
     vals = u.evaluate(dom, pts)
     gram = np.conj(np.swapaxes(vals, -1, -2)) @ vals
@@ -54,32 +54,32 @@ def test_unitarize_output_is_unitary():
 
 
 def test_unitarize_fixes_unitary_maps():
-    dom = ChartedSphereDomain([3], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([3], resolution=COARSE)
     v = su2_identity()
-    u = unitarize(v, dom)
+    u = unitarize(v)
     pts = dom.nodes()[::31]
     assert np.abs(u.evaluate(dom, pts) - v.evaluate(dom, pts)).max() < 1e-12
 
 
 def test_unitarize_rejects_singular_maps():
-    dom = ChartedSphereDomain([1], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([1], resolution=COARSE)
 
     def fn(cols):
         x, y = cols[0], cols[1]
         return [[0.0 * x + 0.0j * y]]
 
     with pytest.raises(ValueError):
-        unitarize(DualMatrixMap(fn, 1), dom).evaluate(dom, dom.nodes()[:8])
+        unitarize(DualMatrixMap(fn, 1)).evaluate(dom, dom.nodes()[:8])
 
 
 def test_model_requires_odd_dimension():
-    dom = ChartedSphereDomain([2], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([2], resolution=COARSE)
     with pytest.raises(ValueError):
         SuperBundleModel(dom, su2_identity())
 
 
 def test_model_keeps_unitary_maps_and_unitarizes_others():
-    dom = ChartedSphereDomain([3], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([3], resolution=COARSE)
     v = su2_identity()
     assert SuperBundleModel(dom, v).v is v
     scaled = SuperBundleModel(dom, ScaledMatrixMap(2.0, v))
@@ -89,7 +89,7 @@ def test_model_keeps_unitary_maps_and_unitarizes_others():
 
 
 def test_model_rejects_nonunitary_claim():
-    model = SuperBundleModel(ChartedSphereDomain([3], nodes_per_angle=COARSE),
+    model = SuperBundleModel(ChartedSphereDomain([3], resolution=COARSE),
                              su2_identity())
     model.v = ScaledMatrixMap(2.0, model.v)
     with pytest.raises(ValueError, match="not unitary"):
@@ -99,7 +99,7 @@ def test_model_rejects_nonunitary_claim():
 def test_unitarity_sample_names_the_singular_grid_node():
     # 24^3 = 13,824 nodes sampled with stride 27: grid node 8,991 is sample
     # node 333, and the error must name the grid node.
-    dom = ChartedSphereDomain([3], nodes_per_angle={3: 24})
+    dom = ChartedSphereDomain([3], resolution=0.75)
     node = 8991
     assert dom.sample_stride(512) == 27 and node % 27 == 0
     centre = dom.embed(dom.nodes()[node:node + 1])[0]
@@ -196,7 +196,7 @@ def test_gamma_report_fields(monkeypatch):
 
 def test_degree_and_closed_form_sweep_the_model_grid_once(monkeypatch):
     models, domains = record_sweeps(monkeypatch)
-    phi = CollapseMap(2, 1, nodes_per_angle={1: 16, 2: 12})
+    phi = CollapseMap(2, 1, resolution=0.25)
     model = SuperBundleModel(phi.source.at_scale(2.0),
                              compose_map_with_matrix(phi, su2_identity()))
     ds = model.degree_star()
@@ -276,14 +276,14 @@ def test_localize_rejects_mixed_dimensions():
 
 @pytest.mark.parametrize("m", [-2, 0, 1, 2])
 def test_point_case_matches_winding(m):
-    dom = ChartedSphereDomain([1], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([1], resolution=COARSE)
     rep = flz_point_case(circle_winding(m), dom, n=1)
     assert rep.value == -m
     assert rep.degree.rounded == -m
 
 
 def test_point_case_requires_matching_dimension():
-    dom = ChartedSphereDomain([3], nodes_per_angle=COARSE)
+    dom = ChartedSphereDomain([3], resolution=COARSE)
     with pytest.raises(ValueError):
         flz_point_case(su2_identity(), dom, n=1)
 
@@ -366,12 +366,12 @@ def test_block_kernel_matches_dense_supertrace(data, n, d):
 
 
 def collapse_su2_model():
-    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
+    phi = CollapseMap(2, 1, resolution=COARSE)
     return SuperBundleModel(phi.source, compose_map_with_matrix(phi, su2_identity()))
 
 
 def sphere_model(m, v):
-    return SuperBundleModel(ChartedSphereDomain([m], nodes_per_angle=COARSE), v)
+    return SuperBundleModel(ChartedSphereDomain([m], resolution=COARSE), v)
 
 
 @pytest.mark.parametrize("build", [
@@ -396,7 +396,7 @@ def test_collapse_pullback_is_constant_outside_its_support():
     # Outside |w| < 2R the pullback's value is h(pole) and its differentials
     # are exactly 0, so its top forms vanish there and the ball chart holds
     # all of their integral.
-    phi = CollapseMap(2, 1, nodes_per_angle=COARSE)
+    phi = CollapseMap(2, 1, resolution=COARSE)
     h = su2_identity()
     g = compose_map_with_matrix(phi, h)
     dom = phi.source
@@ -415,14 +415,14 @@ def test_pullback_integrals_on_the_ball_agree_with_the_angle_chart(variant):
     # ball chart's 24,576 nodes at scale 2 about 3e-14.
     # phi* su2 is built on each chart: in the ball's polar coordinates there,
     # in the product's ambient coordinates on the angle chart.
-    phi = CollapseMap(2, 1, nodes_per_angle={1: 40, 2: 30})
-    ball_map = phi.ball()
+    phi = CollapseMap(2, 1, resolution=0.625)
+    ball_map = CollapseMap(2, 1).ball()
     ball, angle = ball_map.source.at_scale(2.0), phi.source
 
     def variant_of(chart_map, dom):
         g = compose_map_with_matrix(chart_map, su2_identity())
         return {"plain": g, "scaled": ScaledMatrixMap(2.0, g),
-                "polar-of-scaled": unitarize(ScaledMatrixMap(0.5, g), dom)}[variant]
+                "polar-of-scaled": unitarize(ScaledMatrixMap(0.5, g))}[variant]
 
     v_ball, v_angle = variant_of(ball_map, ball), variant_of(phi, angle)
     ds_ball, ds_angle = (deg_star(v, dom, Ladder((dom.scale,), 1e-6))

@@ -58,7 +58,7 @@ def test_trace_sees_the_ball_chart_grid():
     tracer = tracing.Tracer()
     restore = tracing.install(tracer)
     try:
-        volume_pullback_integral(CollapseMap(3, 1).ball((6, 4)))
+        volume_pullback_integral(CollapseMap(3, 1, resolution=0.25).ball())
     finally:
         restore()
     names = [span[0] for span in tracer.spans]
