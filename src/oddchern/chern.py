@@ -46,7 +46,6 @@ from .forms import (
     GradedMatrixForm,
     _block_product,
     _diagonal_sum,
-    _point_axis_last,
     _trace_of_product,
     nilpotent_exp,
 )
@@ -145,7 +144,7 @@ def _sweep(g: SmoothMatrixMap, domain, kernel, chunk, buffers):
     """
     if domain.exterior is not None:
         try:
-            _checked_inverse(_point_axis_last(g.evaluate(domain, domain.exterior)))
+            _checked_inverse(g.evaluate(domain, domain.exterior))
         except SingularMapError as exc:
             raise SingularMapError(exc.what, domain.n_nodes) from None
     total = 0.0
@@ -165,7 +164,7 @@ def maurer_cartan(g: SmoothMatrixMap, domain) -> FormField:
 
     def sampler(pts):
         vals, dgs = g.jet(domain, pts)
-        return _maurer_cartan_form(_checked_inverse(_point_axis_last(vals)), dgs)
+        return _maurer_cartan_form(_checked_inverse(vals), dgs)
 
     return FormField(domain, g.size, sampler)
 
@@ -178,12 +177,13 @@ def _maurer_cartan_form(inv, dgs, out=None) -> GradedMatrixForm:
     """w = sum_i g^{-1} dg_i dx_i from g^{-1} and the differentials of g.
 
     inv is g^{-1} at a batch of nodes, an (N, N, npts) block, and dgs the
-    (d, npts, N, N) differentials of g's jet.  out, when given, holds d
-    (N, N, npts) buffers that the w_i are written into.
+    (d, N, N, npts) differentials of g's jet, in the same block layout, so
+    each w_i is one block product with no conversion.  out, when given,
+    holds d (N, N, npts) buffers that the w_i are written into.
     """
     out = [None] * len(dgs) if out is None else out
     return GradedMatrixForm.one_form(
-        [_block_product(inv, _point_axis_last(dg), o) for dg, o in zip(dgs, out)])
+        [_block_product(inv, dg, o) for dg, o in zip(dgs, out)])
 
 
 def _odd_chern_top(vals, dgs, scratch=None) -> np.ndarray:
@@ -197,12 +197,12 @@ def _odd_chern_top(vals, dgs, scratch=None) -> np.ndarray:
     new one when None), and the wedge's top component takes g^{-1}'s buffer
     once w is formed.
     """
-    g, d = _point_axis_last(vals), len(dgs)
-    inv, *w = (BlockScratch() if scratch is None else scratch).take(d + 1, g.shape)
-    _maurer_cartan_form(_checked_inverse(g, inv), dgs, w)
+    d = len(dgs)
+    inv, *w = (BlockScratch() if scratch is None else scratch).take(d + 1, vals.shape)
+    _maurer_cartan_form(_checked_inverse(vals, inv), dgs, w)
     c = odd_chern_coefficient((d - 1) // 2)
     if d == 1:
-        return c * _diagonal_sum(w[0], range(g.shape[0]))
+        return c * _diagonal_sum(w[0], range(vals.shape[0]))
     top = (1 << (d - 1)) - 1
     rest = GradedMatrixForm.one_form(w[1:]).wedge_power(d - 1, out={top: inv})
     return (c * d) * _trace_of_product(w[0], rest.comps[top])
@@ -267,10 +267,9 @@ def transgression_pair(family, domain, t: float):
 
     def tilde_sampler(pts):
         vals, dgs = g_t.jet(domain, pts)
-        inv = _checked_inverse(_point_axis_last(vals))
-        gdot = family.t_derivative(domain, pts, t)
+        inv = _checked_inverse(vals)
         q = GradedMatrixForm(domain.dim, family.size, len(pts))
-        q.comps[0] = _block_product(inv, _point_axis_last(gdot))
+        q.comps[0] = _block_product(inv, family.t_derivative(domain, pts, t))
         out = q.trace()  # k = 0 term
         w2 = None
         power = q

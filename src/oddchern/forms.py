@@ -48,11 +48,6 @@ def shuffle_sign(mask_a: int, mask_b: int) -> int:
     return -1 if sign & 1 else 1
 
 
-def _point_axis_last(a):
-    """(..., npts, N, N) batch -> contiguous (..., N, N, npts) block array."""
-    return np.ascontiguousarray(np.moveaxis(a, -3, -1))
-
-
 def _block_product(a, b, out=None, add=0):
     """Pointwise N x N matrix product of two (N, N, npts) block arrays.
 

@@ -14,16 +14,16 @@ import numpy as np
 from . import dual
 from .defaults import FD_STEP
 from .domains import NodeBlock, chart_columns
+from .forms import _block_product
 
 
 def pack_matrix(rows, shape, ndirs=0):
     """Nested-list matrix of Dual/array entries -> (values, derivatives).
 
     Each entry is broadcast into the block shape and the block flattened
-    once, to npts nodes in C order.  values has shape (npts, n, n) and
-    derivatives (ndirs, npts, n, n), one row per seeded direction.  Both are
-    views of point-axis-last buffers, so the N x N block kernels take them
-    without a copy.
+    once, to npts nodes in C order.  values has the forms' block layout,
+    (n, n, npts), and derivatives (ndirs, n, n, npts), one block per seeded
+    direction, so the N x N block kernels take both as they are.
     """
     n, npts = len(rows), int(np.prod(shape))
     vals = np.empty((n, n) + shape, dtype=complex)
@@ -35,8 +35,7 @@ def pack_matrix(rows, shape, ndirs=0):
                 eps[:, i, j] = e.eps
             else:
                 vals[i, j] = e
-    return (np.moveaxis(vals.reshape(n, n, npts), -1, 0),
-            np.moveaxis(eps.reshape(ndirs, n, n, npts), -1, 1))
+    return vals.reshape(n, n, npts), eps.reshape(ndirs, n, n, npts)
 
 
 def _pack_columns(cols, shape, ndirs):
@@ -54,7 +53,7 @@ class SmoothMatrixMap:
     """Base contract: pointwise values plus chart-direction derivatives.
 
     pts is a domains.NodeBlock or an (npts, dim) point array; results are
-    flat over its nodes in C order.
+    (N, N, npts) blocks, the forms' layout, flat over its nodes in C order.
     """
 
     size: int
@@ -66,8 +65,9 @@ class SmoothMatrixMap:
         raise NotImplementedError
 
     def jet(self, domain, pts):
-        """(values, differentials): g at pts, (npts, N, N), and its chart
-        derivatives stacked as (dim, npts, N, N), row i along direction i.
+        """(values, differentials): g at pts, an (N, N, npts) block, and its
+        chart derivatives stacked as (dim, N, N, npts), row i along direction i.
+        Only superconn._PolarMap turns blocks point axis first, for LAPACK.
 
         This default evaluates each direction on its own; maps with a
         one-pass derivative override it.
@@ -114,7 +114,7 @@ class DualMatrixMap(SmoothMatrixMap):
 
 
 class NumericMatrixMap(SmoothMatrixMap):
-    """Map given only by an evaluator; derivatives via Richardson differences."""
+    """Map given only by eval_fn -> (N, N, npts); derivatives via Richardson differences."""
 
     def __init__(self, eval_fn, size, step=FD_STEP):
         self.eval_fn = eval_fn
@@ -145,7 +145,7 @@ class ProductMatrixMap(SmoothMatrixMap):
         self.size = a.size
 
     def evaluate(self, domain, pts):
-        return self.a.evaluate(domain, pts) @ self.b.evaluate(domain, pts)
+        return _block_product(self.a.evaluate(domain, pts), self.b.evaluate(domain, pts))
 
     def differential(self, domain, pts, direction):
         return self.jet(domain, pts)[1][direction]
@@ -153,7 +153,11 @@ class ProductMatrixMap(SmoothMatrixMap):
     def jet(self, domain, pts):
         va, da = self.a.jet(domain, pts)
         vb, db = self.b.jet(domain, pts)
-        return va @ vb, da @ vb + va @ db
+        ds = np.empty_like(da)
+        for dai, dbi, out in zip(da, db, ds):
+            _block_product(dai, vb, out)
+            _block_product(va, dbi, out, +1)
+        return _block_product(va, vb), ds
 
 
 class ScaledMatrixMap(SmoothMatrixMap):

@@ -59,7 +59,6 @@ from .forms import (
     BlockScratch,
     GradedMatrixForm,
     _block_product,
-    _point_axis_last,
     _trace_of_product,
     wedge_chain,
 )
@@ -84,7 +83,9 @@ class _PolarMap(SmoothMatrixMap):
 
     One eigh H = Q diag(s^2) Q* per block; d(H^(-1/2)) = Q (L o Q* dH Q) Q*
     (Daleckii-Krein) with L_ij = -1/(s_i s_j (s_i + s_j)), free of cancellation
-    at equal eigenvalues.  s^2 < floor^2 raises SingularMapError.
+    at equal eigenvalues.  s^2 < floor^2 raises SingularMapError.  For LAPACK's
+    eigh, evaluate and jet move v's (N, N, npts) blocks point axis first once,
+    and move their results back.
     """
 
     def __init__(self, v: SmoothMatrixMap, floor: float):
@@ -100,18 +101,19 @@ class _PolarMap(SmoothMatrixMap):
         return a @ inv_sqrt, inv_sqrt, np.sqrt(s2), q, qh
 
     def evaluate(self, domain, pts):
-        return self._polar(self.v.evaluate(domain, pts))[0]
+        a = np.moveaxis(self.v.evaluate(domain, pts), -1, -3)
+        return np.moveaxis(self._polar(a)[0], -3, -1)
 
     def differential(self, domain, pts, direction):
         return self.jet(domain, pts)[1][direction]
 
     def jet(self, domain, pts):
-        a, da = self.v.jet(domain, pts)
+        a, da = (np.moveaxis(x, -1, -3) for x in self.v.jet(domain, pts))
         u, inv_sqrt, s, q, qh = self._polar(a)
         si, sj = s[:, :, None], s[:, None, :]
         dh = _conj_transpose(da) @ a + _conj_transpose(a) @ da
         d_inv_sqrt = q @ ((qh @ dh @ q) * (-1.0 / (si * sj * (si + sj)))) @ qh
-        return u, da @ inv_sqrt + a @ d_inv_sqrt
+        return np.moveaxis(u, -3, -1), np.moveaxis(da @ inv_sqrt + a @ d_inv_sqrt, -3, -1)
 
 
 def unitarize(v: SmoothMatrixMap, floor=MIN_SINGULAR_VALUE) -> SmoothMatrixMap:
@@ -125,7 +127,7 @@ def _unitarity_defect(v, domain, n_sample=512) -> float:
         a = v.evaluate(domain, domain.sample_nodes(n_sample))
     except SingularMapError as exc:
         raise SingularMapError(exc.what, exc.index * domain.sample_stride(n_sample)) from None
-    return float(np.abs(_conj_transpose(a) @ a - np.eye(v.size)).max())
+    return float(np.abs(_block_product(_adjoint(a), a) - np.eye(v.size)[:, :, None]).max())
 
 
 class SuperBundleModel:
@@ -160,14 +162,14 @@ class SuperBundleModel:
 
     def odd_endomorphism(self, pts) -> GradedMatrixForm:
         """V = v + v* as a degree-0 form with 2N x 2N coefficients."""
-        v = _point_axis_last(self.v.evaluate(self.domain, pts))
+        v = self.v.evaluate(self.domain, pts)
         form = GradedMatrixForm(self.domain.dim, 2 * self.rank, len(pts))
         form.comps[0] = _odd_block(_adjoint(v), v)
         return form
 
     def derivative_form(self, pts) -> GradedMatrixForm:
         """dV as a degree-1 form with odd 2N x 2N coefficients."""
-        dvs = _point_axis_last(self.v.jet(self.domain, pts)[1])
+        dvs = self.v.jet(self.domain, pts)[1]
         return GradedMatrixForm.one_form([_odd_block(_adjoint(dv), dv) for dv in dvs])
 
     def _tops(self):
@@ -231,10 +233,11 @@ def _odd_block(pm, mp):
     return out
 
 
-def _top_supertrace(vals, dvs, scratch=None) -> np.ndarray:
+def _top_supertrace(v, dv, scratch=None) -> np.ndarray:
     """Tr_s(V dV^d) on the top multi-index, from v and its d differentials.
 
-    vals is (npts, N, N) and dvs (d, npts, N, N).  With a = sum dv_i dx_i and
+    v is an (N, N, npts) block and dv (d, N, N, npts), a jet as every map
+    returns it, so no block is converted here.  With a = sum dv_i dx_i and
     b = sum dv_i* dx_i, V dV^d = diag(v* X, v Y) where X = a ^ b ^ a ... and
     Y = b ^ a ^ b ..., so the supertrace is Tr(v* X) - Tr(v Y).  Both share
     c = b ^ a ^ ... (d - 1 factors): X = a ^ c and Y = c ^ b.  With c^i the
@@ -244,8 +247,7 @@ def _top_supertrace(vals, dvs, scratch=None) -> np.ndarray:
     v*, the dv_i*, m_i and the c^i are 2 d + 2 buffers of scratch, a
     forms.BlockScratch (a new one when None).
     """
-    v, dv = _point_axis_last(vals), _point_axis_last(dvs)
-    d, top = len(dvs), (1 << len(dvs)) - 1
+    d, top = len(dv), (1 << len(dv)) - 1
     vh, m, *bufs = (BlockScratch() if scratch is None else scratch).take(2 * d + 2, v.shape)
     dvh = bufs[:d]
     np.conj(v.swapaxes(0, 1), out=vh)

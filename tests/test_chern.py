@@ -19,7 +19,6 @@ from oddchern.collapse import CollapseMap
 from oddchern.defaults import CHUNK, Ladder
 from oddchern.domains import ChartedSphereDomain
 from oddchern.fields import constant_field, exterior_derivative, integrate_top
-from oddchern.forms import _point_axis_last
 from oddchern.maps import (DualMatrixMap, HomotopyFamily, ProductMatrixMap,
                            SmoothMatrixMap, circle_winding,
                            compose_map_with_matrix, stabilize, su2_identity)
@@ -311,10 +310,11 @@ def test_transgression_tilde_rejects_singular_maps():
 # -- the N x N top-degree kernel against the dense odd_chern sampler -------------
 
 class SampledMap(SmoothMatrixMap):
-    """Fixed values and differentials, returned for any batch of len(vals) points."""
+    """Fixed (N, N, npts) values and differentials, returned for any batch of
+    npts points."""
 
     def __init__(self, vals, dgs):
-        self.vals, self.dgs, self.size = vals, dgs, vals.shape[-1]
+        self.vals, self.dgs, self.size = vals, dgs, vals.shape[0]
 
     def evaluate(self, domain, pts):
         return self.vals
@@ -330,8 +330,9 @@ def assert_top_matches_dense(g, dom, pts):
     # the sum of the absolute values of the terms of c_k Tr(w^d), so it sets
     # the scale of the rounding error.
     vals, dgs = g.jet(dom, pts)
-    n, d = vals.shape[-1], dom.dim
-    w_max = n * np.abs(np.linalg.inv(vals)).max() * max(np.abs(dg).max() for dg in dgs)
+    n, d = vals.shape[0], dom.dim
+    w_max = n * np.abs(np.linalg.inv(np.moveaxis(vals, -1, 0))).max() * max(
+        np.abs(dg).max() for dg in dgs)
     bound = abs(odd_chern_coefficient((d - 1) // 2)) * n ** (d + 1) * factorial(d) * w_max ** d
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-12 * bound + 1e-300
@@ -344,9 +345,9 @@ ENTRIES = st.complex_numbers(max_magnitude=1.0, allow_nan=False,
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.sampled_from([1, 2, 3]), d=st.sampled_from([1, 3, 5]))
 def test_top_kernel_matches_dense_odd_chern(data, n, d):
-    shape = (4, n, n)
+    shape = (n, n, 4)
     # Entries of modulus <= 1 plus 4 Id: diagonally dominant, so invertible.
-    vals = data.draw(hnp.arrays(complex, shape, elements=ENTRIES)) + 4.0 * np.eye(n)
+    vals = data.draw(hnp.arrays(complex, shape, elements=ENTRIES)) + 4.0 * np.eye(n)[:, :, None]
     dgs = [data.draw(hnp.arrays(complex, shape, elements=ENTRIES)) for _ in range(d)]
     dom = ChartedSphereDomain([d])  # only its dimension is read
     assert_top_matches_dense(SampledMap(vals, dgs), dom, np.zeros((4, d)))
@@ -360,14 +361,15 @@ def test_block_inverse_matches_lapack(data, n, kind, c):
     # conditioned; its QR factor is a random unitary.
     a = data.draw(hnp.arrays(complex, (5, n, n), elements=ENTRIES)) + 4.0 * np.eye(n)
     vals = c * (np.linalg.qr(a)[0] if kind == "unitary" else a)
-    got = _checked_inverse(_point_axis_last(vals))
-    ref = _point_axis_last(np.linalg.inv(vals))
+    # The block inverse takes (N, N, npts) blocks, LAPACK (npts, N, N) batches.
+    got = _checked_inverse(np.moveaxis(vals, 0, -1))
+    ref = np.moveaxis(np.linalg.inv(vals), 0, -1)
     err = np.linalg.norm(got - ref, axis=(0, 1)) / np.linalg.norm(ref, axis=(0, 1))
     assert np.all(err <= 1e-13 * np.linalg.cond(vals))
     # Written into a given buffer, the inverse is the allocating call's bit
     # for bit, whatever the buffer held before.
     out = np.full_like(got, np.nan)
-    assert _checked_inverse(_point_axis_last(vals), out=out) is out
+    assert _checked_inverse(np.moveaxis(vals, 0, -1), out=out) is out
     assert out.tobytes() == got.tobytes()
 
 

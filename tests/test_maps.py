@@ -56,17 +56,34 @@ def test_builtin_derivative_check():
     su2_identity().check_derivative(dom, rng)
 
 
-def test_product_map_product_rule():
+def _split_factors_on_a_block():
+    # The split map pr_2* f . phi* h on a tensor node block of S^2 x S^1 in
+    # the middle of the grid, where both factors vary.
+    phi = CollapseMap(2, 1, resolution=COARSE)
+    split = assemble_split_map(circle_winding(3), su2_identity(), phi)
+    blocks = list(phi.source.node_blocks(500))
+    return split.a, split.b, phi.source, blocks[len(blocks) // 2]
+
+
+def _winding_factors_on_points():
     dom = ChartedSphereDomain([1], resolution=COARSE)
-    a, b = circle_winding(2, size=2), circle_winding(-1, size=2)
-    prod = ProductMatrixMap(a, b)
-    pts = dom.nodes()[::3]
-    vals_a = a.evaluate(dom, pts)
-    vals_b = b.evaluate(dom, pts)
-    assert np.abs(prod.evaluate(dom, pts) - vals_a @ vals_b).max() < 1e-12
-    lhs = prod.differential(dom, pts, 0)
-    rhs = a.differential(dom, pts, 0) @ vals_b + vals_a @ b.differential(dom, pts, 0)
-    assert np.abs(lhs - rhs).max() < 1e-12
+    return circle_winding(2, size=2), circle_winding(-1, size=2), dom, dom.nodes()[::3]
+
+
+def test_product_map_product_rule():
+    def mul(x, y):
+        return np.einsum("ikp,kjp->ijp", x, y)
+
+    for a, b, dom, pts in (_winding_factors_on_points(), _split_factors_on_a_block()):
+        prod = ProductMatrixMap(a, b)
+        vals_a = a.evaluate(dom, pts)
+        vals_b = b.evaluate(dom, pts)
+        assert np.abs(prod.evaluate(dom, pts) - mul(vals_a, vals_b)).max() < 1e-12
+        for i in range(dom.dim):
+            lhs = prod.differential(dom, pts, i)
+            da, db = a.differential(dom, pts, i), b.differential(dom, pts, i)
+            rhs = mul(da, vals_b) + mul(vals_a, db)
+            assert np.abs(lhs - rhs).max() < 1e-12
 
 
 def test_unitarity_of_generators():
@@ -74,8 +91,8 @@ def test_unitarity_of_generators():
         dom = ChartedSphereDomain(spheres, resolution=COARSE)
         pts = dom.nodes()[::7]
         vals = g.evaluate(dom, pts)
-        gram = np.conj(np.swapaxes(vals, -1, -2)) @ vals
-        assert np.abs(gram - np.eye(g.size)).max() < 1e-12
+        gram = np.einsum("kip,kjp->ijp", np.conj(vals), vals)
+        assert np.abs(gram - np.eye(g.size)[:, :, None]).max() < 1e-12
 
 
 def test_constant_map_has_zero_derivative():
@@ -91,8 +108,8 @@ def test_stabilize_embeds_identity_block():
     g = stabilize(su2_identity(), 2)
     pts = dom.nodes()[::19]
     vals = g.evaluate(dom, pts)
-    assert np.abs(vals[:, 2:, 2:] - np.eye(2)).max() < 1e-12
-    assert np.abs(vals[:, :2, 2:]).max() < 1e-12
+    assert np.abs(vals[2:, 2:] - np.eye(2)[:, :, None]).max() < 1e-12
+    assert np.abs(vals[:2, 2:]).max() < 1e-12
 
 
 def test_homotopy_family_t_derivative():
@@ -154,7 +171,7 @@ def test_compose_map_with_matrix_pullback_values():
     pts = dom.nodes()[::2]
     amb = dom.embed(pts)
     z = amb[:, 0] + 1j * amb[:, 1]
-    assert np.abs(g.evaluate(dom, pts)[:, 0, 0] - z ** 6).max() < 1e-10
+    assert np.abs(g.evaluate(dom, pts)[0, 0] - z ** 6).max() < 1e-10
 
 
 # -- one-pass jets ----------------------------------------------------------------
@@ -200,6 +217,8 @@ def test_jet_matches_evaluate_and_fd(data, name):
     g, dom = JET_CASES[name]()
     pts = interior_points(data, dom)
     vals, ds = g.jet(dom, pts)
+    # Every map returns the forms' block layout, point axis last.
+    assert vals.shape == (g.size, g.size, len(pts))
     # The dual pass rounds values exactly as the plain pass does.
     assert np.array_equal(vals, g.evaluate(dom, pts))
     assert ds.shape == (dom.dim,) + vals.shape

@@ -49,8 +49,8 @@ def test_unitarize_output_is_unitary():
     u = unitarize(v)
     pts = dom.nodes()[::31]
     vals = u.evaluate(dom, pts)
-    gram = np.conj(np.swapaxes(vals, -1, -2)) @ vals
-    assert np.abs(gram - np.eye(2)).max() < 1e-12
+    gram = np.einsum("kip,kjp->ijp", np.conj(vals), vals)
+    assert np.abs(gram - np.eye(2)[:, :, None]).max() < 1e-12
 
 
 def test_unitarize_fixes_unitary_maps():
@@ -324,14 +324,14 @@ def dense_top_supertrace(vform, dvform, rank):
 
 def odd_forms(vals, dvs):
     """V and dV as 2N x 2N graded forms from their off-diagonal blocks."""
-    d, n, npts = len(dvs), vals.shape[-1], len(vals)
+    d, n, npts = len(dvs), vals.shape[0], vals.shape[-1]
 
     def odd(a):
         # [[0, a*], [a, 0]] at each point, point axis last.
-        out = np.zeros((npts, 2 * n, 2 * n), dtype=complex)
-        out[:, :n, n:] = np.conj(np.swapaxes(a, -1, -2))
-        out[:, n:, :n] = a
-        return np.moveaxis(out, 0, -1)
+        out = np.zeros((2 * n, 2 * n, npts), dtype=complex)
+        out[:n, n:] = np.conj(np.swapaxes(a, 0, 1))
+        out[n:, :n] = a
+        return out
 
     vform = GradedMatrixForm(d, 2 * n, npts)
     vform.comps[0] = odd(vals)
@@ -344,7 +344,7 @@ def odd_forms(vals, dvs):
 def assert_close_to_dense(got, ref, vals, dvs):
     # 2 N^(d+1) d! max|v| max|dv|^d bounds the sum of the absolute values of
     # the terms of Tr_s(V dV^d), so it sets the scale of the rounding error.
-    n, d = vals.shape[-1], len(dvs)
+    n, d = vals.shape[0], len(dvs)
     bound = (2 * n ** (d + 1) * factorial(d) * np.abs(vals).max()
              * max(np.abs(dv).max() for dv in dvs) ** d)
     assert got.shape == ref.shape
@@ -358,7 +358,7 @@ ENTRIES = st.complex_numbers(max_magnitude=2.0, allow_nan=False,
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.sampled_from([1, 2, 3]), d=st.sampled_from([1, 3, 5]))
 def test_block_kernel_matches_dense_supertrace(data, n, d):
-    shape = (4, n, n)
+    shape = (n, n, 4)
     vals = data.draw(hnp.arrays(complex, shape, elements=ENTRIES))
     dvs = [data.draw(hnp.arrays(complex, shape, elements=ENTRIES)) for _ in range(d)]
     ref = dense_top_supertrace(*odd_forms(vals, dvs), n)
