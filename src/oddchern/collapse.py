@@ -175,17 +175,21 @@ def volume_pullback_integral(chart_map: ChartMap, scale=1.0, chunk=CHUNK) -> com
     Evaluated through ambient determinants det[y, dy/dx_1, ...], which stays
     smooth across the target chart's poles (unlike chart-coordinate minors).
     Each block's determinants are taken by cofactor expansion on node arrays
-    (forms._block_det) on an axis-swapped view of the block's jet, so no
-    node's matrix is copied or factorized.
+    (forms._block_det) of the transposed matrix, whose entries keep the
+    broadcast shapes of one jet pass (domains.NodeBlock): nothing is packed,
+    and the products on the narrowest rows run on their nodes alone.
     """
     src = chart_map.source.at_scale(scale)
     sign = chart_map.target.ambient_det_sign
     norm = 1.0 / chart_map.target.volume()
+    zeros = [0.0] * src.dim
     total = 0.0
     for block in src.node_blocks(chunk):
-        # Rows y, dy/dx_1, ... by ambient columns: (1 + dim_s, amb_t, npts).
-        rows = chart_map.jet_columns(block).swapaxes(1, 2)
-        total += np.sum(block.weights() * _block_det(rows))
+        # One row per ambient column: its value, then its derivatives.  The
+        # rows are unnamed, so they are freed before the next block's jet.
+        det = _block_det([[c.val, *c.eps] if isinstance(c, dual.Dual) else [c] + zeros
+                          for c in chart_map.ambient_fn(src.embed_dual_cols(block.cols))])
+        total += np.sum(block.weights() * np.broadcast_to(det, block.shape).reshape(-1))
     return complex(src.orientation_sign * sign * norm * total)
 
 

@@ -24,6 +24,9 @@ import numpy as np
 
 class Dual:
     __slots__ = ("val", "eps")
+    # An ndarray or numpy scalar on the left of + - * / defers to the Dual's
+    # reflected method, instead of making an object array.
+    __array_ufunc__ = None
 
     def __init__(self, val, eps):
         self.val = np.asarray(val)
@@ -34,11 +37,6 @@ class Dual:
         """Independent variable: derivative one."""
         val = np.asarray(val, dtype=float)
         return cls(val, np.ones_like(val))
-
-    @classmethod
-    def const(cls, val):
-        val = np.asarray(val)
-        return cls(val, np.zeros_like(val))
 
     # arithmetic ------------------------------------------------------------
 

@@ -262,8 +262,10 @@ class HomotopyFamily:
         return DualMatrixMap(lambda cols: self.fn_entries(t, cols), self.size)
 
     def t_derivative(self, domain, pts, t: float) -> np.ndarray:
+        """d/dt of the family's values at pts, an (N, N, npts) block: the
+        chart columns are embedded as plain arrays and only t is seeded."""
         cols, shape = chart_columns(pts)
-        amb = domain.embed_cols([dual.Dual.const(c) for c in cols])
+        amb = domain.embed_cols(cols)
         td = dual.Dual.seed(np.full(shape, float(t)))
         _, eps = pack_matrix(self.fn_entries(td, amb), shape, 1)
         return eps[0]

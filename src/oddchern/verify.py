@@ -111,15 +111,14 @@ def _random_family(rng, n_ambient, size=2, spread=0.12):
 
     def fn(t, cols):
         # One (size, size, ...) expression per ambient column, summed in the
-        # order of the columns.  The Dual operand goes first, since an
-        # ndarray on the left would make an object array.
+        # order of the columns.
         nodes = (1,) * np.ndim(dual.value(cols[0]))
         a, b = A.reshape(A.shape + nodes), B.reshape(B.shape + nodes)
         t = _matrix_axes_first(t)
         g = np.eye(size, dtype=complex).reshape((size, size) + nodes)
         for k in range(n_ambient):
             c = _matrix_axes_first(cols[k])
-            g = c * a[k] + g + (c * b[k]) * t
+            g = c * (a[k] + t * b[k]) + g
         return [[_matrix_entry(g, i, j) for j in range(size)] for i in range(size)]
 
     return HomotopyFamily(fn, size)

@@ -1,5 +1,7 @@
 """Collapse map construction, mapping degrees, and the preimage oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,7 +143,7 @@ def lapack_volume_pullback(chart_map):
     return complex(src.orientation_sign * tgt.ambient_det_sign * total / tgt.volume())
 
 
-@pytest.mark.parametrize("case", ["ball 2 1", "ball 3 1", "ball 2 3",
+@pytest.mark.parametrize("case", ["ball 2 1", "ball 1 2", "ball 3 1", "ball 4 1", "ball 2 3",
                                   "identity 1", "identity 2", "identity 3",
                                   "antipodal 1", "antipodal 2", "antipodal 3"])
 def test_volume_pullback_matches_a_lapack_reference(case):
@@ -153,6 +155,29 @@ def test_volume_pullback_matches_a_lapack_reference(case):
         chart_map = (identity_chart_map if kind == "identity" else antipodal_map)(dom)
     got = volume_pullback_integral(chart_map)
     assert abs(got - lapack_volume_pullback(chart_map)) < 1e-14
+
+
+def test_volume_pullback_peak_memory_is_the_jet_columns_and_the_widest_minors():
+    # The (3,1) ball's blocks have npts = 16 * 8 * 8 * 8 nodes; a row is one
+    # float per node.  Two of the jet's five ambient columns vary on all four
+    # axes, so the jet holds 2 * (1 + 4) rows.  With those rows expanded
+    # last, the determinant needs the five 4 x 4 minors below the top row,
+    # plus that row's accumulator and term: 7 rows.  The weights, their
+    # product with the determinant and the previous block's determinant add
+    # 3.  The narrower columns and minors take under 2 rows, and 2 rows are
+    # spare.  A packed (5, npts, 5) jet alone would be 25 rows.
+    ball_map = CollapseMap(3, 1).ball()
+    npts = max(len(b) for b in ball_map.source.node_blocks(CHUNK))
+    row = 8 * npts
+    bound = (10 + 7 + 3 + 2 + 2) * row
+    volume_pullback_integral(ball_map)
+    tracemalloc.start()
+    try:
+        volume_pullback_integral(ball_map)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def test_collapse_degree_takes_no_batched_lapack_determinant(monkeypatch):

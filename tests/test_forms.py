@@ -270,6 +270,25 @@ def test_block_det_matches_lapack(k):
             assert np.all(np.abs(_block_det(singular)) <= 1e-14 * bound)
 
 
+def test_block_det_on_ragged_rows():
+    # Rows of broadcastable entries, the narrow ones first, so that sorting
+    # them widest first is an odd permutation, (1, 3, 0, 2): a sign error
+    # negates every node's determinant.
+    n = 5
+    rng = np.random.default_rng(37)
+    draw = rng.standard_normal
+    rows = [[draw((n, 1, 1)) for _ in range(4)],
+            [draw((n, n, n)) for _ in range(4)],
+            [draw((1, n, 1)), 0.0, draw((1, n, 1)), draw((1, n, 1))],
+            [draw((n, n, n)), draw((n, 1, 1)), draw((n, n, n)), 0.0]]
+    dense = np.array([[np.broadcast_to(e, (n, n, n)) for e in row] for row in rows])
+    bound = np.prod(np.linalg.norm(dense, axis=1), axis=0)
+    det = _block_det(rows)
+    assert det.shape == (n, n, n)
+    assert np.all(np.abs(det - np.linalg.det(np.moveaxis(dense, (0, 1), (-2, -1))))
+                  <= 1e-13 * bound)
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_block_product_into_a_buffer_is_the_allocating_product(n):
     rng = np.random.default_rng(50 + n)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oddchern import dual
 from oddchern.chern import assemble_split_map
 from oddchern.collapse import CollapseMap
 from oddchern.domains import ChartedSphereDomain
@@ -115,10 +116,12 @@ def test_stabilize_embeds_identity_block():
 def test_homotopy_family_t_derivative():
     dom = ChartedSphereDomain([1], resolution=COARSE)
 
+    # t_derivative embeds plain ambient columns, so x * t, x - t * y and
+    # y / (2 + t) put an ndarray on the left of the Dual t.
     def fn(t, cols):
         x, y = cols[0], cols[1]
         return [[1.0 + 0.3 * (x * t), 0.1 * (y * t) * t],
-                [0.0 * x, 1.0 + 0.0 * y]]
+                [x - t * y, y / (2.0 + t) + np.float64(1.5) * t]]
 
     fam = HomotopyFamily(fn, 2)
     pts = dom.nodes()[::3]
@@ -127,6 +130,19 @@ def test_homotopy_family_t_derivative():
     approx = (fam.slice_at(t + h).evaluate(dom, pts)
               - fam.slice_at(t - h).evaluate(dom, pts)) / (2 * h)
     assert np.abs(exact - approx).max() < 1e-8
+
+
+@pytest.mark.parametrize("left", [np.linspace(0.5, 2.0, 5), np.float64(1.7)],
+                         ids=["ndarray", "numpy-scalar"])
+def test_array_left_arithmetic_with_a_dual_is_the_dual_left_form(left):
+    rng = np.random.default_rng(11)
+    d = dual.Dual(rng.uniform(1.0, 2.0, 5), rng.standard_normal((2, 5)))
+    pairs = [(left + d, d + left), (left * d, d * left),
+             (left - d, -(d - left)), (left / d, d.__rtruediv__(left))]
+    for got, ref in pairs:
+        assert isinstance(got, dual.Dual)
+        assert np.array_equal(got.val, ref.val) and np.array_equal(got.eps, ref.eps)
+    assert np.array_equal((left / d).val, left / d.val)
 
 
 def test_chart_map_jacobian_vs_fd():
