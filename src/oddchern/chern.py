@@ -219,17 +219,20 @@ def odd_chern(g: SmoothMatrixMap, domain) -> FormField:
 
     def sampler(pts):
         w = omega.at(pts)
-        w2 = w.wedge(w)
-        out = w.trace().scale(odd_chern_coefficient(0))
-        power = w
-        k = 1
-        while 2 * k + 1 <= domain.dim:
-            power = power.wedge(w2)
-            out = out + power.trace().scale(odd_chern_coefficient(k))
-            k += 1
-        return out
+        return _trace_series(w, 1, w, domain.dim, odd_chern_coefficient)
 
     return FormField(domain, 1, sampler)
+
+
+def _trace_series(lead, degree, w, dim, coefficient):
+    """sum_k coefficient(k) Tr(lead ^ (w ^ w)^k) over every k with
+    degree + 2k <= dim, for a lead of that degree and a 1-form w."""
+    w2, power = w.wedge(w), lead
+    out = lead.trace().scale(coefficient(0))
+    for k in range(1, (dim - degree) // 2 + 1):
+        power = power.wedge(w2)
+        out = out + power.trace().scale(coefficient(k))
+    return out
 
 
 def chern_simons(conn0: FormField, conn1: FormField, domain,
@@ -270,18 +273,8 @@ def transgression_pair(family, domain, t: float):
         inv = _checked_inverse(vals)
         q = GradedMatrixForm(domain.dim, family.size, len(pts))
         q.comps[0] = _block_product(inv, family.t_derivative(domain, pts, t))
-        out = q.trace()  # k = 0 term
-        w2 = None
-        power = q
-        k = 1
-        while 2 * k <= domain.dim:
-            if w2 is None:
-                w = _maurer_cartan_form(inv, dgs)
-                w2 = w.wedge(w)
-            power = power.wedge(w2)
-            out = out + power.trace().scale((-1.0) ** k * factorial(k) / factorial(2 * k))
-            k += 1
-        return out
+        return _trace_series(q, 0, _maurer_cartan_form(inv, dgs), domain.dim,
+                             lambda k: (-1.0) ** k * factorial(k) / factorial(2 * k))
 
     return ch, FormField(domain, 1, tilde_sampler)
 

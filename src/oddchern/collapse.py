@@ -154,10 +154,8 @@ class CollapseMap(ChartMap):
         return pt
 
     def _probe_orientation(self) -> int:
-        pt = self.identity_region_probe()
-        vals, jac_cols = self.ambient_jacobian_columns(pt)
-        mat = np.stack([vals[0]] + [c[0] for c in jac_cols])
-        det = np.linalg.det(mat)
+        rows = self.ambient_jacobian_columns(self.identity_region_probe())
+        det = np.linalg.det(np.array(rows)[..., 0])
         return 1 if self.target.ambient_det_sign * det > 0 else -1
 
     def local_radius(self, pts) -> np.ndarray:
@@ -175,20 +173,18 @@ def volume_pullback_integral(chart_map: ChartMap, scale=1.0, chunk=CHUNK) -> com
     Evaluated through ambient determinants det[y, dy/dx_1, ...], which stays
     smooth across the target chart's poles (unlike chart-coordinate minors).
     Each block's determinants are taken by cofactor expansion on node arrays
-    (forms._block_det) of the transposed matrix, whose entries keep the
-    broadcast shapes of one jet pass (domains.NodeBlock): nothing is packed,
-    and the products on the narrowest rows run on their nodes alone.
+    (forms._block_det) of the transposed matrix, the map's jet rows
+    (ChartMap.ambient_jacobian_columns), whose entries keep the broadcast
+    shapes of one jet pass (domains.NodeBlock): the products on the
+    narrowest rows run on their nodes alone.
     """
     src = chart_map.source.at_scale(scale)
     sign = chart_map.target.ambient_det_sign
     norm = 1.0 / chart_map.target.volume()
-    zeros = [0.0] * src.dim
     total = 0.0
     for block in src.node_blocks(chunk):
-        # One row per ambient column: its value, then its derivatives.  The
-        # rows are unnamed, so they are freed before the next block's jet.
-        det = _block_det([[c.val, *c.eps] if isinstance(c, dual.Dual) else [c] + zeros
-                          for c in chart_map.ambient_fn(src.embed_dual_cols(block.cols))])
+        # The rows are unnamed, so they are freed before the next block's jet.
+        det = _block_det(chart_map.ambient_jacobian_columns(block))
         total += np.sum(block.weights() * np.broadcast_to(det, block.shape).reshape(-1))
     return complex(src.orientation_sign * sign * norm * total)
 
@@ -228,23 +224,22 @@ def signed_preimage_count(chart_map: ChartMap, target_chart_point, rng,
     roots = []
     x = starts.copy()
     for _ in range(newton_steps):
-        vals, jac_cols = chart_map.ambient_jacobian_columns(x)
-        res = vals - y
-        jac = np.stack(jac_cols, axis=2)  # (n, amb_t, dim_s)
+        jet = np.array(chart_map.ambient_jacobian_columns(x))  # (amb_t, 1 + dim_s, n)
+        res = jet[:, 0].T - y
+        jac = jet[:, 1:].transpose(2, 0, 1)  # (n, amb_t, dim_s)
         step = np.zeros_like(x)
         for i in range(len(x)):
             step[i], *_ = np.linalg.lstsq(jac[i], res[i], rcond=None)
         x = x - np.clip(step, -0.5, 0.5)
         x = np.clip(x, los + 1e-9, his - 1e-9)
-    vals, jac_cols = chart_map.ambient_jacobian_columns(x)
-    res_norm = np.linalg.norm(vals - y, axis=1)
+    jet = np.array(chart_map.ambient_jacobian_columns(x))
+    res_norm = np.linalg.norm(jet[:, 0].T - y, axis=1)
     amb = src.embed(x)
     for i in np.argsort(res_norm):
         if res_norm[i] > residual_tol:
             break
         if any(np.linalg.norm(amb[i] - a) < 1e-5 for a, _ in roots):
             continue
-        mat = np.stack([vals[i]] + [c[i] for c in jac_cols])
-        sign = 1 if tgt.ambient_det_sign * np.linalg.det(mat) > 0 else -1
+        sign = 1 if tgt.ambient_det_sign * np.linalg.det(jet[..., i]) > 0 else -1
         roots.append((amb[i], sign))
     return sum(s for _, s in roots), len(roots)

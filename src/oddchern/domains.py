@@ -13,7 +13,7 @@ array per axis.  A block's columns are shaped to broadcast against each
 other, so a map evaluated on them computes each intermediate only on the
 axes it depends on (a collapse map's radial profile on the ball's radius,
 say), and the block is expanded to its full node count only where a result
-is packed.  An (npts, dim) point array is the special case of a block whose
+needs it.  An (npts, dim) point array is the special case of a block whose
 columns all have shape (npts,); chart_columns reads either.
 """
 
@@ -167,7 +167,8 @@ class ChartedSphereDomain:
       rules: per-coordinate rules (n, breaks) at scale 1 (gauss_axis), each
         n a default count (NODES_PER_ANGLE, BALL_NODES) at the resolution the
         chart was built with.
-      scale: the multiplier of every rule's n; axes are the rules at scale.
+      scale: the multiplier of every rule's n, 1.0 as built (at_scale sets
+        another); axes are the rules at scale.
       radius: the ball's R; None on sphere charts.
       orientation_sign: +1 on sphere charts, whose coordinate order is the
         positive orientation; on the ball, the sign that matches it.
@@ -176,7 +177,7 @@ class ChartedSphereDomain:
         where chern._sweep tests a map's value for singularity; else None.
     """
 
-    def __init__(self, spheres, resolution=1.0, scale=1.0):
+    def __init__(self, spheres, resolution=1.0):
         """spheres: list of factor dimensions, e.g. [2] for S^2, [2, 1] for S^2 x S^1;
         resolution: the multiplier of every default node count (_budget)."""
         if len(spheres) not in (1, 2):
@@ -186,7 +187,7 @@ class ChartedSphereDomain:
             raise ValueError("factor dimension must be >= 1")
         self.rules = sum((_angle_rules(m, _budget(NODES_PER_ANGLE.get(m, 32), resolution))
                           for m in self.spheres), ())
-        self._set_scale(scale)
+        self._set_scale(1.0)
         self.radius = self.exterior = None
         self.orientation_sign = 1
         self.ambient_det_sign = self._calibrate_det_sign()
@@ -200,7 +201,7 @@ class ChartedSphereDomain:
         return cls([p, q], **kw)
 
     @classmethod
-    def ball(cls, p: int, q: int, radius: float, resolution=1.0, scale=1.0):
+    def ball(cls, p: int, q: int, radius: float, resolution=1.0):
         """The ball |w| < 2R of stereographic coordinates on S^p x S^q.
 
         w = (sigma_p(x), sigma_q(y)) in R^(p+q); the chart coordinates are
@@ -217,7 +218,7 @@ class ChartedSphereDomain:
         n_r, n_angle = (_budget(n, resolution) for n in BALL_NODES)
         self.rules = (((n_r, (0.0, self.radius, 2.0 * self.radius)),)
                       + _angle_rules(p + q - 1, n_angle))
-        self._set_scale(scale)
+        self._set_scale(1.0)
         self.exterior = np.array([[4.0 * self.radius] + [0.9] * (self.dim - 1)])
         self.ambient_det_sign = None
         self.orientation_sign = self._calibrate_ball_orientation()
@@ -229,7 +230,6 @@ class ChartedSphereDomain:
         self.dim = len(self.axes)
         self.shape = tuple(len(a[0]) for a in self.axes)
         self.n_nodes = int(np.prod(self.shape))
-        self._weights_cache = None
 
     def at_scale(self, scale: float) -> "ChartedSphereDomain":
         """The same chart and rules at another scale, keeping the calibrated signs."""
@@ -311,10 +311,7 @@ class ChartedSphereDomain:
         return self.nodes_at(np.arange(0, self.n_nodes, self.sample_stride(n_sample)))
 
     def weights(self) -> np.ndarray:
-        if self._weights_cache is None:
-            whole = NodeBlock(self.axes, self.shape, [np.arange(n) for n in self.shape])
-            self._weights_cache = whole.weights()
-        return self._weights_cache
+        return NodeBlock(self.axes, self.shape, [np.arange(n) for n in self.shape]).weights()
 
     def node_blocks(self, chunk: int):
         """Yield the grid as NodeBlocks of at most chunk nodes, in C order.
@@ -348,13 +345,11 @@ class ChartedSphereDomain:
         """
         sign = 1
         for m in self.spheres:
-            cols = list(np.full((m, 1), 0.9))  # a generic interior angle point
-            amb = embed_sphere(dual.seed_all(cols), m)
-            # Rows: the point y, then d y / d theta_i for each chart direction.
-            det = np.linalg.det(np.array([[a.val[0] for a in amb]]
-                                         + [[a.eps[i, 0] for a in amb] for i in range(m)]))
-            sq = float(dual.value(_sphere_sqrtg(cols, m))[0]) if m > 1 else 1.0
-            sign *= 1 if det * sq > 0 else -1
+            # At a generic interior angle point, where sqrt(g) > 0; the jet
+            # rows are the transposed matrix, y and then d y / d theta_i.
+            amb = embed_sphere(dual.seed_all(list(np.full((m, 1), 0.9))), m)
+            det = np.linalg.det(np.array(dual.jet_rows(amb, m))[..., 0])
+            sign *= 1 if det > 0 else -1
         return sign
 
     def _calibrate_ball_orientation(self) -> int:
@@ -371,7 +366,7 @@ class ChartedSphereDomain:
         amb = _inverse_stereographic(w[:p]) + _inverse_stereographic(w[p:])
         ang = (sphere_angles_from_ambient(amb[:p + 1], p)
                + sphere_angles_from_ambient(amb[p + 1:], q))
-        det = np.linalg.det(np.array([[a.eps[i, 0] for i in range(self.dim)] for a in ang]))
+        det = np.linalg.det(np.array(dual.jet_rows(ang, self.dim))[:, 1:, 0])
         return 1 if det > 0 else -1
 
 

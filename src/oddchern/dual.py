@@ -96,6 +96,12 @@ def seed_all(cols):
     return out
 
 
+def jet_rows(cols, ndirs):
+    """The jet of a pass as rows: per column its value, then its ndirs
+    derivatives, each in its broadcast shape; a plain column's are 0.0."""
+    return [[c.val, *c.eps] if isinstance(c, Dual) else [c] + [0.0] * ndirs for c in cols]
+
+
 def value(x):
     return x.val if isinstance(x, Dual) else np.asarray(x)
 

@@ -95,19 +95,10 @@ def exterior_derivative(field: FormField, step: float = FD_STEP) -> FormField:
 
 
 def integrate_top(field: FormField, domain, chunk: int = CHUNK):
-    """Quadrature of the top-degree component of a field over the domain."""
-    top = (1 << domain.dim) - 1
-    total = 0.0 + 0.0j
-    for block in domain.node_blocks(chunk):
-        c = field.at(block.points()).comps[top]
-        if c is None:
-            continue
-        w = block.weights()
-        if len(c) == 1:
-            total += complex(domain.orientation_sign * np.sum(w * c[0, 0]))
-        else:
-            total += domain.orientation_sign * np.einsum("ijn,n->ij", c, w)
-    return total
+    """Oriented quadrature of the top-degree component of a field over the
+    domain: a complex number for a scalar field, else an (N, N) array."""
+    top = integrate_all_degrees(field, domain, chunk).get((1 << domain.dim) - 1, 0j)
+    return domain.orientation_sign * (complex(top[0, 0]) if np.shape(top) == (1, 1) else top)
 
 
 def integrate_all_degrees(field: FormField, domain, chunk: int = CHUNK):

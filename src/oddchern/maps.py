@@ -38,17 +38,6 @@ def pack_matrix(rows, shape, ndirs=0):
     return vals.reshape(n, n, npts), eps.reshape(ndirs, n, n, npts)
 
 
-def _pack_columns(cols, shape, ndirs):
-    """Real ambient columns of a jet pass -> one (1 + ndirs, npts, k) array:
-    row 0 the values, row 1 + i the derivatives along direction i, each
-    column broadcast into the block shape."""
-    jet = np.empty((1 + ndirs,) + shape + (len(cols),))
-    for k, c in enumerate(cols):
-        jet[0, ..., k] = dual.value(c)
-        jet[1:, ..., k] = c.eps if isinstance(c, dual.Dual) else 0.0
-    return jet.reshape(1 + ndirs, -1, len(cols))
-
-
 class SmoothMatrixMap:
     """Base contract: pointwise values plus chart-direction derivatives.
 
@@ -280,27 +269,25 @@ class ChartMap:
         self.ambient_fn = ambient_fn
 
     def evaluate_ambient(self, pts) -> np.ndarray:
+        """The map's ambient values at pts, one (npts, k) array of a plain pass."""
         cols, shape = chart_columns(pts)
-        return _pack_columns(self.ambient_fn(self.source.embed_cols(cols)), shape, 0)[0]
-
-    def jet_columns(self, pts, target_angles=False) -> np.ndarray:
-        """The map's jet at pts as one (1 + dim_s, npts, k) array: row 0 its
-        ambient values (or target chart angles), row 1 + i their derivatives
-        along source chart direction i."""
-        cols, shape = chart_columns(pts)
-        out = self.ambient_fn(self.source.embed_dual_cols(cols))
-        if target_angles:
-            out = self.target.angles_from_ambient_cols(out)
-        return _pack_columns(out, shape, self.source.dim)
+        out = self.ambient_fn(self.source.embed_cols(cols))
+        return np.stack([np.broadcast_to(c, shape) for c in out], axis=-1).reshape(-1, len(out))
 
     def ambient_jacobian_columns(self, pts):
-        """Ambient values plus d(ambient)/d(chart_i) for every source direction."""
-        jet = self.jet_columns(pts)
-        return jet[0], list(jet[1:])
+        """The map's jet at pts in one pass, as dual.jet_rows: per ambient
+        column its value, then its derivatives along every source chart
+        direction, each in the broadcast shape it has on pts's columns."""
+        cols, _ = chart_columns(pts)
+        return dual.jet_rows(self.ambient_fn(self.source.embed_dual_cols(cols)), self.source.dim)
 
     def jacobian_chart(self, pts) -> np.ndarray:
-        """d(target chart)/d(source chart), shape (n, dim_t, dim_s)."""
-        return np.moveaxis(self.jet_columns(pts, target_angles=True)[1:], 0, -1)
+        """d(target chart)/d(source chart) at an (npts, dim) point array,
+        shape (npts, dim_t, dim_s)."""
+        cols, _ = chart_columns(pts)
+        angles = self.target.angles_from_ambient_cols(
+            self.ambient_fn(self.source.embed_dual_cols(cols)))
+        return np.array(dual.jet_rows(angles, self.source.dim))[:, 1:].transpose(2, 0, 1)
 
 
 def identity_chart_map(domain) -> ChartMap:

@@ -132,13 +132,20 @@ def test_volume_pullback_does_not_depend_on_the_block_size():
         assert abs(small - volume_pullback_integral(chart_map)) < 1e-13
 
 
+def jet_array(rows, shape):
+    """Jet rows (dual.jet_rows) on a block or point array of that shape as one
+    (k, 1 + d, npts) array: per ambient column its value, then its derivatives."""
+    return np.array([[np.broadcast_to(e, shape).reshape(-1) for e in row] for row in rows])
+
+
 def lapack_volume_pullback(chart_map):
     """volume_pullback_integral's sum, with every node's determinant taken by
-    LAPACK on the same jet_columns blocks."""
+    LAPACK on the same jet rows, broadcast to each block."""
     src, tgt = chart_map.source, chart_map.target
     total = 0.0
     for block in src.node_blocks(CHUNK):
-        dets = np.linalg.det(chart_map.jet_columns(block).swapaxes(0, 1))
+        jet = jet_array(chart_map.ambient_jacobian_columns(block), block.shape)
+        dets = np.linalg.det(jet.transpose(2, 1, 0))
         total += np.sum(block.weights() * dets)
     return complex(src.orientation_sign * tgt.ambient_det_sign * total / tgt.volume())
 
@@ -213,14 +220,16 @@ def test_ball_formula_matches_the_product_path(p, q):
     phi = CollapseMap(p, q, resolution=0.25)
     ball_map = phi.ball()
     pts = ball_map.source.nodes_at(np.arange(ball_map.source.n_nodes))
-    vals, jac = ball_map.ambient_jacobian_columns(pts)
+    jet = jet_array(ball_map.ambient_jacobian_columns(pts), (len(pts),))
+    vals, jac = jet[:, 0].T, list(jet[:, 1:].transpose(1, 2, 0))
     ref_vals, ref_jac = product_path_on_the_ball(phi, ball_map.source, pts)
     assert len(jac) == len(ref_jac) == p + q
     for got, ref in zip([vals] + jac, [ref_vals] + ref_jac):
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
     # The exterior point, |w| = 4R, maps exactly to the pole, where phi is
     # constant.
-    vals, jac = ball_map.ambient_jacobian_columns(ball_map.source.exterior)
+    jet = jet_array(ball_map.ambient_jacobian_columns(ball_map.source.exterior), (1,))
+    vals, jac = jet[:, 0].T, jet[:, 1:]
     pole = np.zeros((1, p + q + 1))
     pole[0, 0] = 1.0
     assert np.array_equal(vals, pole)

@@ -196,18 +196,20 @@ def test_exterior_derivative_samples_each_slice_in_one_call():
 
 
 CHARTS = {
-    "sphere": lambda scale: ChartedSphereDomain([2], resolution=1 / 3, scale=scale),
-    "product": lambda scale: ChartedSphereDomain([2, 1], resolution=COARSE, scale=scale),
-    "ball": lambda scale: ChartedSphereDomain.ball(2, 1, COLLAPSE_RADIUS, 0.5, scale=scale),
+    "sphere": lambda: ChartedSphereDomain([2], resolution=1 / 3),
+    "product": lambda: ChartedSphereDomain([2, 1], resolution=COARSE),
+    "ball": lambda: ChartedSphereDomain.ball(2, 1, COLLAPSE_RADIUS, 0.5),
 }
 
 
 @pytest.mark.parametrize("kind", list(CHARTS))
 def test_at_scale_rescales_nodes(kind):
-    dom = CHARTS[kind](1.0)
+    dom = CHARTS[kind]()
+    assert dom.scale == 1.0
     assert dom.at_scale(2.0).n_nodes == 2 ** dom.dim * dom.n_nodes
     for scale in (0.5, 0.625, 1.5, 2.0):
-        scaled, direct = dom.at_scale(scale), CHARTS[kind](scale)
+        # A rescaled copy of a rescaled chart is the fresh chart rescaled.
+        scaled, direct = dom.at_scale(2.0).at_scale(scale), CHARTS[kind]().at_scale(scale)
         assert scaled.scale == direct.scale == scale
         assert len(scaled.axes) == len(direct.axes) == dom.dim
         for (x, w), (dx, dw) in zip(scaled.axes, direct.axes):

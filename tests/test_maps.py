@@ -30,6 +30,12 @@ def fd4(f, pts, i, h=1e-4):
     return (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12.0 * h)
 
 
+def jet_array(rows, shape):
+    """Jet rows (dual.jet_rows) on a block or point array of that shape as one
+    (k, 1 + d, npts) array: per ambient column its value, then its derivatives."""
+    return np.array([[np.broadcast_to(e, shape).reshape(-1) for e in row] for row in rows])
+
+
 def fd_differential(g, dom, pts, i):
     return fd4(lambda q: g.evaluate(dom, q), pts, i)
 
@@ -149,7 +155,8 @@ def test_chart_map_jacobian_vs_fd():
     dom = ChartedSphereDomain([2], resolution=COARSE)
     amap = antipodal_map(dom)
     pts = dom.nodes()[::29]
-    _, jac_cols = amap.ambient_jacobian_columns(pts)
+    jet = jet_array(amap.ambient_jacobian_columns(pts), (len(pts),))
+    jac_cols = list(jet[:, 1:].transpose(1, 2, 0))
     h = 1e-6
     for i in range(dom.dim):
         dp, dm = pts.copy(), pts.copy()
@@ -157,6 +164,14 @@ def test_chart_map_jacobian_vs_fd():
         dm[:, i] -= h
         fd = (amap.evaluate_ambient(dp) - amap.evaluate_ambient(dm)) / (2 * h)
         assert np.abs(jac_cols[i] - fd).max() < 1e-7
+
+
+def test_identity_chart_jacobian_is_the_identity():
+    dom = ChartedSphereDomain([2], resolution=COARSE)
+    pts = dom.nodes()[::7]
+    jac = identity_chart_map(dom).jacobian_chart(pts)
+    assert jac.shape == (len(pts), 2, 2)
+    assert np.abs(jac - np.eye(2)).max() < 1e-13
 
 
 def test_identity_and_projection_values():
@@ -249,7 +264,8 @@ def test_jet_matches_evaluate_and_fd(data, name):
 def test_ambient_jacobian_columns_match_fd(data, pq):
     phi = CollapseMap(*pq, resolution=COARSE)
     pts = interior_points(data, phi.source)
-    vals, cols = phi.ambient_jacobian_columns(pts)
+    jet = jet_array(phi.ambient_jacobian_columns(pts), (len(pts),))
+    vals, cols = jet[:, 0].T, list(jet[:, 1:].transpose(1, 2, 0))
     assert np.array_equal(vals, phi.evaluate_ambient(pts))
     assert len(cols) == phi.source.dim
     for i, col in enumerate(cols):
@@ -300,7 +316,7 @@ def test_ball_chart_ambient_jacobian_is_bit_identical_on_blocks():
     blocks = list(amap.source.node_blocks(500))
     assert len(blocks) > 1
     for block in blocks:
-        vals, jac = amap.ambient_jacobian_columns(block)
-        flat_vals, flat_jac = amap.ambient_jacobian_columns(block.points())
-        assert np.array_equal(vals, flat_vals)
-        assert all(np.array_equal(a, b) for a, b in zip(jac, flat_jac))
+        jet = jet_array(amap.ambient_jacobian_columns(block), block.shape)
+        flat = jet_array(amap.ambient_jacobian_columns(block.points()), (len(block),))
+        assert jet.shape == (amap.target.dim + 1, amap.source.dim + 1, len(block))
+        assert np.array_equal(jet, flat)

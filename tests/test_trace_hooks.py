@@ -11,6 +11,7 @@ from pathlib import Path
 
 import oddchern  # noqa: F401 - loads every submodule that install patches
 from oddchern.collapse import CollapseMap, volume_pullback_integral
+from oddchern.defaults import CHUNK
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -64,3 +65,16 @@ def test_trace_sees_the_ball_chart_grid():
     names = [span[0] for span in tracer.spans]
     assert "domains.grid" in names and "domains.embed" in names
     assert [span[4] for span in tracer.spans if span[0] == "domains.grid"] == [{"nodes": 12 * 4 ** 3}]
+
+
+def test_trace_sees_one_jacobian_per_node_block_of_the_pullback():
+    ball_map = CollapseMap(3, 1).ball()
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        volume_pullback_integral(ball_map)
+    finally:
+        restore()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("maps.jacobian") == len(list(ball_map.source.node_blocks(CHUNK))) == 3
