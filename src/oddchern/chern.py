@@ -235,18 +235,17 @@ def _trace_series(lead, degree, w, dim, coefficient):
     return out
 
 
-def chern_simons(conn0: FormField, conn1: FormField, domain,
-                 u_nodes: int = 16) -> FormField:
+def chern_simons(conn0: FormField, conn1: FormField, domain) -> FormField:
     """Transgression form between two trivial-bundle connections d + A.
 
-    Gauss-Legendre quadrature in the interpolation parameter of
+    16-node Gauss-Legendre quadrature in the interpolation parameter of
     Tr(d/du A_u wedge exp(F_u)), F_u = dA_u + A_u wedge A_u; the nilpotent
     exponential is exact, so only the u-quadrature is approximate (and the
     integrand is polynomial in u, hence exact for enough nodes).
     """
     d0 = exterior_derivative(conn0)
     d1 = exterior_derivative(conn1)
-    xs, ws = gauss_axis((u_nodes, (0.0, 1.0)))
+    xs, ws = gauss_axis((16, (0.0, 1.0)))
 
     def sampler(pts):
         a0, da0 = conn0.at(pts), d0.at(pts)
@@ -279,9 +278,10 @@ def transgression_pair(family, domain, t: float):
     return ch, FormField(domain, 1, tilde_sampler)
 
 
-def _normalized_degree(g: SmoothMatrixMap, domain, half_dim: int,
-                       ladder=DEGREE_LADDER, top_integral=None) -> DegreeResult:
-    """Ladder of the normalized odd-Chern top integral over domain.at_scale(s).
+def _normalized_degree(g: SmoothMatrixMap, domain, ladder=DEGREE_LADDER,
+                       top_integral=None) -> DegreeResult:
+    """Ladder of the normalized odd-Chern top integral over domain.at_scale(s),
+    of odd dimension 2n - 1 and normalized by (-2 pi i)^(-n).
 
     top_integral(dom), when given, supplies the top integral on each level's
     grid, so that a caller holding that integral for some grid can reuse it.
@@ -289,7 +289,7 @@ def _normalized_degree(g: SmoothMatrixMap, domain, half_dim: int,
     if top_integral is None:
         def top_integral(dom):
             return odd_chern_top_integral(g, dom)
-    norm = (-2.0j * np.pi) ** (-half_dim)
+    norm = (-2.0j * np.pi) ** (-((domain.dim + 1) // 2))
     return DegreeResult.from_ladder(
         ladder, lambda s: norm * top_integral(domain.at_scale(s)))
 
@@ -298,14 +298,14 @@ def deg(g: SmoothMatrixMap, domain, ladder=DEGREE_LADDER) -> DegreeResult:
     """Normalized odd-Chern integral over an odd sphere S^(2k-1)."""
     if domain.is_product or domain.dim % 2 == 0:
         raise ValueError("deg is defined on odd spheres")
-    return _normalized_degree(g, domain, (domain.dim + 1) // 2, ladder)
+    return _normalized_degree(g, domain, ladder)
 
 
 def deg_star(g: SmoothMatrixMap, domain, ladder=DEGREE_LADDER) -> DegreeResult:
     """Normalized odd-Chern integral over a product sphere of odd total dimension."""
     if not domain.is_product or domain.dim % 2 == 0:
         raise ValueError("deg_star needs a product domain of odd total dimension")
-    return _normalized_degree(g, domain, (domain.dim + 1) // 2, ladder)
+    return _normalized_degree(g, domain, ladder)
 
 
 def assemble_split_map(f: DualMatrixMap, h: DualMatrixMap,

@@ -206,24 +206,23 @@ def collapse_degree(p: int, q: int, radius: float = COLLAPSE_RADIUS) -> DegreeRe
     return mapping_degree(CollapseMap(p, q, radius).ball(), COLLAPSE_LADDER)
 
 
-def signed_preimage_count(chart_map: ChartMap, target_chart_point, rng,
-                          n_starts=300, newton_steps=60, residual_tol=1e-9):
+def signed_preimage_count(chart_map: ChartMap, target_chart_point, rng):
     """Independent degree oracle: signed count of preimages of a regular value.
 
-    Gauss-Newton in chart coordinates from scattered starts; roots are deduped
-    in the source's ambient metric and signed by the orientation of the
-    ambient Jacobian determinant.
+    60 Gauss-Newton steps in chart coordinates from 300 scattered starts;
+    roots with residual at most 1e-9 are deduped in the source's ambient
+    metric and signed by the orientation of the ambient Jacobian determinant.
     """
     src, tgt = chart_map.source, chart_map.target
     y = tgt.embed(np.asarray(target_chart_point, float).reshape(1, -1))[0]
 
     los = np.array([a[0].min() for a in src.axes])
     his = np.array([a[0].max() for a in src.axes])
-    starts = rng.uniform(los, his, size=(n_starts, src.dim))
+    starts = rng.uniform(los, his, size=(300, src.dim))
 
     roots = []
     x = starts.copy()
-    for _ in range(newton_steps):
+    for _ in range(60):
         jet = np.array(chart_map.ambient_jacobian_columns(x))  # (amb_t, 1 + dim_s, n)
         res = jet[:, 0].T - y
         jac = jet[:, 1:].transpose(2, 0, 1)  # (n, amb_t, dim_s)
@@ -236,7 +235,7 @@ def signed_preimage_count(chart_map: ChartMap, target_chart_point, rng,
     res_norm = np.linalg.norm(jet[:, 0].T - y, axis=1)
     amb = src.embed(x)
     for i in np.argsort(res_norm):
-        if res_norm[i] > residual_tol:
+        if res_norm[i] > 1e-9:
             break
         if any(np.linalg.norm(amb[i] - a) < 1e-5 for a, _ in roots):
             continue

@@ -1,18 +1,22 @@
 """Minimal forward-mode differentiation for array-valued chart maps.
 
 A Dual carries a value array and its derivatives with respect to real seed
-parameters.  The derivative array eps may carry a leading direction axis:
-with val of shape (npts,) and eps of shape (dim, npts), row i of eps is the
-derivative along seed i, and numpy broadcasting carries every operation
-below through all directions at once (vector forward mode, one pass for the
-value and the whole Jacobian).  Values need not share one shape: on a
-tensor node block (domains.NodeBlock) the seeded columns have shapes
-(1, ..., n_i, ..., 1), and each result takes the broadcast shape of what it
-depends on, its eps that shape behind the direction axis.  Every operation
-is elementwise, so it gives bit for bit what the same values give as flat
-arrays.  All the built-in geometry (sphere
-embeddings, stereographic projections, collapse profiles, generator maps) is
-written against the dispatching helpers below, so seeding the chart
+parameters.  seed_all is the one way to seed, and every Dual has exactly one
+leading direction axis: with val of shape (npts,) and eps of shape (dim,
+npts), row i of eps is the derivative along seed i, and numpy broadcasting
+carries every operation below through all directions at once (vector forward
+mode, one pass for the value and the whole Jacobian).  Values need not share
+one shape: on a tensor node block (domains.NodeBlock) the seeded columns
+have shapes (1, ..., n_i, ..., 1), and each result takes the broadcast shape
+of what it depends on, its eps that shape behind the direction axis.  An
+operand of + - * / or arctan2, or a branch of where, may have more axes than
+a Dual's value (a matrix's index axes ahead of the node axes, say): the
+Dual's eps then gets unit axes behind its direction axis, as a reshape view,
+so the operand's extra axes never meet the direction axis.  Indexing a Dual
+indexes its value axes.  Every operation is elementwise, so it gives bit for
+bit what the same values give as flat arrays.  All the built-in geometry
+(sphere embeddings, stereographic projections, collapse profiles, generator
+maps) is written against the dispatching helpers below, so seeding the chart
 coordinates yields exact derivatives through arbitrary compositions,
 including across arctan2 branch cuts where finite differences would break.
 """
@@ -32,18 +36,27 @@ class Dual:
         self.val = np.asarray(val)
         self.eps = np.asarray(eps)
 
-    @classmethod
-    def seed(cls, val):
-        """Independent variable: derivative one."""
-        val = np.asarray(val, dtype=float)
-        return cls(val, np.ones_like(val))
+    def _eps_for(self, o):
+        """eps with a unit axis behind the direction axis for each value axis
+        that o (a Dual, an ndarray or a scalar) has beyond self.val, as a
+        reshape view."""
+        extra = (o.val.ndim if isinstance(o, Dual) else getattr(o, "ndim", 0)) - self.val.ndim
+        if extra <= 0:
+            return self.eps
+        return self.eps.reshape(self.eps.shape[:1] + (1,) * extra + self.eps.shape[1:])
+
+    def __getitem__(self, index):
+        """The value entries at index, with their derivatives."""
+        if not isinstance(index, tuple):
+            index = (index,)
+        return Dual(self.val[index], self.eps[(slice(None),) + index])
 
     # arithmetic ------------------------------------------------------------
 
     def __add__(self, o):
         if isinstance(o, Dual):
-            return Dual(self.val + o.val, self.eps + o.eps)
-        return Dual(self.val + o, self.eps + np.zeros_like(np.asarray(o) * 0.0))
+            return Dual(self.val + o.val, self._eps_for(o) + o._eps_for(self))
+        return Dual(self.val + o, self._eps_for(o) + np.zeros_like(np.asarray(o) * 0.0))
 
     __radd__ = __add__
 
@@ -58,8 +71,8 @@ class Dual:
 
     def __mul__(self, o):
         if isinstance(o, Dual):
-            return Dual(self.val * o.val, self.eps * o.val + self.val * o.eps)
-        return Dual(self.val * o, self.eps * o)
+            return Dual(self.val * o.val, self._eps_for(o) * o.val + self.val * o._eps_for(self))
+        return Dual(self.val * o, self._eps_for(o) * o)
 
     __rmul__ = __mul__
 
@@ -68,12 +81,12 @@ class Dual:
     def __truediv__(self, o):
         if isinstance(o, Dual):
             val = self.val / o.val
-            return Dual(val, (self.eps - val * o.eps) * (1.0 / o.val))
-        return Dual(self.val / o, self.eps / o)
+            return Dual(val, (self._eps_for(o) - val * o._eps_for(self)) * (1.0 / o.val))
+        return Dual(self.val / o, self._eps_for(o) / o)
 
     def __rtruediv__(self, o):
         val = o / self.val
-        return Dual(val, -val * (1.0 / self.val) * self.eps)
+        return Dual(val, -val * (1.0 / self.val) * self._eps_for(o))
 
     def __pow__(self, p):
         if not np.isscalar(p):
@@ -144,8 +157,8 @@ def arctan2(y, x):
     if not isinstance(y, Dual) and not isinstance(x, Dual):
         return np.arctan2(y, x)
     yv, xv = value(y), value(x)
-    ye = y.eps if isinstance(y, Dual) else np.zeros_like(yv)
-    xe = x.eps if isinstance(x, Dual) else np.zeros_like(xv)
+    ye = y._eps_for(x) if isinstance(y, Dual) else np.zeros_like(yv)
+    xe = x._eps_for(y) if isinstance(x, Dual) else np.zeros_like(xv)
     r2 = xv * xv + yv * yv
     return Dual(np.arctan2(yv, xv), (xv * ye - yv * xe) / r2)
 
@@ -160,6 +173,7 @@ def where(cond, a, b):
     if not da and not db:
         return np.where(cond, a, b)
     av, bv = value(a), value(b)
-    ae = a.eps if da else np.zeros_like(np.broadcast_arrays(av, bv)[0])
-    be = b.eps if db else np.zeros_like(np.broadcast_arrays(av, bv)[0])
-    return Dual(np.where(cond, av, bv), np.where(cond, ae, be))
+    val = np.where(cond, av, bv)
+    ae = a._eps_for(val) if da else np.zeros_like(np.broadcast_arrays(av, bv)[0])
+    be = b._eps_for(val) if db else np.zeros_like(np.broadcast_arrays(av, bv)[0])
+    return Dual(val, np.where(cond, ae, be))

@@ -53,18 +53,19 @@ def volume_field(domain, normalized=False) -> FormField:
     return FormField(domain, 1, sampler)
 
 
-def exterior_derivative(field: FormField, step: float = FD_STEP) -> FormField:
+def exterior_derivative(field: FormField) -> FormField:
     """Coordinate exterior derivative via Richardson-extrapolated differences.
 
-    Uses the 5-point fourth-order stencil per chart direction; the input field
-    must be smooth (evaluable at arbitrary nearby points).  The 4 * dim
+    Uses the 5-point fourth-order stencil of step FD_STEP per chart
+    direction; the input field must be smooth (evaluable at arbitrary nearby
+    points).  The 4 * dim
     shifted copies of the points are stacked into one field.at call per
     slice of at most CHUNK // (4 * dim) points, so no call passes more than
     CHUNK nodes, and each difference is taken from views of that call.
     """
     dim = field.domain.dim
     # Row 4 i + k shifts chart coordinate i by the k-th stencil offset.
-    offsets = np.kron(np.eye(dim), step * np.array([[-2.0], [-1.0], [1.0], [2.0]]))[:, None]
+    offsets = np.kron(np.eye(dim), FD_STEP * np.array([[-2.0], [-1.0], [1.0], [2.0]]))[:, None]
     per_call = CHUNK // (4 * dim)
 
     def sampler(pts):
@@ -82,7 +83,7 @@ def exterior_derivative(field: FormField, step: float = FD_STEP) -> FormField:
                     if c is None or mask & (1 << i):
                         continue
                     fm2, fm1, fp1, fp2 = (c[:, :, i, k] for k in range(4))
-                    der = (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * step)
+                    der = (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * FD_STEP)
                     # d prepends dx^i; sign counts indices of the mask below i.
                     sign = -1 if bin(mask & ((1 << i) - 1)).count("1") & 1 else 1
                     new = mask | (1 << i)

@@ -64,24 +64,6 @@ class SmoothMatrixMap:
         return self.evaluate(domain, pts), np.stack(
             [self.differential(domain, pts, i) for i in range(domain.dim)])
 
-    # -- contract checks ------------------------------------------------------
-
-    def check_derivative(self, domain, rng, n_samples=8, rel_tol=1e-6):
-        """Consistency of differential against divided differences."""
-        pts = np.column_stack([
-            rng.uniform(0.3, hi - 0.3, n_samples)
-            for hi in [a[0].max() + a[0].min() for a in domain.axes]
-        ])
-        for i, an in enumerate(self.jet(domain, pts)[1]):
-            h = 1e-5
-            qp, qm = pts.copy(), pts.copy()
-            qp[:, i] += h
-            qm[:, i] -= h
-            fd = (self.evaluate(domain, qp) - self.evaluate(domain, qm)) / (2 * h)
-            err = np.abs(fd - an).max() / (1.0 + np.abs(an).max())
-            if err > rel_tol:
-                raise ValueError(f"derivative contract failed in direction {i}: {err:.3e}")
-
 
 class DualMatrixMap(SmoothMatrixMap):
     """Map given entrywise as dual-safe functions of ambient coordinates."""
@@ -105,10 +87,9 @@ class DualMatrixMap(SmoothMatrixMap):
 class NumericMatrixMap(SmoothMatrixMap):
     """Map given only by eval_fn -> (N, N, npts); derivatives via Richardson differences."""
 
-    def __init__(self, eval_fn, size, step=FD_STEP):
+    def __init__(self, eval_fn, size):
         self.eval_fn = eval_fn
         self.size = size
-        self.step = step
 
     @staticmethod
     def _points(pts):
@@ -118,7 +99,7 @@ class NumericMatrixMap(SmoothMatrixMap):
         return self.eval_fn(domain, self._points(pts))
 
     def differential(self, domain, pts, direction):
-        h, unit = self.step, np.eye(domain.dim)[direction]
+        h, unit = FD_STEP, np.eye(domain.dim)[direction]
         fm2, fm1, fp1, fp2 = (self.eval_fn(domain, self._points(pts) + c * h * unit)
                               for c in (-2.0, -1.0, 1.0, 2.0))
         return (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * h)
@@ -255,7 +236,7 @@ class HomotopyFamily:
         chart columns are embedded as plain arrays and only t is seeded."""
         cols, shape = chart_columns(pts)
         amb = domain.embed_cols(cols)
-        td = dual.Dual.seed(np.full(shape, float(t)))
+        td, = dual.seed_all([np.full(shape, float(t))])
         _, eps = pack_matrix(self.fn_entries(td, amb), shape, 1)
         return eps[0]
 

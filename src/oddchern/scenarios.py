@@ -357,6 +357,9 @@ def run(cfg: dict, resolution_scale: float = 1.0, seed: int = 0) -> RunReport:
     if kind not in _DISPATCH:
         raise ScenarioError(
             f"scenario: expected one of {', '.join(SCENARIO_KINDS)}, got {kind!r}")
+    if not (math.isfinite(resolution_scale) and resolution_scale > 0):
+        raise ScenarioError(f"resolution scale: expected a finite number > 0, "
+                            f"got {resolution_scale!r}")
     values, convergence, checks = _DISPATCH[kind][0](cfg, resolution_scale)
     echo = dict(cfg)
     echo["effective.resolution_scale"] = repr(resolution_scale)

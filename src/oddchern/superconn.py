@@ -83,18 +83,18 @@ class _PolarMap(SmoothMatrixMap):
 
     One eigh H = Q diag(s^2) Q* per block; d(H^(-1/2)) = Q (L o Q* dH Q) Q*
     (Daleckii-Krein) with L_ij = -1/(s_i s_j (s_i + s_j)), free of cancellation
-    at equal eigenvalues.  s^2 < floor^2 raises SingularMapError.  For LAPACK's
-    eigh, evaluate and jet move v's (N, N, npts) blocks point axis first once,
-    and move their results back.
+    at equal eigenvalues.  s below MIN_SINGULAR_VALUE raises SingularMapError.
+    For LAPACK's eigh, evaluate and jet move v's (N, N, npts) blocks point
+    axis first once, and move their results back.
     """
 
-    def __init__(self, v: SmoothMatrixMap, floor: float):
-        self.v, self.floor, self.size = v, floor, v.size
+    def __init__(self, v: SmoothMatrixMap):
+        self.v, self.size = v, v.size
 
     def _polar(self, a):
         s2, q = np.linalg.eigh(_conj_transpose(a) @ a)
         node = int(np.argmin(s2[:, 0]))  # eigh sorts ascending
-        if s2[node, 0] < self.floor * self.floor:
+        if s2[node, 0] < MIN_SINGULAR_VALUE * MIN_SINGULAR_VALUE:
             raise SingularMapError("v*v nearly singular", node)
         qh = _conj_transpose(q)
         inv_sqrt = (q * s2[:, None, :] ** -0.5) @ qh
@@ -116,17 +116,17 @@ class _PolarMap(SmoothMatrixMap):
         return np.moveaxis(u, -3, -1), np.moveaxis(da @ inv_sqrt + a @ d_inv_sqrt, -3, -1)
 
 
-def unitarize(v: SmoothMatrixMap, floor=MIN_SINGULAR_VALUE) -> SmoothMatrixMap:
+def unitarize(v: SmoothMatrixMap) -> SmoothMatrixMap:
     """Polar part v (v* v)^(-1/2); homotopic to v through invertibles."""
-    return _PolarMap(v, floor)
+    return _PolarMap(v)
 
 
-def _unitarity_defect(v, domain, n_sample=512) -> float:
-    """max ||v* v - Id|| over about n_sample strided grid nodes; errors name grid nodes."""
+def _unitarity_defect(v, domain) -> float:
+    """max ||v* v - Id|| over about 512 strided grid nodes; errors name grid nodes."""
     try:
-        a = v.evaluate(domain, domain.sample_nodes(n_sample))
+        a = v.evaluate(domain, domain.sample_nodes(512))
     except SingularMapError as exc:
-        raise SingularMapError(exc.what, exc.index * domain.sample_stride(n_sample)) from None
+        raise SingularMapError(exc.what, exc.index * domain.sample_stride(512)) from None
     return float(np.abs(_block_product(_adjoint(a), a) - np.eye(v.size)[:, :, None]).max())
 
 
@@ -153,9 +153,9 @@ class SuperBundleModel:
     def n(self) -> int:
         return (self.domain.dim + 1) // 2
 
-    def check_unitary(self, tol=UNITARY_TOL):
+    def check_unitary(self):
         err = _unitarity_defect(self.v, self.domain)
-        if err > tol:
+        if err > UNITARY_TOL:
             raise ValueError(f"model's v is not unitary: ||v* v - Id|| = {err:.3e}")
 
     # -- pointwise super data ---------------------------------------------------
@@ -205,7 +205,7 @@ class SuperBundleModel:
         The ladder level on the model's own grid reuses chern_top().
         """
         if self._deg_star is None:
-            self._deg_star = _normalized_degree(self.v, self.domain, self.n, SPLIT_LADDER,
+            self._deg_star = _normalized_degree(self.v, self.domain, SPLIT_LADDER,
                                                 top_integral=self._chern_top_on)
         return self._deg_star
 

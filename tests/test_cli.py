@@ -149,6 +149,18 @@ def test_verify_rejects_a_resolution_scale(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("scale", ["-1", "0", "nan", "inf", "-inf"])
+def test_a_resolution_scale_that_is_not_finite_and_positive_is_usage_error(tmp_path, capsys,
+                                                                           scale):
+    # Such a scale used to be echoed (-1, 0), fail as unconverged (nan) or
+    # overflow a node count (inf).
+    cfg = write(tmp_path, DEG_SCENARIO)
+    assert main(["deg", "--config", cfg, f"--resolution-scale={scale}"]) == 64
+    captured = capsys.readouterr()
+    assert "error: resolution scale: expected a finite number > 0" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_rejects_an_unknown_check(tmp_path, capsys):
     cfg = write(tmp_path, "scenario = verify\nverify.only = gausian moment, point case\n")
     assert main(["verify", "--config", cfg]) == 64

@@ -57,12 +57,6 @@ def test_dual_differential_matches_fd(builder, spheres):
         assert np.abs(exact - approx).max() < 1e-7
 
 
-def test_builtin_derivative_check():
-    dom = ChartedSphereDomain([3], resolution=COARSE)
-    rng = np.random.default_rng(0)
-    su2_identity().check_derivative(dom, rng)
-
-
 def _split_factors_on_a_block():
     # The split map pr_2* f . phi* h on a tensor node block of S^2 x S^1 in
     # the middle of the grid, where both factors vary.
@@ -149,6 +143,61 @@ def test_array_left_arithmetic_with_a_dual_is_the_dual_left_form(left):
         assert isinstance(got, dual.Dual)
         assert np.array_equal(got.val, ref.val) and np.array_equal(got.eps, ref.eps)
     assert np.array_equal((left / d).val, left / d.val)
+
+
+def _narrow_and_wide():
+    """seed_all's Duals of x (3,) and y (2, 3), a plain o (2, 3), a (2, 3)
+    condition, and the reference Duals seeded with x broadcast to (2, 3)."""
+    rng = np.random.default_rng(5)
+    x, y, o = rng.uniform(1.0, 2.0, 3), rng.uniform(1.0, 2.0, (2, 3)), rng.uniform(1.0, 2.0, (2, 3))
+    cond = rng.uniform(size=(2, 3)) < 0.5
+    return dual.seed_all([x, y]), dual.seed_all([np.broadcast_to(x, (2, 3)), y]), o, cond
+
+
+def test_a_wider_operand_goes_behind_the_direction_axis():
+    (d, _), _, o, _ = _narrow_and_wide()
+    prod = d * o
+    assert prod.eps.shape == (2, 2, 3)
+    assert np.array_equal(prod.eps[0], o) and np.array_equal(prod.eps[1], np.zeros((2, 3)))
+
+
+BINARY = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
+          "mul": lambda a, b: a * b, "div": lambda a, b: a / b,
+          "arctan2": dual.arctan2}
+# The two operands (or where's two branches), from the Duals x, y and the
+# plain o, for each layout: the wider one is o or y.
+LAYOUTS = {"plain-right": lambda x, y, o: (x, o), "plain-left": lambda x, y, o: (o, x),
+           "dual-right": lambda x, y, o: (x, y), "dual-left": lambda x, y, o: (y, x)}
+
+
+def assert_duals_equal(got, ref):
+    assert isinstance(got, dual.Dual)
+    assert np.array_equal(got.val, ref.val)
+    assert got.eps.shape == ref.eps.shape and np.array_equal(got.eps, ref.eps)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("op", BINARY)
+def test_arithmetic_with_a_wider_operand_matches_the_broadcast_columns(op, layout):
+    narrow, wide, o, _ = _narrow_and_wide()
+    got = BINARY[op](*LAYOUTS[layout](*narrow, o))
+    assert_duals_equal(got, BINARY[op](*LAYOUTS[layout](*wide, o)))
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_where_with_a_wider_branch_matches_the_broadcast_columns(layout):
+    narrow, wide, o, cond = _narrow_and_wide()
+    assert_duals_equal(dual.where(cond, *LAYOUTS[layout](*narrow, o)),
+                       dual.where(cond, *LAYOUTS[layout](*wide, o)))
+
+
+@pytest.mark.parametrize("index", [1, (1, 2), (slice(None), 2), (Ellipsis, 0)],
+                         ids=["row", "entry", "column", "ellipsis"])
+def test_dual_indexing_takes_the_value_axes(index):
+    (_, y), _, _, _ = _narrow_and_wide()
+    got = y[index]
+    assert np.array_equal(got.val, y.val[index])
+    assert np.array_equal(got.eps, np.stack([e[index] for e in y.eps]))
 
 
 def test_chart_map_jacobian_vs_fd():

@@ -301,9 +301,9 @@ def test_degree_star_runs_one_split_ladder_per_model(monkeypatch):
     calls = []
     ladder = superconn._normalized_degree
 
-    def counting_ladder(g, domain, half_dim, *args, **kwargs):
+    def counting_ladder(g, domain, *args, **kwargs):
         calls.append(args)
-        return ladder(g, domain, half_dim, *args, **kwargs)
+        return ladder(g, domain, *args, **kwargs)
 
     monkeypatch.setattr(superconn, "_normalized_degree", counting_ladder)
     models = [sphere_model(3, su2_identity()), sphere_model(1, circle_winding(2))]
