@@ -290,8 +290,7 @@ def _normalized_degree(g: SmoothMatrixMap, domain, ladder=DEGREE_LADDER,
         def top_integral(dom):
             return odd_chern_top_integral(g, dom)
     norm = (-2.0j * np.pi) ** (-((domain.dim + 1) // 2))
-    return DegreeResult.from_ladder(
-        ladder, lambda s: norm * top_integral(domain.at_scale(s)))
+    return DegreeResult.from_ladder(ladder, domain, lambda dom: norm * top_integral(dom))
 
 
 def deg(g: SmoothMatrixMap, domain, ladder=DEGREE_LADDER) -> DegreeResult:

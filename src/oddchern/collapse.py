@@ -194,7 +194,8 @@ def mapping_degree(chart_map: ChartMap, ladder=DEGREE_LADDER) -> DegreeResult:
     if chart_map.source.dim != chart_map.target.dim:
         raise ValueError("mapping degree needs equal source and target dimension")
     return DegreeResult.from_ladder(
-        ladder, lambda s: volume_pullback_integral(chart_map, scale=s))
+        ladder, chart_map.source,
+        lambda dom: volume_pullback_integral(chart_map, scale=dom.scale))
 
 
 def collapse_degree(p: int, q: int, radius: float = COLLAPSE_RADIUS) -> DegreeResult:

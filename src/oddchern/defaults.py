@@ -62,9 +62,41 @@ class Ladder:
     tol: float
 
 
-# Generic degrees (deg on odd spheres, sphere-map degrees): resolution
-# doubling, with consecutive levels held to 1e-6.
-DEGREE_LADDER = Ladder((0.5, 1.0, 2.0, 4.0), 1e-6)
+# Generic degrees (deg on odd spheres, deg* of split maps, sphere-map
+# degrees): resolution doubling from a quarter of the chart's budget, with
+# consecutive levels held to 1e-6.  A step is about the earlier level's
+# error, so an analytic integrand is accepted one level after its error
+# falls below the tolerance.  A scale whose grid repeats the previous
+# level's (a budget of 4 or 5 per axis gives 2 nodes at both 0.25 and 0.5)
+# is skipped (results.DegreeResult.from_ladder).  Scan of |value - integer|
+# per level of every map the scenarios, checks and tests run on this ladder,
+# by chart and resolution; "acc" is the accepted level, * when unconverged,
+# and "was" the level the ladder (0.5, 1, 2, 4) accepted:
+#    map; chart, resolution            0.25     0.5      1        2        4        acc  was
+#    z^m (|m| <= 4), z^2 z, (z^3)^2,   <1e-15   <1e-15                              0.5  1
+#      circle power, antipodal and
+#      homotopy maps; S^1, 1 or 0.5
+#    su2 sizes 2-5, identity,          8.7e-11  8.9e-16                             0.5  1
+#      antipodal; S^3, 1
+#    su2; S^3, 0.75                    6.0e-7   1.1e-15                             0.5  1
+#    antipodal; S^2, 1                 5.6e-16  7.8e-16                             0.5  1
+#    antipodal; S^2, 0.5               2.6e-10  5.6e-16                             0.5  1
+#    antipodal; S^4, 1                 2.9e-8   1.6e-15                             0.5  1
+#    split pr2* z^m . phi* const       0        0                                   0.5  1
+#      (m = 0, 1, 3); S^2 x S^1, 0.5
+#    su2 sizes 2-5, identity,          1.1e-3   8.7e-11  8.9e-16                    1    1
+#      antipodal; S^3, 0.5
+#    su2 . su2; S^3, 1                 7.5e-6   1.3e-15  4.0e-15                    1    1
+#    antipodal; S^4, 0.5               1.3e-2   2.9e-8   1.6e-15                    1    1
+#    su2 . su2; S^3, 0.5               2.5e-1   7.5e-6   1.3e-15  4.0e-15           2    2
+#    su2; S^3, 0.15 (0.5 skipped)      2.6e-1   -        3.1e-5   4.7e-15  5.3e-15  4    4
+#    clutching map of the exit-3       1.3e-1   4.1e-2   9.8e-4   5.8e-6   4.8e-11  4*   4*
+#      CLI test; S^1, 0.5
+#    homotopy at t = 1, m = 2,         2.5e-1   1.1e-2   2.1e-3   2.3e-6   1.4e-12  4*   4*
+#      k = (1, 2), c = 0.625; S^1, 0.5
+#    split pr2* z^m . phi* su2         1.0e-2   4.5e-3   1.3e-3   1.1e-4   5.4e-7   4*   4*
+#      (m = 0, 1, 3); S^2 x S^1, 0.5
+DEGREE_LADDER = Ladder((0.25, 0.5, 1.0, 2.0, 4.0), 1e-6)
 
 # deg* of maps pulled back through the collapse map: the deg-star scenario and
 # every boundary model (SuperBundleModel.degree_star).  On the product angle

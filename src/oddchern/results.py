@@ -30,16 +30,22 @@ class DegreeResult:
         )
 
     @classmethod
-    def from_ladder(cls, ladder, value_at):
-        """Climb ladder.scales with value_at(scale) until a level converges.
+    def from_ladder(cls, ladder, domain, integral):
+        """Climb ladder.scales with integral(domain.at_scale(s)) until a level converges.
 
         A level converges when it is within ladder.tol of the previous level
         and within DEGREE_RESIDUAL_TOL of an integer.  Without such a level the
-        result is the last level's value with converged=False.
+        result is the last level's value with converged=False.  A scale whose
+        grid has the previous level's shape is skipped, neither swept nor
+        reported: a step of 0 between two sweeps of one grid is no evidence.
         """
-        table, prev = [], None
+        table, prev, shape = [], None, None
         for s in ladder.scales:
-            val = value_at(s)
+            dom = domain.at_scale(s)
+            if dom.shape == shape:
+                continue
+            shape = dom.shape
+            val = integral(dom)
             table.append((s, val))
             if prev is not None and abs(val - prev) < ladder.tol \
                     and abs(val - round(val.real)) < DEGREE_RESIDUAL_TOL:

@@ -66,6 +66,27 @@ def test_su2_degree_and_stabilization():
     assert abs(stab.value - base.value) < 1e-9
 
 
+@pytest.mark.parametrize("kind,size,m,sphere", [
+    ("su2_identity", 2, 1, 3), ("su2_identity", 3, 1, 3),
+    *(("circle_winding", 2, m, 1) for m in (-4, -1, 2, 4)),
+])
+def test_analytic_degrees_are_accepted_at_half_the_budget(kind, size, m, sphere):
+    # At the default budget su2 reads 8.7e-11 and z^m is exact on the
+    # ladder's first level, so the step to scale 0.5 is accepted there.
+    r = deg(generator(kind, size=size, m=m), ChartedSphereDomain.sphere(sphere))
+    assert r.converged and r.convergence[-1][0] == 0.5
+    assert r.residual < 1e-14
+
+
+def test_no_two_ladder_levels_share_a_grid():
+    # S^3 at resolution 0.15 takes 5 nodes per angle: 2 at both 0.25 and 0.5.
+    dom = ChartedSphereDomain.sphere(3, resolution=0.15)
+    r = deg(su2_identity(), dom)
+    shapes = [dom.at_scale(s).shape for s, _ in r.convergence]
+    assert all(a != b for a, b in zip(shapes, shapes[1:]))
+    assert r.accepted and r.rounded == -1
+
+
 # -- degree properties on random inputs -----------------------------------------
 
 @settings(max_examples=12, deadline=None)

@@ -11,6 +11,7 @@ import pytest
 import oddchern
 from oddchern import dual, scenarios
 from oddchern.cli import main
+from oddchern.defaults import DEGREE_LADDER
 from oddchern.maps import DualMatrixMap
 
 DEG_SCENARIO = """\
@@ -192,7 +193,7 @@ def test_unconverged_degree_prints_its_report_and_exits_3(
     assert code == 3
     assert payload["checks"] == [{"name": check, "passed": False, "converged": False}]
     assert payload["values"]["deg"]["rounded"] == -3
-    assert len(payload["convergence"]["deg"]) == 4
+    assert len(payload["convergence"]["deg"]) == len(DEGREE_LADDER.scales)
 
 
 @pytest.mark.parametrize("command,check", [

@@ -1,11 +1,23 @@
 """The resolution ladder's stopping rule (DegreeResult.from_ladder)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from oddchern.defaults import Ladder
 from oddchern.results import DegreeResult
 
 LADDER = Ladder((0.5, 1.0, 2.0, 4.0), 1e-6)
+
+
+class Chart:
+    """A chart stand-in with one axis of max(2, round(n scale)) nodes."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def at_scale(self, scale):
+        return SimpleNamespace(scale=scale, shape=(max(2, round(self.n * scale)),))
 
 
 @pytest.mark.parametrize("values,levels,converged", [
@@ -22,13 +34,28 @@ LADDER = Ladder((0.5, 1.0, 2.0, 4.0), 1e-6)
 def test_from_ladder_stops_on_agreement_and_integrality(values, levels, converged):
     asked = []
 
-    def value_at(scale):
-        asked.append(scale)
+    def integral(dom):
+        asked.append(dom.scale)
         return complex(values[len(asked) - 1])
 
-    r = DegreeResult.from_ladder(LADDER, value_at)
+    r = DegreeResult.from_ladder(LADDER, Chart(64), integral)
     assert asked == list(LADDER.scales[:levels])
     assert r.convergence == list(zip(LADDER.scales, map(complex, values)))[:levels]
     assert r.converged is converged
     assert r.value == values[levels - 1]
     assert r.rounded == round(values[levels - 1])
+
+
+def test_from_ladder_skips_a_scale_on_the_previous_grid():
+    # A budget of 4 takes 2 nodes at both 0.25 and 0.5.  A map that reads
+    # the same on every grid would agree with itself there on a step of 0.
+    asked = []
+
+    def integral(dom):
+        asked.append(dom.scale)
+        return 1.0 + 0j
+
+    r = DegreeResult.from_ladder(Ladder((0.25, 0.5, 1.0, 2.0), 1e-6), Chart(4), integral)
+    assert asked == [0.25, 1.0]
+    assert r.convergence == [(0.25, 1.0), (1.0, 1.0)]
+    assert r.converged
