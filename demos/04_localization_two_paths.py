@@ -38,6 +38,6 @@ closed = gamma_closed_form(model)
 print(f"\nclosed form            = {closed.real:+.12f}")
 print(f"(-1)^n deg*(v)         = {((-1.0) ** model.n * ds.value).real:+.12f}")
 
-rep = localize([model], n=model.n)
+rep = localize([model])
 print(f"\nlocalized Chern number = {rep.value.real:+.1f}"
       f"  (two-path agreement {rep.agreement:.2e})")

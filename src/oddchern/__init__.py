@@ -34,7 +34,6 @@ from .forms import (
     GradedMatrixForm,
     nilpotent_exp,
     normalize_2pi,
-    power_odd,
 )
 from .maps import (
     ChartMap,

@@ -14,7 +14,7 @@ the trace, Tr(w^d)_top = d Tr(w_0 (w_1 ^ ... ^ w_(d-1))_top), which holds
 because a cyclic shift of an odd number of factors is an even permutation.
 w is formed on the same (N, N, npts) blocks, as g^{-1} times each dg_i, with
 g^{-1} in closed form for N <= 3 (1/g, or the adjugate over det g) and by
-LAPACK from N = 4; a node with |det g| < 1e-12 raises SingularMapError
+LAPACK from N = 4; a node with |det g| < MIN_DETERMINANT raises SingularMapError
 naming its grid index.  The sweep (_sweep) walks the grid in tensor node blocks
 (domains.NodeBlock) and runs the jet on each block's columns, so the map's
 intermediates are computed per axis and expanded to the block's nodes only
@@ -38,7 +38,7 @@ from math import factorial
 
 import numpy as np
 
-from .defaults import CHUNK, DEGREE_LADDER
+from .defaults import CHUNK, DEGREE_LADDER, MIN_DETERMINANT
 from .domains import gauss_axis
 from .fields import FormField, exterior_derivative
 from .forms import (
@@ -107,7 +107,7 @@ def _checked_inverse(g, out=None):
         det = np.linalg.det(np.moveaxis(g, -1, 0))
     absdet = np.abs(det)
     node = int(np.argmin(absdet))
-    if absdet[node] < 1e-12:
+    if absdet[node] < MIN_DETERMINANT:
         raise SingularMapError("matrix map singular", node)
     if n == 1:
         return np.divide(1.0, g, out=out)

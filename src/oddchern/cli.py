@@ -3,9 +3,10 @@
 One subcommand per kind in the scenarios dispatch table; each accepts a
 scenario file via --config plus overrides. The report's exit_code is the exit
 code: 0 all checks pass, 2 an oracle mismatched, 3 a computation failed to
-converge (the report is still printed). 64: the configuration is invalid or
-its map is singular at a node. A library ValueError (a non-unitary polar
-part, numpy's LinAlgError) exits 3 without a report.
+converge (the report is still printed). 64: the configuration is invalid (a
+key its kind does not read included) or its map is singular at a node. A
+library ValueError (a non-unitary polar part, numpy's LinAlgError) exits 3
+without a report.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "index localization on spheres and product spheres.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, summary) in _DISPATCH.items():
+    for name, (_, _, summary) in _DISPATCH.items():
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="scenario file (key = value lines)",
                        required=(name != "verify"))
@@ -36,9 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(nodes per angle, and the ball chart's nodes per "
                             "radial panel) becomes max(4, round(n * scale)) "
                             "(verify accepts only 1.0)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="echoed as effective.seed; no check reads it, "
-                            "since each randomized check pins its own generator")
     return parser
 
 
@@ -51,8 +49,7 @@ def main(argv=None) -> int:
             raise ScenarioError(
                 f"scenario file says {cfg['scenario']!r} but the "
                 f"subcommand is {args.command!r}")
-        report = run(cfg, resolution_scale=args.resolution_scale,
-                     seed=args.seed)
+        report = run(cfg, resolution_scale=args.resolution_scale)
     except (ScenarioError, SingularMapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -3,10 +3,10 @@
 The collapse map is built as c o (sigma_p x sigma_q): both factors are
 stereographically projected away from a basepoint, the combined vector is
 radially reparametrized by a monotone profile that is the identity for
-|w| <= R and runs off to infinity as |w| -> 2R, and the result is mapped back
-through the inverse stereographic projection.  Outside |w| < 2R the map is
-constant at the projection pole, which collapses the wedge of the two factor
-basepoints smoothly.
+|w| <= R = COLLAPSE_RADIUS and runs off to infinity as |w| -> 2R, and the
+result is mapped back through the inverse stereographic projection.  Outside
+|w| < 2R the map is constant at the projection pole, which collapses the
+wedge of the two factor basepoints smoothly.
 
 There its differentials are exactly 0 too, so a matrix map pulled back
 through it is one constant matrix there, and every top-degree integrand
@@ -55,11 +55,10 @@ class CollapseMap(ChartMap):
     """Degree-one smash/collapse map with orientation normalized to +1; its
     charts, ball() included, are built at one resolution."""
 
-    def __init__(self, p: int, q: int, radius: float = COLLAPSE_RADIUS,
-                 resolution: float = 1.0):
-        if p < 1 or q < 1 or radius <= 0:
-            raise ValueError("need p, q >= 1 and a positive collapse radius")
-        self.p, self.q, self.radius, self.resolution = p, q, float(radius), resolution
+    def __init__(self, p: int, q: int, resolution: float = 1.0):
+        if p < 1 or q < 1:
+            raise ValueError("need p, q >= 1")
+        self.p, self.q, self.resolution = p, q, resolution
         self.swap_target = False
         source = ChartedSphereDomain.product(p, q, resolution=resolution)
         target = ChartedSphereDomain.sphere(p + q, resolution=resolution)
@@ -77,17 +76,18 @@ class CollapseMap(ChartMap):
         d1, d2 = 1.0 - x1, 1.0 - y1
         near1, near2 = d1 > _DENOM_FLOOR, d2 > _DENOM_FLOOR
         r2 = (1.0 + x1) / np.where(near1, d1, 1.0) + (1.0 + y1) / np.where(near2, d2, 1.0)
-        return ~near1 | ~near2 | (r2 >= 4.0 * self.radius * self.radius)
+        return ~near1 | ~near2 | (r2 >= 4.0 * COLLAPSE_RADIUS * COLLAPSE_RADIUS)
 
-    def _eta(self, r, inside):
+    @staticmethod
+    def _eta(r, inside):
         """The radial profile eta of rho(|w|) = |w| / eta(|w|) at |w| = r:
         1 where inside (|w| <= R), smooth_step((2R - r)/R) beyond."""
-        R = self.radius
+        R = COLLAPSE_RADIUS
         ones = np.ones_like(dual.value(r))
         return dual.where(inside, ones, smooth_step((2.0 * R - r) / R))
 
     def _ambient(self, cols):
-        p, q, R = self.p, self.q, self.radius
+        p, q, R = self.p, self.q, COLLAPSE_RADIUS
         if len(cols) != p + q + 2:
             raise ValueError(f"the collapse map reads the {p + q + 2} ambient columns of "
                              f"S^{p} x S^{q}, got {len(cols)}; on a ball chart use ball()")
@@ -127,7 +127,7 @@ class CollapseMap(ChartMap):
         block's.  From r >= 2R on, eta and its derivatives are exactly 0, so
         phi is exactly the pole there, with zero differentials."""
         r, u = cols[0], cols[1:]
-        eta = self._eta(r, dual.value(r) <= self.radius)
+        eta = self._eta(r, dual.value(r) <= COLLAPSE_RADIUS)
         r2, eta2 = r * r, eta * eta
         denom = r2 + eta2
         radial = 2.0 * eta * r / denom
@@ -141,7 +141,7 @@ class CollapseMap(ChartMap):
     def ball(self) -> ChartMap:
         """phi on the chart of the ball |w| < 2R, outside which it is
         constant, at the map's resolution."""
-        return ChartMap(ChartedSphereDomain.ball(self.p, self.q, self.radius, self.resolution),
+        return ChartMap(ChartedSphereDomain.ball(self.p, self.q, COLLAPSE_RADIUS, self.resolution),
                         self.target, self._on_ball)
 
     # -- orientation ----------------------------------------------------------
@@ -198,13 +198,13 @@ def mapping_degree(chart_map: ChartMap, ladder=DEGREE_LADDER) -> DegreeResult:
         lambda dom: volume_pullback_integral(chart_map, scale=dom.scale))
 
 
-def collapse_degree(p: int, q: int, radius: float = COLLAPSE_RADIUS) -> DegreeResult:
+def collapse_degree(p: int, q: int) -> DegreeResult:
     """Mapping degree of the collapse map, on a ball chart, on COLLAPSE_LADDER.
 
     The map is constant outside |w| < 2R in stereographic coordinates w, so
     its pulled-back volume form is integrated over that ball alone.
     """
-    return mapping_degree(CollapseMap(p, q, radius).ball(), COLLAPSE_LADDER)
+    return mapping_degree(CollapseMap(p, q).ball(), COLLAPSE_LADDER)
 
 
 def signed_preimage_count(chart_map: ChartMap, target_chart_point, rng):

@@ -29,13 +29,15 @@ NODES_PER_ANGLE = {1: 64, 2: 48, 3: 32, 4: 32, 5: 24}
 # and 8.4e-10 in 4-D.
 BALL_NODES = (24, 8)
 
-# Collapse-map radius in stereographic units; the identity region |w| <= R
-# then carries the bulk of the product measure.
+# Collapse-map radius R in stereographic units; the identity region |w| <= R
+# then carries the bulk of the product measure.  BALL_NODES and
+# COLLAPSE_LADDER were scanned at this R alone, so it is fixed, not a setting.
 COLLAPSE_RADIUS = 4.0
 
 # Deformation-parameter integral for the boundary transgression form:
-# Gauss-Legendre on [0, T_MAX]; the tail beyond T_MAX is bounded by
-# exp(-T_MAX**2) * poly and neglected.
+# T_NODES-point Gauss-Legendre on [0, T] (T_MAX by default); the tail beyond
+# T_MAX is bounded by exp(-T_MAX**2) * poly and neglected.  The integrand is
+# a scalar factor, so the node count costs no sweep.
 T_MAX = 8.0
 T_NODES = 200
 
@@ -47,7 +49,8 @@ DEGREE_RESIDUAL_TOL = 1e-4      # |value - nearest integer|
 DEGREE_IMAG_TOL = 1e-8          # imaginary contamination, relative
 TWO_PATH_TOL = 1e-7             # gamma quadrature vs closed form
 UNITARY_TOL = 1e-12             # ||v* v - Id|| on boundary models
-MIN_SINGULAR_VALUE = 1e-8       # invertibility floor for matrix maps
+MIN_SINGULAR_VALUE = 1e-8       # floor of v's singular values in a model's polar part
+MIN_DETERMINANT = 1e-12         # |det g| floor of chern._checked_inverse
 
 
 @dataclass(frozen=True)
@@ -123,19 +126,21 @@ GAMMA_COARSE_SCALE = 0.5
 
 # Node-block size of every sweep.  Grids are tensor products of per-axis
 # rules, and node_blocks (domains) cuts them into tensor sub-grids of at most
-# CHUNK nodes: a slab of one axis times every trailing axis whole.  On
-# gamma-limit's 60 x 60 x 80 model grid a block is one theta_1 row of
-# 4,800 nodes; on the collapse-4d ball chart, 8,192 or 8,000 nodes.  A
-# block's arrays grow with it: a jet of an N x N map is d + 1 arrays of
-# N*N*npts complex numbers, and the odd Chern and gamma top kernels reuse
-# d + 1 or d + 3 more, one scratch set per sweep (forms.BlockScratch), on
-# every block, so they are not page-faulted in afresh per block.  One
+# CHUNK nodes: a slab of one axis times every trailing axis whole.  Of the
+# benchmark workloads, sphere-chern (grids of 16-4,096 nodes) and gamma-limit
+# (750, 6,000 and 64) sweep every grid in one block; collapse-4d splits its
+# ball grids of 24,576 and 60,000 nodes into blocks of 8,192, and of 8,000
+# and 4,000.  A block's arrays grow with it: a jet of an N x N map is d + 1
+# arrays of N*N*npts complex numbers, and the odd Chern and gamma top kernels
+# reuse d + 1 or d + 3 more, one scratch set per sweep (forms.BlockScratch),
+# on every block, so they are not page-faulted in afresh per block.  One
 # (8192,) complex row is 128 KiB, glibc's default mmap threshold; at
 # 400,000 nodes five passes of collapse-4d took 345,000-355,000 minor
 # faults, 1.3-1.7 s of system time and 460 MB, against 147,000,
 # 0.25-0.33 s and 49 MB at 8,192.  Scan on a 2-vCPU Xeon VM, one BLAS thread,
-# direct runs of the benchmark workloads' ops, median pass seconds of 15
-# (3 interleaved rounds of 5) and peak RSS:
+# direct runs of the benchmark workloads' ops as they then were (gamma-limit
+# at full resolution, on a 60 x 60 x 80 grid of 4,800-node theta_1 rows),
+# median pass seconds of 15 (3 interleaved rounds of 5) and peak RSS:
 #             sphere-chern     collapse-4d      gamma-limit
 #    4,096    0.19 s  43 MB    0.11 s  41 MB    0.27 s  39 MB
 #    8,192    0.21 s  49 MB    0.12 s  49 MB    0.26 s  39 MB

@@ -183,9 +183,10 @@ class ChartedSphereDomain:
         if len(spheres) not in (1, 2):
             raise ValueError("only spheres and two-factor products are supported")
         self.spheres = tuple(int(m) for m in spheres)
-        if any(m < 1 for m in self.spheres):
-            raise ValueError("factor dimension must be >= 1")
-        self.rules = sum((_angle_rules(m, _budget(NODES_PER_ANGLE.get(m, 32), resolution))
+        if any(m not in NODES_PER_ANGLE for m in self.spheres):
+            raise ValueError(f"factor dimensions must be among NODES_PER_ANGLE's "
+                             f"{sorted(NODES_PER_ANGLE)}, got {list(self.spheres)}")
+        self.rules = sum((_angle_rules(m, _budget(NODES_PER_ANGLE[m], resolution))
                           for m in self.spheres), ())
         self._set_scale(1.0)
         self.radius = self.exterior = None

@@ -192,10 +192,6 @@ class GradedMatrixForm:
 
     # -- queries -------------------------------------------------------------
 
-    def is_homogeneous(self, degree):
-        return all(bin(m).count("1") == degree
-                   for m, c in enumerate(self.comps) if c is not None)
-
     def max_abs(self) -> float:
         vals = [np.abs(c).max() for c in self.comps if c is not None]
         return float(max(vals)) if vals else 0.0
@@ -304,20 +300,6 @@ def wedge_chain(factors, out=None) -> GradedMatrixForm:
     for f in factors[1:-1]:
         acc = acc.wedge(f)
     return acc.wedge(factors[-1], out=out) if len(factors) > 1 else acc
-
-
-def power_odd(w: GradedMatrixForm, m: int) -> GradedMatrixForm:
-    """Odd wedge power of a homogeneous degree-1 form.
-
-    Returns the zero form when m exceeds the chart dimension (nilpotency).
-    """
-    if m < 1 or m % 2 == 0:
-        raise ValueError("power_odd needs an odd m >= 1")
-    if not w.is_homogeneous(1):
-        raise ValueError("power_odd needs a homogeneous degree-1 form")
-    if m > w.dim:
-        return GradedMatrixForm(w.dim, w.size, w.npts)
-    return w.wedge_power(m)
 
 
 def normalize_2pi(w: GradedMatrixForm) -> GradedMatrixForm:

@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from .chern import assemble_split_map, deg, deg_star, generator
 from .collapse import CollapseMap
-from .defaults import (COLLAPSE_RADIUS, NODES_PER_ANGLE, SPLIT_LADDER, T_MAX, T_NODES,
-                       TWO_PATH_TOL)
+from .defaults import DEGREE_RESIDUAL_TOL, NODES_PER_ANGLE, SPLIT_LADDER, T_MAX, TWO_PATH_TOL
 from .domains import ChartedSphereDomain
 from .maps import compose_map_with_matrix
 from .results import DegreeResult
@@ -67,10 +66,8 @@ def load_scenario(path: str) -> dict:
         return parse_scenario(fh.read())
 
 
-def _get_int(cfg, key, default=None, minimum=None):
+def _get_int(cfg, key, default, minimum=None):
     if key not in cfg:
-        if default is None:
-            raise ScenarioError(f"missing required key {key!r}")
         return default
     try:
         value = int(cfg[key])
@@ -91,6 +88,11 @@ def _get_positive_float(cfg, key, default):
     if not (math.isfinite(value) and value > 0):
         raise ScenarioError(f"{key}: expected a positive number, got {value!r}")
     return value
+
+
+def _map_keys(prefix):
+    """The keys _build_generator reads under prefix."""
+    return tuple(f"{prefix}.{name}" for name in ("kind", "size", "m"))
 
 
 def _build_generator(cfg, prefix):
@@ -176,7 +178,7 @@ class RunReport:
 
 
 def _check_budget(key, dim):
-    """Reject a chart beyond NODES_PER_ANGLE; its 32-node fallback sweeps ~1e10 nodes."""
+    """Reject a chart beyond NODES_PER_ANGLE under the scenario key that asks for it."""
     if dim > max(NODES_PER_ANGLE):
         raise ScenarioError(f"{key}: a {dim}-dimensional chart is beyond NODES_PER_ANGLE, "
                             f"whose largest key is {max(NODES_PER_ANGLE)}")
@@ -213,8 +215,7 @@ def _build_product_map(cfg, resolution_scale):
         raise ScenarioError(f"geometry.p, geometry.q: boundary models need p + q odd, "
                             f"got {p} + {q}")
     _check_budget("geometry.p, geometry.q", p + q)
-    radius = _get_positive_float(cfg, "geometry.collapse_radius", COLLAPSE_RADIUS)
-    phi = CollapseMap(p, q, radius, resolution=resolution_scale)
+    phi = CollapseMap(p, q, resolution=resolution_scale)
     h = _build_generator(cfg, "map.h")
     if "map.f.kind" in cfg:
         f = _build_generator(cfg, "map.f")
@@ -249,11 +250,9 @@ def _build_model(cfg, resolution_scale):
 
 
 def _run_gamma_limit(cfg, resolution_scale):
-    t_nodes = _get_int(cfg, "gamma.t_nodes", T_NODES, minimum=1)
     T_final = _get_positive_float(cfg, "gamma.T", T_MAX)
     model = _build_model(cfg, resolution_scale)
-    rep = gamma_report(model, T_values=(T_final / 4, T_final / 2, T_final),
-                       t_nodes=t_nodes)
+    rep = gamma_report(model, (T_final / 4, T_final / 2, T_final))
     ds = rep.deg_star_value
     n = model.n
     expected = (-1.0) ** n * ds.rounded
@@ -273,16 +272,14 @@ def _run_gamma_limit(cfg, resolution_scale):
         {"name": "two gamma paths agree", "passed": rep.two_path_gap < TWO_PATH_TOL,
          "converged": ds.converged},
         {"name": "gamma limit equals (-1)^n deg*",
-         "passed": abs(rep.limit - expected) < 1e-4,
+         "passed": abs(rep.limit - expected) < DEGREE_RESIDUAL_TOL,
          "converged": ds.converged},
     ]
     return values, convergence, checks
 
 
 def _run_localize(cfg, resolution_scale):
-    t_nodes = _get_int(cfg, "gamma.t_nodes", T_NODES, minimum=1)
-    model = _build_model(cfg, resolution_scale)
-    rep = localize([model], n=model.n, t_nodes=t_nodes)
+    rep = localize([_build_model(cfg, resolution_scale)])
     values = {
         "localized_value": [rep.value.real, rep.value.imag],
         "gamma_path": [rep.gamma_path.real, rep.gamma_path.imag],
@@ -301,7 +298,7 @@ def _run_flz_point(cfg, resolution_scale):
     _check_budget("geometry.n", 2 * n - 1)
     dom = ChartedSphereDomain.sphere(2 * n - 1, resolution=resolution_scale)
     v = _build_generator(cfg, "map")
-    rep = flz_point_case(v, dom, n)
+    rep = flz_point_case(v, dom)
     values, convergence, checks = _degree_report("deg", rep.degree,
                                                  "point case quantizes")
     values["point_contribution"] = [rep.value.real, rep.value.imag]
@@ -337,33 +334,47 @@ def _run_verify(cfg, resolution_scale):
     return values, {}, checks
 
 
+_PRODUCT_KEYS = ("geometry.p", "geometry.q") + _map_keys("map.f") + _map_keys("map.h")
+
 # Every scenario kind: its runner, (cfg, resolution_scale) -> (values,
-# convergence, checks), and its one-line summary (the CLI's subcommand help).
+# convergence, checks), the keys the runner reads, and its one-line summary
+# (the CLI's subcommand help).
 _DISPATCH = {
-    "deg": (_run_deg, "normalized odd-Chern degree on an odd sphere"),
-    "deg-star": (_run_deg_star, "normalized degree on a product sphere"),
-    "gamma-limit": (_run_gamma_limit, "boundary transgression integral and its limit"),
-    "localize": (_run_localize, "localized relative Chern number, both paths"),
-    "flz-point": (_run_flz_point, "point-singularity contribution on S^(2n-1)"),
-    "index-report": (_run_index_report, "(-1)^n sum of model degrees"),
-    "verify": (_run_verify, "run the acceptance check suite"),
+    "deg": (_run_deg, ("geometry.sphere",) + _map_keys("map"),
+            "normalized odd-Chern degree on an odd sphere"),
+    "deg-star": (_run_deg_star, _PRODUCT_KEYS, "normalized degree on a product sphere"),
+    "gamma-limit": (_run_gamma_limit, _PRODUCT_KEYS + ("gamma.T",),
+                    "boundary transgression integral and its limit"),
+    "localize": (_run_localize, _PRODUCT_KEYS,
+                 "localized relative Chern number, both paths"),
+    "flz-point": (_run_flz_point, ("geometry.n",) + _map_keys("map"),
+                  "point-singularity contribution on S^(2n-1)"),
+    "index-report": (_run_index_report, _PRODUCT_KEYS, "(-1)^n sum of model degrees"),
+    "verify": (_run_verify, ("verify.only",), "run the acceptance check suite"),
 }
 SCENARIO_KINDS = tuple(_DISPATCH)
 
 
-def run(cfg: dict, resolution_scale: float = 1.0, seed: int = 0) -> RunReport:
-    """Dispatch a parsed scenario and assemble its report, converged or not."""
+def run(cfg: dict, resolution_scale: float = 1.0) -> RunReport:
+    """Dispatch a parsed scenario and assemble its report, converged or not.
+
+    A key that the kind's runner does not read is rejected before any
+    computation, so a misspelt key cannot fall back to a default.
+    """
     kind = cfg.get("scenario")
     if kind not in _DISPATCH:
         raise ScenarioError(
             f"scenario: expected one of {', '.join(SCENARIO_KINDS)}, got {kind!r}")
+    runner, keys, _ = _DISPATCH[kind]
+    for key in cfg:
+        if key != "scenario" and key not in keys:
+            raise ScenarioError(f"{key}: not a {kind} key, expected one of {', '.join(keys)}")
     if not (math.isfinite(resolution_scale) and resolution_scale > 0):
         raise ScenarioError(f"resolution scale: expected a finite number > 0, "
                             f"got {resolution_scale!r}")
-    values, convergence, checks = _DISPATCH[kind][0](cfg, resolution_scale)
+    values, convergence, checks = runner(cfg, resolution_scale)
     echo = dict(cfg)
     echo["effective.resolution_scale"] = repr(resolution_scale)
-    echo["effective.seed"] = repr(seed)
     return RunReport(scenario=echo, values=values, convergence=convergence,
                      checks=checks)
 

@@ -287,18 +287,18 @@ def _gamma_top_integral(model: SuperBundleModel, chunk=CHUNK):
     return complex(gamma), complex(chern)
 
 
-def gamma_boundary_integral(model: SuperBundleModel, T: float = T_MAX,
-                            t_nodes: int = T_NODES) -> complex:
+def gamma_boundary_integral(model: SuperBundleModel, T: float = T_MAX) -> complex:
     """Boundary integral of the transgression form gamma(T).
 
     The top piece of the integrand is (-t)^d exp(-t^2)/d! times the
     T-independent form phi(Tr_s(V dV^d)), whose integral the model computes
     once and keeps (SuperBundleModel.gamma_top).  Each call only evaluates
-    the Gauss-Legendre integral in t of the scalar factor on [0, T].
+    the T_NODES-point Gauss-Legendre integral in t of the scalar factor on
+    [0, T].
     """
     d = model.domain.dim
     top = model.gamma_top()
-    t, w = gauss_axis((t_nodes, (0.0, T)))
+    t, w = gauss_axis((T_NODES, (0.0, T)))
     scalar = np.sum(w * (-t) ** d * np.exp(-t * t)) / factorial(d)
     return complex(BOUNDARY_ORIENTATION_SIGN * scalar * top / SQRT_2PI_I)
 
@@ -336,18 +336,17 @@ class GammaReport:
         return abs(self.limit - self.closed_form_value)
 
 
-def gamma_report(model: SuperBundleModel, T_values=(2.0, 4.0, 6.0, T_MAX),
-                 t_nodes: int = T_NODES) -> GammaReport:
+def gamma_report(model: SuperBundleModel, T_values) -> GammaReport:
     """Run the deformation sweep plus the closed form and degree cross-check.
 
     The limit is the boundary integral at the last T.  deg* runs first, so on
     a boundary_model its ladder's last level makes the model's one sweep.
     """
     deg_star_value = model.degree_star()
-    integrals = [gamma_boundary_integral(model, T, t_nodes) for T in T_values]
+    integrals = [gamma_boundary_integral(model, T) for T in T_values]
     limit = integrals[-1]
     coarse_model = SuperBundleModel(model.domain.at_scale(GAMMA_COARSE_SCALE), model.v)
-    coarse = gamma_boundary_integral(coarse_model, T_values[-1], t_nodes)
+    coarse = gamma_boundary_integral(coarse_model, T_values[-1])
     return GammaReport(
         T_values=list(T_values),
         boundary_integrals=integrals,
@@ -381,14 +380,16 @@ class LocalizeReport:
                 and all(m["deg_star"].accepted for m in self.per_model))
 
 
-def localize(models, n: int, t_nodes: int = T_NODES) -> LocalizeReport:
-    """(-1)^(n+1) sum deg*(v_i), cross-checked against -sum of gamma limits."""
+def localize(models) -> LocalizeReport:
+    """(-1)^(n+1) sum deg*(v_i), cross-checked against -sum of gamma limits;
+    every model shares the half-dimension n."""
+    n = models[0].n
+    if any(m.n != n for m in models):
+        raise ValueError("all models must share the same half-dimension n")
     per_model, deg_sum, gamma_sum = [], 0, 0.0 + 0.0j
     for m in models:
-        if m.n != n:
-            raise ValueError("all models must share the same half-dimension n")
         ds = m.degree_star()
-        glim = gamma_boundary_integral(m, T_MAX, t_nodes)
+        glim = gamma_boundary_integral(m, T_MAX)
         per_model.append({"deg_star": ds, "gamma_limit": glim})
         deg_sum += ds.rounded
         gamma_sum += glim
@@ -408,10 +409,11 @@ class PointCaseReport:
     degree: DegreeResult
 
 
-def flz_point_case(v: SmoothMatrixMap, domain, n: int) -> PointCaseReport:
-    """Point-singularity contribution (-1)^(n-1) deg(v) on S^(2n-1)."""
-    if domain.dim != 2 * n - 1 or domain.is_product:
-        raise ValueError("point case lives on the odd sphere S^(2n-1)")
+def flz_point_case(v: SmoothMatrixMap, domain) -> PointCaseReport:
+    """Point-singularity contribution (-1)^(n-1) deg(v) on domain = S^(2n-1)."""
+    if domain.is_product or domain.dim % 2 == 0:
+        raise ValueError("point case lives on an odd sphere S^(2n-1)")
+    n = (domain.dim + 1) // 2
     model = SuperBundleModel(domain, v)
     d = deg(model.v, domain)
     return PointCaseReport(value=complex((-1.0) ** (n - 1) * d.rounded), degree=d)

@@ -84,9 +84,10 @@ def check_chern_simons_consistency():
                    f"max integrated gap {gap:.3e} (S1: {gap1:.3e}, S3: {gap3:.3e})")
 
 
-def _random_family(rng, n_ambient, size=2, spread=0.12):
-    """Invertible family Id + sum_i (A_i + t B_i) x_i with trig entries."""
-    scale = spread / n_ambient
+def _random_family(rng, n_ambient):
+    """Invertible 2 x 2 family Id + sum_i (A_i + t B_i) x_i with trig entries,
+    the A_i and B_i normal with deviation 0.12 / n_ambient."""
+    size, scale = 2, 0.12 / n_ambient
     A = scale * (rng.standard_normal((n_ambient, size, size))
                  + 1j * rng.standard_normal((n_ambient, size, size)))
     B = scale * (rng.standard_normal((n_ambient, size, size))
@@ -228,7 +229,7 @@ def check_two_path_gamma():
 def check_localize_sign_chain():
     """localize returns (-1)^(n+1) deg* and matches minus the gamma sum."""
     model = _boundary_models()[0]
-    rep = localize([model], n=model.n)
+    rep = localize([model])
     return _result(
         "localization sign chain", rep.value == 1.0 and rep.consistent,
         f"value {rep.value}, gamma path {rep.gamma_path:.8f}, "
@@ -239,7 +240,7 @@ def check_flz_point_case():
     """Point-case contribution equals the clutching value -m on the circle."""
     dom = ChartedSphereDomain.sphere(1)
     for m in range(-2, 3):
-        rep = flz_point_case(circle_winding(m), dom, n=1)
+        rep = flz_point_case(circle_winding(m), dom)
         if rep.value != -m or not rep.degree.accepted:
             return _result("point case", False,
                            f"m={m}: got {rep.value} (residual {rep.degree.residual:.2e}), "

@@ -16,7 +16,7 @@ from oddchern.chern import (SingularMapError, _checked_inverse, _odd_chern_top,
                             odd_chern_coefficient, odd_chern_top_integral,
                             transgression_pair)
 from oddchern.collapse import CollapseMap
-from oddchern.defaults import CHUNK, Ladder
+from oddchern.defaults import CHUNK, COLLAPSE_RADIUS, Ladder
 from oddchern.domains import ChartedSphereDomain
 from oddchern.fields import constant_field, exterior_derivative, integrate_top
 from oddchern.maps import (DualMatrixMap, HomotopyFamily, ProductMatrixMap,
@@ -280,7 +280,7 @@ def test_singular_value_outside_the_support_is_named():
     phi = CollapseMap(2, 1, resolution=COARSE)
     dom = phi.source
     g = compose_map_with_matrix(phi, DualMatrixMap(singular_at_the_pole, 2))
-    node = int(np.flatnonzero(phi.local_radius(dom.nodes()) >= 2.0 * phi.radius)[0])
+    node = int(np.flatnonzero(phi.local_radius(dom.nodes()) >= 2.0 * COLLAPSE_RADIUS)[0])
     with pytest.raises(SingularMapError, match=f"singular at sample point index {node}$"):
         odd_chern_top_integral(g, dom)
 
@@ -305,8 +305,8 @@ def test_singular_kept_node_is_named_by_its_grid_index():
     dom = phi.source
     r = phi.local_radius(dom.nodes())
     block = np.arange(CHUNK, 2 * CHUNK)
-    first_constant = block[r[block] >= 2.0 * phi.radius][0]
-    node = int(block[(block > first_constant) & (r[block] < phi.radius)][0])
+    first_constant = block[r[block] >= 2.0 * COLLAPSE_RADIUS][0]
+    node = int(block[(block > first_constant) & (r[block] < COLLAPSE_RADIUS)][0])
     centre = phi.evaluate_ambient(dom.nodes()[node:node + 1])[0]
 
     def fn(cols):

@@ -78,11 +78,17 @@ def test_unknown_generator_is_usage_error(tmp_path, capsys):
     assert main(["deg", "--config", cfg]) == 64
 
 
+PRODUCT_KEYS = ("geometry.p, geometry.q, map.f.kind, map.f.size, map.f.m, "
+                "map.h.kind, map.h.size, map.h.m")
+
+
 @pytest.mark.parametrize("command,body,message", [
+    # The collapse radius and the t-node count (gamma.t_nodes below) are
+    # fixed, so no kind reads their keys.
     ("deg-star", "geometry.collapse_radius = -1\nmap.h.kind = su2_identity\n",
-     "geometry.collapse_radius: expected a positive number, got -1.0"),
+     f"geometry.collapse_radius: not a deg-star key, expected one of {PRODUCT_KEYS}"),
     ("gamma-limit", "geometry.collapse_radius = nan\nmap.h.kind = su2_identity\n",
-     "geometry.collapse_radius: expected a positive number, got nan"),
+     "geometry.collapse_radius: not a gamma-limit key"),
     ("deg", "geometry.sphere = 0\nmap.kind = circle_winding\n",
      "geometry.sphere: expected an integer >= 1, got 0"),
     ("deg", "geometry.sphere = 2\nmap.kind = circle_winding\n",
@@ -96,9 +102,9 @@ def test_unknown_generator_is_usage_error(tmp_path, capsys):
     ("flz-point", "geometry.n = 0\nmap.kind = circle_winding\n",
      "geometry.n: expected an integer >= 1, got 0"),
     ("gamma-limit", "gamma.t_nodes = 0\nmap.h.kind = su2_identity\n",
-     "gamma.t_nodes: expected an integer >= 1, got 0"),
+     "gamma.t_nodes: not a gamma-limit key"),
     ("localize", "gamma.t_nodes = -2\nmap.h.kind = su2_identity\n",
-     "gamma.t_nodes: expected an integer >= 1, got -2"),
+     "gamma.t_nodes: not a localize key"),
     ("gamma-limit", "gamma.T = nan\nmap.h.kind = su2_identity\n",
      "gamma.T: expected a positive number, got nan"),
     ("gamma-limit", "gamma.T = -8\nmap.h.kind = su2_identity\n",
@@ -114,6 +120,31 @@ def test_bad_geometry_is_usage_error(tmp_path, capsys, command, body, message):
     cfg = write(tmp_path, f"scenario = {command}\n" + body)
     assert main([command, "--config", cfg]) == 64
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,body,message", [
+    ("deg", "geometry.sphre = 3\nmap.kind = su2_identity\n",
+     "geometry.sphre: not a deg key, expected one of geometry.sphere, map.kind, map.size, "
+     "map.m"),
+    ("deg", "geometry.n = 2\nmap.kind = su2_identity\n", "geometry.n: not a deg key"),
+    ("flz-point", "geometry.n = 2\nmap.kind = su2_identity\nmap.h.kind = su2_identity\n",
+     "map.h.kind: not a flz-point key"),
+    ("gamma-limit", "map.h.kind = su2_identity\ngamma.T = 8\ngamma.t = 4\n",
+     f"gamma.t: not a gamma-limit key, expected one of {PRODUCT_KEYS}, gamma.T"),
+    ("verify", "gamma.T = 8\n", "gamma.T: not a verify key, expected one of verify.only"),
+])
+def test_unknown_key_is_usage_error(tmp_path, capsys, monkeypatch, command, body, message):
+    # A misspelt key or another kind's key would otherwise fall back to a
+    # default; it is rejected before any map is built.
+    def no_map(cfg, prefix):
+        raise AssertionError("a map was built")
+
+    monkeypatch.setattr(scenarios, "_build_generator", no_map)
+    cfg = write(tmp_path, f"scenario = {command}\n" + body)
+    assert main([command, "--config", cfg]) == 64
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command,body,key,dim", [

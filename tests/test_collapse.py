@@ -32,7 +32,7 @@ def test_wedge_region_collapses_to_basepoint():
     phi = CollapseMap(2, 1, resolution=COARSE)
     pts = phi.source.nodes()[::37]
     r = phi.local_radius(pts)
-    far = r >= 2.0 * phi.radius
+    far = r >= 2.0 * COLLAPSE_RADIUS
     assert far.any()
     out = phi.evaluate_ambient(pts[far])
     basepoint = np.zeros(4)
@@ -50,7 +50,7 @@ def test_identity_region_hits_target_sphere():
 def test_probe_point_lands_in_identity_region():
     phi = CollapseMap(2, 1, resolution=COARSE)
     probe = phi.identity_region_probe()
-    assert phi.local_radius(probe).max() < phi.radius
+    assert phi.local_radius(probe).max() < COLLAPSE_RADIUS
 
 
 @pytest.mark.parametrize("spheres,expected", [([1], 1), ([2], -1), ([3], 1), ([4], -1)])

@@ -251,6 +251,17 @@ def test_resolution_multiplies_every_default_node_count(resolution):
             assert dom.at_scale(s).shape == expected
 
 
+def test_a_sphere_beyond_the_node_budget_table_is_rejected():
+    # NODES_PER_ANGLE has no count for S^6; the error names the dimensions
+    # it has, which also exclude 0.
+    with pytest.raises(ValueError, match=r"NODES_PER_ANGLE's \[1, 2, 3, 4, 5\], got \[6\]"):
+        ChartedSphereDomain.sphere(6)
+    with pytest.raises(ValueError, match=r"got \[6, 1\]"):
+        ChartedSphereDomain.product(6, 1)
+    with pytest.raises(ValueError, match=r"got \[0\]"):
+        ChartedSphereDomain.sphere(0)
+
+
 def test_node_blocks_cover_all_nodes():
     dom = ChartedSphereDomain([2, 1], resolution=COARSE)
     seen, wsum = 0, 0.0

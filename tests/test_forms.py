@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from oddchern.forms import (BlockScratch, GradedMatrixForm, SQRT_2PI_I,
                             _block_det, _block_product, bit_indices,
-                            nilpotent_exp, normalize_2pi, power_odd,
-                            shuffle_sign)
+                            nilpotent_exp, normalize_2pi, shuffle_sign)
 
 
 def perm_sign_oracle(seq):
@@ -110,13 +109,6 @@ def test_scalar_one_forms_anticommute():
     a = random_form(rng, 3, 1, 6, (1, 2, 4))
     b = random_form(rng, 3, 1, 6, (1, 2, 4))
     assert_forms_close(a.wedge(b), b.wedge(a).scale(-1.0), tol=1e-12)
-
-
-def test_power_odd_matches_wedge_power():
-    rng = np.random.default_rng(10)
-    w = random_form(rng, 3, 2, 4, (1, 2, 4))  # matrix-valued 1-form
-    for m in (1, 3):
-        assert_forms_close(power_odd(w, m), w.wedge_power(m), tol=1e-10)
 
 
 def test_nilpotent_exp_matches_series():

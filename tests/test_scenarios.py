@@ -105,9 +105,9 @@ def test_flz_scenario():
 
 
 def test_report_echoes_effective_settings():
-    report = run(dict(DEG_CFG), resolution_scale=1.0, seed=7)
-    assert report.scenario["effective.seed"] == "7"
+    report = run(dict(DEG_CFG), resolution_scale=1.0)
     assert report.scenario["effective.resolution_scale"] == "1.0"
+    assert report.scenario == {**DEG_CFG, "effective.resolution_scale": "1.0"}
 
 
 def test_gamma_resolution_rows_name_their_grids():

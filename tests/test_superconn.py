@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oddchern import chern, superconn
 from oddchern.chern import SingularMapError, deg_star, odd_chern_top_integral
 from oddchern.collapse import CollapseMap
-from oddchern.defaults import CHUNK, SPLIT_LADDER, Ladder
+from oddchern.defaults import CHUNK, COLLAPSE_RADIUS, SPLIT_LADDER, Ladder
 from oddchern.domains import ChartedSphereDomain
 from oddchern.forms import SQRT_2PI_I, GradedMatrixForm, nilpotent_exp, normalize_2pi
 from oddchern.maps import (DualMatrixMap, ScaledMatrixMap, circle_winding,
@@ -176,7 +176,7 @@ def record_sweeps(monkeypatch):
 def test_gamma_report_fields(monkeypatch):
     models, domains = record_sweeps(monkeypatch)
     model = coarse_model()
-    rep = gamma_report(model, T_values=(2.0, 4.0, 8.0), t_nodes=120)
+    rep = gamma_report(model, T_values=(2.0, 4.0, 8.0))
     assert len(rep.boundary_integrals) == 3
     assert rep.two_path_gap < 1e-10
     assert rep.deg_star_value.rounded == -1
@@ -200,7 +200,7 @@ def test_degree_and_closed_form_sweep_the_model_grid_once(monkeypatch):
     model = SuperBundleModel(phi.source.at_scale(2.0),
                              compose_map_with_matrix(phi, su2_identity()))
     ds = model.degree_star()
-    rep = gamma_report(model, T_values=(4.0, 8.0), t_nodes=60)
+    rep = gamma_report(model, T_values=(4.0, 8.0))
     # The ladder's scale-2 level is the model's own grid: it reads the
     # model's sweep, which the gamma integrals and the closed form reuse.
     assert [dom.scale for dom in domains] == [1.0]
@@ -249,7 +249,7 @@ def shared_model():
 
 def test_localize_sign_chain():
     model = shared_model()
-    rep = localize([model], n=2)
+    rep = localize([model])
     assert rep.value == 1.0
     assert abs(rep.gamma_path - rep.value) < 1e-4
     assert len(rep.per_model) == 1
@@ -269,23 +269,26 @@ def test_localize_report_needs_converged_and_accepted_degrees():
 
 
 def test_localize_rejects_mixed_dimensions():
-    model = coarse_model()
-    with pytest.raises(ValueError):
-        localize([model], n=3)
+    # n = 2 on S^3 and n = 1 on S^1; the check runs before any sweep.
+    models = [sphere_model(3, su2_identity()), sphere_model(1, circle_winding(1))]
+    with pytest.raises(ValueError, match="half-dimension"):
+        localize(models)
 
 
 @pytest.mark.parametrize("m", [-2, 0, 1, 2])
 def test_point_case_matches_winding(m):
     dom = ChartedSphereDomain([1], resolution=COARSE)
-    rep = flz_point_case(circle_winding(m), dom, n=1)
+    rep = flz_point_case(circle_winding(m), dom)
     assert rep.value == -m
     assert rep.degree.rounded == -m
 
 
 def test_point_case_requires_matching_dimension():
-    dom = ChartedSphereDomain([3], resolution=COARSE)
-    with pytest.raises(ValueError):
-        flz_point_case(su2_identity(), dom, n=1)
+    # n is read off the domain, which must be an odd sphere S^(2n-1).
+    for spheres in ([2], [2, 1]):
+        dom = ChartedSphereDomain(spheres, resolution=COARSE)
+        with pytest.raises(ValueError, match="odd sphere"):
+            flz_point_case(su2_identity(), dom)
 
 
 def test_scaling_invariance_same_grid():
@@ -401,7 +404,7 @@ def test_collapse_pullback_is_constant_outside_its_support():
     g = compose_map_with_matrix(phi, h)
     dom = phi.source
     pts = dom.nodes()
-    outside = phi.local_radius(pts) >= 2.0 * phi.radius
+    outside = phi.local_radius(pts) >= 2.0 * COLLAPSE_RADIUS
     assert 0 < outside.sum() < len(pts)
     vals, dgs = g.jet(dom, pts[outside])
     pole = h.evaluate(phi.target, np.zeros((1, 3)))
