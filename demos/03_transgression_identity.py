@@ -11,7 +11,7 @@ finite difference in t against the exterior derivative of Ch~.
 
 import numpy as np
 
-from oddchern.chern import odd_chern, transgression_pair
+from oddchern.chern import odd_chern, transgression_form
 from oddchern.domains import ChartedSphereDomain
 from oddchern.fields import exterior_derivative
 from oddchern.maps import HomotopyFamily
@@ -39,7 +39,7 @@ t, h = 0.3, 1e-3
 
 ch_plus = odd_chern(family.slice_at(t + h), dom)
 ch_minus = odd_chern(family.slice_at(t - h), dom)
-_, tilde = transgression_pair(family, dom, t)
+tilde = transgression_form(family, dom, t)
 d_tilde = exterior_derivative(tilde)
 
 pts = dom.nodes()[:: dom.n_nodes // 128]

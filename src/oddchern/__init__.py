@@ -19,7 +19,7 @@ from .chern import (
     generator,
     maurer_cartan,
     odd_chern,
-    transgression_pair,
+    transgression_form,
 )
 from .collapse import CollapseMap, mapping_degree, signed_preimage_count
 from .domains import ChartedSphereDomain, sphere_volume

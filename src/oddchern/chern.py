@@ -18,18 +18,15 @@ LAPACK from N = 4; a node with |det g| < MIN_DETERMINANT raises SingularMapError
 naming its grid index.  The sweep (_sweep) walks the grid in tensor node blocks
 (domains.NodeBlock) and runs the jet on each block's columns, so the map's
 intermediates are computed per axis and expanded to the block's nodes only
-when packed.  The kernel writes g^{-1}, the w_i and the wedge's top
-component into one scratch set of block buffers (forms.BlockScratch) that
-the sweep reuses on all its blocks, not allocated per block.  A pure
-pullback through the collapse map is swept on the map's ball chart
+when packed; the kernel allocates g^{-1}, the w_i and the wedge per block.
+A pure pullback through the collapse map is swept on the map's ball chart
 (domains.ChartedSphereDomain.ball), outside which it is constant, with the
 map in the ball's polar coordinates (collapse.CollapseMap.ball); the sweep
 still tests its value there for singularity.  A boundary model's single
-sweep (superconn) feeds the same kernel, and the same scratch set, from the
-jet it also uses for the gamma top integral.  The mixed-degree forms
-odd_chern and maurer_cartan serve the transgression and Chern-Simons
-identities, which need every degree; transgression_pair's Ch~ takes g^{-1}
-and w from one jet of g_t.
+sweep (superconn) feeds the same kernel from the jet it also uses for the
+gamma top integral.  The mixed-degree forms odd_chern and maurer_cartan
+serve the transgression and Chern-Simons identities, which need every
+degree; transgression_form's Ch~ takes g^{-1} and w from one jet of g_t.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ from .defaults import CHUNK, DEGREE_LADDER, MIN_DETERMINANT
 from .domains import gauss_axis
 from .fields import FormField, exterior_derivative
 from .forms import (
-    BlockScratch,
     GradedMatrixForm,
     _block_product,
     _diagonal_sum,
@@ -77,19 +73,17 @@ class SingularMapError(ValueError):
         self.what, self.index = what, index
 
 
-def _checked_inverse(g, out=None):
+def _checked_inverse(g):
     """Pointwise inverse of an (N, N, npts) block array, rejecting singular nodes.
 
     N <= 3 are closed forms: 1/g; for N = 2 the adjugate over
     det = g00 g11 - g01 g10; for N = 3 the transposed cofactors, written
     entry by entry into the result, over the det that expands along their
     first row.  From N = 4 it falls back to batched LAPACK on a
-    point-axis-first view.  out, when given, is an (N, N, npts) buffer that
-    does not overlap g, and the inverse is written there.
+    point-axis-first view.
     """
     n = g.shape[0]
-    if out is None:
-        out = np.empty_like(g)
+    out = np.empty_like(g)
     if n == 1:
         det = g[0, 0]
     elif n == 2:
@@ -124,19 +118,14 @@ def _checked_inverse(g, out=None):
     return out
 
 
-def _sweep(g: SmoothMatrixMap, domain, kernel, chunk, buffers):
-    """Oriented quadrature sum of kernel(vals, dgs, scratch), (..., npts), over domain's grid.
+def _sweep(g: SmoothMatrixMap, domain, kernel, chunk):
+    """Oriented quadrature sum of kernel(vals, dgs), (..., npts), over domain's grid.
 
     The grid is swept in tensor node blocks (domains.NodeBlock), and
-    (vals, dgs) is g.jet(domain, block) on each.  scratch is one
-    forms.BlockScratch, which the kernel takes at most `buffers`
-    (N, N, npts) block buffers from.  The sweep passes the same one with
-    every block and drops it when it returns.  It takes the buffers itself
-    before each jet of a new block shape, so that they lie under the arrays
-    that every block's jet allocates and frees: taken after the first jet,
-    they raised the peak RSS of deg su2 size 3 on S^3 by 2 MB.
-    A SingularMapError is re-raised naming its node by its index on the
-    whole grid.  A domain whose grid leaves out a region where g is taken to
+    (vals, dgs) is g.jet(domain, block) on each.  The kernel allocates its
+    (N, N, npts) block arrays per block, and they are freed before the next
+    block's jet.  A SingularMapError is re-raised naming its node by its
+    index on the whole grid.  A domain whose grid leaves out a region where g is taken to
     be constant (the ball, domains.ChartedSphereDomain.ball) has an exterior
     point there; g's value at it is held to _checked_inverse's singularity
     test first, and an error there names index domain.n_nodes, one past the
@@ -148,11 +137,9 @@ def _sweep(g: SmoothMatrixMap, domain, kernel, chunk, buffers):
         except SingularMapError as exc:
             raise SingularMapError(exc.what, domain.n_nodes) from None
     total = 0.0
-    scratch = BlockScratch()
     for block in domain.node_blocks(chunk):
-        scratch.take(buffers, (g.size, g.size, len(block)))
         try:
-            values = kernel(*g.jet(domain, block), scratch)
+            values = kernel(*g.jet(domain, block))
             total = total + np.sum(block.weights() * values, axis=-1)
         except SingularMapError as exc:
             raise SingularMapError(exc.what, int(block.flat_index()[exc.index])) from None
@@ -173,44 +160,40 @@ def odd_chern_coefficient(k: int) -> float:
     return (-1.0) ** k * factorial(k) / factorial(2 * k + 1)
 
 
-def _maurer_cartan_form(inv, dgs, out=None) -> GradedMatrixForm:
+def _maurer_cartan_form(inv, dgs) -> GradedMatrixForm:
     """w = sum_i g^{-1} dg_i dx_i from g^{-1} and the differentials of g.
 
     inv is g^{-1} at a batch of nodes, an (N, N, npts) block, and dgs the
     (d, N, N, npts) differentials of g's jet, in the same block layout, so
-    each w_i is one block product with no conversion.  out, when given,
-    holds d (N, N, npts) buffers that the w_i are written into.
+    each w_i is one block product with no conversion.
     """
-    out = [None] * len(dgs) if out is None else out
-    return GradedMatrixForm.one_form(
-        [_block_product(inv, dg, o) for dg, o in zip(dgs, out)])
+    return GradedMatrixForm.one_form([_block_product(inv, dg) for dg in dgs])
 
 
-def _odd_chern_top(vals, dgs, scratch=None) -> np.ndarray:
+def _odd_chern_top(vals, dgs) -> np.ndarray:
     """Top coefficient of odd_chern(g) from a jet of g: c_k Tr(w^d), d = 2k + 1.
 
     A cyclic shift of an odd number of factors is an even permutation, so
     under the trace every term of w^d can be rotated to start with w_0:
     Tr(w^d)_top = d Tr(w_0 (w_1 ^ ... ^ w_(d-1))_top), where the wedge is the
     (d-1)-th power of sum_(i>0) w_i dx_i on the coordinates after the first.
-    g^{-1} and the w_i are d + 1 buffers of scratch, a forms.BlockScratch (a
-    new one when None), and the wedge's top component takes g^{-1}'s buffer
-    once w is formed.
+    g^{-1} is freed once w is formed, before the wedge allocates its top
+    component.
     """
     d = len(dgs)
-    inv, *w = (BlockScratch() if scratch is None else scratch).take(d + 1, vals.shape)
-    _maurer_cartan_form(_checked_inverse(vals, inv), dgs, w)
+    w = _maurer_cartan_form(_checked_inverse(vals), dgs)
+    w0, *w_rest = (w.comps[1 << i] for i in range(d))
     c = odd_chern_coefficient((d - 1) // 2)
     if d == 1:
-        return c * _diagonal_sum(w[0], range(vals.shape[0]))
+        return c * _diagonal_sum(w0, range(vals.shape[0]))
     top = (1 << (d - 1)) - 1
-    rest = GradedMatrixForm.one_form(w[1:]).wedge_power(d - 1, out={top: inv})
-    return (c * d) * _trace_of_product(w[0], rest.comps[top])
+    rest = GradedMatrixForm.one_form(w_rest).wedge_power(d - 1)
+    return (c * d) * _trace_of_product(w0, rest.comps[top])
 
 
 def odd_chern_top_integral(g: SmoothMatrixMap, domain, chunk: int = CHUNK) -> complex:
     """Integral of the top-degree part of odd_chern(g) over the domain's grid."""
-    return complex(_sweep(g, domain, _odd_chern_top, chunk, domain.dim + 1))
+    return complex(_sweep(g, domain, _odd_chern_top, chunk))
 
 
 def odd_chern(g: SmoothMatrixMap, domain) -> FormField:
@@ -262,10 +245,10 @@ def chern_simons(conn0: FormField, conn1: FormField, domain) -> FormField:
     return FormField(domain, 1, sampler)
 
 
-def transgression_pair(family, domain, t: float):
-    """(Ch(g_t), Ch~(g_t)) with Ch~ = sum_k (-1)^k k!/(2k)! Tr(g^-1 g_dot w^(2k))."""
+def transgression_form(family, domain, t: float) -> FormField:
+    """Ch~(g_t) = sum_k (-1)^k k!/(2k)! Tr(g^-1 g_dot w^(2k)), whose exterior
+    derivative is d/dt Ch(g_t)."""
     g_t = family.slice_at(t)
-    ch = odd_chern(g_t, domain)
 
     def tilde_sampler(pts):
         vals, dgs = g_t.jet(domain, pts)
@@ -275,7 +258,7 @@ def transgression_pair(family, domain, t: float):
         return _trace_series(q, 0, _maurer_cartan_form(inv, dgs), domain.dim,
                              lambda k: (-1.0) ** k * factorial(k) / factorial(2 * k))
 
-    return ch, FormField(domain, 1, tilde_sampler)
+    return FormField(domain, 1, tilde_sampler)
 
 
 def _normalized_degree(g: SmoothMatrixMap, domain, ladder=DEGREE_LADDER,

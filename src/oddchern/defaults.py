@@ -132,15 +132,14 @@ GAMMA_COARSE_SCALE = 0.5
 # ball grids of 24,576 and 60,000 nodes into blocks of 8,192, and of 8,000
 # and 4,000.  A block's arrays grow with it: a jet of an N x N map is d + 1
 # arrays of N*N*npts complex numbers, and the odd Chern and gamma top kernels
-# reuse d + 1 or d + 3 more, one scratch set per sweep (forms.BlockScratch),
-# on every block, so they are not page-faulted in afresh per block.  One
-# (8192,) complex row is 128 KiB, glibc's default mmap threshold; at
-# 400,000 nodes five passes of collapse-4d took 345,000-355,000 minor
-# faults, 1.3-1.7 s of system time and 460 MB, against 147,000,
-# 0.25-0.33 s and 49 MB at 8,192.  Scan on a 2-vCPU Xeon VM, one BLAS thread,
-# direct runs of the benchmark workloads' ops as they then were (gamma-limit
-# at full resolution, on a 60 x 60 x 80 grid of 4,800-node theta_1 rows),
-# median pass seconds of 15 (3 interleaved rounds of 5) and peak RSS:
+# allocate about as many again per block.  One (8192,) complex row is
+# 128 KiB, glibc's default mmap threshold; at 400,000 nodes five passes of
+# collapse-4d took 345,000-355,000 minor faults, 1.3-1.7 s of system time
+# and 460 MB, against 147,000, 0.25-0.33 s and 49 MB at 8,192.  Scan on a
+# 2-vCPU Xeon VM, one BLAS thread, direct runs of the benchmark workloads'
+# ops as they then were (gamma-limit at full resolution, on a 60 x 60 x 80
+# grid of 4,800-node theta_1 rows), median pass seconds of 15 (3
+# interleaved rounds of 5) and peak RSS:
 #             sphere-chern     collapse-4d      gamma-limit
 #    4,096    0.19 s  43 MB    0.11 s  41 MB    0.27 s  39 MB
 #    8,192    0.21 s  49 MB    0.12 s  49 MB    0.26 s  39 MB

@@ -105,8 +105,9 @@ def integrate_top(field: FormField, domain, chunk: int = CHUNK):
 def integrate_all_degrees(field: FormField, domain, chunk: int = CHUNK):
     """Component-wise integral of every multi-index against the quadrature weights.
 
-    Not a geometric invariant (except for the top degree); used by tests that
-    compare two fields 'in every integrated degree'.
+    Not a geometric invariant (except for the top degree); verify's
+    Chern-Simons check compares two fields with it 'in every integrated
+    degree', and integrate_top reads its top component.
     """
     sums = {}
     for block in domain.node_blocks(chunk):

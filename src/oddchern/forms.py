@@ -6,9 +6,8 @@ layout, an (N, N, npts) complex block over a batch of chart points: point
 axis last, so every matrix product unrolls into elementwise vector
 operations (_block_product, _trace_of_product).  Only strictly increasing
 multi-indices are stored; antisymmetry is canonicalized into Koszul signs at
-wedge time.  GradedMatrixForm.wedge is the one product, for every degree.
-A product or a wedge component can be formed in a given buffer, such as one
-of the BlockScratch buffers that a sweep reuses on all its node blocks.
+wedge time.  GradedMatrixForm.wedge is the one product, for every degree;
+it sums each term after a component's first into that component in place.
 _block_det takes pointwise determinants the same way, by cofactor expansion
 on node arrays that need only broadcast against each other, so
 collapse.volume_pullback_integral hands it a jet's columns as they are.
@@ -73,25 +72,6 @@ def _block_product(a, b, out=None, add=0):
             elif add < 0:
                 out[i, j] -= acc
     return out
-
-
-class BlockScratch:
-    """The (N, N, npts) block buffers that one sweep reuses on every node block.
-
-    take(k, shape) returns k complex buffers of that shape, the same ones on
-    each call with it.  A call with another shape, such as a sweep's smaller
-    tail block, drops the buffers and allocates new ones.
-    """
-
-    def __init__(self):
-        self.shape, self.buffers = None, []
-
-    def take(self, k: int, shape):
-        if shape != self.shape:
-            self.shape, self.buffers = shape, []
-        while len(self.buffers) < k:
-            self.buffers.append(np.empty(shape, dtype=complex))
-        return self.buffers[:k]
 
 
 def _trace_of_product(a, b):
@@ -232,19 +212,18 @@ class GradedMatrixForm:
 
     # -- multiplicative structure ---------------------------------------------
 
-    def wedge(self, other, out=None):
+    def wedge(self, other):
         """Wedge product with matrix multiplication on coefficients.
 
         Both factors are N x N forms on the same chart and point batch.
         Terms are summed in mask order, negative Koszul terms subtracted,
         each term after a component's first summed into it entry by entry
-        (_block_product's add).  out, when given, maps masks to (N, N, npts)
-        buffers that overlap neither factor, and the component at such a
-        mask is formed there.
+        (_block_product's add), so only components the wedge allocated
+        itself are written.
         """
         self._check_compatible(other)
-        out_form = GradedMatrixForm(self.dim, self.size, self.npts)
-        comps = out_form.comps
+        out = GradedMatrixForm(self.dim, self.size, self.npts)
+        comps = out.comps
         for ma, a in enumerate(self.comps):
             if a is None:
                 continue
@@ -255,16 +234,15 @@ class GradedMatrixForm:
                 if comps[k] is not None:
                     _block_product(a, b, comps[k], sign)
                     continue
-                term = _block_product(a, b, out.get(k) if out is not None else None)
+                term = _block_product(a, b)
                 comps[k] = np.negative(term, out=term) if sign < 0 else term
-        return out_form
+        return out
 
-    def wedge_power(self, m: int, out=None):
-        """m-fold left-folded wedge of the form with itself (m >= 1); out
-        goes to the last wedge."""
+    def wedge_power(self, m: int):
+        """m-fold left-folded wedge of the form with itself (m >= 1)."""
         if m < 1:
             raise ValueError("wedge_power needs m >= 1")
-        return wedge_chain([self] * m, out=out)
+        return wedge_chain([self] * m)
 
     # -- trace-like maps ------------------------------------------------------
 
@@ -293,13 +271,12 @@ class GradedMatrixForm:
         return out
 
 
-def wedge_chain(factors, out=None) -> GradedMatrixForm:
-    """Left-folded wedge f_0 ^ f_1 ^ ... of a nonempty sequence of forms;
-    out (GradedMatrixForm.wedge) goes to the last wedge."""
+def wedge_chain(factors) -> GradedMatrixForm:
+    """Left-folded wedge f_0 ^ f_1 ^ ... of a nonempty sequence of forms."""
     acc = factors[0]
-    for f in factors[1:-1]:
+    for f in factors[1:]:
         acc = acc.wedge(f)
-    return acc.wedge(factors[-1], out=out) if len(factors) > 1 else acc
+    return acc
 
 
 def normalize_2pi(w: GradedMatrixForm) -> GradedMatrixForm:

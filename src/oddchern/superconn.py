@@ -56,7 +56,6 @@ from .defaults import (
 from .domains import gauss_axis
 from .forms import (
     SQRT_2PI_I,
-    BlockScratch,
     GradedMatrixForm,
     _block_product,
     _trace_of_product,
@@ -233,7 +232,7 @@ def _odd_block(pm, mp):
     return out
 
 
-def _top_supertrace(v, dv, scratch=None) -> np.ndarray:
+def _top_supertrace(v, dv) -> np.ndarray:
     """Tr_s(V dV^d) on the top multi-index, from v and its d differentials.
 
     v is an (N, N, npts) block and dv (d, N, N, npts), a jet as every map
@@ -244,24 +243,17 @@ def _top_supertrace(v, dv, scratch=None) -> np.ndarray:
     coefficient of c on every coordinate but i, their top coefficients are
     sum_i (-1)^i a_i c^i and, d being odd, sum_i (-1)^i c^i b_i.  So the
     supertrace is sum_i (-1)^i Tr(m_i c^i), m_i = v* dv_i - dv_i* v.
-    v*, the dv_i*, m_i and the c^i are 2 d + 2 buffers of scratch, a
-    forms.BlockScratch (a new one when None).
     """
     d, top = len(dv), (1 << len(dv)) - 1
-    vh, m, *bufs = (BlockScratch() if scratch is None else scratch).take(2 * d + 2, v.shape)
-    dvh = bufs[:d]
-    np.conj(v.swapaxes(0, 1), out=vh)
-    for i in range(d):
-        np.conj(dv[i].swapaxes(0, 1), out=dvh[i])
+    vh, dvh = _adjoint(v), _adjoint(dv)
     if d == 1:
         c = GradedMatrixForm.identity(d, v.shape[0], v.shape[-1])
     else:
         a, b = GradedMatrixForm.one_form(dv), GradedMatrixForm.one_form(dvh)
-        c = wedge_chain(([b, a] * d)[:d - 1],
-                        out={top ^ (1 << i): buf for i, buf in enumerate(bufs[d:])})
+        c = wedge_chain(([b, a] * d)[:d - 1])
     total = 0.0
     for i in range(d):
-        _block_product(vh, dv[i], m)
+        m = _block_product(vh, dv[i])
         _block_product(dvh[i], v, m, -1)
         term = _trace_of_product(m, c.comps[top ^ (1 << i)])
         total = total - term if i & 1 else total + term
@@ -274,16 +266,14 @@ def _gamma_top_integral(model: SuperBundleModel, chunk=CHUNK):
     Per node block one jet of v feeds both top integrals: phi(Tr_s(V dV^d))
     with the t-factor stripped (_top_supertrace), and c_k Tr((v^{-1} dv)^d),
     the top part of the odd Chern form (_odd_chern_top, which rejects
-    singular nodes).  The two kernels run one after the other on the
-    sweep's one scratch set of block buffers.
+    singular nodes).
     """
     norm = SQRT_2PI_I ** (-model.domain.dim)
 
-    def kernel(vals, dvs, scratch):
-        return np.stack([norm * _top_supertrace(vals, dvs, scratch),
-                         _odd_chern_top(vals, dvs, scratch)])
+    def kernel(vals, dvs):
+        return np.stack([norm * _top_supertrace(vals, dvs), _odd_chern_top(vals, dvs)])
 
-    gamma, chern = _sweep(model.v, model.domain, kernel, chunk, 2 * model.domain.dim + 2)
+    gamma, chern = _sweep(model.v, model.domain, kernel, chunk)
     return complex(gamma), complex(chern)
 
 

@@ -14,7 +14,7 @@ from math import factorial
 import numpy as np
 
 from . import dual
-from .chern import assemble_split_map, chern_simons, deg, deg_star, maurer_cartan, odd_chern, transgression_pair
+from .chern import assemble_split_map, chern_simons, deg, deg_star, maurer_cartan, odd_chern, transgression_form
 from .collapse import CollapseMap, collapse_degree, mapping_degree
 from .defaults import DEGREE_RESIDUAL_TOL, T_MAX, TWO_PATH_TOL
 from .domains import ChartedSphereDomain, gauss_axis
@@ -113,7 +113,7 @@ def _transgression_error(family, dom):
     pts = dom.sample_nodes(128)
     ch_plus = odd_chern(family.slice_at(t + h), dom).at(pts)
     ch_minus = odd_chern(family.slice_at(t - h), dom).at(pts)
-    _, tilde = transgression_pair(family, dom, t)
+    tilde = transgression_form(family, dom, t)
     d_tilde = exterior_derivative(tilde).at(pts)
     worst, scale_ref = 0.0, 0.0
     for mask in range(1, 2 ** dom.dim):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oddchern.forms import (BlockScratch, GradedMatrixForm, SQRT_2PI_I,
+from oddchern.forms import (GradedMatrixForm, SQRT_2PI_I,
                             _block_det, _block_product, bit_indices,
                             nilpotent_exp, normalize_2pi, shuffle_sign)
 
@@ -187,8 +187,12 @@ def test_wedge_matches_einsum_oracle(data, dim, n, seed):
     rng = np.random.default_rng(seed)
     fa = random_form(rng, dim, n, 3, data.draw(random_masks(dim)))
     fb = random_form(rng, dim, n, 3, data.draw(random_masks(dim)))
+    before = [[c if c is None else c.tobytes() for c in f.comps] for f in (fa, fb)]
     got = fa.wedge(fb)
     assert got.size == n
+    # Later terms are summed in place into components the wedge allocated,
+    # never into a factor's.
+    assert [[c if c is None else c.tobytes() for c in f.comps] for f in (fa, fb)] == before
     # Each coefficient sums at most 2**dim products of n terms of modulus
     # about 1, which sets the scale of the rounding error.
     assert_forms_close(got, brute_wedge(fa, fb), tol=1e-13 * 2 ** dim * n)
@@ -298,13 +302,3 @@ def test_block_product_into_a_buffer_is_the_allocating_product(n):
         out = c.copy()
         _block_product(a, b, out, add)
         assert out.tobytes() == (c + add * got).tobytes()
-
-
-def test_block_scratch_reuses_its_buffers_until_the_shape_changes():
-    scratch = BlockScratch()
-    first = scratch.take(2, (3, 3, 8))
-    again = scratch.take(3, (3, 3, 8))
-    assert all(x is y for x, y in zip(first, again)) and len(again) == 3
-    tail = scratch.take(2, (3, 3, 5))
-    assert [t.shape for t in tail] == [(3, 3, 5)] * 2
-    assert not any(t is x for t in tail for x in again)

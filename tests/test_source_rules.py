@@ -126,3 +126,30 @@ def test_the_key_rule_sees_an_undeclared_read():
                            'CollapseMap(p, q, _get_positive_float(cfg, "geometry.r", 1.0))')
     product_kinds = {"deg-star", "gamma-limit", "localize", "index-report"}
     assert key_table_mismatches(extra) == {kind: ({"geometry.r"}, set()) for kind in product_kinds}
+
+
+def unread_imports(source):
+    """Names that the source's imports bind and that it never reads."""
+    tree = ast.parse(source)
+    bound = {alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+             for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return bound - read
+
+
+def test_every_import_of_a_package_module_is_read():
+    # __init__.py imports to re-export, so it is left out.
+    unread = {path.name: unread_imports(path.read_text())
+              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: names for name, names in unread.items() if names} == {}
+
+
+def test_the_import_rule_sees_an_unread_import():
+    source = (SRC / "chern.py").read_text()
+    leftover = source.replace("from .forms import (", "from .forms import (\n    _block_det,")
+    assert unread_imports(leftover) == {"_block_det"}
+    assert unread_imports("import numpy as np\nfrom math import pi\nx = pi\n") == {"np"}
