@@ -15,8 +15,8 @@ because a cyclic shift of an odd number of factors is an even permutation.
 w is formed on the same (N, N, npts) blocks, as g^{-1} times each dg_i, with
 g^{-1} in closed form for N <= 3 (1/g, or the adjugate over det g) and by
 LAPACK from N = 4; a node with |det g| < MIN_DETERMINANT raises SingularMapError
-naming its grid index.  The sweep (_sweep) walks the grid in tensor node blocks
-(domains.NodeBlock) and runs the jet on each block's columns, so the map's
+naming its grid index.  The sweep (_sweep) runs the jet on the columns of
+each node block of domains.ChartedSphereDomain.integrate, so the map's
 intermediates are computed per axis and expanded to the block's nodes only
 when packed; the kernel allocates g^{-1}, the w_i and the wedge per block.
 A pure pullback through the collapse map is swept on the map's ball chart
@@ -35,8 +35,8 @@ from math import factorial
 
 import numpy as np
 
-from .defaults import CHUNK, DEGREE_LADDER, MIN_DETERMINANT
-from .domains import gauss_axis
+from .defaults import DEGREE_LADDER, MIN_DETERMINANT
+from .domains import SingularMapError, gauss_axis
 from .fields import FormField, exterior_derivative
 from .forms import (
     GradedMatrixForm,
@@ -63,14 +63,6 @@ from .results import DegreeResult
 # tested): for A_u = u*w the curvature is (u^2 - u) w^2 and
 # int_0^1 (u^2-u)^k du = (-1)^k k! k! / (2k+1)! yields exactly the series.
 CURVATURE_EXP_SIGN = +1.0
-
-
-class SingularMapError(ValueError):
-    """A matrix map is numerically singular at a node; index names the node."""
-
-    def __init__(self, what: str, index: int):
-        super().__init__(f"{what} at sample point index {index}")
-        self.what, self.index = what, index
 
 
 def _checked_inverse(g):
@@ -118,32 +110,23 @@ def _checked_inverse(g):
     return out
 
 
-def _sweep(g: SmoothMatrixMap, domain, kernel, chunk):
+def _sweep(g: SmoothMatrixMap, domain, kernel):
     """Oriented quadrature sum of kernel(vals, dgs), (..., npts), over domain's grid.
 
-    The grid is swept in tensor node blocks (domains.NodeBlock), and
-    (vals, dgs) is g.jet(domain, block) on each.  The kernel allocates its
-    (N, N, npts) block arrays per block, and they are freed before the next
-    block's jet.  A SingularMapError is re-raised naming its node by its
-    index on the whole grid.  A domain whose grid leaves out a region where g is taken to
-    be constant (the ball, domains.ChartedSphereDomain.ball) has an exterior
-    point there; g's value at it is held to _checked_inverse's singularity
-    test first, and an error there names index domain.n_nodes, one past the
-    grid's last node.
+    (vals, dgs) is g.jet(domain, block) on each block of domain.integrate.
+    The kernel allocates its (N, N, npts) block arrays per block, and they
+    are freed before the next block's jet.  A domain whose grid leaves out a
+    region where g is taken to be constant (the ball,
+    domains.ChartedSphereDomain.ball) has an exterior point there; g's value
+    at it is held to _checked_inverse's singularity test first, and an error
+    there names index domain.n_nodes, one past the grid's last node.
     """
     if domain.exterior is not None:
         try:
             _checked_inverse(g.evaluate(domain, domain.exterior))
         except SingularMapError as exc:
             raise SingularMapError(exc.what, domain.n_nodes) from None
-    total = 0.0
-    for block in domain.node_blocks(chunk):
-        try:
-            values = kernel(*g.jet(domain, block))
-            total = total + np.sum(block.weights() * values, axis=-1)
-        except SingularMapError as exc:
-            raise SingularMapError(exc.what, int(block.flat_index()[exc.index])) from None
-    return domain.orientation_sign * total
+    return domain.integrate(lambda block: kernel(*g.jet(domain, block)))
 
 
 def maurer_cartan(g: SmoothMatrixMap, domain) -> FormField:
@@ -191,9 +174,9 @@ def _odd_chern_top(vals, dgs) -> np.ndarray:
     return (c * d) * _trace_of_product(w0, rest.comps[top])
 
 
-def odd_chern_top_integral(g: SmoothMatrixMap, domain, chunk: int = CHUNK) -> complex:
+def odd_chern_top_integral(g: SmoothMatrixMap, domain) -> complex:
     """Integral of the top-degree part of odd_chern(g) over the domain's grid."""
-    return complex(_sweep(g, domain, _odd_chern_top, chunk))
+    return complex(_sweep(g, domain, _odd_chern_top))
 
 
 def odd_chern(g: SmoothMatrixMap, domain) -> FormField:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import dual
-from .defaults import CHUNK, COLLAPSE_LADDER, COLLAPSE_RADIUS, DEGREE_LADDER
+from .defaults import COLLAPSE_LADDER, COLLAPSE_RADIUS, DEGREE_LADDER
 from .domains import ChartedSphereDomain
 from .forms import _block_det
 from .maps import ChartMap
@@ -167,7 +167,7 @@ class CollapseMap(ChartMap):
         return np.sqrt(s1 + s2)
 
 
-def volume_pullback_integral(chart_map: ChartMap, scale=1.0, chunk=CHUNK) -> complex:
+def volume_pullback_integral(chart_map: ChartMap, scale=1.0) -> complex:
     """Integral of the pulled-back normalized round volume form of the target sphere.
 
     Evaluated through ambient determinants det[y, dy/dx_1, ...], which stays
@@ -181,12 +181,13 @@ def volume_pullback_integral(chart_map: ChartMap, scale=1.0, chunk=CHUNK) -> com
     src = chart_map.source.at_scale(scale)
     sign = chart_map.target.ambient_det_sign
     norm = 1.0 / chart_map.target.volume()
-    total = 0.0
-    for block in src.node_blocks(chunk):
+
+    def dets(block):
         # The rows are unnamed, so they are freed before the next block's jet.
         det = _block_det(chart_map.ambient_jacobian_columns(block))
-        total += np.sum(block.weights() * np.broadcast_to(det, block.shape).reshape(-1))
-    return complex(src.orientation_sign * sign * norm * total)
+        return np.broadcast_to(det, block.shape).reshape(-1)
+
+    return complex(sign * norm * src.integrate(dets))
 
 
 def mapping_degree(chart_map: ChartMap, ladder=DEGREE_LADDER) -> DegreeResult:

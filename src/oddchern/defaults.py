@@ -124,22 +124,23 @@ COLLAPSE_LADDER = Ladder((1.0, 1.25), 1e-6)
 # Resolution of the coarse grid in gamma_report's convergence table.
 GAMMA_COARSE_SCALE = 0.5
 
-# Node-block size of every sweep.  Grids are tensor products of per-axis
-# rules, and node_blocks (domains) cuts them into tensor sub-grids of at most
-# CHUNK nodes: a slab of one axis times every trailing axis whole.  Of the
-# benchmark workloads, sphere-chern (grids of 16-4,096 nodes) and gamma-limit
-# (750, 6,000 and 64) sweep every grid in one block; collapse-4d splits its
-# ball grids of 24,576 and 60,000 nodes into blocks of 8,192, and of 8,000
-# and 4,000.  A block's arrays grow with it: a jet of an N x N map is d + 1
-# arrays of N*N*npts complex numbers, and the odd Chern and gamma top kernels
-# allocate about as many again per block.  One (8192,) complex row is
-# 128 KiB, glibc's default mmap threshold; at 400,000 nodes five passes of
-# collapse-4d took 345,000-355,000 minor faults, 1.3-1.7 s of system time
-# and 460 MB, against 147,000, 0.25-0.33 s and 49 MB at 8,192.  Scan on a
-# 2-vCPU Xeon VM, one BLAS thread, direct runs of the benchmark workloads'
-# ops as they then were (gamma-limit at full resolution, on a 60 x 60 x 80
-# grid of 4,800-node theta_1 rows), median pass seconds of 15 (3
-# interleaved rounds of 5) and peak RSS:
+# Node-block size of every quadrature sum.  Grids are tensor products of
+# per-axis rules, and ChartedSphereDomain.integrate (domains) sums them in
+# tensor sub-grids of at most CHUNK nodes: a slab of one axis times every
+# trailing axis whole.  fields.exterior_derivative keeps each of its stencil
+# calls within CHUNK nodes too.  Of the benchmark workloads, sphere-chern
+# (grids of 16-4,096 nodes) and gamma-limit (750, 6,000 and 64) sweep every
+# grid in one block; collapse-4d splits its ball grids of 24,576 and 60,000
+# nodes into blocks of 8,192, and of 8,000 and 4,000.  A block's arrays grow
+# with it: a jet of an N x N map is d + 1 arrays of N*N*npts complex numbers,
+# and the odd Chern and gamma top kernels allocate about as many again per
+# block.  One (8192,) complex row is 128 KiB, glibc's default mmap threshold;
+# at 400,000 nodes five passes of collapse-4d took 345,000-355,000 minor
+# faults, 1.3-1.7 s of system time and 460 MB, against 147,000, 0.25-0.33 s
+# and 49 MB at 8,192.  Scan on a 2-vCPU Xeon VM, one BLAS thread, direct runs
+# of the benchmark workloads' ops as they then were (gamma-limit at full
+# resolution, on a 60 x 60 x 80 grid of 4,800-node theta_1 rows), median pass
+# seconds of 15 (3 interleaved rounds of 5) and peak RSS:
 #             sphere-chern     collapse-4d      gamma-limit
 #    4,096    0.19 s  43 MB    0.11 s  41 MB    0.27 s  39 MB
 #    8,192    0.21 s  49 MB    0.12 s  49 MB    0.26 s  39 MB

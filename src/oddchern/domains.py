@@ -15,6 +15,7 @@ axes it depends on (a collapse map's radial profile on the ball's radius,
 say), and the block is expanded to its full node count only where a result
 needs it.  An (npts, dim) point array is the special case of a block whose
 columns all have shape (npts,); chart_columns reads either.
+ChartedSphereDomain.integrate is the one quadrature sum over such blocks.
 """
 
 from __future__ import annotations
@@ -26,7 +27,15 @@ from math import gamma, pi
 import numpy as np
 
 from . import dual
-from .defaults import BALL_NODES, NODES_PER_ANGLE
+from .defaults import BALL_NODES, CHUNK, NODES_PER_ANGLE
+
+
+class SingularMapError(ValueError):
+    """A matrix map is numerically singular at a node; index names the node."""
+
+    def __init__(self, what: str, index: int):
+        super().__init__(f"{what} at sample point index {index}")
+        self.what, self.index = what, index
 
 
 class NodeBlock:
@@ -172,6 +181,7 @@ class ChartedSphereDomain:
       radius: the ball's R; None on sphere charts.
       orientation_sign: +1 on sphere charts, whose coordinate order is the
         positive orientation; on the ball, the sign that matches it.
+        integrate applies it to every sum.
       ambient_det_sign: +-1 with det[y, dy/dtheta_1, ...] = sign * sqrt(g).
       exterior: on the ball, one chart point at |w| = 4R, outside the grid,
         where chern._sweep tests a map's value for singularity; else None.
@@ -332,6 +342,20 @@ class ChartedSphereDomain:
                 index = ([np.array([i]) for i in lead]
                          + [np.arange(lo, min(lo + slab, self.shape[k]))] + whole)
                 yield NodeBlock(self.axes, self.shape, index)
+
+    def integrate(self, integrand):
+        """Oriented quadrature sum of integrand(block), (..., npts), over the
+        grid's NodeBlocks of at most CHUNK nodes.  A SingularMapError naming
+        a node of the block is re-raised naming its index on the whole grid.
+        """
+        total = 0.0
+        for block in self.node_blocks(CHUNK):
+            try:
+                values = integrand(block)
+            except SingularMapError as exc:
+                raise SingularMapError(exc.what, int(block.flat_index()[exc.index])) from None
+            total = total + np.sum(block.weights() * values, axis=-1)
+        return self.orientation_sign * total
 
     def volume(self) -> float:
         return float(np.prod([sphere_volume(m) for m in self.spheres]))

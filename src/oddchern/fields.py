@@ -2,8 +2,8 @@
 
 A FormField can be sampled at arbitrary chart points (not only quadrature
 nodes), which is what the exterior derivative needs.  Samples are
-GradedMatrixForms, whose (N, N, npts) components the integrals below
-contract against the quadrature weights along the point axis.
+GradedMatrixForms, whose (N, N, npts) components the integrals below hand
+to ChartedSphereDomain.integrate, the one quadrature sum.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .defaults import CHUNK, FD_STEP
-from .domains import ChartedSphereDomain
+from .domains import ChartedSphereDomain, SingularMapError
 from .forms import GradedMatrixForm
 
 
@@ -40,14 +40,13 @@ def constant_field(domain, mat) -> FormField:
     return FormField(domain, mat.shape[0], sampler)
 
 
-def volume_field(domain, normalized=False) -> FormField:
+def volume_field(domain) -> FormField:
     """The round volume form (top degree, scalar coefficients)."""
     top = (1 << domain.dim) - 1
-    scale = 1.0 / domain.volume() if normalized else 1.0
 
     def sampler(pts):
         f = GradedMatrixForm(domain.dim, 1, len(pts))
-        f.comps[top] = (scale * domain.sqrtg(pts)).astype(complex)[None, None]
+        f.comps[top] = domain.sqrtg(pts).astype(complex)[None, None]
         return f
 
     return FormField(domain, 1, sampler)
@@ -58,10 +57,10 @@ def exterior_derivative(field: FormField) -> FormField:
 
     Uses the 5-point fourth-order stencil of step FD_STEP per chart
     direction; the input field must be smooth (evaluable at arbitrary nearby
-    points).  The 4 * dim
-    shifted copies of the points are stacked into one field.at call per
-    slice of at most CHUNK // (4 * dim) points, so no call passes more than
-    CHUNK nodes, and each difference is taken from views of that call.
+    points).  The 4 * dim shifted copies of the points are stacked into one
+    field.at call per slice of at most CHUNK // (4 * dim) points, so no call
+    passes more than CHUNK nodes, and each difference is taken from views of
+    that call.  A SingularMapError names the point whose stencil met it.
     """
     dim = field.domain.dim
     # Row 4 i + k shifts chart coordinate i by the k-th stencil offset.
@@ -74,7 +73,10 @@ def exterior_derivative(field: FormField) -> FormField:
         for lo in range(0, n, per_call):
             part = pts[lo:lo + per_call]
             m = len(part)
-            shifted = field.at((part[None] + offsets).reshape(-1, dim)).comps
+            try:
+                shifted = field.at((part[None] + offsets).reshape(-1, dim)).comps
+            except SingularMapError as exc:
+                raise SingularMapError(exc.what, lo + exc.index % m) from None
             # (N, N, dim, 4, m): direction, then stencil offset, then point.
             shifted = [None if c is None else c.reshape(c.shape[:2] + (dim, 4, m))
                        for c in shifted]
@@ -95,25 +97,25 @@ def exterior_derivative(field: FormField) -> FormField:
     return FormField(field.domain, field.size, sampler)
 
 
-def integrate_top(field: FormField, domain, chunk: int = CHUNK):
+def integrate_top(field: FormField, domain):
     """Oriented quadrature of the top-degree component of a field over the
     domain: a complex number for a scalar field, else an (N, N) array."""
-    top = integrate_all_degrees(field, domain, chunk).get((1 << domain.dim) - 1, 0j)
-    return domain.orientation_sign * (complex(top[0, 0]) if np.shape(top) == (1, 1) else top)
+    top = integrate_all_degrees(field, domain).get((1 << domain.dim) - 1, 0j)
+    return complex(top[0, 0]) if np.shape(top) == (1, 1) else top
 
 
-def integrate_all_degrees(field: FormField, domain, chunk: int = CHUNK):
-    """Component-wise integral of every multi-index against the quadrature weights.
+def integrate_all_degrees(field: FormField, domain):
+    """Oriented integral of every component the field carries, by multi-index.
 
     Not a geometric invariant (except for the top degree); verify's
     Chern-Simons check compares two fields with it 'in every integrated
     degree', and integrate_top reads its top component.
     """
-    sums = {}
-    for block in domain.node_blocks(chunk):
-        f, w = field.at(block.points()), block.weights()
-        for mask, c in enumerate(f.comps):
-            if c is None:
-                continue
-            sums[mask] = sums.get(mask, 0.0) + np.einsum("ijn,n->ij", c, w)
-    return sums
+    masks = []
+
+    def components(block):
+        comps = field.at(block.points()).comps
+        masks[:] = [mask for mask, c in enumerate(comps) if c is not None]
+        return np.stack([comps[m] for m in masks]) if masks else np.zeros((0, len(block)))
+
+    return dict(zip(masks, domain.integrate(components)))

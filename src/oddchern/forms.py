@@ -284,8 +284,8 @@ def normalize_2pi(w: GradedMatrixForm) -> GradedMatrixForm:
     return w.scale_by_degree(lambda k: SQRT_2PI_I ** (-k))
 
 
-def nilpotent_exp(w: GradedMatrixForm, scale=1.0) -> GradedMatrixForm:
-    """Exact exponential sum_m (scale*w)**m / m! of a form with no 0-degree part.
+def nilpotent_exp(w: GradedMatrixForm) -> GradedMatrixForm:
+    """Exact exponential sum_m w**m / m! of a form with no 0-degree part.
 
     The series truncates at the chart dimension because positive-degree forms
     are nilpotent there.  Callers must factor out any degree-0 part
@@ -294,9 +294,8 @@ def nilpotent_exp(w: GradedMatrixForm, scale=1.0) -> GradedMatrixForm:
     if w.comps[0] is not None and np.abs(w.comps[0]).max() > 0.0:
         raise ValueError("nilpotent_exp requires a vanishing degree-0 part")
     out = GradedMatrixForm.identity(w.dim, w.size, w.npts)
-    sw = w.scale(scale)
     term = None
     for m in range(1, w.dim + 1):
-        term = sw if term is None else term.wedge(sw)
+        term = w if term is None else term.wedge(w)
         out = out + term.scale(1.0 / factorial(m))
     return out

@@ -41,10 +41,8 @@ from math import factorial
 
 import numpy as np
 
-from .chern import (SingularMapError, _normalized_degree, _odd_chern_top, _sweep, deg,
-                    odd_chern_top_integral)
+from .chern import _normalized_degree, _odd_chern_top, _sweep, deg, odd_chern_top_integral
 from .defaults import (
-    CHUNK,
     DEGREE_RESIDUAL_TOL,
     GAMMA_COARSE_SCALE,
     MIN_SINGULAR_VALUE,
@@ -53,7 +51,7 @@ from .defaults import (
     T_NODES,
     UNITARY_TOL,
 )
-from .domains import gauss_axis
+from .domains import SingularMapError, gauss_axis
 from .forms import (
     SQRT_2PI_I,
     GradedMatrixForm,
@@ -260,7 +258,7 @@ def _top_supertrace(v, dv) -> np.ndarray:
     return total
 
 
-def _gamma_top_integral(model: SuperBundleModel, chunk=CHUNK):
+def _gamma_top_integral(model: SuperBundleModel):
     """The model's one sweep: (gamma top, odd Chern top) over its grid.
 
     Per node block one jet of v feeds both top integrals: phi(Tr_s(V dV^d))
@@ -273,7 +271,7 @@ def _gamma_top_integral(model: SuperBundleModel, chunk=CHUNK):
     def kernel(vals, dvs):
         return np.stack([norm * _top_supertrace(vals, dvs), _odd_chern_top(vals, dvs)])
 
-    gamma, chern = _sweep(model.v, model.domain, kernel, chunk)
+    gamma, chern = _sweep(model.v, model.domain, kernel)
     return complex(gamma), complex(chern)
 
 

@@ -9,16 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddchern import dual
+from oddchern import domains, dual
 from oddchern.chern import (SingularMapError, _checked_inverse, _odd_chern_top,
                             assemble_split_map, chern_simons, deg, deg_star,
                             generator, maurer_cartan, odd_chern,
                             odd_chern_coefficient, odd_chern_top_integral,
                             transgression_form)
 from oddchern.collapse import CollapseMap
-from oddchern.defaults import CHUNK, COLLAPSE_RADIUS, Ladder
+from oddchern.defaults import CHUNK, COLLAPSE_RADIUS, FD_STEP, Ladder
 from oddchern.domains import ChartedSphereDomain
-from oddchern.fields import constant_field, exterior_derivative, integrate_top
+from oddchern.fields import (constant_field, exterior_derivative, integrate_all_degrees,
+                             integrate_top)
 from oddchern.maps import (DualMatrixMap, HomotopyFamily, ProductMatrixMap,
                            SmoothMatrixMap, circle_winding,
                            compose_map_with_matrix, stabilize, su2_identity)
@@ -165,6 +166,7 @@ def test_chern_simons_reproduces_odd_chern():
     dom = ChartedSphereDomain([1], resolution=COARSE)
     g = circle_winding(2, size=2)
     zero = constant_field(dom, np.zeros((2, 2)))
+    assert integrate_all_degrees(zero, dom) == {} and integrate_top(zero, dom) == 0j
     cs = chern_simons(zero, maurer_cartan(g, dom), dom)
     gap = abs(integrate_top(cs, dom) - integrate_top(odd_chern(g, dom), dom))
     assert gap < 1e-10
@@ -231,16 +233,20 @@ def test_deg_names_the_singular_node():
         deg(DualMatrixMap(fn, 1), dom, Ladder((1.0,), 1e-6))
 
 
-@pytest.mark.parametrize("sweep", [
-    lambda g, dom: deg(g, dom, Ladder((1.0,), 1e-6)),
-    lambda g, dom: SuperBundleModel(dom, g).gamma_top(),
-], ids=["deg", "model-sweep"])
-def test_singular_node_is_named_by_its_grid_index(sweep):
-    # 24^3 = 13,824 nodes: the node lies in the second CHUNK-node block, so
-    # a block-local index would name node - CHUNK.
-    dom = ChartedSphereDomain([3], resolution=0.75)
-    node = CHUNK + 808
-    centre = dom.embed(dom.nodes()[node:node + 1])[0]
+@pytest.mark.parametrize("sphere, resolution, node, shift, sweep", [
+    (3, 0.75, CHUNK + 808, 0.0, lambda g, dom: deg(g, dom, Ladder((1.0,), 1e-6))),
+    (3, 0.75, CHUNK + 808, 0.0, lambda g, dom: SuperBundleModel(dom, g).gamma_top()),
+    (3, 0.75, CHUNK + 808, 0.0, lambda g, dom: integrate_top(odd_chern(g, dom), dom)),
+    (1, 1.0, 40, FD_STEP,
+     lambda g, dom: integrate_all_degrees(exterior_derivative(maurer_cartan(g, dom)), dom)),
+], ids=["deg", "model-sweep", "form-field", "stencil"])
+def test_singular_node_is_named_by_its_grid_index(sphere, resolution, node, shift, sweep):
+    # On S^3, 24^3 = 13,824 nodes: the node lies in the second node block,
+    # so a block-local index would name another node.  On S^1 g is singular
+    # only at the point FD_STEP past the node, which the exterior
+    # derivative's stencil samples and the grid does not.
+    dom = ChartedSphereDomain([sphere], resolution=resolution)
+    centre = dom.embed(dom.nodes()[node:node + 1] + shift)[0]
 
     def fn(cols):
         return [[sum((x - c) * (x - c) for x, c in zip(cols, centre)) + 0j]]
@@ -401,14 +407,16 @@ def test_block_inverse_names_the_same_singular_node_with_an_output_buffer(n):
     assert err.value.index == 6
 
 
-def test_sweep_over_unequal_blocks_matches_the_default_blocks():
+def test_sweep_over_unequal_blocks_matches_the_default_blocks(monkeypatch):
     # 32^3 nodes in blocks of 997: per theta_1 index a slab of 31 theta_2
     # rows of 32 nodes and a tail of one row, so the block shape changes
     # twice per theta_1 index.
     g, dom = stabilize(su2_identity(), 1), ChartedSphereDomain.sphere(3)
     blocks = {len(b) for b in dom.node_blocks(997)}
     assert len(blocks) > 1
-    assert abs(odd_chern_top_integral(g, dom, chunk=997) - odd_chern_top_integral(g, dom)) < 1e-13
+    default = odd_chern_top_integral(g, dom)
+    monkeypatch.setattr(domains, "CHUNK", 997)
+    assert abs(odd_chern_top_integral(g, dom) - default) < 1e-13
 
 
 def test_sweep_peak_memory_is_the_jet_and_the_kernel_blocks():

@@ -118,7 +118,7 @@ def test_nilpotent_exp_matches_series():
         expected = GradedMatrixForm.identity(4, 2, 3)
         for k in range(1, 5):
             expected = expected + w.wedge_power(k).scale(scale ** k / math.factorial(k))
-        assert_forms_close(nilpotent_exp(w, scale), expected, tol=1e-10)
+        assert_forms_close(nilpotent_exp(w.scale(scale)), expected, tol=1e-10)
 
 
 def test_nilpotent_exp_rejects_degree_zero():

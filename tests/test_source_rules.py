@@ -153,3 +153,33 @@ def test_the_import_rule_sees_an_unread_import():
     leftover = source.replace("from .forms import (", "from .forms import (\n    _block_det,")
     assert unread_imports(leftover) == {"_block_det"}
     assert unread_imports("import numpy as np\nfrom math import pi\nx = pi\n") == {"np"}
+
+
+# The decisions that ChartedSphereDomain.integrate owns: the node blocks, their
+# weights and the chart's orientation.
+QUADRATURE_ATTRS = {"node_blocks", "weights", "orientation_sign"}
+
+
+def quadrature_reads(source):
+    """(line, attribute) of every read of node_blocks, weights or
+    orientation_sign in the source, calls included."""
+    return [(node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in QUADRATURE_ATTRS]
+
+
+def test_every_quadrature_sum_is_domains_integrate():
+    reads = {path.name: quadrature_reads(path.read_text())
+             for path in sorted(SRC.glob("*.py")) if path.name != "domains.py"}
+    assert {name: found for name, found in reads.items() if found} == {}
+
+
+def test_the_quadrature_rule_sees_a_stray_block_loop():
+    source = (SRC / "collapse.py").read_text()
+    summed = "    return complex(sign * norm * src.integrate(dets))\n"
+    assert summed in source
+    stray = source.replace(summed, "    total = 0.0\n"
+                                   "    for block in src.node_blocks(997):\n"
+                                   "        total += np.sum(block.weights() * dets(block))\n"
+                                   "    return complex(src.orientation_sign * sign * norm * total)\n")
+    assert {attr for _, attr in quadrature_reads(stray)} == QUADRATURE_ATTRS
+    assert quadrature_reads(source) == []
