@@ -5,7 +5,7 @@ scenario file via --config plus overrides. The report's exit_code is the exit
 code: 0 all checks pass, 2 an oracle mismatched, 3 a computation failed to
 converge (the report is still printed). 64: the configuration is invalid (a
 key its kind does not read included) or its map is singular at a node. A
-library ValueError (a non-unitary polar part, numpy's LinAlgError) exits 3
+library ValueError (a model's polar part that is not unitary, say) exits 3
 without a report.
 """
 

@@ -1,7 +1,7 @@
 """Minimal forward-mode differentiation for array-valued chart maps.
 
 A Dual carries a value array and its derivatives with respect to real seed
-parameters.  seed_all is the one way to seed, and every Dual has exactly one
+parameters.  seed_all seeds, from_jet re-enters a jet, and every Dual has one
 leading direction axis: with val of shape (npts,) and eps of shape (dim,
 npts), row i of eps is the derivative along seed i, and numpy broadcasting
 carries every operation below through all directions at once (vector forward
@@ -107,6 +107,11 @@ def seed_all(cols):
         eps[i] = 1.0
         out.append(Dual(c, eps))
     return out
+
+
+def from_jet(vals, derivs):
+    """A Dual of a jet as maps return it: derivs stacks vals' derivatives on the direction axis."""
+    return Dual(vals, derivs)
 
 
 def jet_rows(cols, ndirs):

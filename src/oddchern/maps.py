@@ -56,8 +56,8 @@ class SmoothMatrixMap:
     def jet(self, domain, pts):
         """(values, differentials): g at pts, an (N, N, npts) block, and its
         chart derivatives stacked as (dim, N, N, npts), row i along direction i.
-        Blocks turn point axis first only for LAPACK: in superconn._PolarMap's
-        eigh, and in chern._checked_inverse from N = 4.
+        Blocks turn point axis first only for LAPACK, in
+        chern._checked_inverse from N = 4.
 
         This default evaluates each direction on its own; maps with a
         one-pass derivative override it.

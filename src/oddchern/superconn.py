@@ -3,10 +3,10 @@
 On a boundary model (product sphere, or odd sphere for the point case) the
 bundles are trivialized and the connection is the flat d, so the whole
 deformation machinery reduces to explicit expressions in the unitary-valued
-map v and its derivative (a model replaces a non-unitary v by its polar part,
-whose jet is exact too): the deformed square is t^2 Id + t dV with
-V = [[0, v*], [v, 0]], and the boundary transgression form is
-(2 pi i)^{-1/2} phi(Tr_s(V exp(-t dV))) e^{-t^2} integrated in t.
+map v and its derivative (a model replaces a non-unitary v of size 1 or 2 by
+its polar part, whose dual pass through v's jet is exact): the deformed square
+is t^2 Id + t dV with V = [[0, v*], [v, 0]], and the boundary transgression
+form is (2 pi i)^{-1/2} phi(Tr_s(V exp(-t dV))) e^{-t^2} integrated in t.
 
 Only the top-degree piece of that form reaches the boundary integral, and
 its t-dependence factors out: it is (-t)^d/d! phi(Tr_s(V dV^d)) with d the
@@ -41,6 +41,7 @@ from math import factorial
 
 import numpy as np
 
+from . import dual
 from .chern import _normalized_degree, _odd_chern_top, _sweep, deg, odd_chern_top_integral
 from .defaults import (
     DEGREE_RESIDUAL_TOL,
@@ -70,51 +71,55 @@ def gaussian_moment(n: int) -> float:
     return 0.5 * factorial(n - 1)
 
 
-def _conj_transpose(a):
-    """Pointwise conjugate transpose of (..., npts, N, N) arrays."""
-    return np.conj(np.swapaxes(a, -1, -2))
+def _polar(v, n):
+    """The polar part u of v = u P, P = (v* v)^(1/2), on an (n, n, npts) block of
+    plain values or Duals (Higham, Functions of Matrices, ch. 8): u = v/|v| for
+    n = 1; for n = 2 Cayley-Hamilton gives u = (v + w adj(v)*)/tr P with
+    w = det v/|det v| and tr P = sqrt(F + 2|det v|), F = ||v||_F^2.  The least
+    singular value, |v| or 2|det v|/(sqrt(F + 2|det v|) + sqrt(F - 2|det v|)),
+    is held to MIN_SINGULAR_VALUE on plain values, before any dual square root."""
+    q = dual.real(v) ** 2 + dual.imag(v) ** 2
+    if n == 1:
+        low = np.sqrt(dual.value(q)[0, 0])
+    else:
+        f = q[0, 0] + q[0, 1] + q[1, 0] + q[1, 1]
+        det = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
+        det2 = dual.real(det) ** 2 + dual.imag(det) ** 2
+        fv, dv = dual.value(f), np.sqrt(dual.value(det2))
+        spread = np.sqrt(fv + 2.0 * dv) + np.sqrt(np.maximum(fv - 2.0 * dv, 0.0))
+        low = np.divide(2.0 * dv, spread, out=np.zeros_like(fv), where=fv > 0.0)
+    node = int(np.argmin(low))
+    if low[node] < MIN_SINGULAR_VALUE:
+        raise SingularMapError("v*v nearly singular", node)
+    if n == 1:
+        return v / dual.sqrt(q)
+    dabs, signs = dual.sqrt(det2), np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
+    return (v + det / dabs * dual.conj(v[::-1, ::-1]) * signs) / dual.sqrt(f + 2.0 * dabs)
 
 
 class _PolarMap(SmoothMatrixMap):
-    """The polar factor u = v H^(-1/2), H = v* v, with an exact jet.
-
-    One eigh H = Q diag(s^2) Q* per block; d(H^(-1/2)) = Q (L o Q* dH Q) Q*
-    (Daleckii-Krein) with L_ij = -1/(s_i s_j (s_i + s_j)), free of cancellation
-    at equal eigenvalues.  s below MIN_SINGULAR_VALUE raises SingularMapError.
-    For LAPACK's eigh, evaluate and jet move v's (N, N, npts) blocks point
-    axis first once, and move their results back.
-    """
+    """The polar part of v, _polar of v's values; its jet is _polar's dual
+    pass through v's jet, so it is exact without a derivative formula."""
 
     def __init__(self, v: SmoothMatrixMap):
         self.v, self.size = v, v.size
 
-    def _polar(self, a):
-        s2, q = np.linalg.eigh(_conj_transpose(a) @ a)
-        node = int(np.argmin(s2[:, 0]))  # eigh sorts ascending
-        if s2[node, 0] < MIN_SINGULAR_VALUE * MIN_SINGULAR_VALUE:
-            raise SingularMapError("v*v nearly singular", node)
-        qh = _conj_transpose(q)
-        inv_sqrt = (q * s2[:, None, :] ** -0.5) @ qh
-        return a @ inv_sqrt, inv_sqrt, np.sqrt(s2), q, qh
-
     def evaluate(self, domain, pts):
-        a = np.moveaxis(self.v.evaluate(domain, pts), -1, -3)
-        return np.moveaxis(self._polar(a)[0], -3, -1)
+        return _polar(self.v.evaluate(domain, pts), self.size)
 
     def differential(self, domain, pts, direction):
         return self.jet(domain, pts)[1][direction]
 
     def jet(self, domain, pts):
-        a, da = (np.moveaxis(x, -1, -3) for x in self.v.jet(domain, pts))
-        u, inv_sqrt, s, q, qh = self._polar(a)
-        si, sj = s[:, :, None], s[:, None, :]
-        dh = _conj_transpose(da) @ a + _conj_transpose(a) @ da
-        d_inv_sqrt = q @ ((qh @ dh @ q) * (-1.0 / (si * sj * (si + sj)))) @ qh
-        return np.moveaxis(u, -3, -1), np.moveaxis(da @ inv_sqrt + a @ d_inv_sqrt, -3, -1)
+        u = _polar(dual.from_jet(*self.v.jet(domain, pts)), self.size)
+        vals, *ds = dual.jet_rows([u], domain.dim)[0]
+        return vals, np.stack(ds)
 
 
 def unitarize(v: SmoothMatrixMap) -> SmoothMatrixMap:
-    """Polar part v (v* v)^(-1/2); homotopic to v through invertibles."""
+    """Polar part v (v* v)^(-1/2) of a map of size 1 or 2, homotopic to v through invertibles."""
+    if v.size > 2:
+        raise ValueError(f"unitarize takes maps of size 1 or 2, not {v.size}")
     return _PolarMap(v)
 
 

@@ -269,8 +269,8 @@ def check_robustness():
 
     All variants share one grid, the collapse map's ball chart, so
     quadrature error cancels in the comparison and the 1e-8 bound probes only
-    the map-level perturbations (scalar scaling and the polar decomposition
-    with its exact jet).
+    the map-level perturbations (scalar scaling and the polar part, whose
+    closed form in superconn._polar is differentiated by a dual pass).
     """
     ball = CollapseMap(2, 1).ball()
     v = compose_map_with_matrix(ball, su2_identity())

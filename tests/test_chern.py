@@ -236,15 +236,20 @@ def test_deg_names_the_singular_node():
 @pytest.mark.parametrize("sphere, resolution, node, shift, sweep", [
     (3, 0.75, CHUNK + 808, 0.0, lambda g, dom: deg(g, dom, Ladder((1.0,), 1e-6))),
     (3, 0.75, CHUNK + 808, 0.0, lambda g, dom: SuperBundleModel(dom, g).gamma_top()),
+    (3, 0.75, CHUNK + 808, 0.0,
+     lambda g, dom: SuperBundleModel(dom, stabilize(g, 1)).gamma_top()),
     (3, 0.75, CHUNK + 808, 0.0, lambda g, dom: integrate_top(odd_chern(g, dom), dom)),
     (1, 1.0, 40, FD_STEP,
      lambda g, dom: integrate_all_degrees(exterior_derivative(maurer_cartan(g, dom)), dom)),
-], ids=["deg", "model-sweep", "form-field", "stencil"])
+], ids=["deg", "model-sweep", "polar-2x2", "form-field", "stencil"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_singular_node_is_named_by_its_grid_index(sphere, resolution, node, shift, sweep):
     # On S^3, 24^3 = 13,824 nodes: the node lies in the second node block,
     # so a block-local index would name another node.  On S^1 g is singular
     # only at the point FD_STEP past the node, which the exterior
-    # derivative's stencil samples and the grid does not.
+    # derivative's stencil samples and the grid does not.  diag(g, 1) meets
+    # the node through the 2 x 2 polar part's singular-value floor, which is
+    # read before any square root, so no RuntimeWarning is raised.
     dom = ChartedSphereDomain([sphere], resolution=resolution)
     centre = dom.embed(dom.nodes()[node:node + 1] + shift)[0]
 

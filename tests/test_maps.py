@@ -261,9 +261,8 @@ def collapse_pullback():
     return compose_map_with_matrix(phi, su2_identity()), phi.source
 
 
-def polar_part(v):
-    dom = ChartedSphereDomain([3])
-    return unitarize(v), dom
+def polar_part(v, sphere=3):
+    return unitarize(v), ChartedSphereDomain([sphere])
 
 
 JET_CASES = {
@@ -276,10 +275,12 @@ JET_CASES = {
                         ChartedSphereDomain([3])),
     "collapse-S2xS1": collapse_pullback,
     # Polar parts: a non-normal map with distinct singular values, whose
-    # v* v varies over the sphere, and c v, whose eigenvalues are equal.
+    # v* v varies over the sphere, c v, whose eigenvalues are equal, and a
+    # complex multiple of a winding, whose polar part is v/|v|.
     "polar-non-normal": lambda: polar_part(ProductMatrixMap(
         constant_map([[2.0, 0.3], [0.0, 0.5]]), su2_identity())),
     "polar-scaled": lambda: polar_part(ScaledMatrixMap(3.0, su2_identity())),
+    "polar-size1": lambda: polar_part(ScaledMatrixMap(0.2 - 1j, circle_winding(3)), 1),
 }
 
 

@@ -10,22 +10,26 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "oddchern"
 EPS_READERS = {("maps.py", "pack_matrix")}
 
 
-def package_nodes():
-    """(file name, innermost enclosing function, node) of every ast node
-    in the package outside dual.py."""
+def source_nodes(name, source):
+    """(name, innermost enclosing function, node) of every ast node of a
+    module's source."""
     found = []
 
-    def visit(path, node, func):
+    def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        found.append((path.name, func, node))
+        found.append((name, func, node))
         for child in ast.iter_child_nodes(node):
-            visit(path, child, func)
+            visit(child, func)
 
-    for path in sorted(SRC.glob("*.py")):
-        if path.name != "dual.py":
-            visit(path, ast.parse(path.read_text()), None)
+    visit(ast.parse(source), None)
     return found
+
+
+def package_nodes():
+    """source_nodes of every package module outside dual.py."""
+    return [found for path in sorted(SRC.glob("*.py")) if path.name != "dual.py"
+            for found in source_nodes(path.name, path.read_text())]
 
 
 def test_dual_eps_is_read_only_in_dual_and_the_matrix_packers():
@@ -35,8 +39,9 @@ def test_dual_eps_is_read_only_in_dual_and_the_matrix_packers():
 
 
 def test_duals_are_constructed_only_in_dual():
-    # seed_all is the one way to make a Dual; every other Dual is the result
-    # of dual.py's operations on seeded ones.
+    # seed_all and from_jet (a map's jet taken back into dual arithmetic)
+    # are the ways to make a Dual; every other Dual is the result of
+    # dual.py's operations on those.
     calls = [(name, func, node.lineno) for name, func, node in package_nodes()
              if isinstance(node, ast.Call)
              and (isinstance(node.func, ast.Attribute) and node.func.attr == "Dual"
@@ -183,3 +188,48 @@ def test_the_quadrature_rule_sees_a_stray_block_loop():
                                    "    return complex(src.orientation_sign * sign * norm * total)\n")
     assert {attr for _, attr in quadrature_reads(stray)} == QUADRATURE_ATTRS
     assert quadrature_reads(source) == []
+
+
+# The one block-layout exception: LAPACK's point-axis-first batches in the
+# block inverse from N = 4.
+LAYOUT_EXCEPTIONS = {("chern.py", "_checked_inverse")}
+
+
+def layout_breaks(name, source):
+    """(function, line, what) of every np.moveaxis or @ in a module's source
+    outside LAYOUT_EXCEPTIONS."""
+    found = []
+    for _, func, node in source_nodes(name, source):
+        if (name, func) in LAYOUT_EXCEPTIONS:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr == "moveaxis":
+            found.append((func, node.lineno, "moveaxis"))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((func, node.lineno, "@"))
+    return found
+
+
+def test_blocks_keep_the_point_axis_last():
+    # Every matrix block is (N, N, npts), multiplied by the forms' block
+    # products; none is turned point axis first for numpy's batched @.
+    breaks = {path.name: layout_breaks(path.name, path.read_text())
+              for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in breaks.items() if found} == {}
+
+
+def test_the_layout_rule_sees_a_point_axis_first_block():
+    source = (SRC / "superconn.py").read_text()
+    evaluate = "        return _polar(self.v.evaluate(domain, pts), self.size)\n"
+    assert evaluate in source
+    moved = source.replace(evaluate,
+                           "        a = np.moveaxis(self.v.evaluate(domain, pts), -1, -3)\n"
+                           "        return np.moveaxis(self._polar(a)[0], -3, -1)\n")
+    line = source[:source.index(evaluate)].count("\n") + 1
+    assert layout_breaks("superconn.py", moved) == [("evaluate", line, "moveaxis"),
+                                                    ("evaluate", line + 1, "moveaxis")]
+    assert layout_breaks("superconn.py", "def f(a):\n    a @= a\n    return a @ a\n") == [
+        ("f", 2, "@"), ("f", 3, "@")]
+    # The block inverse's LAPACK calls are exempt in chern.py only.
+    chern_source = (SRC / "chern.py").read_text()
+    assert layout_breaks("chern.py", chern_source) == []
+    assert {what for _, _, what in layout_breaks("maps.py", chern_source)} == {"moveaxis"}

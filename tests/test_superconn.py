@@ -14,8 +14,9 @@ from oddchern.collapse import CollapseMap
 from oddchern.defaults import CHUNK, COLLAPSE_RADIUS, SPLIT_LADDER, Ladder
 from oddchern.domains import ChartedSphereDomain
 from oddchern.forms import SQRT_2PI_I, GradedMatrixForm, nilpotent_exp, normalize_2pi
-from oddchern.maps import (DualMatrixMap, ScaledMatrixMap, circle_winding,
-                           compose_map_with_matrix, stabilize, su2_identity)
+from oddchern.maps import (DualMatrixMap, ProductMatrixMap, ScaledMatrixMap,
+                           circle_winding, compose_map_with_matrix, constant_map,
+                           stabilize, su2_identity)
 from oddchern.results import DegreeResult
 from oddchern.superconn import (SuperBundleModel, _top_supertrace,
                                 flz_point_case, gamma_boundary_integral,
@@ -70,6 +71,26 @@ def test_unitarize_rejects_singular_maps():
 
     with pytest.raises(ValueError):
         unitarize(DualMatrixMap(fn, 1)).evaluate(dom, dom.nodes()[:8])
+
+
+@pytest.mark.parametrize("sphere, v", [
+    (1, ScaledMatrixMap(0.2 - 1j, circle_winding(3))),
+    (3, ScaledMatrixMap(3.0, su2_identity())),
+    (3, ProductMatrixMap(constant_map([[2.0, 0.3j], [0.1, 0.5 - 0.5j]]), su2_identity())),
+], ids=["size1", "scaled-su2", "non-normal"])
+def test_polar_part_matches_the_svd_polar_factor(sphere, v):
+    # The polar factor of v = W S V* is W V*.  c su2 has equal singular
+    # values; the non-normal product has distinct ones and det v = 1 - 1.03i.
+    dom = ChartedSphereDomain([sphere], resolution=COARSE)
+    pts = dom.nodes()[::7]
+    w, _, vh = np.linalg.svd(np.moveaxis(v.evaluate(dom, pts), -1, 0))
+    ref = np.moveaxis(w @ vh, 0, -1)
+    assert np.abs(unitarize(v).evaluate(dom, pts) - ref).max() < 1e-13
+
+
+def test_unitarize_rejects_size_3():
+    with pytest.raises(ValueError, match="size 1 or 2, not 3"):
+        unitarize(su2_identity(3))
 
 
 def test_model_requires_odd_dimension():
