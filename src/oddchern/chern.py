@@ -26,7 +26,8 @@ still tests its value there for singularity.  A boundary model's single
 sweep (superconn) feeds the same kernel from the jet it also uses for the
 gamma top integral.  The mixed-degree forms odd_chern and maurer_cartan
 serve the transgression and Chern-Simons identities, which need every
-degree; transgression_form's Ch~ takes g^{-1} and w from one jet of g_t.
+degree; transgression_form's Ch~ takes g^{-1}, w and d/dt g_t from one
+jet of g_t (maps.HomotopyFamily.jet), which embeds the points once.
 """
 
 from __future__ import annotations
@@ -230,14 +231,14 @@ def chern_simons(conn0: FormField, conn1: FormField, domain) -> FormField:
 
 def transgression_form(family, domain, t: float) -> FormField:
     """Ch~(g_t) = sum_k (-1)^k k!/(2k)! Tr(g^-1 g_dot w^(2k)), whose exterior
-    derivative is d/dt Ch(g_t)."""
-    g_t = family.slice_at(t)
+    derivative is d/dt Ch(g_t).  g, its differentials and g_dot come from
+    one family.jet, so the points are embedded once per sample."""
 
     def tilde_sampler(pts):
-        vals, dgs = g_t.jet(domain, pts)
+        vals, dgs, g_dot = family.jet(domain, pts, t)
         inv = _checked_inverse(vals)
         q = GradedMatrixForm(domain.dim, family.size, len(pts))
-        q.comps[0] = _block_product(inv, family.t_derivative(domain, pts, t))
+        q.comps[0] = _block_product(inv, g_dot)
         return _trace_series(q, 0, _maurer_cartan_form(inv, dgs), domain.dim,
                              lambda k: (-1.0) ** k * factorial(k) / factorial(2 * k))
 

@@ -232,14 +232,15 @@ class HomotopyFamily:
     def slice_at(self, t: float) -> DualMatrixMap:
         return DualMatrixMap(lambda cols: self.fn_entries(t, cols), self.size)
 
-    def t_derivative(self, domain, pts, t: float) -> np.ndarray:
-        """d/dt of the family's values at pts, an (N, N, npts) block: the
-        chart columns are embedded as plain arrays and only t is seeded."""
+    def jet(self, domain, pts, t: float):
+        """slice_at(t).jet(domain, pts), and d/dt g_t as an (N, N, npts) block
+        from the entries rerun on that jet's ambient values with t a 0-d Dual."""
         cols, shape = chart_columns(pts)
-        amb = domain.embed_cols(cols)
-        td, = dual.seed_all([np.full(shape, float(t))])
-        _, eps = pack_matrix(self.fn_entries(td, amb), shape, 1)
-        return eps[0]
+        amb = domain.embed_dual_cols(cols)
+        vals, dgs = pack_matrix(self.fn_entries(t, amb), shape, domain.dim)
+        td, = dual.seed_all([np.float64(t)])
+        _, dt = pack_matrix(self.fn_entries(td, [dual.value(c) for c in amb]), shape, 1)
+        return vals, dgs, dt[0]
 
 
 class ChartMap:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddchern import domains, dual
+from oddchern import domains, dual, verify
 from oddchern.chern import (SingularMapError, _checked_inverse, _odd_chern_top,
                             assemble_split_map, chern_simons, deg, deg_star,
                             generator, maurer_cartan, odd_chern,
@@ -337,6 +337,71 @@ def test_transgression_tilde_rejects_singular_maps():
     tilde = transgression_form(HomotopyFamily(fn, 1), dom, 0.0)
     with pytest.raises(SingularMapError):
         tilde.at(dom.nodes())
+
+
+def _per_family_transgression_error(A, B, dom):
+    """verify's transgression error of the family Id + sum_k (A_k + t B_k) x_k
+    by three field calls of its own: Ch(g_(t+h)), Ch(g_(t-h)) and the
+    stencil of Ch~, at t = 0.3 and h = 1e-3 on about 128 sample nodes."""
+    size = A.shape[1]
+
+    def fn(t, cols):
+        nodes = (1,) * np.ndim(dual.value(cols[0]))
+        a, b = A.reshape(A.shape + nodes), B.reshape(B.shape + nodes)
+        g = np.eye(size, dtype=complex).reshape((size, size) + nodes)
+        for k in range(len(A)):
+            g = cols[k] * (a[k] + t * b[k]) + g
+        return [[g[i, j] for j in range(size)] for i in range(size)]
+
+    family, t, h = HomotopyFamily(fn, size), 0.3, 1e-3
+    pts = dom.sample_nodes(128)
+    ch_plus = odd_chern(family.slice_at(t + h), dom).at(pts)
+    ch_minus = odd_chern(family.slice_at(t - h), dom).at(pts)
+    d_tilde = exterior_derivative(transgression_form(family, dom, t)).at(pts)
+    worst, scale_ref = 0.0, 0.0
+    for mask in range(1, 2 ** dom.dim):
+        fd_p, fd_m = ch_plus.comps[mask], ch_minus.comps[mask]
+        dt = d_tilde.comps[mask]
+        fd = None if fd_p is None and fd_m is None else \
+            ((0 if fd_p is None else fd_p) - (0 if fd_m is None else fd_m)) / (2 * h)
+        if fd is None and dt is None:
+            continue
+        fd = 0.0 * dt if fd is None else fd
+        dt = 0.0 * fd if dt is None else dt
+        worst = max(worst, np.abs(fd - dt).max())
+        scale_ref = max(scale_ref, np.abs(fd).max())
+    return worst / max(scale_ref, 1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_batched_transgression_errors_equal_the_per_family_method(dim):
+    # One Ch call samples all five families at t +- h; each family's error
+    # must come out bit for bit as from its own three calls.
+    rng = np.random.default_rng(20260826 + dim)
+    coefficients = [verify._random_coefficients(rng, dim + 1) for _ in range(5)]
+    dom = ChartedSphereDomain.sphere(dim)
+    batched = verify._transgression_errors(coefficients, dom)
+    reference = [_per_family_transgression_error(A[..., 0], B[..., 0], dom) for A, B in coefficients]
+    assert len(set(reference)) == 5
+    assert [float.hex(float(e)) for e in batched] == [float.hex(float(e)) for e in reference]
+
+
+def test_transgression_check_samples_ch_in_one_call_per_sphere(monkeypatch):
+    calls = {DualMatrixMap: 0, HomotopyFamily: 0}
+
+    def counted(cls):
+        jet = cls.jet
+
+        def wrapper(*args, **kwargs):
+            calls[cls] += 1
+            return jet(*args, **kwargs)
+        return wrapper
+
+    for cls in calls:
+        monkeypatch.setattr(cls, "jet", counted(cls))
+    assert verify.check_transgression()["passed"]
+    # Ch of each sphere's five families in one call; Ch~'s stencil once per family.
+    assert calls == {DualMatrixMap: 2, HomotopyFamily: 10}
 
 
 # -- the N x N top-degree kernel against the dense odd_chern sampler -------------

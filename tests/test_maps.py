@@ -113,11 +113,11 @@ def test_stabilize_embeds_identity_block():
     assert np.abs(vals[:2, 2:]).max() < 1e-12
 
 
-def test_homotopy_family_t_derivative():
+def test_homotopy_family_jet():
     dom = ChartedSphereDomain([1], resolution=COARSE)
 
-    # t_derivative embeds plain ambient columns, so x * t, x - t * y and
-    # y / (2 + t) put an ndarray on the left of the Dual t.
+    # jet reruns the entries on plain ambient values with t seeded alone, so
+    # x * t, x - t * y and y / (2 + t) put an ndarray on the left of the Dual t.
     def fn(t, cols):
         x, y = cols[0], cols[1]
         return [[1.0 + 0.3 * (x * t), 0.1 * (y * t) * t],
@@ -126,10 +126,40 @@ def test_homotopy_family_t_derivative():
     fam = HomotopyFamily(fn, 2)
     pts = dom.nodes()[::3]
     t, h = 0.7, 1e-6
-    exact = fam.t_derivative(dom, pts, t)
+    vals, dgs, exact = fam.jet(dom, pts, t)
     approx = (fam.slice_at(t + h).evaluate(dom, pts)
               - fam.slice_at(t - h).evaluate(dom, pts)) / (2 * h)
     assert np.abs(exact - approx).max() < 1e-8
+    ref_vals, ref_dgs = fam.slice_at(t).jet(dom, pts)
+    assert vals.tobytes() == ref_vals.tobytes() and dgs.tobytes() == ref_dgs.tobytes()
+
+
+def test_homotopy_family_jet_on_a_node_block():
+    dom = ChartedSphereDomain([3], resolution=COARSE)
+
+    def fn(t, cols):
+        x, w = cols[0], cols[3]
+        return [[2.0 + dual.sin(x * t), w * t], [x - t * w, (1.5 + x) * (t * t)]]
+
+    fam, t = HomotopyFamily(fn, 2), 0.4
+    block = next(dom.node_blocks(1000))
+    assert len(block.shape) == 3 and min(block.shape) > 1
+    vals, dgs, g_dot = fam.jet(dom, block, t)
+    ref_vals, ref_dgs = fam.slice_at(t).jet(dom, block)
+    assert vals.tobytes() == ref_vals.tobytes() and dgs.tobytes() == ref_dgs.tobytes()
+    assert g_dot.shape == (2, 2, len(block))
+    assert np.abs(g_dot - fam.jet(dom, block.points(), t)[2]).max() < 1e-14
+
+
+def test_homotopy_family_jet_broadcasts_an_entry_of_t_alone():
+    dom = ChartedSphereDomain([1], resolution=COARSE)
+    fam = HomotopyFamily(lambda t, cols: [[1.0 + t, cols[0] * t], [0.0 * cols[1], 2.0 * t]], 2)
+    pts = dom.nodes()[::5]
+    vals, dgs, g_dot = fam.jet(dom, pts, 0.25)
+    assert vals.shape == (2, 2, len(pts)) and dgs.shape == (1, 2, 2, len(pts))
+    assert np.all(vals[0, 0] == 1.25) and np.all(dgs[:, 0, 0] == 0.0)
+    assert np.all(g_dot[0, 0] == 1.0) and np.all(g_dot[1, 1] == 2.0)
+    assert np.array_equal(g_dot[0, 1], dom.embed(pts)[:, 0]) and np.all(g_dot[1, 0] == 0.0)
 
 
 @pytest.mark.parametrize("left", [np.linspace(0.5, 2.0, 5), np.float64(1.7)],
