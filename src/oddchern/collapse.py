@@ -15,12 +15,14 @@ ball alone: CollapseMap.ball is phi on the ball chart
 (domains.ChartedSphereDomain.ball) that collapse_degree and every boundary
 model of a pure pullback phi* h sweep.  There phi is written in the chart's
 polar coordinates w = r u, as the inverse stereographic projection of
-rho(r) u, so the profile runs on the radial column alone.  Split maps
-pr2* f . phi* h vary outside the ball and read phi on the product angle
-chart, through CollapseMap._ambient.
+rho(r) u, so the profile runs on the radial column alone.  The map is built
+ball first, and split maps pr2* f . phi* h, which vary outside the ball,
+build the product angle chart and read phi there, through _ambient.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -52,20 +54,27 @@ def smooth_step(s):
 
 
 class CollapseMap(ChartMap):
-    """Degree-one smash/collapse map with orientation normalized to +1; its
-    charts, ball() included, are built at one resolution."""
+    """Degree-one smash/collapse map with orientation normalized to +1, probed
+    on ball(); its charts are built at one resolution, source on first use."""
 
     def __init__(self, p: int, q: int, resolution: float = 1.0):
         if p < 1 or q < 1:
             raise ValueError("need p, q >= 1")
         self.p, self.q, self.resolution = p, q, resolution
         self.swap_target = False
-        source = ChartedSphereDomain.product(p, q, resolution=resolution)
-        target = ChartedSphereDomain.sphere(p + q, resolution=resolution)
-        super().__init__(source, target, self._ambient)
+        # ChartMap's fields but source, a cached property.
+        self.target = ChartedSphereDomain.sphere(p + q, resolution=resolution)
+        self.ambient_fn = self._ambient
+        self._ball = ChartMap(ChartedSphereDomain.ball(p, q, COLLAPSE_RADIUS, resolution),
+                              self.target, self._on_ball)
         self.swap_target = self._probe_orientation() < 0
         if self._probe_orientation() < 0:
             raise RuntimeError("collapse-map orientation normalization failed")
+
+    @cached_property
+    def source(self) -> ChartedSphereDomain:
+        """The product angle chart of S^p x S^q."""
+        return ChartedSphereDomain.product(self.p, self.q, resolution=self.resolution)
 
     # -- map definition ------------------------------------------------------
 
@@ -124,14 +133,14 @@ class CollapseMap(ChartMap):
         (domains.ChartedSphereDomain.ball): the inverse stereographic
         projection of rho(r) u.  Every radial intermediate keeps the radial
         column's shape; only the last p + q products, by the u_i, reach the
-        block's.  From r >= 2R on, eta and its derivatives are exactly 0, so
-        phi is exactly the pole there, with zero differentials."""
+        block's, with one product per derivative row (dual.separable_mul).
+        From r >= 2R on, eta and its derivatives are exactly 0: phi is the pole."""
         r, u = cols[0], cols[1:]
         eta = self._eta(r, dual.value(r) <= COLLAPSE_RADIUS)
         r2, eta2 = r * r, eta * eta
         denom = r2 + eta2
         radial = 2.0 * eta * r / denom
-        return self._swapped([(r2 - eta2) / denom] + [radial * ui for ui in u])
+        return self._swapped([(r2 - eta2) / denom] + [dual.separable_mul(radial, c, 1) for c in u])
 
     def _swapped(self, out):
         if self.swap_target:
@@ -140,9 +149,8 @@ class CollapseMap(ChartMap):
 
     def ball(self) -> ChartMap:
         """phi on the chart of the ball |w| < 2R, outside which it is
-        constant, at the map's resolution."""
-        return ChartMap(ChartedSphereDomain.ball(self.p, self.q, COLLAPSE_RADIUS, self.resolution),
-                        self.target, self._on_ball)
+        constant, at the map's resolution: the one map the constructor built."""
+        return self._ball
 
     # -- orientation ----------------------------------------------------------
 
@@ -154,9 +162,12 @@ class CollapseMap(ChartMap):
         return pt
 
     def _probe_orientation(self) -> int:
-        rows = self.ambient_jacobian_columns(self.identity_region_probe())
-        det = np.linalg.det(np.array(rows)[..., 0])
-        return 1 if self.target.ambient_det_sign * det > 0 else -1
+        """phi's Jacobian sign against the product chart's orientation, at a
+        ball point with r < R, where phi is the inverse-stereographic composite."""
+        ball = self._ball.source
+        probe = np.array([[0.5 * COLLAPSE_RADIUS] + [0.9] * (ball.dim - 1)])
+        det = np.linalg.det(np.array(self._ball.ambient_jacobian_columns(probe))[..., 0])
+        return 1 if ball.oriented(self.target.ambient_det_sign * det) > 0 else -1
 
     def local_radius(self, pts) -> np.ndarray:
         """|w| = |(sigma_p, sigma_q)| at chart points; np.inf at the wedge."""

@@ -181,7 +181,7 @@ class ChartedSphereDomain:
       radius: the ball's R; None on sphere charts.
       orientation_sign: +1 on sphere charts, whose coordinate order is the
         positive orientation; on the ball, the sign that matches it.
-        integrate applies it to every sum.
+        integrate applies it to every sum, through oriented.
       ambient_det_sign: +-1 with det[y, dy/dtheta_1, ...] = sign * sqrt(g).
       exterior: on the ball, one chart point at |w| = 4R, outside the grid,
         where chern._sweep tests a map's value for singularity; else None.
@@ -355,7 +355,11 @@ class ChartedSphereDomain:
             except SingularMapError as exc:
                 raise SingularMapError(exc.what, int(block.flat_index()[exc.index])) from None
             total = total + np.sum(block.weights() * values, axis=-1)
-        return self.orientation_sign * total
+        return self.oriented(total)
+
+    def oriented(self, value):
+        """A value read in chart coordinate order, times orientation_sign."""
+        return self.orientation_sign * value
 
     def volume(self) -> float:
         return float(np.prod([sphere_volume(m) for m in self.spheres]))

@@ -14,7 +14,8 @@ a Dual's value (a matrix's index axes ahead of the node axes, say): the
 Dual's eps then gets unit axes behind its direction axis, as a reshape view,
 so the operand's extra axes never meet the direction axis.  Indexing a Dual
 indexes its value axes.  Every operation is elementwise, so it gives bit for
-bit what the same values give as flat arrays.  All the built-in geometry
+bit what the same values give as flat arrays; separable_mul multiplies factors
+along disjoint directions one product per row.  All the built-in geometry
 (sphere embeddings, stereographic projections, collapse profiles, generator
 maps) is written against the dispatching helpers below, so seeding the chart
 coordinates yields exact derivatives through arbitrary compositions,
@@ -92,6 +93,19 @@ class Dual:
         if not np.isscalar(p):
             raise TypeError("only scalar exponents are supported")
         return Dual(self.val ** p, p * self.val ** (p - 1) * self.eps)
+
+
+def separable_mul(a, b, k):
+    """a * b for a varying along directions < k only and b along the rest: each
+    derivative row is the one nonzero term of a * b's, written into the result,
+    so every row equals a * b's.  A plain operand gives a * b."""
+    if not (isinstance(a, Dual) and isinstance(b, Dual)):
+        return a * b
+    val = a.val * b.val
+    eps = np.empty(a.eps.shape[:1] + val.shape, np.result_type(val, a.eps, b.eps))
+    np.multiply(a._eps_for(b)[:k], b.val, out=eps[:k])
+    np.multiply(a.val, b._eps_for(a)[k:], out=eps[k:])
+    return Dual(val, eps)
 
 
 def seed_all(cols):

@@ -466,7 +466,7 @@ def test_block_inverse_matches_lapack(data, n, kind, c):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_block_inverse_names_the_same_singular_node_with_an_output_buffer(n):
+def test_block_inverse_names_the_singular_node(n):
     rng = np.random.default_rng(40 + n)
     g = rng.standard_normal((n, n, 9)) + 4.0 * np.eye(n)[:, :, None] + 0j
     g[:, :, 6] = 0.0

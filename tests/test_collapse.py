@@ -14,6 +14,7 @@ from oddchern.domains import (ChartedSphereDomain, _inverse_stereographic,
                               _sphere_sqrtg, embed_sphere, sphere_volume)
 from oddchern.maps import (antipodal_map, circle_power_map,
                            compose_map_with_matrix, identity_chart_map, su2_identity)
+from oddchern.scenarios import run
 
 COARSE = 0.5  # resolution: 32, 24 and 16 nodes per angle on S^1, S^2 and S^3
 
@@ -51,6 +52,46 @@ def test_probe_point_lands_in_identity_region():
     phi = CollapseMap(2, 1, resolution=COARSE)
     probe = phi.identity_region_probe()
     assert phi.local_radius(probe).max() < COLLAPSE_RADIUS
+
+
+@pytest.mark.parametrize("p,q", [(2, 1), (1, 2), (3, 1), (2, 3), (4, 1)])
+def test_ball_orientation_probe_agrees_with_the_product_chart_probe(p, q):
+    # The reference: the unswapped map's ambient Jacobian determinant on the
+    # product angle chart, at a point where phi is the pure
+    # inverse-stereographic composite.
+    phi = CollapseMap(p, q, resolution=0.25)
+    swapped, phi.swap_target = phi.swap_target, False
+    rows = phi.ambient_jacobian_columns(phi.identity_region_probe())
+    det = np.linalg.det(np.array(rows)[..., 0])
+    assert swapped == (phi.target.ambient_det_sign * det < 0)
+
+
+def _count_product_charts(monkeypatch):
+    calls = []
+    product = ChartedSphereDomain.product
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return product(*args, **kw)
+
+    monkeypatch.setattr(ChartedSphereDomain, "product", staticmethod(counting))
+    return calls
+
+
+def test_pure_pullbacks_build_no_product_chart(monkeypatch):
+    calls = _count_product_charts(monkeypatch)
+    assert collapse_degree(3, 1).rounded == 1
+    run({"scenario": "gamma-limit", "geometry.p": "2", "geometry.q": "1",
+         "map.h.kind": "su2_identity"}, resolution_scale=0.625)
+    assert calls == []
+
+
+def test_a_split_map_builds_the_product_chart_once(monkeypatch):
+    calls = _count_product_charts(monkeypatch)
+    run({"scenario": "deg-star", "geometry.p": "2", "geometry.q": "1",
+         "map.f.kind": "circle_winding", "map.f.m": "1",
+         "map.h.kind": "su2_identity"}, resolution_scale=0.25)
+    assert calls == [(2, 1)]
 
 
 @pytest.mark.parametrize("spheres,expected", [([1], 1), ([2], -1), ([3], 1), ([4], -1)])

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from oddchern import dual
 from oddchern.chern import assemble_split_map
 from oddchern.collapse import CollapseMap
-from oddchern.domains import ChartedSphereDomain
+from oddchern.defaults import CHUNK, COLLAPSE_RADIUS
+from oddchern.domains import ChartedSphereDomain, chart_columns
 from oddchern.maps import (HomotopyFamily, ProductMatrixMap,
                            ScaledMatrixMap, antipodal_map, circle_power_map,
                            circle_winding,
@@ -388,6 +389,35 @@ def test_block_jets_equal_flat_jets_bit_for_bit(case):
         assert np.array_equal(vals, flat_vals) and np.array_equal(dgs, flat_dgs)
     if case == "collapse-pullback-S2xS3-slab-axis-2":
         assert blocks[0].shape == (1, 1, 2, 6, 6)
+
+
+def _radial_and_angular(ball, pts):
+    """The collapse map's factors at pts (a NodeBlock or a point array) of its
+    ball chart: the radial profile 2 eta r / (r^2 + eta^2), a function of r
+    alone, and the angular unit vector's columns u_i, functions of the
+    angles alone."""
+    r, *u = ball.embed_dual_cols(chart_columns(pts)[0])
+    eta = CollapseMap._eta(r, dual.value(r) <= COLLAPSE_RADIUS)
+    return 2.0 * eta * r / (r * r + eta * eta), u
+
+
+@pytest.mark.parametrize("pq", [(2, 1), (3, 1), (2, 3)])
+def test_separable_product_equals_the_full_product(pq):
+    ball = ChartedSphereDomain.ball(*pq, COLLAPSE_RADIUS, 0.25)
+    block = next(ball.node_blocks(CHUNK))
+    assert block.shape[0] > 1 and len(block) > block.shape[0]
+    for pts in (block, ball.sample_nodes(200)):
+        radial, u = _radial_and_angular(ball, pts)
+        for ui in u:
+            assert_duals_equal(dual.separable_mul(radial, ui, 1), radial * ui)
+
+
+def test_separable_product_of_a_plain_operand_is_the_full_product():
+    ball = ChartedSphereDomain.ball(2, 1, COLLAPSE_RADIUS, 0.25)
+    radial, (u0, *_) = _radial_and_angular(ball, ball.sample_nodes(50))
+    assert_duals_equal(dual.separable_mul(radial, u0.val, 1), radial * u0.val)
+    assert_duals_equal(dual.separable_mul(2.5, u0, 1), 2.5 * u0)
+    assert np.array_equal(dual.separable_mul(radial.val, u0.val, 1), radial.val * u0.val)
 
 
 def test_ball_chart_ambient_jacobian_is_bit_identical_on_blocks():

@@ -32,10 +32,27 @@ def package_nodes():
             for found in source_nodes(path.name, path.read_text())]
 
 
+def eps_reads(found):
+    """(module, function, line) of every read of a Dual's eps among
+    source_nodes' found nodes, outside EPS_READERS."""
+    return [(name, func, node.lineno) for name, func, node in found
+            if isinstance(node, ast.Attribute) and node.attr == "eps"
+            and (name, func) not in EPS_READERS]
+
+
 def test_dual_eps_is_read_only_in_dual_and_the_matrix_packers():
-    reads = [(name, func, node.lineno) for name, func, node in package_nodes()
-             if isinstance(node, ast.Attribute) and node.attr == "eps"]
-    assert {(name, func) for name, func, _ in reads} <= EPS_READERS, reads
+    # Derivative rows are formed by dual.py's operations alone.
+    assert eps_reads(package_nodes()) == []
+
+
+def test_the_eps_rule_sees_a_hand_written_derivative_row():
+    source = (SRC / "collapse.py").read_text()
+    product = "dual.separable_mul(radial, c, 1) for c in u"
+    assert product in source
+    by_hand = source.replace(product, "radial.eps[0] * c.val for c in u")
+    line = source[:source.index(product)].count("\n") + 1
+    assert eps_reads(source_nodes("collapse.py", by_hand)) == [("collapse.py", "_on_ball", line)]
+    assert eps_reads(source_nodes("collapse.py", source)) == []
 
 
 def test_duals_are_constructed_only_in_dual():
