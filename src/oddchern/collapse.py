@@ -22,7 +22,7 @@ build the product angle chart and read phi there, through _ambient.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,10 +54,14 @@ def smooth_step(s):
 
 
 class CollapseMap(ChartMap):
-    """Degree-one smash/collapse map with orientation normalized to +1, probed
-    on ball(); its charts are built at one resolution, source on first use."""
+    """Degree-one smash/collapse map, its orientation normalized to +1 on ball()
+    once per (p, q); its charts are built at one resolution, source on first use."""
 
     def __init__(self, p: int, q: int, resolution: float = 1.0):
+        self._build_unswapped(p, q, resolution)
+        self.swap_target = self._swap_target(p, q)
+
+    def _build_unswapped(self, p, q, resolution):
         if p < 1 or q < 1:
             raise ValueError("need p, q >= 1")
         self.p, self.q, self.resolution = p, q, resolution
@@ -67,9 +71,6 @@ class CollapseMap(ChartMap):
         self.ambient_fn = self._ambient
         self._ball = ChartMap(ChartedSphereDomain.ball(p, q, COLLAPSE_RADIUS, resolution),
                               self.target, self._on_ball)
-        self.swap_target = self._probe_orientation() < 0
-        if self._probe_orientation() < 0:
-            raise RuntimeError("collapse-map orientation normalization failed")
 
     @cached_property
     def source(self) -> ChartedSphereDomain:
@@ -154,12 +155,17 @@ class CollapseMap(ChartMap):
 
     # -- orientation ----------------------------------------------------------
 
-    def identity_region_probe(self) -> np.ndarray:
-        """A chart point mapped by the pure inverse-stereographic composite."""
-        pt = np.full((1, self.source.dim), 2.5)
-        pt[0, self.p - 1] = 2.2 if self.p > 1 else 2.5
-        pt[0, -1] = 2.9
-        return pt
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _swap_target(p: int, q: int) -> bool:
+        """Whether phi swaps its last two target coordinates to have degree +1:
+        probed unswapped, then checked swapped, once per process per (p, q)."""
+        phi = CollapseMap.__new__(CollapseMap)
+        phi._build_unswapped(p, q, 1.0)
+        phi.swap_target = phi._probe_orientation() < 0
+        if phi._probe_orientation() < 0:
+            raise RuntimeError("collapse-map orientation normalization failed")
+        return phi.swap_target
 
     def _probe_orientation(self) -> int:
         """phi's Jacobian sign against the product chart's orientation, at a

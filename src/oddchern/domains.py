@@ -201,7 +201,7 @@ class ChartedSphereDomain:
         self._set_scale(1.0)
         self.radius = self.exterior = None
         self.orientation_sign = 1
-        self.ambient_det_sign = self._calibrate_det_sign()
+        self.ambient_det_sign = _det_sign(self.spheres)
 
     @classmethod
     def sphere(cls, m, **kw):
@@ -232,7 +232,7 @@ class ChartedSphereDomain:
         self._set_scale(1.0)
         self.exterior = np.array([[4.0 * self.radius] + [0.9] * (self.dim - 1)])
         self.ambient_det_sign = None
-        self.orientation_sign = self._calibrate_ball_orientation()
+        self.orientation_sign = _ball_orientation_sign(p, q, self.radius)
         return self
 
     def _set_scale(self, scale):
@@ -364,39 +364,41 @@ class ChartedSphereDomain:
     def volume(self) -> float:
         return float(np.prod([sphere_volume(m) for m in self.spheres]))
 
-    # -- orientation -----------------------------------------------------------------
+@lru_cache(maxsize=None)
+def _det_sign(spheres) -> int:
+    """Sign making det[y, d y/d theta_1, ...] agree with +sqrt(g) on the
+    product of spheres of these dimensions, calibrated once per process.
 
-    def _calibrate_det_sign(self) -> int:
-        """Sign making det[y, d y/d theta_1, ...] agree with +sqrt(g).
+    For a product the chart Jacobian is block diagonal over the factors, so
+    the sign is the product of the factor signs.
+    """
+    sign = 1
+    for m in spheres:
+        # At a generic interior angle point, where sqrt(g) > 0; the jet
+        # rows are the transposed matrix, y and then d y / d theta_i.
+        amb = embed_sphere(dual.seed_all(list(np.full((m, 1), 0.9))), m)
+        det = np.linalg.det(np.array(dual.jet_rows(amb, m))[..., 0])
+        sign *= 1 if det > 0 else -1
+    return sign
 
-        For a product the chart Jacobian is block diagonal over the factors, so
-        the sign is the product of the factor signs.
-        """
-        sign = 1
-        for m in self.spheres:
-            # At a generic interior angle point, where sqrt(g) > 0; the jet
-            # rows are the transposed matrix, y and then d y / d theta_i.
-            amb = embed_sphere(dual.seed_all(list(np.full((m, 1), 0.9))), m)
-            det = np.linalg.det(np.array(dual.jet_rows(amb, m))[..., 0])
-            sign *= 1 if det > 0 else -1
-        return sign
 
-    def _calibrate_ball_orientation(self) -> int:
-        """Sign of det d(product angles)/d(r, angles) at a generic probe.
+@lru_cache(maxsize=None)
+def _ball_orientation_sign(p: int, q: int, radius: float) -> int:
+    """Sign of det d(product angles)/d(r, angles) on the ball of S^p x S^q
+    at a generic probe, calibrated once per process.
 
-        The product angle chart carries orientation_sign +1, so this sign
-        makes the ball chart integrate top forms with the same orientation.
-        """
-        p, q = self.spheres
-        probe = np.full((1, self.dim), 0.9)
-        probe[0, 0] = 0.6 * self.radius
-        r, *u = self.embed_dual_cols(list(probe.T))
-        w = [r * ui for ui in u]
-        amb = _inverse_stereographic(w[:p]) + _inverse_stereographic(w[p:])
-        ang = (sphere_angles_from_ambient(amb[:p + 1], p)
-               + sphere_angles_from_ambient(amb[p + 1:], q))
-        det = np.linalg.det(np.array(dual.jet_rows(ang, self.dim))[:, 1:, 0])
-        return 1 if det > 0 else -1
+    The product angle chart carries orientation_sign +1, so this sign
+    makes the ball chart integrate top forms with the same orientation.
+    """
+    probe = np.full((p + q, 1), 0.9)
+    probe[0] = 0.6 * radius
+    r, *angles = dual.seed_all(list(probe))
+    w = [r * ui for ui in embed_sphere(angles, p + q - 1)]
+    amb = _inverse_stereographic(w[:p]) + _inverse_stereographic(w[p:])
+    ang = (sphere_angles_from_ambient(amb[:p + 1], p)
+           + sphere_angles_from_ambient(amb[p + 1:], q))
+    det = np.linalg.det(np.array(dual.jet_rows(ang, p + q))[:, 1:, 0])
+    return 1 if det > 0 else -1
 
 
 def _inverse_stereographic(w):

@@ -19,6 +19,14 @@ from oddchern.scenarios import run
 COARSE = 0.5  # resolution: 32, 24 and 16 nodes per angle on S^1, S^2 and S^3
 
 
+def identity_region_probe(phi):
+    """A product-chart point that phi maps by the pure inverse-stereographic composite."""
+    pt = np.full((1, phi.source.dim), 2.5)
+    pt[0, phi.p - 1] = 2.2 if phi.p > 1 else 2.5
+    pt[0, -1] = 2.9
+    return pt
+
+
 def test_smooth_step_range_and_monotonicity():
     s = np.linspace(-1.0, 2.0, 301)
     y = smooth_step(s)
@@ -50,7 +58,7 @@ def test_identity_region_hits_target_sphere():
 
 def test_probe_point_lands_in_identity_region():
     phi = CollapseMap(2, 1, resolution=COARSE)
-    probe = phi.identity_region_probe()
+    probe = identity_region_probe(phi)
     assert phi.local_radius(probe).max() < COLLAPSE_RADIUS
 
 
@@ -61,9 +69,45 @@ def test_ball_orientation_probe_agrees_with_the_product_chart_probe(p, q):
     # inverse-stereographic composite.
     phi = CollapseMap(p, q, resolution=0.25)
     swapped, phi.swap_target = phi.swap_target, False
-    rows = phi.ambient_jacobian_columns(phi.identity_region_probe())
+    rows = phi.ambient_jacobian_columns(identity_region_probe(phi))
     det = np.linalg.det(np.array(rows)[..., 0])
     assert swapped == (phi.target.ambient_det_sign * det < 0)
+
+
+def test_cached_swap_equals_an_uncached_probe():
+    for p, q in [(p, q) for p in range(1, 5) for q in range(1, 6 - p)]:
+        assert CollapseMap(p, q, resolution=0.25).swap_target == \
+            CollapseMap._swap_target.__wrapped__(p, q)
+
+
+def _count_probes(monkeypatch, sign=None):
+    calls = []
+    probe = CollapseMap._probe_orientation
+
+    def counting(phi):
+        calls.append((phi.p, phi.q, phi.swap_target))
+        return probe(phi) if sign is None else sign
+
+    monkeypatch.setattr(CollapseMap, "_probe_orientation", counting)
+    CollapseMap._swap_target.cache_clear()
+    return calls
+
+
+def test_the_orientation_is_probed_on_the_first_build_only(monkeypatch):
+    calls = _count_probes(monkeypatch)
+    phi = CollapseMap(2, 1, resolution=COARSE)
+    # The probe, then the normalization check on the swapped map.
+    assert calls == [(2, 1, False), (2, 1, True)] and phi.swap_target
+    calls.clear()
+    assert CollapseMap(2, 1, resolution=0.25).swap_target
+    assert calls == []
+
+
+def test_a_failed_normalization_still_raises(monkeypatch):
+    calls = _count_probes(monkeypatch, sign=-1)
+    with pytest.raises(RuntimeError, match="normalization failed"):
+        CollapseMap(2, 1, resolution=COARSE)
+    assert len(calls) == 2
 
 
 def _count_product_charts(monkeypatch):
@@ -158,7 +202,7 @@ def test_preimage_oracle_collapse_map():
         phi = CollapseMap(p, q, resolution=COARSE)
         rng = np.random.default_rng(4)
         target = phi.target.angles_from_ambient_cols(
-            [c for c in phi.evaluate_ambient(phi.identity_region_probe()).T])
+            [c for c in phi.evaluate_ambient(identity_region_probe(phi)).T])
         target = [float(t[0]) for t in target]
         total, count = signed_preimage_count(phi, target, rng)
         assert total == 1

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oddchern import domains
 from oddchern.defaults import (BALL_NODES, CHUNK, COLLAPSE_LADDER, COLLAPSE_RADIUS,
                                DEGREE_LADDER, FD_STEP, GAMMA_COARSE_SCALE, NODES_PER_ANGLE,
                                SPLIT_LADDER)
@@ -92,6 +93,19 @@ def test_ambient_det_sign_is_a_sign():
         dom = ChartedSphereDomain(spheres, resolution=COARSE)
         assert dom.ambient_det_sign in (-1, 1)
         assert dom.at_scale(0.5).ambient_det_sign == dom.ambient_det_sign
+
+
+def test_cached_chart_signs_equal_an_uncached_calibration():
+    for m in NODES_PER_ANGLE:
+        dom = ChartedSphereDomain([m], resolution=COARSE)
+        assert dom.ambient_det_sign == domains._det_sign.__wrapped__((m,))
+    pairs = [(p, q) for p in range(1, 5) for q in range(1, 6 - p)]
+    for p, q in pairs:
+        product = ChartedSphereDomain([p, q], resolution=COARSE)
+        assert product.ambient_det_sign == domains._det_sign.__wrapped__((p, q))
+        ball = ChartedSphereDomain.ball(p, q, COLLAPSE_RADIUS, resolution=COARSE)
+        assert ball.orientation_sign == domains._ball_orientation_sign.__wrapped__(
+            p, q, COLLAPSE_RADIUS)
 
 
 def _smooth_one_form(dom):

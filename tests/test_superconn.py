@@ -8,17 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddchern import chern, domains, superconn
+from oddchern import chern, domains, forms, superconn
 from oddchern.chern import SingularMapError, deg_star, odd_chern_top_integral
 from oddchern.collapse import CollapseMap
-from oddchern.defaults import CHUNK, COLLAPSE_RADIUS, SPLIT_LADDER, Ladder
+from oddchern.defaults import CHUNK, COLLAPSE_RADIUS, GAMMA_COARSE_SCALE, SPLIT_LADDER, Ladder
 from oddchern.domains import ChartedSphereDomain
 from oddchern.forms import SQRT_2PI_I, GradedMatrixForm, nilpotent_exp, normalize_2pi
 from oddchern.maps import (DualMatrixMap, ProductMatrixMap, ScaledMatrixMap,
                            circle_winding, compose_map_with_matrix, constant_map,
                            stabilize, su2_identity)
 from oddchern.results import DegreeResult
-from oddchern.superconn import (SuperBundleModel, _top_supertrace,
+from oddchern.scenarios import run
+from oddchern.superconn import (SuperBundleModel, _top_supertrace, boundary_model,
                                 flz_point_case, gamma_boundary_integral,
                                 gamma_closed_form, gamma_report,
                                 gaussian_moment, localize, unitarize)
@@ -215,6 +216,25 @@ def test_gamma_report_fields(monkeypatch):
     assert len(models) == 2 and len(domains) == 1
 
 
+def test_a_gamma_limit_run_samples_unitarity_once(monkeypatch):
+    calls = []
+    defect = superconn._unitarity_defect
+    monkeypatch.setattr(superconn, "_unitarity_defect",
+                        lambda v, dom: calls.append(dom.scale) or defect(v, dom))
+    run({"scenario": "gamma-limit", "geometry.p": "2", "geometry.q": "1",
+         "map.h.kind": "su2_identity"}, resolution_scale=0.25)
+    assert len(calls) == 1
+
+
+def test_the_coarse_row_equals_a_freshly_built_coarse_model():
+    ball = CollapseMap(2, 1, resolution=0.25).ball()
+    model = boundary_model(ball.source, compose_map_with_matrix(ball, su2_identity()))
+    rep = gamma_report(model, T_values=(4.0, 8.0))
+    fresh = SuperBundleModel(model.domain.at_scale(GAMMA_COARSE_SCALE), model.v)
+    assert rep.convergence[0] == (GAMMA_COARSE_SCALE, gamma_boundary_integral(fresh, 8.0))
+    assert model.at_scale(GAMMA_COARSE_SCALE).v is model.v
+
+
 def test_degree_and_closed_form_sweep_the_model_grid_once(monkeypatch):
     models, domains = record_sweeps(monkeypatch)
     phi = CollapseMap(2, 1, resolution=0.25)
@@ -388,6 +408,27 @@ def test_block_kernel_matches_dense_supertrace(data, n, d):
     dvs = [data.draw(hnp.arrays(complex, shape, elements=ENTRIES)) for _ in range(d)]
     ref = dense_top_supertrace(*odd_forms(vals, dvs), n)
     assert_close_to_dense(_top_supertrace(vals, dvs), ref, vals, dvs)
+
+
+@pytest.mark.parametrize("d, products", [(3, 6), (5, 45)])
+def test_block_kernel_forms_each_adjoint_pair_from_one_product(monkeypatch, d, products):
+    calls, adjoint_ndims = [], []
+    product, adjoint = forms._block_product, superconn._adjoint
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return product(*args, **kwargs)
+
+    for module in (forms, superconn):
+        monkeypatch.setattr(module, "_block_product", counting)
+    monkeypatch.setattr(superconn, "_adjoint",
+                        lambda blocks: adjoint_ndims.append(blocks.ndim) or adjoint(blocks))
+    rng = np.random.default_rng(d)
+    vals = rng.normal(size=(2, 2, 8)) + 1j * rng.normal(size=(2, 2, 8))
+    dvs = rng.normal(size=(d, 2, 2, 8)) + 1j * rng.normal(size=(d, 2, 2, 8))
+    _top_supertrace(vals, dvs)
+    assert len(calls) == products
+    assert adjoint_ndims and max(adjoint_ndims) == 3
 
 
 def collapse_su2_model():
