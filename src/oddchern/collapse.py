@@ -18,11 +18,16 @@ polar coordinates w = r u, as the inverse stereographic projection of
 rho(r) u, so the profile runs on the radial column alone.  The map is built
 ball first, and split maps pr2* f . phi* h, which vary outside the ball,
 build the product angle chart and read phi there, through _ambient.
+
+On |w| < R, phi is the inverse stereographic projection sigma^-1 of w, which
+reverses orientation (domains' module docstring), and the ball chart and the
+product chart carry the same orientation.  So phi always swaps its last two
+target coordinates, a reflection, and has degree +1 on every S^p x S^q.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -54,18 +59,14 @@ def smooth_step(s):
 
 
 class CollapseMap(ChartMap):
-    """Degree-one smash/collapse map, its orientation normalized to +1 on ball()
-    once per (p, q); its charts are built at one resolution, source on first use."""
+    """Degree-one smash/collapse map, its last two target coordinates swapped
+    (module docstring); its charts are built at one resolution, source on
+    first use."""
 
     def __init__(self, p: int, q: int, resolution: float = 1.0):
-        self._build_unswapped(p, q, resolution)
-        self.swap_target = self._swap_target(p, q)
-
-    def _build_unswapped(self, p, q, resolution):
         if p < 1 or q < 1:
             raise ValueError("need p, q >= 1")
         self.p, self.q, self.resolution = p, q, resolution
-        self.swap_target = False
         # ChartMap's fields but source, a cached property.
         self.target = ChartedSphereDomain.sphere(p + q, resolution=resolution)
         self.ambient_fn = self._ambient
@@ -143,37 +144,16 @@ class CollapseMap(ChartMap):
         radial = 2.0 * eta * r / denom
         return self._swapped([(r2 - eta2) / denom] + [dual.separable_mul(radial, c, 1) for c in u])
 
-    def _swapped(self, out):
-        if self.swap_target:
-            out[-1], out[-2] = out[-2], out[-1]
+    @staticmethod
+    def _swapped(out):
+        """out with its last two coordinates swapped, which makes phi's degree +1."""
+        out[-1], out[-2] = out[-2], out[-1]
         return out
 
     def ball(self) -> ChartMap:
         """phi on the chart of the ball |w| < 2R, outside which it is
         constant, at the map's resolution: the one map the constructor built."""
         return self._ball
-
-    # -- orientation ----------------------------------------------------------
-
-    @staticmethod
-    @lru_cache(maxsize=None)
-    def _swap_target(p: int, q: int) -> bool:
-        """Whether phi swaps its last two target coordinates to have degree +1:
-        probed unswapped, then checked swapped, once per process per (p, q)."""
-        phi = CollapseMap.__new__(CollapseMap)
-        phi._build_unswapped(p, q, 1.0)
-        phi.swap_target = phi._probe_orientation() < 0
-        if phi._probe_orientation() < 0:
-            raise RuntimeError("collapse-map orientation normalization failed")
-        return phi.swap_target
-
-    def _probe_orientation(self) -> int:
-        """phi's Jacobian sign against the product chart's orientation, at a
-        ball point with r < R, where phi is the inverse-stereographic composite."""
-        ball = self._ball.source
-        probe = np.array([[0.5 * COLLAPSE_RADIUS] + [0.9] * (ball.dim - 1)])
-        det = np.linalg.det(np.array(self._ball.ambient_jacobian_columns(probe))[..., 0])
-        return 1 if ball.oriented(self.target.ambient_det_sign * det) > 0 else -1
 
     def local_radius(self, pts) -> np.ndarray:
         """|w| = |(sigma_p, sigma_q)| at chart points; np.inf at the wedge."""
@@ -196,7 +176,6 @@ def volume_pullback_integral(chart_map: ChartMap, scale=1.0) -> complex:
     narrowest rows run on their nodes alone.
     """
     src = chart_map.source.at_scale(scale)
-    sign = chart_map.target.ambient_det_sign
     norm = 1.0 / chart_map.target.volume()
 
     def dets(block):
@@ -204,7 +183,7 @@ def volume_pullback_integral(chart_map: ChartMap, scale=1.0) -> complex:
         det = _block_det(chart_map.ambient_jacobian_columns(block))
         return np.broadcast_to(det, block.shape).reshape(-1)
 
-    return complex(sign * norm * src.integrate(dets))
+    return complex(norm * src.integrate(dets))
 
 
 def mapping_degree(chart_map: ChartMap, ladder=DEGREE_LADDER) -> DegreeResult:
@@ -258,6 +237,6 @@ def signed_preimage_count(chart_map: ChartMap, target_chart_point, rng):
             break
         if any(np.linalg.norm(amb[i] - a) < 1e-5 for a, _ in roots):
             continue
-        sign = 1 if tgt.ambient_det_sign * np.linalg.det(jet[..., i]) > 0 else -1
+        sign = 1 if np.linalg.det(jet[..., i]) > 0 else -1
         roots.append((amb[i], sign))
     return sum(s for _, s in roots), len(roots)

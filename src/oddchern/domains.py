@@ -16,6 +16,14 @@ say), and the block is expanded to its full node count only where a result
 needs it.  An (npts, dim) point array is the special case of a block whose
 columns all have shape (npts,); chart_columns reads either.
 ChartedSphereDomain.integrate is the one quadrature sum over such blocks.
+
+Orientation is derived, not probed: every chart's coordinate order is its
+positive orientation, so integrate's plain sum is the oriented integral.
+The hyperspherical embedding has det[y, dy/dtheta_1, ..., dy/dtheta_m] =
++sqrt(g) on every S^m.  On the ball, the polar chart w = r u has determinant
+r^(n-1) sqrt(g_u) > 0, and each factor's inverse stereographic projection
+from x_0 = 1 reverses orientation (det[y, dy/dw] = -2^n at w = 0, and it
+never vanishes); so (r, angles) -> product angles reverses it twice.
 """
 
 from __future__ import annotations
@@ -167,8 +175,9 @@ class ChartedSphereDomain:
 
     The constructor (or sphere, product) builds a sphere or product angle
     chart, and ball the collapse map's ball chart.  volume, sqrtg,
-    ambient_det_sign, angles_from_ambient_cols and factor_slices apply to
-    sphere and product charts only.
+    angles_from_ambient_cols and factor_slices apply to sphere and product
+    charts only.  Each chart's coordinate order is its orientation (module
+    docstring).
 
     Attributes:
       spheres: factor dimensions, (m,) or (p, q); the ball charts S^p x S^q.
@@ -179,10 +188,6 @@ class ChartedSphereDomain:
       scale: the multiplier of every rule's n, 1.0 as built (at_scale sets
         another); axes are the rules at scale.
       radius: the ball's R; None on sphere charts.
-      orientation_sign: +1 on sphere charts, whose coordinate order is the
-        positive orientation; on the ball, the sign that matches it.
-        integrate applies it to every sum, through oriented.
-      ambient_det_sign: +-1 with det[y, dy/dtheta_1, ...] = sign * sqrt(g).
       exterior: on the ball, one chart point at |w| = 4R, outside the grid,
         where chern._sweep tests a map's value for singularity; else None.
     """
@@ -200,8 +205,6 @@ class ChartedSphereDomain:
                           for m in self.spheres), ())
         self._set_scale(1.0)
         self.radius = self.exterior = None
-        self.orientation_sign = 1
-        self.ambient_det_sign = _det_sign(self.spheres)
 
     @classmethod
     def sphere(cls, m, **kw):
@@ -231,8 +234,6 @@ class ChartedSphereDomain:
                       + _angle_rules(p + q - 1, n_angle))
         self._set_scale(1.0)
         self.exterior = np.array([[4.0 * self.radius] + [0.9] * (self.dim - 1)])
-        self.ambient_det_sign = None
-        self.orientation_sign = _ball_orientation_sign(p, q, self.radius)
         return self
 
     def _set_scale(self, scale):
@@ -243,7 +244,7 @@ class ChartedSphereDomain:
         self.n_nodes = int(np.prod(self.shape))
 
     def at_scale(self, scale: float) -> "ChartedSphereDomain":
-        """The same chart and rules at another scale, keeping the calibrated signs."""
+        """The same chart and rules at another scale."""
         out = copy.copy(self)
         out._set_scale(scale)
         return out
@@ -355,58 +356,7 @@ class ChartedSphereDomain:
             except SingularMapError as exc:
                 raise SingularMapError(exc.what, int(block.flat_index()[exc.index])) from None
             total = total + np.sum(block.weights() * values, axis=-1)
-        return self.oriented(total)
-
-    def oriented(self, value):
-        """A value read in chart coordinate order, times orientation_sign."""
-        return self.orientation_sign * value
+        return total
 
     def volume(self) -> float:
         return float(np.prod([sphere_volume(m) for m in self.spheres]))
-
-@lru_cache(maxsize=None)
-def _det_sign(spheres) -> int:
-    """Sign making det[y, d y/d theta_1, ...] agree with +sqrt(g) on the
-    product of spheres of these dimensions, calibrated once per process.
-
-    For a product the chart Jacobian is block diagonal over the factors, so
-    the sign is the product of the factor signs.
-    """
-    sign = 1
-    for m in spheres:
-        # At a generic interior angle point, where sqrt(g) > 0; the jet
-        # rows are the transposed matrix, y and then d y / d theta_i.
-        amb = embed_sphere(dual.seed_all(list(np.full((m, 1), 0.9))), m)
-        det = np.linalg.det(np.array(dual.jet_rows(amb, m))[..., 0])
-        sign *= 1 if det > 0 else -1
-    return sign
-
-
-@lru_cache(maxsize=None)
-def _ball_orientation_sign(p: int, q: int, radius: float) -> int:
-    """Sign of det d(product angles)/d(r, angles) on the ball of S^p x S^q
-    at a generic probe, calibrated once per process.
-
-    The product angle chart carries orientation_sign +1, so this sign
-    makes the ball chart integrate top forms with the same orientation.
-    """
-    probe = np.full((p + q, 1), 0.9)
-    probe[0] = 0.6 * radius
-    r, *angles = dual.seed_all(list(probe))
-    w = [r * ui for ui in embed_sphere(angles, p + q - 1)]
-    amb = _inverse_stereographic(w[:p]) + _inverse_stereographic(w[p:])
-    ang = (sphere_angles_from_ambient(amb[:p + 1], p)
-           + sphere_angles_from_ambient(amb[p + 1:], q))
-    det = np.linalg.det(np.array(dual.jet_rows(ang, p + q))[:, 1:, 0])
-    return 1 if det > 0 else -1
-
-
-def _inverse_stereographic(w):
-    """Stereographic coordinates -> unit vector in R^(len(w)+1), dual-safe.
-
-    Inverts sigma(x) = x[1:] / (1 - x[0]), the projection from the basepoint
-    x[0] = 1 that collapse.CollapseMap reads its factors through.
-    """
-    s = sum(wi * wi for wi in w)
-    d = 1.0 / (1.0 + s)
-    return [(s - 1.0) * d] + [2.0 * wi * d for wi in w]

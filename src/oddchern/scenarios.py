@@ -206,7 +206,7 @@ def _run_deg(cfg, resolution_scale):
 
 
 def _build_product_map(cfg, resolution_scale):
-    """The scenario's map on S^p x S^q with its chart: a split-form map
+    """The scenario's map on S^p x S^q with its chart and h: a split-form map
     (pr2* f) . (phi* h) on the product angle chart, or a plain phi* h
     pullback on phi's ball chart."""
     p = _get_int(cfg, "geometry.p", 2, minimum=1)
@@ -219,20 +219,19 @@ def _build_product_map(cfg, resolution_scale):
     h = _build_generator(cfg, "map.h")
     if "map.f.kind" in cfg:
         f = _build_generator(cfg, "map.f")
-        return assemble_split_map(f, h, collapse=phi), phi.source
+        return assemble_split_map(f, h, collapse=phi), phi.source, h
     ball = phi.ball()
-    return compose_map_with_matrix(ball, h), ball.source
+    return compose_map_with_matrix(ball, h), ball.source, h
 
 
 def _run_deg_star(cfg, resolution_scale):
-    g, dom = _build_product_map(cfg, resolution_scale)
+    g, dom, h = _build_product_map(cfg, resolution_scale)
     result = deg_star(g, dom, SPLIT_LADDER)
     values, convergence, checks = _degree_report("deg_star", result,
                                                  "deg* integral quantizes")
     if "map.f.kind" in cfg:
         # Splitting oracle: deg*(pr2* f . phi* h) should equal deg(h) over
         # the collapse target sphere.
-        h = _build_generator(cfg, "map.h")
         h_dom = ChartedSphereDomain.sphere(dom.dim, resolution=resolution_scale)
         oracle = deg(h, h_dom)
         values["deg_h_oracle"] = _degree_entry(oracle)
@@ -245,7 +244,7 @@ def _run_deg_star(cfg, resolution_scale):
 
 
 def _build_model(cfg, resolution_scale):
-    g, dom = _build_product_map(cfg, resolution_scale)
+    g, dom, _ = _build_product_map(cfg, resolution_scale)
     return boundary_model(dom, g)
 
 

@@ -1,18 +1,23 @@
 """Collapse map construction, mapping degrees, and the preimage oracle."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oddchern
 from oddchern import collapse, domains, dual
 from oddchern.collapse import (CollapseMap, collapse_degree,
                                mapping_degree, signed_preimage_count,
                                smooth_step, volume_pullback_integral)
-from oddchern.defaults import CHUNK, COLLAPSE_RADIUS
-from oddchern.domains import (ChartedSphereDomain, _inverse_stereographic,
-                              _sphere_sqrtg, embed_sphere, sphere_volume)
-from oddchern.maps import (antipodal_map, circle_power_map,
+from oddchern.defaults import CHUNK, COLLAPSE_LADDER, COLLAPSE_RADIUS
+from oddchern.domains import (ChartedSphereDomain, _sphere_sqrtg, embed_sphere,
+                              sphere_angles_from_ambient, sphere_volume)
+from oddchern.maps import (ChartMap, antipodal_map, circle_power_map,
                            compose_map_with_matrix, identity_chart_map, su2_identity)
 from oddchern.scenarios import run
 
@@ -25,6 +30,26 @@ def identity_region_probe(phi):
     pt[0, phi.p - 1] = 2.2 if phi.p > 1 else 2.5
     pt[0, -1] = 2.9
     return pt
+
+
+def _inverse_stereographic(w):
+    """Stereographic coordinates -> unit vector in R^(len(w)+1), dual-safe.
+
+    Inverts sigma(x) = x[1:] / (1 - x[0]), the projection from the basepoint
+    x[0] = 1 that CollapseMap reads its factors through.
+    """
+    s = sum(wi * wi for wi in w)
+    d = 1.0 / (1.0 + s)
+    return [(s - 1.0) * d] + [2.0 * wi * d for wi in w]
+
+
+def product_embedding_of_the_ball(p, pts):
+    """The product ambient columns of S^p x S^q at ball chart points, seeded
+    along every chart direction: each factor's block of w = r u through the
+    inverse stereographic projection."""
+    r, *rest = dual.seed_all(list(pts.T))
+    w = [r * u for u in embed_sphere(rest, len(rest))]
+    return _inverse_stereographic(w[:p]) + _inverse_stereographic(w[p:])
 
 
 def test_smooth_step_range_and_monotonicity():
@@ -62,52 +87,41 @@ def test_probe_point_lands_in_identity_region():
     assert phi.local_radius(probe).max() < COLLAPSE_RADIUS
 
 
-@pytest.mark.parametrize("p,q", [(2, 1), (1, 2), (3, 1), (2, 3), (4, 1)])
-def test_ball_orientation_probe_agrees_with_the_product_chart_probe(p, q):
-    # The reference: the unswapped map's ambient Jacobian determinant on the
-    # product angle chart, at a point where phi is the pure
-    # inverse-stereographic composite.
-    phi = CollapseMap(p, q, resolution=0.25)
-    swapped, phi.swap_target = phi.swap_target, False
-    rows = phi.ambient_jacobian_columns(identity_region_probe(phi))
-    det = np.linalg.det(np.array(rows)[..., 0])
-    assert swapped == (phi.target.ambient_det_sign * det < 0)
+def random_angles(rng, m, npts=64):
+    """npts random interior hyperspherical angle points of S^m, (npts, m)."""
+    return rng.uniform(0.0, [np.pi] * (m - 1) + [2.0 * np.pi], size=(npts, m))
 
 
-def test_cached_swap_equals_an_uncached_probe():
-    for p, q in [(p, q) for p in range(1, 5) for q in range(1, 6 - p)]:
-        assert CollapseMap(p, q, resolution=0.25).swap_target == \
-            CollapseMap._swap_target.__wrapped__(p, q)
+def jet_dets(rows, npts):
+    """Per-node determinants of square jet rows (dual.jet_rows) on npts points."""
+    return np.linalg.det(jet_array(rows, (npts,)).transpose(2, 0, 1))
 
 
-def _count_probes(monkeypatch, sign=None):
-    calls = []
-    probe = CollapseMap._probe_orientation
-
-    def counting(phi):
-        calls.append((phi.p, phi.q, phi.swap_target))
-        return probe(phi) if sign is None else sign
-
-    monkeypatch.setattr(CollapseMap, "_probe_orientation", counting)
-    CollapseMap._swap_target.cache_clear()
-    return calls
-
-
-def test_the_orientation_is_probed_on_the_first_build_only(monkeypatch):
-    calls = _count_probes(monkeypatch)
-    phi = CollapseMap(2, 1, resolution=COARSE)
-    # The probe, then the normalization check on the swapped map.
-    assert calls == [(2, 1, False), (2, 1, True)] and phi.swap_target
-    calls.clear()
-    assert CollapseMap(2, 1, resolution=0.25).swap_target
-    assert calls == []
-
-
-def test_a_failed_normalization_still_raises(monkeypatch):
-    calls = _count_probes(monkeypatch, sign=-1)
-    with pytest.raises(RuntimeError, match="normalization failed"):
-        CollapseMap(2, 1, resolution=COARSE)
-    assert len(calls) == 2
+@pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 5) for q in range(1, 6 - p)])
+def test_the_derived_orientation_holds_at_random_interior_points(p, q):
+    # The signs that the domains and collapse module docstrings derive.
+    rng = np.random.default_rng([p, q])
+    for m in (p, q, p + q):
+        amb = embed_sphere(dual.seed_all(list(random_angles(rng, m).T)), m)
+        assert np.all(jet_dets(dual.jet_rows(amb, m), 64) > 0)
+    # The ball's chart to the product angles, at r in (0, 2R).
+    r = rng.uniform(0.0, 2.0 * COLLAPSE_RADIUS, size=(64, 1))
+    amb = product_embedding_of_the_ball(p, np.hstack([r, random_angles(rng, p + q - 1)]))
+    angles = (sphere_angles_from_ambient(amb[:p + 1], p)
+              + sphere_angles_from_ambient(amb[p + 1:], q))
+    assert np.all(jet_dets([row[1:] for row in dual.jet_rows(angles, p + q)], 64) > 0)
+    # phi on the ball, at r < R, where it is the inverse stereographic
+    # projection of w.
+    phi = CollapseMap(p, q)
+    ball = phi.ball()
+    r = rng.uniform(0.0, COLLAPSE_RADIUS, size=(64, 1))
+    pts = np.hstack([r, random_angles(rng, p + q - 1)])
+    assert np.all(jet_dets(ball.ambient_jacobian_columns(pts), 64) > 0)
+    if (p, q) == (2, 1):
+        # Its last two target coordinates swapped back, phi has degree -1.
+        mirrored = ChartMap(ball.source, ball.target,
+                            lambda cols: phi._swapped(phi._on_ball(cols)))
+        assert mapping_degree(mirrored, COLLAPSE_LADDER).rounded == -1
 
 
 def _count_product_charts(monkeypatch):
@@ -227,13 +241,13 @@ def jet_array(rows, shape):
 def lapack_volume_pullback(chart_map):
     """volume_pullback_integral's sum, with every node's determinant taken by
     LAPACK on the same jet rows, broadcast to each block."""
-    src, tgt = chart_map.source, chart_map.target
+    src = chart_map.source
     total = 0.0
     for block in src.node_blocks(CHUNK):
         jet = jet_array(chart_map.ambient_jacobian_columns(block), block.shape)
         dets = np.linalg.det(jet.transpose(2, 1, 0))
         total += np.sum(block.weights() * dets)
-    return complex(src.orientation_sign * tgt.ambient_det_sign * total / tgt.volume())
+    return complex(total / chart_map.target.volume())
 
 
 @pytest.mark.parametrize("case", ["ball 2 1", "ball 1 2", "ball 3 1", "ball 4 1", "ball 2 3",
@@ -273,18 +287,28 @@ def test_volume_pullback_peak_memory_is_the_jet_columns_and_the_widest_minors():
     assert peak <= bound
 
 
-def test_collapse_degree_takes_no_batched_lapack_determinant(monkeypatch):
-    # Chart and map construction calibrate orientation signs on one matrix
-    # each; the volume form's per-node determinants must not reach LAPACK.
-    lapack_det = np.linalg.det
+NO_LAPACK_DET = """
+import numpy as np
 
-    def single_matrix_det(a):
-        if np.ndim(a) > 2:
-            raise AssertionError("batched LAPACK determinant")
-        return lapack_det(a)
+def det(a):
+    raise AssertionError(f"LAPACK determinant of shape {np.shape(a)}")
 
-    monkeypatch.setattr(np.linalg, "det", single_matrix_det)
-    assert collapse_degree(3, 1).rounded == 1
+np.linalg.det = det
+from oddchern.collapse import CollapseMap, collapse_degree
+CollapseMap(3, 1)
+assert collapse_degree(3, 1).rounded == 1
+"""
+
+
+def test_collapse_degree_takes_no_lapack_determinant():
+    # The orientation is derived, not probed, and the volume form's
+    # determinants are cofactor expansions (forms._block_det): building the
+    # map and its degree call np.linalg.det on no matrix at all.  In a fresh
+    # process, so that nothing an earlier test computed can hide a call.
+    env = dict(os.environ)
+    src = str(Path(oddchern.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", NO_LAPACK_DET], env=env, check=True, timeout=120)
 
 
 # -- the collapse map on its ball chart ---------------------------------------
@@ -293,10 +317,7 @@ def product_path_on_the_ball(phi, ball, pts):
     """phi's values and chart Jacobian columns at ball chart points, through
     the product embedding (inverse stereographic projection of each factor's
     block of w = r u) and CollapseMap._ambient."""
-    r, *rest = dual.seed_all(list(pts.T))
-    w = [r * u for u in embed_sphere(rest, ball.dim - 1)]
-    amb = _inverse_stereographic(w[:phi.p]) + _inverse_stereographic(w[phi.p:])
-    out = phi._ambient(amb)
+    out = phi._ambient(product_embedding_of_the_ball(phi.p, pts))
     vals = np.stack([c.val for c in out], axis=1)
     return vals, [np.stack([c.eps[i] for c in out], axis=1) for i in range(ball.dim)]
 

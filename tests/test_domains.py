@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from oddchern import domains
 from oddchern.defaults import (BALL_NODES, CHUNK, COLLAPSE_LADDER, COLLAPSE_RADIUS,
                                DEGREE_LADDER, FD_STEP, GAMMA_COARSE_SCALE, NODES_PER_ANGLE,
                                SPLIT_LADDER)
@@ -86,26 +85,6 @@ def test_orientation_volume_positive():
 def test_normalized_volume_integrates_to_one():
     dom = ChartedSphereDomain([2], resolution=COARSE)
     assert integrate_top(volume_field(dom), dom) / dom.volume() == pytest.approx(1.0, rel=1e-10)
-
-
-def test_ambient_det_sign_is_a_sign():
-    for spheres in ([1], [2], [3], [2, 1]):
-        dom = ChartedSphereDomain(spheres, resolution=COARSE)
-        assert dom.ambient_det_sign in (-1, 1)
-        assert dom.at_scale(0.5).ambient_det_sign == dom.ambient_det_sign
-
-
-def test_cached_chart_signs_equal_an_uncached_calibration():
-    for m in NODES_PER_ANGLE:
-        dom = ChartedSphereDomain([m], resolution=COARSE)
-        assert dom.ambient_det_sign == domains._det_sign.__wrapped__((m,))
-    pairs = [(p, q) for p in range(1, 5) for q in range(1, 6 - p)]
-    for p, q in pairs:
-        product = ChartedSphereDomain([p, q], resolution=COARSE)
-        assert product.ambient_det_sign == domains._det_sign.__wrapped__((p, q))
-        ball = ChartedSphereDomain.ball(p, q, COLLAPSE_RADIUS, resolution=COARSE)
-        assert ball.orientation_sign == domains._ball_orientation_sign.__wrapped__(
-            p, q, COLLAPSE_RADIUS)
 
 
 def _smooth_one_form(dom):
@@ -227,7 +206,6 @@ def test_at_scale_rescales_nodes(kind):
         assert len(scaled.axes) == len(direct.axes) == dom.dim
         for (x, w), (dx, dw) in zip(scaled.axes, direct.axes):
             assert np.array_equal(x, dx) and np.array_equal(w, dw)
-        assert scaled.orientation_sign == direct.orientation_sign
         assert np.array_equal(scaled.exterior, direct.exterior)
         if kind == "ball":
             # Two radial panels, [0, R] and [R, 2R], of n interior nodes each.
@@ -238,7 +216,6 @@ def test_at_scale_rescales_nodes(kind):
             assert w[:n].sum() == pytest.approx(R, rel=1e-14)
             assert w[n:].sum() == pytest.approx(R, rel=1e-14)
         else:
-            assert scaled.ambient_det_sign == direct.ambient_det_sign
             assert scaled.volume() == pytest.approx(dom.volume(), rel=1e-9)
 
 

@@ -177,14 +177,14 @@ def test_the_import_rule_sees_an_unread_import():
     assert unread_imports("import numpy as np\nfrom math import pi\nx = pi\n") == {"np"}
 
 
-# The decisions that ChartedSphereDomain.integrate owns: the node blocks, their
-# weights and the chart's orientation.
-QUADRATURE_ATTRS = {"node_blocks", "weights", "orientation_sign"}
+# The decisions that ChartedSphereDomain.integrate owns: the node blocks and
+# their weights.
+QUADRATURE_ATTRS = {"node_blocks", "weights"}
 
 
 def quadrature_reads(source):
-    """(line, attribute) of every read of node_blocks, weights or
-    orientation_sign in the source, calls included."""
+    """(line, attribute) of every read of node_blocks or weights in the
+    source, calls included."""
     return [(node.lineno, node.attr) for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Attribute) and node.attr in QUADRATURE_ATTRS]
 
@@ -197,14 +197,23 @@ def test_every_quadrature_sum_is_domains_integrate():
 
 def test_the_quadrature_rule_sees_a_stray_block_loop():
     source = (SRC / "collapse.py").read_text()
-    summed = "    return complex(sign * norm * src.integrate(dets))\n"
+    summed = "    return complex(norm * src.integrate(dets))\n"
     assert summed in source
     stray = source.replace(summed, "    total = 0.0\n"
                                    "    for block in src.node_blocks(997):\n"
                                    "        total += np.sum(block.weights() * dets(block))\n"
-                                   "    return complex(src.orientation_sign * sign * norm * total)\n")
+                                   "    return complex(norm * total)\n")
     assert {attr for _, attr in quadrature_reads(stray)} == QUADRATURE_ATTRS
     assert quadrature_reads(source) == []
+
+
+def test_every_quadrature_attribute_is_defined_in_domains():
+    # A rule on an attribute that no longer exists would pass vacuously.
+    tree = ast.parse((SRC / "domains.py").read_text())
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    defined |= {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+    assert QUADRATURE_ATTRS <= defined
 
 
 # The one block-layout exception: LAPACK's point-axis-first batches in the
