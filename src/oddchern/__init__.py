@@ -21,20 +21,15 @@ from .chern import (
     odd_chern,
     transgression_form,
 )
-from .collapse import CollapseMap, mapping_degree, signed_preimage_count
+from .collapse import CollapseMap, mapping_degree
 from .domains import ChartedSphereDomain, sphere_volume
 from .fields import (
     FormField,
     constant_field,
     exterior_derivative,
     integrate_top,
-    volume_field,
 )
-from .forms import (
-    GradedMatrixForm,
-    nilpotent_exp,
-    normalize_2pi,
-)
+from .forms import GradedMatrixForm, nilpotent_exp
 from .maps import (
     ChartMap,
     DualMatrixMap,

@@ -155,14 +155,6 @@ class CollapseMap(ChartMap):
         constant, at the map's resolution: the one map the constructor built."""
         return self._ball
 
-    def local_radius(self, pts) -> np.ndarray:
-        """|w| = |(sigma_p, sigma_q)| at chart points; np.inf at the wedge."""
-        amb = self.source.embed(np.asarray(pts, float))
-        with np.errstate(divide="ignore"):
-            s1 = (1.0 + amb[:, 0]) / (1.0 - amb[:, 0])
-            s2 = (1.0 + amb[:, self.p + 1]) / (1.0 - amb[:, self.p + 1])
-        return np.sqrt(s1 + s2)
-
 
 def volume_pullback_integral(chart_map: ChartMap, scale=1.0) -> complex:
     """Integral of the pulled-back normalized round volume form of the target sphere.
@@ -202,41 +194,3 @@ def collapse_degree(p: int, q: int) -> DegreeResult:
     its pulled-back volume form is integrated over that ball alone.
     """
     return mapping_degree(CollapseMap(p, q).ball(), COLLAPSE_LADDER)
-
-
-def signed_preimage_count(chart_map: ChartMap, target_chart_point, rng):
-    """Independent degree oracle: signed count of preimages of a regular value.
-
-    60 Gauss-Newton steps in chart coordinates from 300 scattered starts;
-    roots with residual at most 1e-9 are deduped in the source's ambient
-    metric and signed by the orientation of the ambient Jacobian determinant.
-    """
-    src, tgt = chart_map.source, chart_map.target
-    y = tgt.embed(np.asarray(target_chart_point, float).reshape(1, -1))[0]
-
-    los = np.array([a[0].min() for a in src.axes])
-    his = np.array([a[0].max() for a in src.axes])
-    starts = rng.uniform(los, his, size=(300, src.dim))
-
-    roots = []
-    x = starts.copy()
-    for _ in range(60):
-        jet = np.array(chart_map.ambient_jacobian_columns(x))  # (amb_t, 1 + dim_s, n)
-        res = jet[:, 0].T - y
-        jac = jet[:, 1:].transpose(2, 0, 1)  # (n, amb_t, dim_s)
-        step = np.zeros_like(x)
-        for i in range(len(x)):
-            step[i], *_ = np.linalg.lstsq(jac[i], res[i], rcond=None)
-        x = x - np.clip(step, -0.5, 0.5)
-        x = np.clip(x, los + 1e-9, his - 1e-9)
-    jet = np.array(chart_map.ambient_jacobian_columns(x))
-    res_norm = np.linalg.norm(jet[:, 0].T - y, axis=1)
-    amb = src.embed(x)
-    for i in np.argsort(res_norm):
-        if res_norm[i] > 1e-9:
-            break
-        if any(np.linalg.norm(amb[i] - a) < 1e-5 for a, _ in roots):
-            continue
-        sign = 1 if np.linalg.det(jet[..., i]) > 0 else -1
-        roots.append((amb[i], sign))
-    return sum(s for _, s in roots), len(roots)

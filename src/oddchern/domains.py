@@ -72,8 +72,8 @@ class NodeBlock:
 
     def weights(self) -> np.ndarray:
         """Per-node quadrature weights in C order, folded axis by axis, so a
-        block's weights are bit-identical to the whole grid's
-        (ChartedSphereDomain.weights is the block of every node)."""
+        block's weights are bit-identical to those of the same nodes in the
+        block of every node."""
         w = np.ones(self.shape)
         for k, ((_, wi), i) in enumerate(zip(self._axes, self.index)):
             w = w * self._column(wi[i], k)
@@ -162,19 +162,11 @@ def sphere_angles_from_ambient(cols, m: int):
     return angles
 
 
-def _sphere_sqrtg(cols, m: int):
-    """Volume density of the round metric in hyperspherical angles."""
-    g = 1.0
-    for j in range(m - 1):
-        g = g * dual.sin(cols[j]) ** (m - 1 - j)
-    return g if m > 1 else np.ones_like(dual.value(cols[0]))
-
-
 class ChartedSphereDomain:
     """A tensor chart: one quadrature rule per chart coordinate, and an embedding.
 
     The constructor (or sphere, product) builds a sphere or product angle
-    chart, and ball the collapse map's ball chart.  volume, sqrtg,
+    chart, and ball the collapse map's ball chart.  volume,
     angles_from_ambient_cols and factor_slices apply to sphere and product
     charts only.  Each chart's coordinate order is its orientation (module
     docstring).
@@ -290,13 +282,6 @@ class ChartedSphereDomain:
             a0 += m + 1
         return out
 
-    def sqrtg(self, pts: np.ndarray) -> np.ndarray:
-        g, c0 = 1.0, 0
-        for m in self.spheres:
-            g = g * _sphere_sqrtg(list(pts.T[c0:c0 + m]), m)
-            c0 += m
-        return np.asarray(g, dtype=float) * np.ones(len(pts))
-
     def embed_dual_cols(self, cols):
         """Ambient columns with every chart coordinate column seeded at once.
 
@@ -321,9 +306,6 @@ class ChartedSphereDomain:
     def sample_nodes(self, n_sample: int) -> np.ndarray:
         """About n_sample evenly strided grid nodes: nodes()[::sample_stride(n_sample)]."""
         return self.nodes_at(np.arange(0, self.n_nodes, self.sample_stride(n_sample)))
-
-    def weights(self) -> np.ndarray:
-        return NodeBlock(self.axes, self.shape, [np.arange(n) for n in self.shape]).weights()
 
     def node_blocks(self, chunk: int):
         """Yield the grid as NodeBlocks of at most chunk nodes, in C order.

@@ -1,9 +1,12 @@
 """Form fields on a charted domain: smooth maps from chart points to forms.
 
 A FormField can be sampled at arbitrary chart points (not only quadrature
-nodes), which is what the exterior derivative needs.  Samples are
-GradedMatrixForms, whose (N, N, npts) components the integrals below hand
-to ChartedSphereDomain.integrate, the one quadrature sum.
+nodes), which is what the exterior derivative needs.  This module holds
+constant fields and the exterior derivative; the program's other fields
+(Maurer-Cartan, odd Chern, Chern-Simons and transgression forms) are built
+in chern.py.  Samples are GradedMatrixForms, whose (N, N, npts) components
+the integrals below hand to ChartedSphereDomain.integrate, the one
+quadrature sum.
 """
 
 from __future__ import annotations
@@ -38,18 +41,6 @@ def constant_field(domain, mat) -> FormField:
         return f
 
     return FormField(domain, mat.shape[0], sampler)
-
-
-def volume_field(domain) -> FormField:
-    """The round volume form (top degree, scalar coefficients)."""
-    top = (1 << domain.dim) - 1
-
-    def sampler(pts):
-        f = GradedMatrixForm(domain.dim, 1, len(pts))
-        f.comps[top] = domain.sqrtg(pts).astype(complex)[None, None]
-        return f
-
-    return FormField(domain, 1, sampler)
 
 
 def exterior_derivative(field: FormField) -> FormField:

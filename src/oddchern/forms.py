@@ -170,12 +170,6 @@ class GradedMatrixForm:
             f.comps[1 << i] = b
         return f
 
-    # -- queries -------------------------------------------------------------
-
-    def max_abs(self) -> float:
-        vals = [np.abs(c).max() for c in self.comps if c is not None]
-        return float(max(vals)) if vals else 0.0
-
     # -- linear structure ----------------------------------------------------
 
     def _check_compatible(self, other):
@@ -277,11 +271,6 @@ def wedge_chain(factors) -> GradedMatrixForm:
     for f in factors[1:]:
         acc = acc.wedge(f)
     return acc
-
-
-def normalize_2pi(w: GradedMatrixForm) -> GradedMatrixForm:
-    """Scale each degree-k component by (2*pi*i)**(-k/2), principal branch."""
-    return w.scale_by_degree(lambda k: SQRT_2PI_I ** (-k))
 
 
 def nilpotent_exp(w: GradedMatrixForm) -> GradedMatrixForm:

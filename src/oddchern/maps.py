@@ -147,17 +147,6 @@ class ScaledMatrixMap(SmoothMatrixMap):
         return self.c * vals, self.c * ds
 
 
-def constant_map(mat) -> DualMatrixMap:
-    mat = np.asarray(mat, dtype=complex)
-
-    def fn(cols):
-        ones = np.ones_like(dual.value(cols[0]))
-        return [[mat[i, j] * ones for j in range(mat.shape[1])]
-                for i in range(mat.shape[0])]
-
-    return DualMatrixMap(fn, mat.shape[0])
-
-
 def _embed_block(block_rows, size, ones):
     """Place a small matrix block in the top-left of an identity of `size`."""
     k = len(block_rows)
@@ -250,12 +239,6 @@ class ChartMap:
         self.source = source
         self.target = target
         self.ambient_fn = ambient_fn
-
-    def evaluate_ambient(self, pts) -> np.ndarray:
-        """The map's ambient values at pts, one (npts, k) array of a plain pass."""
-        cols, shape = chart_columns(pts)
-        out = self.ambient_fn(self.source.embed_cols(cols))
-        return np.stack([np.broadcast_to(c, shape) for c in out], axis=-1).reshape(-1, len(out))
 
     def ambient_jacobian_columns(self, pts):
         """The map's jet at pts in one pass, as dual.jet_rows: per ambient

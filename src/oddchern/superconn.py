@@ -106,9 +106,6 @@ class _PolarMap(SmoothMatrixMap):
     def evaluate(self, domain, pts):
         return _polar(self.v.evaluate(domain, pts), self.size)
 
-    def differential(self, domain, pts, direction):
-        return self.jet(domain, pts)[1][direction]
-
     def jet(self, domain, pts):
         u = _polar(dual.from_jet(*self.v.jet(domain, pts)), self.size)
         vals, *ds = dual.jet_rows([u], domain.dim)[0]

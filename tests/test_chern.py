@@ -24,6 +24,7 @@ from oddchern.maps import (DualMatrixMap, HomotopyFamily, ProductMatrixMap,
                            SmoothMatrixMap, circle_winding,
                            compose_map_with_matrix, stabilize, su2_identity)
 from oddchern.superconn import SuperBundleModel
+from reference import evaluate_ambient, local_radius
 
 COARSE = 0.5  # resolution: 32, 24 and 16 nodes per angle on S^1, S^2 and S^3
 
@@ -136,6 +137,25 @@ def test_degree_is_constant_along_a_homotopy(m, k1, k2, c1, c2, ts):
     for t in ts:
         r = deg(family.slice_at(t), dom)
         assert r.accepted and r.rounded == -m
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP D: on 128 nodes of S^1 the last level is 4.8e-11 from -3, but its "
+    "step from 64 nodes is 5.8e-6, above DEGREE_LADDER's 1e-6, so converged is "
+    "False; ROADMAP C or K mends it, and then this marker goes"))
+def test_degree_of_a_known_clutching_example_is_accepted():
+    # A falsifying example of test_degree_is_constant_along_a_homotopy:
+    # g_1 = [[z^m, c1 z^k1], [c2 conj(z)^k2, 1]], of winding m.
+    m, k1, k2, c1, c2 = 3, 1, 2, 0.5, 0.625
+    dom = ChartedSphereDomain([1], resolution=COARSE)
+
+    def fn(t, cols):
+        z = cols[0] + 1j * cols[1]
+        ones = np.ones_like(dual.value(cols[0]))
+        return [[z ** m, (t * c1) * z ** k1], [(t * c2) * dual.conj(z) ** k2, 1.0 * ones]]
+
+    r = deg(HomotopyFamily(fn, 2).slice_at(1.0), dom)
+    assert r.accepted and r.rounded == -m
 
 
 def test_deg_rejects_even_or_product_domains():
@@ -291,7 +311,7 @@ def test_singular_value_outside_the_support_is_named():
     phi = CollapseMap(2, 1, resolution=COARSE)
     dom = phi.source
     g = compose_map_with_matrix(phi, DualMatrixMap(singular_at_the_pole, 2))
-    node = int(np.flatnonzero(phi.local_radius(dom.nodes()) >= 2.0 * COLLAPSE_RADIUS)[0])
+    node = int(np.flatnonzero(local_radius(phi, dom.nodes()) >= 2.0 * COLLAPSE_RADIUS)[0])
     with pytest.raises(SingularMapError, match=f"singular at sample point index {node}$"):
         odd_chern_top_integral(g, dom)
 
@@ -314,11 +334,11 @@ def test_singular_kept_node_is_named_by_its_grid_index():
     # grid index, which the error must name.
     phi = CollapseMap(2, 1, resolution=COARSE)
     dom = phi.source
-    r = phi.local_radius(dom.nodes())
+    r = local_radius(phi, dom.nodes())
     block = np.arange(CHUNK, 2 * CHUNK)
     first_constant = block[r[block] >= 2.0 * COLLAPSE_RADIUS][0]
     node = int(block[(block > first_constant) & (r[block] < COLLAPSE_RADIUS)][0])
-    centre = phi.evaluate_ambient(dom.nodes()[node:node + 1])[0]
+    centre = evaluate_ambient(phi, dom.nodes()[node:node + 1])[0]
 
     def fn(cols):
         return [[sum((x - c) * (x - c) for x, c in zip(cols, centre)) + 0j]]

