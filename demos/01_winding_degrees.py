@@ -26,7 +26,7 @@ for m in range(-3, 4):
 # the full mixed-degree form; on S^1 only the degree-1 piece survives.
 g = circle_winding(2)
 form = odd_chern(g, circle)
-pieces = integrate_all_degrees(form, circle)
+pieces = integrate_all_degrees(form)
 print("\nnonzero integrals of Ch(z^2) by form degree:", pieces)
 
 # Windings multiply under composition of circle maps.

@@ -25,7 +25,6 @@ from .collapse import CollapseMap, mapping_degree
 from .domains import ChartedSphereDomain, sphere_volume
 from .fields import (
     FormField,
-    constant_field,
     exterior_derivative,
     integrate_top,
 )

@@ -202,27 +202,22 @@ def _trace_series(lead, degree, w, dim, coefficient):
     return out
 
 
-def chern_simons(conn0: FormField, conn1: FormField, domain) -> FormField:
-    """Transgression form between two trivial-bundle connections d + A.
-
-    16-node Gauss-Legendre quadrature in the interpolation parameter of
-    Tr(d/du A_u wedge exp(F_u)), F_u = dA_u + A_u wedge A_u; the nilpotent
-    exponential is exact, so only the u-quadrature is approximate (and the
-    integrand is polynomial in u, hence exact for enough nodes).
-    """
-    d0 = exterior_derivative(conn0)
-    d1 = exterior_derivative(conn1)
-    xs, ws = gauss_axis((16, (0.0, 1.0)))
+def chern_simons(conn: FormField) -> FormField:
+    """Transgression form cs(d, d + A) on conn.domain, for conn = A: the
+    integral over u in [0, 1] of Tr(A wedge exp(F_u)), F_u = u dA + u^2 A ^ A.
+    Its form-degree 2k + 1 <= d part is a polynomial of degree 2k <= d - 1 in
+    u, so (d + 1) // 2 Gauss nodes (at least 2, gauss_axis) are exact."""
+    domain = conn.domain
+    d_conn = exterior_derivative(conn)
+    us, ws = gauss_axis(((domain.dim + 1) // 2, (0.0, 1.0)))
 
     def sampler(pts):
-        a0, da0 = conn0.at(pts), d0.at(pts)
-        adot, dadot = conn1.at(pts) - a0, d1.at(pts) - da0
+        a, da = conn.at(pts), d_conn.at(pts)
+        a2 = a.wedge(a)
         out = None
-        for u, w in zip(xs, ws):
-            au = a0 + adot.scale(u)
-            dau = da0 + dadot.scale(u)
-            curv = (dau + au.wedge(au)).scale(CURVATURE_EXP_SIGN)
-            term = adot.wedge(nilpotent_exp(curv)).trace().scale(w)
+        for u, w in zip(us, ws):
+            curv = (da.scale(u) + a2.scale(u * u)).scale(CURVATURE_EXP_SIGN)
+            term = a.wedge(nilpotent_exp(curv)).trace().scale(w)
             out = term if out is None else out + term
         return out
 
@@ -284,7 +279,7 @@ def assemble_split_map(f: DualMatrixMap, h: DualMatrixMap,
         else:
             h = stabilize(h, big - h.size)
     product = collapse.source
-    pr2 = projection_second_factor(product, type(product).sphere(product.spheres[1]))
+    pr2 = projection_second_factor(product)
     return ProductMatrixMap(
         compose_map_with_matrix(pr2, f),
         compose_map_with_matrix(collapse, h),

@@ -70,7 +70,7 @@ class CollapseMap(ChartMap):
         # ChartMap's fields but source, a cached property.
         self.target = ChartedSphereDomain.sphere(p + q, resolution=resolution)
         self.ambient_fn = self._ambient
-        self._ball = ChartMap(ChartedSphereDomain.ball(p, q, COLLAPSE_RADIUS, resolution),
+        self._ball = ChartMap(ChartedSphereDomain.ball(p, q, resolution),
                               self.target, self._on_ball)
 
     @cached_property
@@ -79,15 +79,6 @@ class CollapseMap(ChartMap):
         return ChartedSphereDomain.product(self.p, self.q, resolution=self.resolution)
 
     # -- map definition ------------------------------------------------------
-
-    def _far(self, x1, y1):
-        """Mask of |w| >= 2R (or a factor at its basepoint), where the map is
-        constant, from the plain values x1, y1 of the two factor-leading
-        ambient coordinates."""
-        d1, d2 = 1.0 - x1, 1.0 - y1
-        near1, near2 = d1 > _DENOM_FLOOR, d2 > _DENOM_FLOOR
-        r2 = (1.0 + x1) / np.where(near1, d1, 1.0) + (1.0 + y1) / np.where(near2, d2, 1.0)
-        return ~near1 | ~near2 | (r2 >= 4.0 * COLLAPSE_RADIUS * COLLAPSE_RADIUS)
 
     @staticmethod
     def _eta(r, inside):
@@ -105,17 +96,19 @@ class CollapseMap(ChartMap):
         x1 = cols[0]          # first factor's leading ambient coordinate
         y1 = cols[p + 1]      # second factor's leading ambient coordinate
         ones = np.ones_like(dual.value(x1))
-        far = self._far(dual.value(x1), dual.value(y1))
 
         d1 = 1.0 - x1
         d2 = 1.0 - y1
-        d1s = dual.where(dual.value(d1) > _DENOM_FLOOR, d1, ones)
-        d2s = dual.where(dual.value(d2) > _DENOM_FLOOR, d2, ones)
+        near1, near2 = dual.value(d1) > _DENOM_FLOOR, dual.value(d2) > _DENOM_FLOOR
+        d1s = dual.where(near1, d1, ones)
+        d2s = dual.where(near2, d2, ones)
 
         # |sigma(x)|^2 = (1 + x1)/(1 - x1) on the unit sphere.
         s1 = (1.0 + x1) / d1s
         s2 = (1.0 + y1) / d2s
         r2 = s1 + s2
+        # |w| >= 2R, or a factor at its basepoint: the map is constant there.
+        far = ~near1 | ~near2 | (dual.value(r2) >= 4.0 * R * R)
 
         w = [c / d1s for c in cols[1:p + 1]] + [c / d2s for c in cols[p + 2:p + q + 2]]
 
@@ -142,7 +135,7 @@ class CollapseMap(ChartMap):
         r2, eta2 = r * r, eta * eta
         denom = r2 + eta2
         radial = 2.0 * eta * r / denom
-        return self._swapped([(r2 - eta2) / denom] + [dual.separable_mul(radial, c, 1) for c in u])
+        return self._swapped([(r2 - eta2) / denom] + [dual.separable_mul(radial, c) for c in u])
 
     @staticmethod
     def _swapped(out):

@@ -34,12 +34,10 @@ BALL_NODES = (24, 8)
 # COLLAPSE_LADDER were scanned at this R alone, so it is fixed, not a setting.
 COLLAPSE_RADIUS = 4.0
 
-# Deformation-parameter integral for the boundary transgression form:
-# T_NODES-point Gauss-Legendre on [0, T] (T_MAX by default); the tail beyond
-# T_MAX is bounded by exp(-T_MAX**2) * poly and neglected.  The integrand is
-# a scalar factor, so the node count costs no sweep.
+# Default T of the boundary transgression form gamma(T), whose t-integral is
+# closed-form (superconn.gamma_boundary_integral); the tail beyond T_MAX is
+# bounded by exp(-T_MAX**2) * poly, below rounding.
 T_MAX = 8.0
-T_NODES = 200
 
 # Finite-difference steps (Richardson-extrapolated 5-point stencils).
 FD_STEP = 1e-4

@@ -35,7 +35,7 @@ from math import gamma, pi
 import numpy as np
 
 from . import dual
-from .defaults import BALL_NODES, CHUNK, NODES_PER_ANGLE
+from .defaults import BALL_NODES, CHUNK, COLLAPSE_RADIUS, NODES_PER_ANGLE
 
 
 class SingularMapError(ValueError):
@@ -207,8 +207,9 @@ class ChartedSphereDomain:
         return cls([p, q], **kw)
 
     @classmethod
-    def ball(cls, p: int, q: int, radius: float, resolution=1.0):
-        """The ball |w| < 2R of stereographic coordinates on S^p x S^q.
+    def ball(cls, p: int, q: int, resolution=1.0):
+        """The ball |w| < 2R, R = COLLAPSE_RADIUS, of stereographic coordinates
+        on S^p x S^q.
 
         w = (sigma_p(x), sigma_q(y)) in R^(p+q); the chart coordinates are
         (r, theta_1..theta_{p+q-1}) with w = r u and u in S^(p+q-1) in
@@ -220,7 +221,7 @@ class ChartedSphereDomain:
         coordinates [r] + u (embed_cols), as collapse.CollapseMap.ball does.
         """
         self = cls.__new__(cls)
-        self.spheres, self.radius = (p, q), float(radius)
+        self.spheres, self.radius = (p, q), COLLAPSE_RADIUS
         n_r, n_angle = (_budget(n, resolution) for n in BALL_NODES)
         self.rules = (((n_r, (0.0, self.radius, 2.0 * self.radius)),)
                       + _angle_rules(p + q - 1, n_angle))

@@ -95,16 +95,16 @@ class Dual:
         return Dual(self.val ** p, p * self.val ** (p - 1) * self.eps)
 
 
-def separable_mul(a, b, k):
-    """a * b for a varying along directions < k only and b along the rest: each
+def separable_mul(a, b):
+    """a * b for a varying along direction 0 only and b along the rest: each
     derivative row is the one nonzero term of a * b's, written into the result,
     so every row equals a * b's.  A plain operand gives a * b."""
     if not (isinstance(a, Dual) and isinstance(b, Dual)):
         return a * b
     val = a.val * b.val
     eps = np.empty(a.eps.shape[:1] + val.shape, np.result_type(val, a.eps, b.eps))
-    np.multiply(a._eps_for(b)[:k], b.val, out=eps[:k])
-    np.multiply(a.val, b._eps_for(a)[k:], out=eps[k:])
+    np.multiply(a._eps_for(b)[:1], b.val, out=eps[:1])
+    np.multiply(a.val, b._eps_for(a)[1:], out=eps[1:])
     return Dual(val, eps)
 
 

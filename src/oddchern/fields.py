@@ -2,7 +2,7 @@
 
 A FormField can be sampled at arbitrary chart points (not only quadrature
 nodes), which is what the exterior derivative needs.  This module holds
-constant fields and the exterior derivative; the program's other fields
+the exterior derivative and the integrals; the program's fields
 (Maurer-Cartan, odd Chern, Chern-Simons and transgression forms) are built
 in chern.py.  Samples are GradedMatrixForms, whose (N, N, npts) components
 the integrals below hand to ChartedSphereDomain.integrate, the one
@@ -28,19 +28,6 @@ class FormField:
 
     def at(self, pts: np.ndarray) -> GradedMatrixForm:
         return self._sampler(np.asarray(pts, dtype=float))
-
-
-def constant_field(domain, mat) -> FormField:
-    """The degree-0 field mat; the zero matrix gives a field with no components."""
-    mat = np.asarray(mat, dtype=complex)
-
-    def sampler(pts):
-        f = GradedMatrixForm(domain.dim, mat.shape[0], len(pts))
-        if mat.any():
-            f.comps[0] = np.broadcast_to(mat[:, :, None], mat.shape + (len(pts),)).copy()
-        return f
-
-    return FormField(domain, mat.shape[0], sampler)
 
 
 def exterior_derivative(field: FormField) -> FormField:
@@ -88,14 +75,14 @@ def exterior_derivative(field: FormField) -> FormField:
     return FormField(field.domain, field.size, sampler)
 
 
-def integrate_top(field: FormField, domain):
-    """Oriented quadrature of the top-degree component of a field over the
+def integrate_top(field: FormField):
+    """Oriented quadrature of the top-degree component of a field over its
     domain: a complex number for a scalar field, else an (N, N) array."""
-    top = integrate_all_degrees(field, domain).get((1 << domain.dim) - 1, 0j)
+    top = integrate_all_degrees(field).get((1 << field.domain.dim) - 1, 0j)
     return complex(top[0, 0]) if np.shape(top) == (1, 1) else top
 
 
-def integrate_all_degrees(field: FormField, domain):
+def integrate_all_degrees(field: FormField):
     """Oriented integral of every component the field carries, by multi-index.
 
     Not a geometric invariant (except for the top degree); verify's
@@ -109,4 +96,4 @@ def integrate_all_degrees(field: FormField, domain):
         masks[:] = [mask for mask, c in enumerate(comps) if c is not None]
         return np.stack([comps[m] for m in masks]) if masks else np.zeros((0, len(block)))
 
-    return dict(zip(masks, domain.integrate(components)))
+    return dict(zip(masks, field.domain.integrate(components)))

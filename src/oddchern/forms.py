@@ -142,13 +142,13 @@ class GradedMatrixForm:
     Instances are treated as immutable by all operations.
     """
 
-    def __init__(self, dim: int, size: int, npts: int, comps=None):
+    def __init__(self, dim: int, size: int, npts: int):
         if dim < 1:
             raise ValueError("chart dimension must be >= 1")
         self.dim = dim
         self.size = size
         self.npts = npts
-        self.comps = [None] * (1 << dim) if comps is None else comps
+        self.comps = [None] * (1 << dim)
 
     # -- constructors -------------------------------------------------------
 
@@ -236,7 +236,10 @@ class GradedMatrixForm:
         """m-fold left-folded wedge of the form with itself (m >= 1)."""
         if m < 1:
             raise ValueError("wedge_power needs m >= 1")
-        return wedge_chain([self] * m)
+        acc = self
+        for _ in range(m - 1):
+            acc = acc.wedge(self)
+        return acc
 
     # -- trace-like maps ------------------------------------------------------
 
@@ -263,14 +266,6 @@ class GradedMatrixForm:
             if a is not None:
                 out.comps[m] = (_diagonal_sum(a, plus) - _diagonal_sum(a, minus))[None, None]
         return out
-
-
-def wedge_chain(factors) -> GradedMatrixForm:
-    """Left-folded wedge f_0 ^ f_1 ^ ... of a nonempty sequence of forms."""
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = acc.wedge(f)
-    return acc
 
 
 def nilpotent_exp(w: GradedMatrixForm) -> GradedMatrixForm:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import dual
 from .defaults import FD_STEP
-from .domains import NodeBlock, chart_columns
+from .domains import ChartedSphereDomain, NodeBlock, chart_columns
 from .forms import _block_product
 
 
@@ -276,14 +276,11 @@ def circle_power_map(domain, m: int) -> ChartMap:
     return ChartMap(domain, domain, fn)
 
 
-def projection_second_factor(product_domain, factor_domain) -> ChartMap:
+def projection_second_factor(product_domain) -> ChartMap:
     """pr_2: S^p x S^q -> S^q, dropping the first factor's ambient block."""
-    (_, amb1), (_, amb2) = product_domain.factor_slices()
-
-    def fn(cols):
-        return cols[amb2.start:amb2.stop]
-
-    return ChartMap(product_domain, factor_domain, fn)
+    amb2 = product_domain.factor_slices()[1][1]
+    return ChartMap(product_domain, ChartedSphereDomain.sphere(product_domain.spheres[1]),
+                    lambda cols: cols[amb2])
 
 
 def compose_map_with_matrix(chart_map: ChartMap, g: DualMatrixMap) -> DualMatrixMap:

@@ -102,9 +102,12 @@ def _build_generator(cfg, prefix):
     size = _get_int(cfg, prefix + ".size", 2, minimum=1)
     m = _get_int(cfg, prefix + ".m", 1)
     try:
-        return generator(kind, size=size, m=m)
+        g = generator(kind, size=size, m=m)
     except ValueError as exc:
         raise ScenarioError(f"{prefix}.kind: {exc}") from None
+    if prefix + ".m" in cfg and kind != "circle_winding":
+        raise ScenarioError(f"{prefix}.m: only a circle_winding map takes m, not {kind}")
+    return g
 
 
 def _degree_entry(result: DegreeResult) -> dict:

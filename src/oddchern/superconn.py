@@ -12,7 +12,7 @@ Only the top-degree piece of that form reaches the boundary integral, and
 its t-dependence factors out: it is (-t)^d/d! phi(Tr_s(V dV^d)) with d the
 chart dimension.  So each model integrates the T-independent form
 phi(Tr_s(V dV^d)) once and keeps the value; every gamma(T) is then a scalar
-Gauss-Legendre factor times it.  The same sweep of the model grid, from the
+t-integral in closed form times it.  The same sweep of the model grid, from the
 same jet of v per node block, also integrates the top odd Chern form of v,
 which deg* and the closed-form limit need.  V and dV are block
 off-diagonal: with a = sum dv_i dx_i and b = sum dv_i* dx_i, V dV^d is
@@ -37,7 +37,7 @@ localization sum (-1)^(n+1) sum deg*(v_i) equals minus the sum of the limits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial
+from math import exp, factorial, lgamma, log
 
 import numpy as np
 
@@ -49,10 +49,9 @@ from .defaults import (
     MIN_SINGULAR_VALUE,
     SPLIT_LADDER,
     T_MAX,
-    T_NODES,
     UNITARY_TOL,
 )
-from .domains import SingularMapError, gauss_axis
+from .domains import SingularMapError
 from .forms import (
     SQRT_2PI_I,
     GradedMatrixForm,
@@ -68,6 +67,17 @@ BOUNDARY_ORIENTATION_SIGN = -1.0
 def gaussian_moment(n: int) -> float:
     """int_0^inf t^(2n-1) exp(-t^2) dt = (n-1)!/2, used analytically."""
     return 0.5 * factorial(n - 1)
+
+
+def _incomplete_gamma_ratio(n: int, T: float) -> float:
+    """P(n, T^2) = int_0^T t^(2n-1) e^(-t^2) dt / gaussian_moment(n), the Poisson
+    tail sum_(k >= n) e^(-x) x^k/k! at x = T^2: summed below T = 1 (20 terms
+    leave under 1/20! of the first), else 1 - sum_(k < n).  Each term is
+    exp(2k log T - T^2 - lgamma(k + 1)), finite at every finite T."""
+    def term(k):
+        return exp(2 * k * log(T) - T * T - lgamma(k + 1))
+
+    return sum(map(term, range(n, n + 20))) if T < 1.0 else 1.0 - sum(map(term, range(n)))
 
 
 def _polar(v, n):
@@ -293,15 +303,13 @@ def gamma_boundary_integral(model: SuperBundleModel, T: float = T_MAX) -> comple
 
     The top piece of the integrand is (-t)^d exp(-t^2)/d! times the
     T-independent form phi(Tr_s(V dV^d)), whose integral the model computes
-    once and keeps (SuperBundleModel.gamma_top).  Each call only evaluates
-    the T_NODES-point Gauss-Legendre integral in t of the scalar factor on
-    [0, T].
+    once and keeps (SuperBundleModel.gamma_top).  Each call only takes the
+    t-integral of the scalar factor, in closed form: d = 2n - 1 is odd, so
+    int_0^T (-t)^d exp(-t^2) dt = -gaussian_moment(n) P(n, T^2).
     """
-    d = model.domain.dim
-    top = model.gamma_top()
-    t, w = gauss_axis((T_NODES, (0.0, T)))
-    scalar = np.sum(w * (-t) ** d * np.exp(-t * t)) / factorial(d)
-    return complex(BOUNDARY_ORIENTATION_SIGN * scalar * top / SQRT_2PI_I)
+    n = model.n
+    scalar = -gaussian_moment(n) * _incomplete_gamma_ratio(n, T) / factorial(model.domain.dim)
+    return complex(BOUNDARY_ORIENTATION_SIGN * scalar * model.gamma_top() / SQRT_2PI_I)
 
 
 def gamma_closed_form(model: SuperBundleModel) -> complex:
@@ -316,8 +324,9 @@ def gamma_closed_form(model: SuperBundleModel) -> complex:
     """
     n = model.n
     # chern_top() carries the odd Chern coefficient (-1)^(n-1) (n-1)!/(2n-1)!,
-    # and the limit needs (-1)^n (n-1)!/(2n-1)! times the same trace.
-    coeff = -(2.0j * np.pi) ** (-n)
+    # and the limit needs (-1)^n 2 gaussian_moment(n)/(2n-1)! times the same
+    # trace; the ratio of the two factorial factors is exactly 1.
+    coeff = -2.0 * gaussian_moment(n) / factorial(n - 1) * (2.0j * np.pi) ** (-n)
     return complex(BOUNDARY_ORIENTATION_SIGN * coeff * model.chern_top())
 
 
@@ -385,6 +394,8 @@ class LocalizeReport:
 def localize(models) -> LocalizeReport:
     """(-1)^(n+1) sum deg*(v_i), cross-checked against -sum of gamma limits;
     every model shares the half-dimension n."""
+    if not models:
+        raise ValueError("localize needs at least one boundary model")
     n = models[0].n
     if any(m.n != n for m in models):
         raise ValueError("all models must share the same half-dimension n")

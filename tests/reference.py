@@ -1,7 +1,8 @@
 """Reference code and test inputs that the package itself never runs.
 
 Independent oracles (a signed preimage count, the round volume density of a
-chart, a whole grid's weights), plain-pass views of a map (its ambient
+chart, a whole grid's weights, the two-connection Chern-Simons form),
+plain-pass views of a map (its ambient
 values, the collapse map's stereographic radius), and small builders of test
 inputs.  The tests import them from here so that src/oddchern holds only
 the program.
@@ -10,8 +11,10 @@ the program.
 import numpy as np
 
 from oddchern import dual
-from oddchern.domains import NodeBlock, chart_columns
-from oddchern.forms import SQRT_2PI_I
+from oddchern.chern import CURVATURE_EXP_SIGN
+from oddchern.domains import NodeBlock, chart_columns, gauss_axis
+from oddchern.fields import FormField, exterior_derivative
+from oddchern.forms import SQRT_2PI_I, GradedMatrixForm, nilpotent_exp
 from oddchern.maps import DualMatrixMap
 
 # -- maps -------------------------------------------------------------------------
@@ -58,6 +61,37 @@ def max_abs(form) -> float:
 def normalize_2pi(w):
     """Scale each degree-k component by (2*pi*i)**(-k/2), principal branch."""
     return w.scale_by_degree(lambda k: SQRT_2PI_I ** (-k))
+
+
+# -- fields -----------------------------------------------------------------------
+
+
+def zero_field(domain, size) -> FormField:
+    """The degree-0 field 0 of size x size matrices: no components."""
+    return FormField(domain, size, lambda pts: GradedMatrixForm(domain.dim, size, len(pts)))
+
+
+def chern_simons_between(conn0, conn1, domain) -> FormField:
+    """cs(d + A0, d + A1) between two trivial-bundle connections: 16-node
+    Gauss-Legendre quadrature in u of Tr(d/du A_u wedge exp(F_u)),
+    A_u = A0 + u (A1 - A0), F_u = dA_u + A_u wedge A_u."""
+    d0 = exterior_derivative(conn0)
+    d1 = exterior_derivative(conn1)
+    xs, ws = gauss_axis((16, (0.0, 1.0)))
+
+    def sampler(pts):
+        a0, da0 = conn0.at(pts), d0.at(pts)
+        adot, dadot = conn1.at(pts) - a0, d1.at(pts) - da0
+        out = None
+        for u, w in zip(xs, ws):
+            au = a0 + adot.scale(u)
+            dau = da0 + dadot.scale(u)
+            curv = (dau + au.wedge(au)).scale(CURVATURE_EXP_SIGN)
+            term = adot.wedge(nilpotent_exp(curv)).trace().scale(w)
+            out = term if out is None else out + term
+        return out
+
+    return FormField(domain, 1, sampler)
 
 
 # -- quadrature -------------------------------------------------------------------

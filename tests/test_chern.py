@@ -18,13 +18,12 @@ from oddchern.chern import (SingularMapError, _checked_inverse, _odd_chern_top,
 from oddchern.collapse import CollapseMap
 from oddchern.defaults import CHUNK, COLLAPSE_RADIUS, FD_STEP, Ladder
 from oddchern.domains import ChartedSphereDomain
-from oddchern.fields import (constant_field, exterior_derivative, integrate_all_degrees,
-                             integrate_top)
+from oddchern.fields import exterior_derivative, integrate_all_degrees, integrate_top
 from oddchern.maps import (DualMatrixMap, HomotopyFamily, ProductMatrixMap,
                            SmoothMatrixMap, circle_winding,
                            compose_map_with_matrix, stabilize, su2_identity)
 from oddchern.superconn import SuperBundleModel
-from reference import evaluate_ambient, local_radius
+from reference import chern_simons_between, evaluate_ambient, local_radius, zero_field
 
 COARSE = 0.5  # resolution: 32, 24 and 16 nodes per angle on S^1, S^2 and S^3
 
@@ -185,11 +184,26 @@ def test_homotopy_invariance_of_degree():
 def test_chern_simons_reproduces_odd_chern():
     dom = ChartedSphereDomain([1], resolution=COARSE)
     g = circle_winding(2, size=2)
-    zero = constant_field(dom, np.zeros((2, 2)))
-    assert integrate_all_degrees(zero, dom) == {} and integrate_top(zero, dom) == 0j
-    cs = chern_simons(zero, maurer_cartan(g, dom), dom)
-    gap = abs(integrate_top(cs, dom) - integrate_top(odd_chern(g, dom), dom))
+    cs = chern_simons(maurer_cartan(g, dom))
+    gap = abs(integrate_top(cs) - integrate_top(odd_chern(g, dom)))
     assert gap < 1e-10
+
+
+@pytest.mark.parametrize("sphere, g", [(1, circle_winding(2, size=2)), (3, su2_identity())],
+                         ids=["S1", "S3"])
+def test_chern_simons_equals_the_two_connection_reference(sphere, g):
+    # cs(d, d + A) on (d + 1) // 2 u-nodes, exact for its polynomial
+    # integrand, against cs(d + 0, d + A) on 16 nodes, in every degree.
+    dom = ChartedSphereDomain([sphere], resolution=COARSE)
+    conn = maurer_cartan(g, dom)
+    zero = zero_field(dom, g.size)
+    assert integrate_all_degrees(zero) == {} and integrate_top(zero) == 0j
+    got = integrate_all_degrees(chern_simons(conn))
+    ref = integrate_all_degrees(chern_simons_between(zero, conn, dom))
+    assert set(got) == set(ref) and (1 << sphere) - 1 in ref
+    scale = max(abs(value) for value in ref.values())
+    for mask, value in ref.items():
+        assert abs(got[mask] - value) <= 1e-13 * scale, mask
 
 
 def test_transgression_identity_single_family():
@@ -258,9 +272,9 @@ def test_deg_names_the_singular_node():
     (3, 0.75, CHUNK + 808, 0.0, lambda g, dom: SuperBundleModel(dom, g).gamma_top()),
     (3, 0.75, CHUNK + 808, 0.0,
      lambda g, dom: SuperBundleModel(dom, stabilize(g, 1)).gamma_top()),
-    (3, 0.75, CHUNK + 808, 0.0, lambda g, dom: integrate_top(odd_chern(g, dom), dom)),
+    (3, 0.75, CHUNK + 808, 0.0, lambda g, dom: integrate_top(odd_chern(g, dom))),
     (1, 1.0, 40, FD_STEP,
-     lambda g, dom: integrate_all_degrees(exterior_derivative(maurer_cartan(g, dom)), dom)),
+     lambda g, dom: integrate_all_degrees(exterior_derivative(maurer_cartan(g, dom)))),
 ], ids=["deg", "model-sweep", "polar-2x2", "form-field", "stencil"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_singular_node_is_named_by_its_grid_index(sphere, resolution, node, shift, sweep):

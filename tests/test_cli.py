@@ -115,6 +115,11 @@ PRODUCT_KEYS = ("geometry.p, geometry.q, map.f.kind, map.f.size, map.f.m, "
      "map.f.size: expected an integer >= 1, got 0"),
     ("localize", "map.h.kind = su2_identity\nmap.h.size = -1\n",
      "map.h.size: expected an integer >= 1, got -1"),
+    # Only a winding reads m; an su2 or constant map would ignore it.
+    ("deg", "map.kind = su2_identity\nmap.m = 5\n",
+     "map.m: only a circle_winding map takes m, not su2_identity"),
+    ("deg-star", "map.f.kind = constant\nmap.f.m = 2\nmap.h.kind = su2_identity\n",
+     "map.f.m: only a circle_winding map takes m, not constant"),
 ])
 def test_bad_geometry_is_usage_error(tmp_path, capsys, command, body, message):
     cfg = write(tmp_path, f"scenario = {command}\n" + body)
@@ -271,6 +276,14 @@ def test_unconverged_check_has_its_own_status_line(tmp_path, capsys):
         "UNCONVERGED two gamma paths agree",
         "UNCONVERGED gamma limit equals (-1)^n deg*",
     ]
+
+
+def test_gamma_limit_at_a_large_T_keeps_both_paths_together(tmp_path, capsys):
+    # The t-integral is closed-form, so e^(-t^2) is resolved at any T: a
+    # fixed 200-node t-quadrature on [0, 1000] parted the two paths by 4e-6.
+    cfg = write(tmp_path, "scenario = gamma-limit\n" + PHI_SU2 + "gamma.T = 1000\n")
+    assert main(["gamma-limit", "--config", cfg, "--resolution-scale", "0.75"]) == 0
+    assert json.loads(capsys.readouterr().out)["values"]["two_path_gap"] < 1e-14
 
 
 def test_singular_pole_value_is_usage_error_on_the_ball(tmp_path, capsys, monkeypatch):

@@ -175,7 +175,7 @@ def test_circle_power_degree(m):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_ball_chart_weights_integrate_the_ball_volume(m):
-    ball = ChartedSphereDomain.ball(1, m - 1, COLLAPSE_RADIUS).at_scale(1.5)
+    ball = ChartedSphereDomain.ball(1, m - 1).at_scale(1.5)
     total = 0.0
     for block in ball.node_blocks(CHUNK):
         pts, w = block.points(), block.weights()

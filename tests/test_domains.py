@@ -108,7 +108,7 @@ def test_stokes_closed_manifold():
     # The integral of an exact top form over a closed manifold vanishes.
     dom = ChartedSphereDomain([2], resolution=2 / 3)
     alpha = _smooth_one_form(dom)
-    total = integrate_top(exterior_derivative(alpha), dom)
+    total = integrate_top(exterior_derivative(alpha))
     assert abs(total) < 1e-8
 
 
@@ -193,7 +193,7 @@ def test_exterior_derivative_samples_each_slice_in_one_call():
 CHARTS = {
     "sphere": lambda: ChartedSphereDomain([2], resolution=1 / 3),
     "product": lambda: ChartedSphereDomain([2, 1], resolution=COARSE),
-    "ball": lambda: ChartedSphereDomain.ball(2, 1, COLLAPSE_RADIUS, 0.5),
+    "ball": lambda: ChartedSphereDomain.ball(2, 1, 0.5),
 }
 
 
@@ -234,7 +234,7 @@ def test_resolution_multiplies_every_default_node_count(resolution):
               for m in range(1, 6)]
     charts += [(ChartedSphereDomain.product(p, q, resolution=resolution), angles[p] + angles[q])
                for p, q in ((2, 1), (1, 2), (2, 3), (4, 1))]
-    charts += [(ChartedSphereDomain.ball(p, q, COLLAPSE_RADIUS, resolution),
+    charts += [(ChartedSphereDomain.ball(p, q, resolution),
                 [(BALL_NODES[0], 2)] + [(BALL_NODES[1], 1)] * (p + q - 1))
                for p, q in ((2, 1), (3, 1), (2, 3))]
     for dom, defaults in charts:

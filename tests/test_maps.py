@@ -256,11 +256,10 @@ def test_identity_chart_jacobian_is_the_identity():
 
 def test_identity_and_projection_values():
     prod = ChartedSphereDomain([2, 1], resolution=COARSE)
-    circle = ChartedSphereDomain([1], resolution=COARSE)
     ident = identity_chart_map(prod)
     pts = prod.nodes()[::97]
     assert np.abs(evaluate_ambient(ident, pts) - prod.embed(pts)).max() < 1e-12
-    pr2 = projection_second_factor(prod, circle)
+    pr2 = projection_second_factor(prod)
     amb = evaluate_ambient(pr2, pts)
     assert np.abs(amb - prod.embed(pts)[:, 3:]).max() < 1e-12
 
@@ -407,21 +406,21 @@ def _radial_and_angular(ball, pts):
 
 @pytest.mark.parametrize("pq", [(2, 1), (3, 1), (2, 3)])
 def test_separable_product_equals_the_full_product(pq):
-    ball = ChartedSphereDomain.ball(*pq, COLLAPSE_RADIUS, 0.25)
+    ball = ChartedSphereDomain.ball(*pq, 0.25)
     block = next(ball.node_blocks(CHUNK))
     assert block.shape[0] > 1 and len(block) > block.shape[0]
     for pts in (block, ball.sample_nodes(200)):
         radial, u = _radial_and_angular(ball, pts)
         for ui in u:
-            assert_duals_equal(dual.separable_mul(radial, ui, 1), radial * ui)
+            assert_duals_equal(dual.separable_mul(radial, ui), radial * ui)
 
 
 def test_separable_product_of_a_plain_operand_is_the_full_product():
-    ball = ChartedSphereDomain.ball(2, 1, COLLAPSE_RADIUS, 0.25)
+    ball = ChartedSphereDomain.ball(2, 1, 0.25)
     radial, (u0, *_) = _radial_and_angular(ball, ball.sample_nodes(50))
-    assert_duals_equal(dual.separable_mul(radial, u0.val, 1), radial * u0.val)
-    assert_duals_equal(dual.separable_mul(2.5, u0, 1), 2.5 * u0)
-    assert np.array_equal(dual.separable_mul(radial.val, u0.val, 1), radial.val * u0.val)
+    assert_duals_equal(dual.separable_mul(radial, u0.val), radial * u0.val)
+    assert_duals_equal(dual.separable_mul(2.5, u0), 2.5 * u0)
+    assert np.array_equal(dual.separable_mul(radial.val, u0.val), radial.val * u0.val)
 
 
 def test_ball_chart_ambient_jacobian_is_bit_identical_on_blocks():

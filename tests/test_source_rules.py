@@ -48,7 +48,7 @@ def test_dual_eps_is_read_only_in_dual_and_the_matrix_packers():
 
 def test_the_eps_rule_sees_a_hand_written_derivative_row():
     source = (SRC / "collapse.py").read_text()
-    product = "dual.separable_mul(radial, c, 1) for c in u"
+    product = "dual.separable_mul(radial, c) for c in u"
     assert product in source
     by_hand = source.replace(product, "radial.eps[0] * c.val for c in u")
     line = source[:source.index(product)].count("\n") + 1
@@ -335,3 +335,101 @@ def test_the_reader_rule_sees_a_definition_nothing_reads():
     method = "class Holder:\n    def __init__(self):\n        pass\n\n    def orphan(self):\n        pass\n"
     assert unread_definitions({"x.py": method}, []) == [("x.py", "Holder", 1), ("x.py", "orphan", 5)]
     assert unread_definitions(package, readers + ['HOOKS = ("orphan",)\n']) == []
+
+
+# Defaulted parameters that no program call sets, each kept for tests: the
+# entry point's argv (tests run the CLI in process) and deg's ladder (tests
+# sweep single levels through it).
+UNSET_DEFAULTS = {("cli.py", "main", "argv"), ("chern.py", "deg", "ladder")}
+
+
+def defaulted_parameters(name, source):
+    """(module, function, parameter, position or None) of every parameter
+    with a default in a module's source; a method's position leaves out
+    self or cls, and a keyword-only parameter has none.  __init__ is listed
+    under its class's name, which is what its callers call."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                skip = 1 if cls and not static else 0
+                called = cls if child.name == "__init__" else child.name
+                for i, arg in enumerate(positional[len(positional) - len(args.defaults):],
+                                        start=len(positional) - len(args.defaults)):
+                    found.append((name, called, arg.arg, i - skip))
+                found.extend((name, called, arg.arg, None)
+                             for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                             if default is not None)
+                visit(child, None)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def set_parameters(sources):
+    """{(called name, parameter or position)} that some call in the sources
+    sets: by keyword, or by position; a ** or * splat sets every keyword or
+    every position.  Inside a class, a call of cls is a call of the class."""
+    out = set()
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            called = cls if called == "cls" else called
+            for kw in node.keywords:
+                out.add((called, "**" if kw.arg is None else kw.arg))
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                out.add((called, "*"))
+            out.update((called, i) for i in range(len(node.args)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    for source in sources:
+        visit(ast.parse(source), None)
+    return out
+
+
+def unset_defaults(package, readers):
+    """(module, function, parameter) of every defaulted parameter in package,
+    {file name: source}, that no call in the package outside __init__.py or
+    in the reader sources sets, outside UNSET_DEFAULTS."""
+    sets = set_parameters([s for name, s in package.items() if name != "__init__.py"] + readers)
+    return [(module, func, param)
+            for name, source in package.items()
+            for module, func, param, pos in defaulted_parameters(name, source)
+            if not ({(func, param), (func, "**")} & sets
+                    or pos is not None and {(func, pos), (func, "*")} & sets)
+            and (module, func, param) not in UNSET_DEFAULTS]
+
+
+def test_every_defaulted_parameter_is_set_by_the_program():
+    # A default that every call leaves in place is a setting that one value
+    # serves: it belongs in the function body, not in its signature.
+    assert unset_defaults(package_sources(), reader_sources()) == []
+
+
+def test_the_default_rule_sees_an_unset_default():
+    package, readers = package_sources(), reader_sources()
+    package["forms.py"] += "\n\ndef padded(w, pad=0):\n    return w\n\n\nx = padded(1)\n"
+    assert unset_defaults(package, readers) == [("forms.py", "padded", "pad")]
+    # A keyword, a position past self, or a splat sets a default; a call of
+    # cls calls its class; an exempt default is not reported.
+    method = ("class Holder:\n    def __init__(self, a, b=1):\n        pass\n\n"
+              "    def get(self, c=2, *, d=3):\n        pass\n")
+    assert unset_defaults({"x.py": method}, []) == [("x.py", "Holder", "b"), ("x.py", "get", "c"),
+                                                    ("x.py", "get", "d")]
+    assert unset_defaults({"x.py": method}, ["Holder(0, 1).get(5, d=4)\n"]) == []
+    assert unset_defaults({"x.py": method}, ["Holder(*ab).get(**kw)\n"]) == []
+    made = method + "\n    @classmethod\n    def make(cls):\n        return cls(0, b=2)\n"
+    assert unset_defaults({"x.py": made}, []) == [("x.py", "get", "c"), ("x.py", "get", "d")]
+    assert unset_defaults({"cli.py": "def main(argv=None):\n    pass\n"}, []) == []

@@ -1,6 +1,7 @@
 """Super-connection boundary models: unitarization, gamma, localization."""
 
 from math import factorial
+from types import SimpleNamespace
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddchern import chern, domains, forms, superconn
+from oddchern import chern, domains, forms, superconn, verify
 from oddchern.chern import SingularMapError, deg_star, odd_chern_top_integral
 from oddchern.collapse import CollapseMap
 from oddchern.defaults import CHUNK, COLLAPSE_RADIUS, GAMMA_COARSE_SCALE, SPLIT_LADDER, Ladder
@@ -172,6 +173,43 @@ def test_gamma_limit_saturates_in_T():
     assert round(g8.real) == -1
 
 
+def top_only_model(n):
+    """A stand-in model on S^(2n-1) whose gamma top integral is 1, so that
+    gamma_boundary_integral returns its t-factor alone."""
+    return SimpleNamespace(n=n, domain=SimpleNamespace(dim=2 * n - 1), gamma_top=lambda: 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gamma_t_integral_equals_a_t_quadrature(n):
+    # The closed form -gaussian_moment(n) P(n, T^2) against 200-node
+    # Gauss-Legendre on [0, T], on both sides of T = 1.
+    d = 2 * n - 1
+    for T in (1e-3, 0.1, 1.0, 2.0, 4.0, 6.0, 8.0):
+        t, w = domains.gauss_axis((200, (0.0, T)))
+        quad = (superconn.BOUNDARY_ORIENTATION_SIGN * np.sum(w * (-t) ** d * np.exp(-t * t))
+                / (factorial(d) * SQRT_2PI_I))
+        got = gamma_boundary_integral(top_only_model(n), T)
+        assert abs(got - quad) <= 1e-13 * abs(quad), T
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gamma_keeps_its_limit_at_every_finite_T(n):
+    # T^2 overflows from about 1.3e154 on; every term is then exp(-inf) = 0.
+    model = top_only_model(n)
+    limit = gamma_boundary_integral(model, 8.0)
+    for T in (300.0, 1e4, 1e100, 1e300):
+        value = gamma_boundary_integral(model, T)
+        assert np.isfinite(value) and abs(value - limit) <= 1e-15 * abs(limit), T
+
+
+def test_two_path_check_sees_a_wrong_gaussian_moment(monkeypatch):
+    # Both gamma paths read gaussian_moment, so n!/2 in place of (n-1)!/2
+    # keeps them equal to each other and parts them from deg*.
+    assert verify.check_two_path_gamma()["passed"]
+    monkeypatch.setattr(superconn, "gaussian_moment", lambda n: 0.5 * factorial(n))
+    assert not verify.check_two_path_gamma()["passed"]
+
+
 def record_sweeps(monkeypatch):
     """Record every model sweep and every other odd Chern top integral.
 
@@ -320,6 +358,11 @@ def test_localize_report_needs_converged_and_accepted_degrees():
     assert good.consistent and good.converged
     assert not unconverged.consistent and not unconverged.converged
     assert not non_integral.consistent and non_integral.converged
+
+
+def test_localize_needs_a_model():
+    with pytest.raises(ValueError, match="localize needs at least one boundary model"):
+        localize([])
 
 
 def test_localize_rejects_mixed_dimensions():
